@@ -11,11 +11,8 @@
    per-call vs no indexing, and the parallel engine vs sequential — and
    writes the measurements to BENCH_eval.json in the current directory.
 
-   Part 4 ("storage") is the relation-backend ablation: the packed hashed
-   backend vs the tree-set seed, crossed with cached vs per-call indexing
-   on an iteration-heavy transitive closure, plus the E1 cycle census, with
-   E1-E8 parity fingerprints under both backends.  Writes BENCH_relalg.json
-   and exits nonzero if the backends diverge on any count.
+   Part 4 is retired: there is one relation store, and its indexing rows
+   are Part 3's.
 
    Part 5 ("satpar") is the parallel-search benchmark: the portfolio CDCL
    racer vs the sequential solver on a band of hard random 3-CNF, and the
@@ -67,8 +64,8 @@
    and critical-path (max) bounds over seeded weighted graphs, limit-aware
    tightening vs the pair-materializing Datalog-not encoding of the same
    query, with dominant-filter parity, limit-model fingerprint parity
-   across storage backends x planners x engines x grains, E1-E8
-   fingerprint invariance, and an incremental serve session under mixed
+   across planners x engines x grains, E1-E8 fingerprint invariance, and
+   an incremental serve session under mixed
    insert/delete that must keep dred full applications at 0.  Writes
    BENCH_agg.json and exits nonzero on any divergence or if tightening is
    less than 5x faster on the min workload (the gate is skipped, and
@@ -79,7 +76,6 @@
               dune exec bench/main.exe -- tables          (part 1 only)
               dune exec bench/main.exe -- micro           (part 2 only)
               dune exec bench/main.exe -- eval            (part 3 only)
-              dune exec bench/main.exe -- storage [quick] (part 4 only)
               dune exec bench/main.exe -- satpar [quick]  (part 5 only)
               dune exec bench/main.exe -- plan [quick]    (part 6 only)
               dune exec bench/main.exe -- par [quick]     (part 7 only)
@@ -836,24 +832,12 @@ let eval_bench () =
   out "}\n";
   close_out oc
 
-(* --- Part 4: storage-backend benchmark (BENCH_relalg.json) ------------------ *)
+(* --- E1-E8 parity fingerprint ------------------------------------------------ *)
 
-let with_storage storage f =
-  let saved = Relation.default_storage () in
-  Relation.set_default_storage storage;
-  Fun.protect ~finally:(fun () -> Relation.set_default_storage saved) f
-
-let storage_name = function `Hashed -> "hashed" | `Treeset -> "treeset"
-
-let indexing_name = function
-  | `Cached -> "cached"
-  | `Percall -> "percall"
-  | `Scan -> "scan"
-
-(* A fingerprint of the E1-E8 experiment drivers: every count a relation
-   backend could corrupt, as (name, integer) pairs.  Computed once per
-   backend inside {!with_storage}; the benchmark exits nonzero if the
-   backends disagree on any entry. *)
+(* A fingerprint of the E1-E8 experiment drivers: every count an evaluation
+   configuration could corrupt, as (name, integer) pairs.  The plan, par
+   and agg parts compute it under each configuration they vary and exit
+   nonzero if any entry disagrees. *)
 let parity_fingerprint () =
   let entries = ref [] in
   let add name v = entries := (name, v) :: !entries in
@@ -925,152 +909,6 @@ let parity_fingerprint () =
   add "wf_pi1_c5_true" (Idb.total_cardinal m.Wellfounded.true_facts);
   add "wf_pi1_c5_possible" (Idb.total_cardinal m.Wellfounded.possible);
   List.rev !entries
-
-let storage_bench ~quick () =
-  Format.printf
-    "Storage-backend benchmark (hashed vs treeset%s) -> BENCH_relalg.json@."
-    (if quick then ", quick mode" else "");
-  let storages = [ `Hashed; `Treeset ] in
-  let indexings = [ `Cached; `Percall ] in
-  (* Workload 1 — iteration-heavy TC: the transitive closure of the cycle
-     C_n takes n semi-naive stages and saturates at n^2 tuples, so every
-     stage unions a delta into an ever-larger closure and deduplicates
-     candidates against it.  This is the regime the packed backend targets:
-     membership is a precomputed-hash probe and union merges integer-set
-     structure, where the tree backend re-walks tuple arrays on every
-     comparison. *)
-  let tc_n = if quick then 100 else 140 in
-  let best_reps = if quick then 2 else 4 in
-  let tc_cell storage indexing =
-    with_storage storage (fun () ->
-        let db = db_of (Generate.cycle tc_n) in
-        let run () =
-          Inflationary.eval ~engine:`Seminaive ~indexing tc_program db
-        in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t))
-  in
-  let matrix =
-    List.concat_map
-      (fun storage ->
-        List.map
-          (fun indexing ->
-            let tuples, seconds = tc_cell storage indexing in
-            (storage, indexing, tuples, seconds))
-          indexings)
-      storages
-  in
-  Format.printf "  %-34s %10s %10s@." "tc_iterheavy (storage x indexing)" "ms"
-    "tuples";
-  List.iter
-    (fun (storage, indexing, tuples, seconds) ->
-      Format.printf "  %-34s %10.2f %10d@."
-        (Printf.sprintf "tc_%s_%s" (storage_name storage)
-           (indexing_name indexing))
-        (seconds *. 1e3) tuples)
-    matrix;
-  let cell storage indexing =
-    let _, _, tuples, seconds =
-      List.find (fun (s, i, _, _) -> s = storage && i = indexing) matrix
-    in
-    (tuples, seconds)
-  in
-  let tc_counts_agree =
-    match matrix with
-    | (_, _, t0, _) :: rest -> List.for_all (fun (_, _, t, _) -> t = t0) rest
-    | [] -> false
-  in
-  (* Workload 2 — the E1 cycle census at scale: ground pi_1 on the cycle
-     C_n, encode Theta(S)=S and count the fixpoints (2 for even cycles).
-     Grounding dominates, and its inner loop is one membership probe per
-     candidate binding against the n-edge relation — the storage-sensitive
-     path the packed backend accelerates. *)
-  let census_n = if quick then 400 else 500 in
-  let census storage =
-    with_storage storage (fun () ->
-        let db = db_of (Generate.cycle census_n) in
-        best_of best_reps (fun () ->
-            Fixpoints.count (Fixpoints.prepare pi1 db)))
-  in
-  let census_hashed, t_census_hashed = census `Hashed in
-  let census_treeset, t_census_treeset = census `Treeset in
-  Format.printf "  %-34s %10.2f %10d@."
-    (Printf.sprintf "census_C%d_hashed" census_n)
-    (t_census_hashed *. 1e3) census_hashed;
-  Format.printf "  %-34s %10.2f %10d@."
-    (Printf.sprintf "census_C%d_treeset" census_n)
-    (t_census_treeset *. 1e3) census_treeset;
-  (* E1-E8 parity: both backends must reproduce every experiment count. *)
-  let fp_hashed = with_storage `Hashed parity_fingerprint in
-  let fp_treeset = with_storage `Treeset parity_fingerprint in
-  let divergences =
-    List.filter_map
-      (fun ((name, h), (name', t)) ->
-        assert (name = name');
-        if h = t then None else Some (name, h, t))
-      (List.combine fp_hashed fp_treeset)
-  in
-  List.iter
-    (fun (name, h, t) ->
-      Format.printf "  DIVERGENCE %s: hashed=%d treeset=%d@." name h t)
-    divergences;
-  let parity_ok = divergences = [] && census_hashed = census_treeset in
-  let _, t_hc = cell `Hashed `Cached in
-  let _, t_hp = cell `Hashed `Percall in
-  let _, t_tc = cell `Treeset `Cached in
-  let _, t_tp = cell `Treeset `Percall in
-  let speedup_tc = t_tc /. t_hc in
-  let speedup_tc_percall = t_tp /. t_hp in
-  let speedup_census = t_census_treeset /. t_census_hashed in
-  Format.printf "  hashed vs treeset (tc, cached):  %.2fx@." speedup_tc;
-  Format.printf "  hashed vs treeset (tc, percall): %.2fx@." speedup_tc_percall;
-  Format.printf "  hashed vs treeset (census):      %.2fx@." speedup_census;
-  Format.printf
-    "  parity: E1-E8 fingerprints (%d entries) %s, tc models %s@."
-    (List.length fp_hashed) (ok parity_ok) (ok tc_counts_agree);
-  let oc = open_out "BENCH_relalg.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"quick\": %b,\n" quick;
-  out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
-  out "  \"matrix\": [\n";
-  List.iteri
-    (fun i (storage, indexing, tuples, seconds) ->
-      out
-        "    {\"workload\": \"tc_iterheavy\", \"storage\": %S, \"indexing\": \
-         %S, \"ns_per_op\": %.0f, \"tuples\": %d}%s\n"
-        (storage_name storage) (indexing_name indexing)
-        (seconds *. 1e9) tuples
-        (if i = List.length matrix - 1 then "" else ","))
-    matrix;
-  out "  ],\n";
-  out "  \"census\": [\n";
-  out
-    "    {\"workload\": \"e1_census_C%d\", \"storage\": \"hashed\", \
-     \"ns_per_op\": %.0f, \"fixpoints\": %d},\n"
-    census_n (t_census_hashed *. 1e9) census_hashed;
-  out
-    "    {\"workload\": \"e1_census_C%d\", \"storage\": \"treeset\", \
-     \"ns_per_op\": %.0f, \"fixpoints\": %d}\n"
-    census_n (t_census_treeset *. 1e9) census_treeset;
-  out "  ],\n";
-  out "  \"speedups\": {\n";
-  out "    \"hashed_vs_treeset_tc_cached\": %.3f,\n" speedup_tc;
-  out "    \"hashed_vs_treeset_tc_percall\": %.3f,\n" speedup_tc_percall;
-  out "    \"hashed_vs_treeset_census\": %.3f\n" speedup_census;
-  out "  },\n";
-  out "  \"checks\": {\n";
-  out "    \"e1_e8_fingerprints_match\": %b,\n" (divergences = []);
-  out "    \"census_counts_match\": %b,\n" (census_hashed = census_treeset);
-  out "    \"tc_models_agree\": %b\n" tc_counts_agree;
-  out "  }\n";
-  out "}\n";
-  close_out oc;
-  if not (parity_ok && tc_counts_agree) then begin
-    Format.printf "  backend divergence detected — failing@.";
-    exit 1
-  end
 
 (* --- Part 5: parallel SAT search benchmark (BENCH_sat.json) ----------------- *)
 
@@ -1898,13 +1736,9 @@ let par_bench ~quick () =
     db_of (Generate.random ~seed:77 ~n:merge_n ~p:(3.0 /. float_of_int merge_n))
   in
   let closure =
-    Inflationary.eval ~engine:`Seminaive ~storage:`Hashed tc_program merge_db
+    Inflationary.eval ~engine:`Seminaive tc_program merge_db
   in
-  let closure_ids =
-    match Relation.ids (Idb.get closure "s") with
-    | Some s -> s
-    | None -> assert false
-  in
+  let closure_ids = Relation.ids (Idb.get closure "s") in
   let rows =
     Array.of_list
       (List.rev (Relalg.Idset.fold (fun id acc -> id :: acc) closure_ids []))
@@ -1946,7 +1780,7 @@ let par_bench ~quick () =
   let fresh_builders () =
     Array.map
       (fun tuples ->
-        let b = Relation.builder ~storage:`Hashed 2 in
+        let b = Relation.builder 2 in
         Array.iter (fun t -> ignore (Relation.builder_add b t)) tuples;
         b)
       shard_tuples
@@ -2607,6 +2441,7 @@ let agg_bench ~quick () =
   let max_limit = with_limits "best max 2." (agg_max_text ~thr:(2 * layers)) in
   let max_pairs = Parser.parse_program_exn (agg_max_text ~thr:(2 * layers)) in
   let max_db = agg_dag_db ~seed:424242 ~layers ~width in
+  let fp_before = parity_fingerprint () in
   (* The gate only makes sense when the workload actually crosses a
      stratum boundary (the negation above the limit predicate); report
      honestly if a generator change ever flattens it. *)
@@ -2652,32 +2487,26 @@ let agg_bench ~quick () =
       ~limit_pred:"best" ~derived:[ "good"; "modest" ]
   in
   (* Config parity: the limit model's fingerprint must be invariant across
-     storage backends, planners, engines and grain defaults. *)
+     planners, engines and grain defaults. *)
   let model_fp ?planner ?engine () =
     Idb.fingerprint (Stratified.eval_exn ?planner ?engine min_limit min_db)
   in
-  let reference = with_storage `Hashed (fun () -> model_fp ()) in
+  let reference = model_fp () in
   let config_fps =
     List.concat_map
-      (fun storage ->
-        List.concat_map
-          (fun planner ->
-            List.map
-              (fun engine ->
-                let name =
-                  Printf.sprintf "%s/%s/%s" (storage_name storage)
-                    (planner_name planner)
-                    (match engine with
-                    | `Seminaive -> "seminaive"
-                    | `Parallel -> "parallel"
-                    | `Naive -> "naive")
-                in
-                ( name,
-                  with_storage storage (fun () ->
-                      model_fp ~planner ~engine ()) ))
-              [ `Seminaive; `Parallel ])
-          [ `Static; `Adaptive ])
-      [ `Hashed; `Treeset ]
+      (fun planner ->
+        List.map
+          (fun engine ->
+            let name =
+              Printf.sprintf "%s/%s" (planner_name planner)
+                (match engine with
+                | `Seminaive -> "seminaive"
+                | `Parallel -> "parallel"
+                | `Naive -> "naive")
+            in
+            (name, model_fp ~planner ~engine ()))
+          [ `Seminaive; `Parallel ])
+      [ `Static; `Adaptive ]
   in
   let config_fps =
     config_fps
@@ -2696,23 +2525,22 @@ let agg_bench ~quick () =
   let config_parity = config_divergences = [] in
   Format.printf "  parity: limit model fingerprints (%d configs) %s@."
     (List.length config_fps) (ok config_parity);
-  (* E1-E8 invariance: the limit machinery must leave every pre-existing
-     experiment count untouched, under both storage backends. *)
-  let fp_hashed = with_storage `Hashed parity_fingerprint in
-  let fp_treeset = with_storage `Treeset parity_fingerprint in
+  (* E1-E8 invariance: running the limit workloads must leave every
+     pre-existing experiment count untouched. *)
+  let fp_after = parity_fingerprint () in
   let e_divergences =
     List.filter_map
-      (fun ((name, h), (name', t)) ->
+      (fun ((name, before), (name', after)) ->
         assert (name = name');
-        if h = t then None else Some name)
-      (List.combine fp_hashed fp_treeset)
+        if before = after then None else Some name)
+      (List.combine fp_before fp_after)
   in
   List.iter
     (fun name -> Format.printf "  DIVERGENCE E1-E8 %s@." name)
     e_divergences;
   let e18_parity = e_divergences = [] in
   Format.printf "  parity: E1-E8 fingerprints (%d entries) %s@."
-    (List.length fp_hashed) (ok e18_parity);
+    (List.length fp_after) (ok e18_parity);
   (* Incremental maintenance: a serve session over the weighted ring under
      mixed insert/delete must track from-scratch saturation with zero full
      (non-delta) applications. *)
@@ -2813,7 +2641,6 @@ let () =
   if what = "tables" || what = "all" then tables ();
   if what = "micro" || what = "all" then run_micro ();
   if what = "eval" then eval_bench ();
-  if what = "storage" then storage_bench ~quick ();
   if what = "satpar" then satpar_bench ~quick ();
   if what = "plan" then plan_bench ~quick ();
   if what = "par-fingerprint" then par_fingerprint_print ();

@@ -98,15 +98,6 @@ let indexing_arg =
            column indexes maintained incrementally), $(b,percall) (rebuilt \
            for every rule application), or $(b,scan) (no indexes).")
 
-let storage_arg =
-  let storage_conv = Arg.enum [ ("hashed", `Hashed); ("treeset", `Treeset) ] in
-  Arg.(
-    value
-    & opt storage_conv `Hashed
-    & info [ "storage" ] ~docv:"BACKEND"
-        ~doc:
-          "Relation storage backend: $(b,hashed) (default, packed tuple ids            in Patricia sets over the global tuple store) or $(b,treeset)            (balanced tuple sets, the pre-packing behaviour, kept as an            ablation).")
-
 let planner_arg =
   let planner_conv =
     let parse s =
@@ -265,10 +256,7 @@ let eval_cmd =
              (fail closed), a merely stale one is re-evaluated.")
   in
   let run program_path db_path semantics engine planner plan_drift explain
-      indexing storage stats sat_par grain pred snapshot_file =
-    (* Set the default before loading, so the base relations parsed from the
-       database are built in the chosen backend too. *)
-    Negdl.Relation.set_default_storage storage;
+      indexing stats sat_par grain pred snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
@@ -282,8 +270,8 @@ let eval_cmd =
     let evaluate_and_save () =
       let result =
         or_die
-          (Negdl.run ~engine ~planner ?plan_cache ~indexing ~storage ?stats
-             semantics program db)
+          (Negdl.run ~engine ~planner ?plan_cache ~indexing ?stats semantics
+             program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -320,7 +308,7 @@ let eval_cmd =
         in
         if not fresh then evaluate_and_save ()
         else
-          let r = snap_die (Negdl.Snapshot.restore ~storage image) in
+          let r = snap_die (Negdl.Snapshot.restore image) in
           {
             Negdl.facts = idb_of_bindings program r.Negdl.Snapshot.r_idb;
             unknown =
@@ -360,7 +348,7 @@ let eval_cmd =
     Term.(
       const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
       $ planner_arg $ plan_drift_arg $ explain_arg $ indexing_arg
-      $ storage_arg $ stats_arg $ sat_par_arg $ parallel_grain_arg $ pred_arg
+      $ stats_arg $ sat_par_arg $ parallel_grain_arg $ pred_arg
       $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
@@ -410,9 +398,8 @@ let fixpoints_cmd =
              EDB is trusted (checksummed, but not compared against the \
              text file) — delete $(docv) after editing $(i,DATABASE).")
   in
-  let run program_path db_path storage planner plan_drift explain limit
-      enumerate sat_par grain sat_budget count_budget stats snapshot_file =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path db_path planner plan_drift explain limit enumerate
+      sat_par grain sat_budget count_budget stats snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
@@ -444,8 +431,7 @@ let fixpoints_cmd =
             (Negdl.Snapshot.error_to_string e);
           load_and_save ()
         | Ok () ->
-          (snap_die (Negdl.Snapshot.restore ~storage image))
-            .Negdl.Snapshot.r_db)
+          (snap_die (Negdl.Snapshot.restore image)).Negdl.Snapshot.r_db)
       | _ -> load_and_save ()
     in
     let plan_cache =
@@ -503,10 +489,10 @@ let fixpoints_cmd =
   Cmd.v
     (Cmd.info "fixpoints" ~doc)
     Term.(
-      const run $ program_arg $ database_arg $ storage_arg $ planner_arg
-      $ plan_drift_arg $ explain_arg $ limit_arg $ enumerate_arg
-      $ sat_par_arg $ parallel_grain_arg $ sat_budget_arg $ count_budget_arg
-      $ stats_arg $ snapshot_arg)
+      const run $ program_arg $ database_arg $ planner_arg $ plan_drift_arg
+      $ explain_arg $ limit_arg $ enumerate_arg $ sat_par_arg
+      $ parallel_grain_arg $ sat_budget_arg $ count_budget_arg $ stats_arg
+      $ snapshot_arg)
 
 (* --- explain ----------------------------------------------------------------- *)
 
@@ -682,9 +668,8 @@ let serve_cmd =
              program — is a hard error.  When $(docv) does not exist, \
              materialise normally and checkpoint to it before serving.")
   in
-  let run program_path db_path engine planner plan_drift indexing storage
-      stats grain socket snapshot_file =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path db_path engine planner plan_drift indexing stats grain
+      socket snapshot_file =
     Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
@@ -693,7 +678,7 @@ let serve_cmd =
       let db = or_die (load_database db_path) in
       let state =
         or_die
-          (Negdl.Serve.create ~engine ~planner ~indexing ~storage ~grain
+          (Negdl.Serve.create ~engine ~planner ~indexing ~grain
              ~stats:stats_rec program db)
       in
       (match snapshot_file with
@@ -709,8 +694,8 @@ let serve_cmd =
       | Some file when Sys.file_exists file ->
         let image = snap_die (Negdl.Snapshot.read_file file) in
         or_die
-          (Negdl.Serve.create_restored ~engine ~planner ~indexing ~storage
-             ~grain ~stats:stats_rec program image)
+          (Negdl.Serve.create_restored ~engine ~planner ~indexing ~grain
+             ~stats:stats_rec program image)
       | _ -> cold_start ()
     in
     (* One client session over a raw file descriptor; returns how it
@@ -844,8 +829,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ engine_arg $ planner_arg
-      $ plan_drift_arg $ indexing_arg $ storage_arg $ stats_arg
-      $ parallel_grain_arg $ socket_arg $ snapshot_arg)
+      $ plan_drift_arg $ indexing_arg $ stats_arg $ parallel_grain_arg
+      $ socket_arg $ snapshot_arg)
 
 (* --- snapshot / restore ----------------------------------------------------- *)
 
@@ -871,12 +856,11 @@ let snapshot_cmd =
             "One of $(b,inflationary), $(b,stratified) (default), \
              $(b,well-founded), $(b,kripke-kleene), $(b,least).")
   in
-  let run program_path db_path file semantics engine planner storage =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path db_path file semantics engine planner =
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
     let result =
-      or_die (Negdl.run ~engine ~planner ~storage semantics program db)
+      or_die (Negdl.run ~engine ~planner semantics program db)
     in
     let bytes =
       save_snapshot ~program
@@ -913,7 +897,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ snapshot_file_arg
-      $ semantics_arg $ engine_arg $ planner_arg $ storage_arg)
+      $ semantics_arg $ engine_arg $ planner_arg)
 
 let restore_cmd =
   let file_arg =
@@ -928,8 +912,7 @@ let restore_cmd =
       & opt (some string) None
       & info [ "p"; "pred" ] ~docv:"PRED" ~doc:"Print only this predicate.")
   in
-  let run program_path file storage pred =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path file pred =
     let program = or_die (load_program program_path) in
     let image = snap_die (Negdl.Snapshot.read_file file) in
     (* The file's own semantics tag is authoritative for display; the
@@ -937,7 +920,7 @@ let restore_cmd =
     snap_die
       (Negdl.Snapshot.check_program image ~program
          ~semantics:image.Negdl.Snapshot.semantics);
-    let r = snap_die (Negdl.Snapshot.restore ~storage image) in
+    let r = snap_die (Negdl.Snapshot.restore image) in
     let facts = idb_of_bindings program r.Negdl.Snapshot.r_idb in
     (match pred with
     | None -> print_idb facts
@@ -966,7 +949,7 @@ let restore_cmd =
   in
   Cmd.v
     (Cmd.info "restore" ~doc ~man)
-    Term.(const run $ program_arg $ file_arg $ storage_arg $ pred_arg)
+    Term.(const run $ program_arg $ file_arg $ pred_arg)
 
 (* --- why -------------------------------------------------------------------- *)
 

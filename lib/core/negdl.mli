@@ -178,10 +178,9 @@ val run :
     them.  [engine] selects the saturation
     strategy ([`Seminaive] default, [`Naive], or [`Parallel] which fans the
     rule applications of each iteration across domains); [indexing] selects
-    the column-index strategy (see {!Engine.indexing}); [storage] selects
-    the relation backend the derived relations are built in (see
-    {!Relation.storage}; the global default is set with
-    {!Relation.set_default_storage}); [planner] selects the join-order
+    the column-index strategy (see {!Engine.indexing}); [storage] is
+    ignored (it remains for the same reason as {!Relation.storage});
+    [planner] selects the join-order
     planning policy ({!Plan.planner}: [`Static] compile-once plans by
     default, [`Greedy] per-application replanning, [`Scan] textual order);
     [plan_cache], when given, retains the compiled plans — the CLI's

@@ -29,14 +29,12 @@ type opts = {
   planner : Engine.planner option;
   cache : Planlib.Cache.t;
   indexing : Engine.indexing;
-  storage : Relation.storage option;
   stats : Stats.t option;
 }
 
 let eval_rule opts ~variant ~universe ~resolver rule =
   Engine.eval_rule ?planner:opts.planner ~cache:opts.cache ~variant
-    ~indexing:opts.indexing ?storage:opts.storage ?stats:opts.stats ~universe
-    ~resolver rule
+    ~indexing:opts.indexing ?stats:opts.stats ~universe ~resolver rule
 
 (* The delta-scoped work counters ride on [Stats.extra]: the bench's
    no-full-re-ground check asserts that per batch only these grow (plus
@@ -169,7 +167,7 @@ let fact_arity ~who ~db ~schema (pred, tuple) =
 
 let uniq_facts facts = FactSet.elements (FactSet.of_list facts)
 
-let group_facts ?storage facts =
+let group_facts facts =
   List.fold_left
     (fun acc (pred, tuple) ->
       let tuples =
@@ -178,7 +176,7 @@ let group_facts ?storage facts =
       SMap.add pred (tuple :: tuples) acc)
     SMap.empty facts
   |> SMap.map (fun tuples ->
-         Relation.of_list ?storage (Tuple.arity (List.hd tuples)) tuples)
+         Relation.of_list (Tuple.arity (List.hd tuples)) tuples)
 
 (* Extends a per-predicate delta map with a stratum's final differences,
    so higher strata can trigger on them. *)
@@ -194,7 +192,7 @@ let extend_deltas m idb =
           m)
     m (Idb.bindings idb)
 
-let apply ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain
+let apply ?engine ?planner ?cache ?indexing ?stats ?pool ?grain
     ?(who = "Dred.apply") p db ~current ~additions ~removals () =
   (* --- validation (string sets, not List.mem: O(batch log program)) --- *)
   let idb_preds = SSet.of_list (Ast.idb_predicates p) in
@@ -276,8 +274,7 @@ let apply ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain
   let universe_grew = List.length new_u > List.length old_u in
   let cache = match cache with Some c -> c | None -> Planlib.Cache.create () in
   let opts =
-    { planner; cache; indexing = Option.value indexing ~default:`Cached;
-      storage; stats }
+    { planner; cache; indexing = Option.value indexing ~default:`Cached; stats }
   in
   let full_schema = Idb.schema current in
   (* --- stratum-by-stratum maintenance --------------------------------- *)
@@ -404,7 +401,7 @@ let apply ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain
               let trace =
                 Saturate.run_delta ?engine ?planner:opts.planner
                   ~cache:opts.cache ~limits ~indexing:opts.indexing
-                  ?storage:opts.storage ?stats:opts.stats ?pool ?grain ~rules
+                  ?stats:opts.stats ?pool ?grain ~rules
                   ~schema:schema_s ~universe:new_u ~base:new_base
                   ~neg:`Current ~init ~delta:fresh ()
               in
@@ -448,10 +445,9 @@ let apply ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain
         else
           let trace =
             Saturate.run_delta ?engine ?planner:opts.planner ~cache:opts.cache
-              ~limits ~indexing:opts.indexing ?storage:opts.storage
-              ?stats:opts.stats ?pool ?grain ~rules ~schema:schema_s
-              ~universe:new_u ~base:new_base ~neg:`Current ~init:init3
-              ~delta:fresh ()
+              ~limits ~indexing:opts.indexing ?stats:opts.stats ?pool ?grain
+              ~rules ~schema:schema_s ~universe:new_u ~base:new_base
+              ~neg:`Current ~init:init3 ~delta:fresh ()
           in
           ( trace.Saturate.result,
             Idb.total_cardinal trace.Saturate.result
@@ -473,8 +469,8 @@ let apply ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain
         (reder + red_s + grow_s)
     end
   in
-  let del0 = group_facts ?storage removals in
-  let add0 = group_facts ?storage additions in
+  let del0 = group_facts removals in
+  let add0 = group_facts additions in
   let acc0 = Idb.empty Schema.empty in
   let final, overdeleted, rederived = walk 0 acc0 acc0 del0 add0 0 0 in
   let new_idb =

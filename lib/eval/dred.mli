@@ -29,8 +29,8 @@
     path: work per batch is proportional to the delta (the
     ["dred ..."] counters in {!Stats.field-extra} prove it).  The result
     equals recomputation on the new database — the test suite checks this
-    against from-scratch saturation on random instances, update sequences
-    and both storage backends. *)
+    against from-scratch saturation on random instances and update
+    sequences. *)
 
 type delta = {
   new_db : Relalg.Database.t;
@@ -46,7 +46,6 @@ val apply :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->

@@ -65,12 +65,12 @@ let plan_rule ?planner ?cache ?variant ?label ?(limits = []) ?stats
     | None -> ());
     Plan.compile ?planner ?variant ?label ~limits ~sizes ~universe_size rule
 
-let run_plan ?(indexing = `Cached) ?storage ?stats ~universe ~resolver plan =
+let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
   let arity = Array.length plan.Plan.head_args in
   (* Head tuples stream into a bulk accumulator; the relation (and its lazy
      indexes) is built once at the end instead of re-derived per [add]. *)
-  let acc = Relation.builder ?storage arity in
+  let acc = Relation.builder arity in
   let emitted = ref 0 in
   let allocated = ref 0 in
   Plan.run ~indexing ?counters ~resolver ~universe plan ~on_row:(fun env ->
@@ -91,7 +91,7 @@ let run_plan ?(indexing = `Cached) ?storage ?stats ~universe ~resolver plan =
    accumulator (and plan-counter shard), so the hot loop stays lock-free;
    the builders are merged in participant order at the barrier, which
    makes the result deterministic whatever the steal schedule did. *)
-let run_plan_sharded ?(indexing = `Cached) ?storage ?stats ~pool ~grain
+let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
     ~universe ~resolver plan =
   let grain =
     match grain with
@@ -102,7 +102,7 @@ let run_plan_sharded ?(indexing = `Cached) ?storage ?stats ~pool ~grain
   in
   let arity = Array.length plan.Plan.head_args in
   let workers = Negdl_util.Domain_pool.size pool + 1 in
-  let builders = Array.init workers (fun _ -> Relation.builder ?storage arity) in
+  let builders = Array.init workers (fun _ -> Relation.builder arity) in
   let emitted = Array.make workers 0 in
   let shards =
     Array.init workers (fun _ -> Option.map (fun _ -> Plan.counters ()) stats)
@@ -115,10 +115,9 @@ let run_plan_sharded ?(indexing = `Cached) ?storage ?stats ~pool ~grain
         emitted.(p) <- emitted.(p) + 1;
         ignore (Relation.builder_add builders.(p) (Plan.head_tuple plan env)))
   in
-  (* Deterministic merge: participant order, never steal order.  On the
-     hashed backend the merge is a partition-wise id-run concatenation and
-     dedup is deferred to [build], so the whole barrier is timed as one
-     "merge" cost. *)
+  (* Deterministic merge: participant order, never steal order.  The merge
+     is a partition-wise id-run concatenation and dedup is deferred to
+     [build], so the whole barrier is timed as one "merge" cost. *)
   let merge_t0 = Unix.gettimeofday () in
   let merged = ref builders.(0) in
   for p = 1 to workers - 1 do
@@ -161,20 +160,20 @@ let run_plan_sharded ?(indexing = `Cached) ?storage ?stats ~pool ~grain
   | None -> ());
   built
 
-let eval_rule ?planner ?cache ?variant ?indexing ?storage ?stats ~universe
+let eval_rule ?planner ?cache ?variant ?indexing ?stats ~universe
     ~resolver rule =
   let plan =
     plan_rule ?planner ?cache ?variant ?stats
       ~universe_size:(List.length universe) ~resolver rule
   in
-  run_plan ?indexing ?storage ?stats ~universe ~resolver plan
+  run_plan ?indexing ?stats ~universe ~resolver plan
 
-let eval_rules ?planner ?cache ?indexing ?storage ?stats ~universe ~resolver
+let eval_rules ?planner ?cache ?indexing ?stats ~universe ~resolver
     ~schema rules =
   List.fold_left
     (fun acc rule ->
       let derived =
-        eval_rule ?planner ?cache ?indexing ?storage ?stats ~universe
+        eval_rule ?planner ?cache ?indexing ?stats ~universe
           ~resolver rule
       in
       let name = rule.Datalog.Ast.head.pred in

@@ -86,21 +86,18 @@ val plan_rule :
 
 val run_plan :
   ?indexing:indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
   Planlib.Plan.t ->
   Relalg.Relation.t
 (** Executes a plan: head tuples stream into a bulk accumulator
-    ({!Relalg.Relation.builder}); the derived relation is built once, in
-    the backend named by [storage] (default:
-    {!Relalg.Relation.default_storage}).  [stats], when given, accumulates
+    ({!Relalg.Relation.builder}); the derived relation is built once.
+    [stats], when given, accumulates
     rule-application, derivation, accumulator and plan counters. *)
 
 val run_plan_sharded :
   ?indexing:indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   pool:Negdl_util.Domain_pool.t ->
   grain:grain ->
@@ -124,7 +121,6 @@ val eval_rule :
   ?cache:Planlib.Cache.t ->
   ?variant:Planlib.Plan.variant ->
   ?indexing:indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
@@ -137,7 +133,6 @@ val eval_rules :
   ?planner:planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->

@@ -12,7 +12,6 @@ val eval :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
@@ -29,7 +28,6 @@ val eval_trace :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->

@@ -12,7 +12,6 @@ val least_fixpoint :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
@@ -28,7 +27,6 @@ val least_fixpoint_trace :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->

@@ -55,7 +55,6 @@ val run :
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
@@ -69,8 +68,7 @@ val run :
   unit ->
   trace
 (** Default engine: [`Seminaive]; default indexing: [`Cached]; default
-    storage: {!Relalg.Relation.default_storage} (the derived relations are
-    built in that backend); default planner:
+    planner:
     {!Planlib.Plan.default_planner}.  Each rule is compiled once per
     variant — the full application and one delta-specialized variant per
     positive evolving body position — into a {!Planlib.Plan.t} and reused
@@ -98,7 +96,6 @@ val apply_once :
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
@@ -120,7 +117,6 @@ val run_delta :
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->

@@ -33,7 +33,6 @@ type t = {
   engine : Saturate.engine option;
   planner : Engine.planner option;
   indexing : Engine.indexing option;
-  storage : Relation.storage option;
   pool : Negdl_util.Domain_pool.t option;
   grain : Engine.grain option;
   stats : Stats.t;
@@ -59,12 +58,12 @@ let zero_counters =
     cache_misses = 0;
   }
 
-let create ?engine ?planner ?indexing ?storage ?pool ?grain ?stats program db
-    =
+let create ?engine ?planner ?indexing ?storage:(_ : Relation.storage option)
+    ?pool ?grain ?stats program db =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let cache = Planlib.Cache.create () in
   match
-    Stratified.eval ?engine ?planner ~cache ?indexing ?storage ~stats ?pool
+    Stratified.eval ?engine ?planner ~cache ?indexing ~stats ?pool
       ?grain program db
   with
   | Error e -> Error (Stratified.error_to_string e)
@@ -75,7 +74,6 @@ let create ?engine ?planner ?indexing ?storage ?pool ?grain ?stats program db
         engine;
         planner;
         indexing;
-        storage;
         pool;
         grain;
         stats;
@@ -113,11 +111,11 @@ let snapshot_to t path =
 (* Model reconstruction shared by [restore_from] and [create_restored]:
    fails closed (program/semantics fingerprints, two-valuedness, schema
    arities) before anything is installed. *)
-let model_of_image ?storage program image =
+let model_of_image program image =
   match Snapfile.check_program image ~program ~semantics with
   | Error e -> Error (Snapfile.error_to_string e)
   | Ok () -> (
-    match Snapfile.restore ?storage image with
+    match Snapfile.restore image with
     | Error e -> Error (Snapfile.error_to_string e)
     | Ok r ->
       if r.Snapfile.r_unknown <> [] then
@@ -135,7 +133,7 @@ let restore_from t path =
   match Snapfile.read_file path with
   | Error e -> Error (Snapfile.error_to_string e)
   | Ok image -> (
-    match model_of_image ?storage:t.storage t.program image with
+    match model_of_image t.program image with
     | Error e -> Error e
     | Ok (db, idb, seeds) ->
       t.db <- db;
@@ -148,8 +146,8 @@ let restore_from t path =
       Planlib.Cache.seed_overrides t.cache seeds;
       Ok ())
 
-let create_restored ?engine ?planner ?indexing ?storage ?pool ?grain ?stats
-    program image =
+let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats program
+    image =
   match Datalog.Stratify.stratify program with
   | Datalog.Stratify.Not_stratifiable { offending = p, q } ->
     Error
@@ -158,7 +156,7 @@ let create_restored ?engine ?planner ?indexing ?storage ?pool ?grain ?stats
   | Datalog.Stratify.Not_limit_stratifiable { pred; rule } ->
     Error (Datalog.Stratify.limit_error_to_string ~pred ~rule)
   | Datalog.Stratify.Stratified _ -> (
-    match model_of_image ?storage program image with
+    match model_of_image program image with
     | Error e -> Error e
     | Ok (db, idb, seeds) ->
       let stats = match stats with Some s -> s | None -> Stats.create () in
@@ -170,7 +168,6 @@ let create_restored ?engine ?planner ?indexing ?storage ?pool ?grain ?stats
           engine;
           planner;
           indexing;
-          storage;
           pool;
           grain;
           stats;
@@ -187,7 +184,7 @@ let create_restored ?engine ?planner ?indexing ?storage ?pool ?grain ?stats
 let update t ~additions ~removals =
   match
     Dred.apply ?engine:t.engine ?planner:t.planner ~cache:t.cache
-      ?indexing:t.indexing ?storage:t.storage ~stats:t.stats ?pool:t.pool
+      ?indexing:t.indexing ~stats:t.stats ?pool:t.pool
       ?grain:t.grain ~who:"update" t.program t.db ~current:t.idb ~additions
       ~removals ()
   with

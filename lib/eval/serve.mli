@@ -59,13 +59,14 @@ val create :
 (** Materialises once (stratum by stratum) and returns the serving state;
     [Error] if the program is not stratifiable.  One plan cache is created
     here and shared by the initial materialisation and every later batch,
-    so each (rule, variant) pair compiles once for the server's lifetime. *)
+    so each (rule, variant) pair compiles once for the server's lifetime.
+    [storage] is ignored; it remains for the same reason as
+    {!Relalg.Relation.storage}. *)
 
 val create_restored :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
   ?stats:Stats.t ->

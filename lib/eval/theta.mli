@@ -15,7 +15,6 @@ val apply :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->

@@ -12,12 +12,12 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Wellfounded: " ^ msg)
 
-let reduct_fixpoint ?engine ?planner ?cache ?indexing ?storage ?stats ?pool
+let reduct_fixpoint ?engine ?planner ?cache ?indexing ?stats ?pool
     ?grain p db s =
   let schema = idb_schema_exn p in
   let fixed = { Engine.find = (fun pred _arity -> Idb.get s pred) } in
   let trace =
-    Saturate.run ?engine ?planner ?cache ?indexing ?storage ?stats ?pool
+    Saturate.run ?engine ?planner ?cache ?indexing ?stats ?pool
       ?grain ~rules:p.Datalog.Ast.rules ~schema
       ~universe:(Relalg.Database.universe db)
       ~base:(Engine.database_source db) ~neg:(`Fixed fixed)
@@ -25,8 +25,7 @@ let reduct_fixpoint ?engine ?planner ?cache ?indexing ?storage ?stats ?pool
   in
   trace.Saturate.result
 
-let eval ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain p db
-    =
+let eval ?engine ?planner ?cache ?indexing ?stats ?pool ?grain p db =
   Stats.timed stats "well-founded" @@ fun () ->
   (* One cache across every application of A: the alternating fixpoint
      re-saturates the same rules many times, and the plans carry over. *)
@@ -34,7 +33,7 @@ let eval ?engine ?planner ?cache ?indexing ?storage ?stats ?pool ?grain p db
     match cache with Some c -> c | None -> Planlib.Cache.create ()
   in
   let a =
-    reduct_fixpoint ?engine ?planner ~cache ?indexing ?storage ?stats ?pool
+    reduct_fixpoint ?engine ?planner ~cache ?indexing ?stats ?pool
       ?grain p db
   in
   let rec alternate under over =

@@ -30,7 +30,6 @@ val eval :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
@@ -43,7 +42,6 @@ val reduct_fixpoint :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->

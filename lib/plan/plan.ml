@@ -40,7 +40,7 @@ let planner_to_string = function
 
 let pp_planner ppf p = Format.pp_print_string ppf (planner_to_string p)
 
-(* The global default, ablatable like {!Relation.set_default_storage}. *)
+(* The global default; the bench ablates through [set_default_planner]. *)
 let default = Atomic.make `Static
 
 let set_default_planner p = Atomic.set default p

@@ -83,7 +83,7 @@ val pp_planner : Format.formatter -> planner -> unit
 
 val set_default_planner : planner -> unit
 (** Sets the planner used when no explicit [?planner] is given (the bench
-    ablates through this, like {!Relalg.Relation.set_default_storage}). *)
+    ablates through this). *)
 
 val default_planner : unit -> planner
 

@@ -8,7 +8,7 @@
     is canonical, so structural equality coincides with set equality.
 
     These sets hold the interned tuple ids of {!Store}, making them the
-    substrate of the hashed relation backend ({!Hash_store}).
+    substrate of {!Relation}.
 
     All operations that insert elements raise [Invalid_argument] on negative
     integers. *)

@@ -1,299 +1,465 @@
-(* A relation is one of two interchangeable storage backends behind the
-   same interface: the seed balanced-tree representation ([`Treeset],
-   {!Tree_store}) and the packed/hashed representation ([`Hashed],
-   {!Hash_store}, the default).  This module owns arity checking, the
-   derived relational algebra, mixed-backend coercion and the bulk-builder
-   surface; the set core and the memoized column indexes live in the
-   backends ({!Storage_sig.S}). *)
+(* A relation is a Patricia set ({!Idset}) of tuple ids interned in the
+   global packed {!Store}, plus a cached cardinal and memoized column
+   indexes.
 
-type storage = [ `Treeset | `Hashed ]
+   What the packed representation buys:
+   - [mem] is one precomputed-hash probe plus an integer-set lookup — no
+     O(arity) tuple comparisons down a tree path;
+   - [union]/[inter]/[diff]/[equal]/[subset] merge shared Patricia
+     structure, which is what the semi-naive loop does once per iteration
+     on ever-larger accumulated valuations;
+   - [cardinal] is O(1) (the join-order heuristic consults it constantly);
+   - tuples are boxed once at intern time, so iteration returns memoized
+     tuples without re-allocation. *)
 
-type t =
-  | T of Tree_store.t
-  | H of Hash_store.t
+type storage = [ `Hashed ]
 
-let default = Atomic.make `Hashed
+let set_default_storage (_ : storage) = ()
 
-let set_default_storage s = Atomic.set default s
+module SMap = Map.Make (Symbol)
 
-let default_storage () = Atomic.get default
+type index = Tuple.t list SMap.t
 
-let storage_of = function T _ -> `Treeset | H _ -> `Hashed
+type t = {
+  arity : int;
+  ids : Idset.t;
+  card : int;
+  indexes : index option array;
+      (* A cell is filled at most once per value, lazily or incrementally;
+         never shared between relations with different id sets. *)
+}
 
-let pp_storage ppf s =
-  Format.pp_print_string ppf
-    (match s with `Treeset -> "treeset" | `Hashed -> "hashed")
+let make_t arity ids card = { arity; ids; card; indexes = Array.make arity None }
 
-let make_empty storage k =
-  match storage with
-  | `Treeset -> T (Tree_store.empty k)
-  | `Hashed -> H (Hash_store.empty k)
-
-let empty ?storage k =
+let empty k =
   if k < 0 then invalid_arg "Relation.empty: negative arity";
-  make_empty (Option.value storage ~default:(default_storage ())) k
+  make_t k Idset.empty 0
 
-let arity = function T r -> Tree_store.arity r | H r -> Hash_store.arity r
+let arity r = r.arity
 
-let is_empty = function T r -> Tree_store.is_empty r | H r -> Hash_store.is_empty r
+let ids r = r.ids
 
-let cardinal = function T r -> Tree_store.cardinal r | H r -> Hash_store.cardinal r
+let is_empty r = r.card = 0
 
-let ids = function T _ -> None | H r -> Some (Hash_store.ids r)
+let cardinal r = r.card
 
-let check_arity fname r t =
-  if Tuple.arity t <> arity r then
+let check_arity fname k t =
+  if Tuple.arity t <> k then
     invalid_arg
       (Printf.sprintf "Relation.%s: tuple arity %d, relation arity %d" fname
-         (Tuple.arity t) (arity r))
+         (Tuple.arity t) k)
 
 let mem t r =
-  match r with T r -> Tree_store.mem t r | H r -> Hash_store.mem t r
+  match Store.find t with
+  | None -> false
+  | Some id -> Idset.mem id r.ids
 
 (* --- column indexes ----------------------------------------------------- *)
 
-let has_index r pos =
-  pos >= 0 && pos < arity r
-  && (match r with
-     | T r -> Tree_store.has_index r pos
-     | H r -> Hash_store.has_index r pos)
+let index_add pos idx t =
+  SMap.update (Tuple.get t pos)
+    (fun o -> Some (t :: Option.value ~default:[] o))
+    idx
+
+let has_index r pos = pos >= 0 && pos < r.arity && r.indexes.(pos) <> None
+
+let index r pos =
+  match r.indexes.(pos) with
+  | Some idx -> idx
+  | None ->
+    let idx =
+      Idset.fold
+        (fun id idx -> index_add pos idx (Store.tuple id))
+        r.ids SMap.empty
+    in
+    (* Benign race under parallel evaluation: two domains may both build
+       the index; either result is correct. *)
+    r.indexes.(pos) <- Some idx;
+    idx
 
 let matching pos c r =
-  if pos < 0 || pos >= arity r then invalid_arg "Relation.matching: bad column";
-  match r with
-  | T r -> Tree_store.matching pos c r
-  | H r -> Hash_store.matching pos c r
+  if pos < 0 || pos >= r.arity then invalid_arg "Relation.matching: bad column";
+  Option.value ~default:[] (SMap.find_opt c (index r pos))
+
+let extend_indexes parent fresh =
+  Array.mapi
+    (fun pos o ->
+      Option.map (fun idx -> List.fold_left (index_add pos) idx fresh) o)
+    parent.indexes
 
 (* --- construction ------------------------------------------------------- *)
 
 let add t r =
-  check_arity "add" r t;
-  match r with T r -> T (Tree_store.add t r) | H r -> H (Hash_store.add t r)
+  check_arity "add" r.arity t;
+  let id = Store.intern t in
+  if Idset.mem id r.ids then r
+  else
+    { arity = r.arity;
+      ids = Idset.add id r.ids;
+      card = r.card + 1;
+      indexes = extend_indexes r [ t ];
+    }
 
 let remove t r =
-  match r with
-  | T r -> T (Tree_store.remove t r)
-  | H r -> H (Hash_store.remove t r)
+  match Store.find t with
+  | None -> r
+  | Some id ->
+    if Idset.mem id r.ids then make_t r.arity (Idset.remove id r.ids) (r.card - 1)
+    else r
 
 let singleton t = add t (empty (Tuple.arity t))
 
-let check_arities fname k ts =
-  List.iter
-    (fun t ->
-      if Tuple.arity t <> k then
-        invalid_arg
-          (Printf.sprintf "Relation.%s: tuple arity %d, relation arity %d"
-             fname (Tuple.arity t) k))
-    ts
+(* Bulk construction: intern everything, then build the Patricia set in one
+   sorted pass — O(n log n) at worst in the sort instead of n root-path
+   copies of [Idset.add].  Ids are grouped by store stripe (the id's high
+   bits), each stripe's run sorted and deduplicated independently, and the
+   stripe-ascending concatenation is globally sorted by construction.  When
+   a stripe's ids span most of that stripe — as on a snapshot restore,
+   where the loaded model *is* the bulk of what has ever been interned —
+   the per-stripe pass is a dense mark-and-sweep over the stripe's local
+   ids: O(stripe count) array writes instead of O(n log n) indirect
+   compares, and duplicates collapse for free. *)
 
-let of_list_in storage k ts =
-  match storage with
-  | `Treeset -> T (Tree_store.of_list k ts)
-  | `Hashed -> H (Hash_store.of_list k ts)
+(* Append stripe [p]'s ids [src.(lo) .. src.(lo + n - 1)] (unsorted,
+   possibly duplicated, all in stripe [p]) to [dst] at [!u], ascending and
+   deduplicated.  [stripe_count] is the stripe's current tuple count.
+   [dst] may alias [src] when the segment starts at or after [!u]. *)
+let emit_sorted_part ~stripe_count p src lo n dst u =
+  if n > 0 then
+    (* The sweep touches every local id the stripe has ever interned, so
+       it only pays when the run covers a decent fraction of the stripe —
+       a flat constant here would make every small delta build of a warm
+       store O(stripe count), which compounds across semi-naive stages. *)
+    if stripe_count <= 8 * n then begin
+      let seen = Bytes.make stripe_count '\000' in
+      for i = lo to lo + n - 1 do
+        Bytes.unsafe_set seen (Store.id_local src.(i)) '\001'
+      done;
+      for local = 0 to stripe_count - 1 do
+        if Bytes.unsafe_get seen local <> '\000' then begin
+          dst.(!u) <- Store.id_make ~part:p ~local;
+          incr u
+        end
+      done
+    end
+    else begin
+      let run = Array.sub src lo n in
+      Array.sort Int.compare run;
+      dst.(!u) <- run.(0);
+      incr u;
+      for i = 1 to n - 1 do
+        if run.(i) <> run.(i - 1) then begin
+          dst.(!u) <- run.(i);
+          incr u
+        end
+      done
+    end
 
-let of_list ?storage k ts =
-  if k < 0 then invalid_arg "Relation.of_list: negative arity";
-  check_arities "of_list" k ts;
-  of_list_in (Option.value storage ~default:(default_storage ())) k ts
+(* The arity-[k] relation over the interned ids [a] (unsorted, possibly
+   duplicated); [a] is reused as scratch. *)
+let of_ids k a =
+  let n = Array.length a in
+  if n = 0 then empty k
+  else begin
+    let pc = Store.partitions () in
+    let scounts = Store.part_counts () in
+    let u = ref 0 in
+    if pc = 1 then
+      (* Single stripe: ids are dense globals; sort/sweep in place. *)
+      emit_sorted_part ~stripe_count:scounts.(0) 0 a 0 n a u
+    else begin
+      (* Scatter into stripe-major order with a counting pass, then
+         finish each stripe's run back into [a]. *)
+      let counts = Array.make pc 0 in
+      for i = 0 to n - 1 do
+        let p = Store.id_part a.(i) in
+        counts.(p) <- counts.(p) + 1
+      done;
+      let starts = Array.make (pc + 1) 0 in
+      for p = 0 to pc - 1 do
+        starts.(p + 1) <- starts.(p) + counts.(p)
+      done;
+      let fill = Array.copy starts in
+      let by_part = Array.make n 0 in
+      for i = 0 to n - 1 do
+        let id = a.(i) in
+        let p = Store.id_part id in
+        by_part.(fill.(p)) <- id;
+        fill.(p) <- fill.(p) + 1
+      done;
+      for p = 0 to pc - 1 do
+        emit_sorted_part ~stripe_count:scounts.(p) p by_part starts.(p)
+          counts.(p) a u
+      done
+    end;
+    let a = if !u = n then a else Array.sub a 0 !u in
+    make_t k (Idset.of_sorted_array a) !u
+  end
 
-let of_seq ?storage k seq = of_list ?storage k (List.of_seq seq)
+(* Every bulk constructor goes through here, so every one checks arities. *)
+let of_rows fname k ts =
+  if k < 0 then
+    invalid_arg (Printf.sprintf "Relation.%s: negative arity" fname);
+  Array.iter (check_arity fname k) ts;
+  of_ids k (Array.map Store.intern ts)
 
-let of_array ?storage k ts =
-  if k < 0 then invalid_arg "Relation.of_array: negative arity";
-  Array.iter
-    (fun t ->
-      if Tuple.arity t <> k then
-        invalid_arg
-          (Printf.sprintf "Relation.of_array: tuple arity %d, relation arity %d"
-             (Tuple.arity t) k))
-    ts;
-  match Option.value storage ~default:(default_storage ()) with
-  | `Treeset -> T (Tree_store.of_list k (Array.to_list ts))
-  | `Hashed -> H (Hash_store.of_array k ts)
+let of_array k ts = of_rows "of_array" k ts
 
-let of_flat_rows ?storage k flat =
+let of_list k ts = of_rows "of_list" k (Array.of_list ts)
+
+let of_seq k seq = of_rows "of_seq" k (Array.of_seq seq)
+
+let of_flat_rows k flat =
   if k <= 0 then invalid_arg "Relation.of_flat_rows: arity must be positive";
   if Array.length flat mod k <> 0 then
     invalid_arg
       (Printf.sprintf "Relation.of_flat_rows: %d words, arity %d"
          (Array.length flat) k);
-  match Option.value storage ~default:(default_storage ()) with
-  | `Hashed -> H (Hash_store.of_flat_rows k flat)
-  | `Treeset ->
-    let n = Array.length flat / k in
-    T
-      (Tree_store.of_list k
-         (List.init n (fun i ->
-              Tuple.unsafe_make (Array.sub flat (i * k) k))))
+  of_ids k
+    (Array.init (Array.length flat / k) (fun i ->
+         Store.intern_seg flat ~pos:(i * k) ~len:k))
 
 let add_all ts r =
-  check_arities "add_all" (arity r) ts;
-  match r with
-  | T r -> T (Tree_store.add_all ts r)
-  | H r -> H (Hash_store.add_all ts r)
+  List.iter (check_arity "add_all" r.arity) ts;
+  let ids, card, fresh =
+    List.fold_left
+      (fun (ids, card, fresh) t ->
+        let id = Store.intern t in
+        if Idset.mem id ids then (ids, card, fresh)
+        else (Idset.add id ids, card + 1, t :: fresh))
+      (r.ids, r.card, []) ts
+  in
+  if fresh = [] then r
+  else { arity = r.arity; ids; card; indexes = extend_indexes r fresh }
 
-let to_list = function T r -> Tree_store.to_list r | H r -> Hash_store.to_list r
+let to_list r =
+  List.sort Tuple.compare
+    (Idset.fold (fun id acc -> Store.tuple id :: acc) r.ids [])
 
-let iter f = function T r -> Tree_store.iter f r | H r -> Hash_store.iter f r
+let iter f r = Idset.iter (fun id -> f (Store.tuple id)) r.ids
 
-let fold f r init =
-  match r with
-  | T r -> Tree_store.fold f r init
-  | H r -> Hash_store.fold f r init
+let fold f r init = Idset.fold (fun id acc -> f (Store.tuple id) acc) r.ids init
 
-let for_all p = function
-  | T r -> Tree_store.for_all p r
-  | H r -> Hash_store.for_all p r
+let for_all p r = Idset.for_all (fun id -> p (Store.tuple id)) r.ids
 
-let exists p = function
-  | T r -> Tree_store.exists p r
-  | H r -> Hash_store.exists p r
+let exists p r = Idset.exists (fun id -> p (Store.tuple id)) r.ids
 
-let filter p = function
-  | T r -> T (Tree_store.filter p r)
-  | H r -> H (Hash_store.filter p r)
+let filter p r =
+  let ids, card =
+    Idset.fold
+      (fun id (ids, card) ->
+        if p (Store.tuple id) then (Idset.add id ids, card + 1) else (ids, card))
+      r.ids
+      (Idset.empty, 0)
+  in
+  make_t r.arity ids card
 
-let map k f r = of_list_in (storage_of r) k (fold (fun t acc -> f t :: acc) r [])
+let map k f r =
+  of_rows "map" k (Array.of_list (fold (fun t acc -> f t :: acc) r []))
 
 let same_arity fname r1 r2 =
-  if arity r1 <> arity r2 then
+  if r1.arity <> r2.arity then
     invalid_arg
-      (Printf.sprintf "Relation.%s: arities %d and %d differ" fname (arity r1)
-         (arity r2))
-
-(* Mixed-backend operands are rare (one evaluation sticks to one backend;
-   the empty fast paths below absorb the default-storage empties that
-   [Idb.empty] seeds) — when they do meet, the right operand is converted
-   to the left's representation. *)
-let coerce_like r1 r2 =
-  match (r1, r2) with
-  | T _, (T _ as r) | H _, (H _ as r) -> r
-  | T _, (H _ as r) -> T (Tree_store.of_list (arity r) (to_list r))
-  | H _, (T _ as r) -> H (Hash_store.of_list (arity r) (to_list r))
+      (Printf.sprintf "Relation.%s: arities %d and %d differ" fname r1.arity
+         r2.arity)
 
 let union r1 r2 =
   same_arity "union" r1 r2;
   if is_empty r1 then r2
   else if is_empty r2 then r1
   else
-    match (r1, coerce_like r1 r2) with
-    | T a, T b -> T (Tree_store.union a b)
-    | H a, H b -> H (Hash_store.union a b)
-    | _ -> assert false
+    let big, small = if r1.card >= r2.card then (r1, r2) else (r2, r1) in
+    (* Collect the genuinely fresh side explicitly (rather than a blind
+       structural union) so the cached cardinal stays exact and [big]'s
+       already-built indexes extend incrementally — the semi-naive loop
+       unions a small delta into a large indexed valuation every
+       iteration. *)
+    let fresh_ids, fresh, card =
+      Idset.fold
+        (fun id (ids, ts, card) ->
+          if Idset.mem id big.ids then (ids, ts, card)
+          else (Idset.add id ids, Store.tuple id :: ts, card + 1))
+        small.ids
+        (Idset.empty, [], big.card)
+    in
+    if card = big.card then big
+    else
+      { arity = big.arity;
+        ids = Idset.union big.ids fresh_ids;
+        card;
+        indexes = extend_indexes big fresh;
+      }
 
 let inter r1 r2 =
   same_arity "inter" r1 r2;
   if is_empty r1 then r1
-  else if is_empty r2 then empty ~storage:(storage_of r1) (arity r1)
   else
-    match (r1, coerce_like r1 r2) with
-    | T a, T b -> T (Tree_store.inter a b)
-    | H a, H b -> H (Hash_store.inter a b)
-    | _ -> assert false
+    let ids = Idset.inter r1.ids r2.ids in
+    make_t r1.arity ids (Idset.cardinal ids)
 
 let diff r1 r2 =
   same_arity "diff" r1 r2;
   if is_empty r1 || is_empty r2 then r1
   else
-    match (r1, coerce_like r1 r2) with
-    | T a, T b -> T (Tree_store.diff a b)
-    | H a, H b -> H (Hash_store.diff a b)
-    | _ -> assert false
+    let ids = Idset.diff r1.ids r2.ids in
+    make_t r1.arity ids (Idset.cardinal ids)
 
 let subset r1 r2 =
   same_arity "subset" r1 r2;
-  if is_empty r1 then true
-  else
-    match (r1, coerce_like r1 r2) with
-    | T a, T b -> Tree_store.subset a b
-    | H a, H b -> Hash_store.subset a b
-    | _ -> assert false
+  Idset.subset r1.ids r2.ids
 
 let equal r1 r2 =
-  arity r1 = arity r2
-  && cardinal r1 = cardinal r2
-  &&
-  match (r1, coerce_like r1 r2) with
-  | T a, T b -> Tree_store.equal a b
-  | H a, H b -> Hash_store.equal a b
-  | _ -> assert false
+  r1.arity = r2.arity && r1.card = r2.card && Idset.equal r1.ids r2.ids
 
 let compare r1 r2 =
-  let c = Int.compare (arity r1) (arity r2) in
-  if c <> 0 then c
-  else
-    match (r1, r2) with
-    | T a, T b -> Tree_store.compare a b
-    | H a, H b -> Hash_store.compare a b
-    | (T _ | H _), _ ->
-      (* Mixed backends: representation-independent order. *)
-      List.compare Tuple.compare (to_list r1) (to_list r2)
+  let c = Int.compare r1.arity r2.arity in
+  if c <> 0 then c else Idset.compare r1.ids r2.ids
 
-let choose_opt = function
-  | T r -> Tree_store.choose_opt r
-  | H r -> Hash_store.choose_opt r
+let choose_opt r = Option.map Store.tuple (Idset.choose_opt r.ids)
 
 (* --- bulk builder ------------------------------------------------------- *)
 
-type builder =
-  | TB of Tree_store.builder
-  | HB of Hash_store.builder
+(* A growable int vector; one per store stripe per builder. *)
+module Ivec = struct
+  type t = { mutable a : int array; mutable n : int }
 
-let builder ?storage k =
+  let create () = { a = [||]; n = 0 }
+
+  let ensure v extra =
+    let need = v.n + extra in
+    if need > Array.length v.a then begin
+      let cap = ref (max 16 (2 * Array.length v.a)) in
+      while !cap < need do
+        cap := 2 * !cap
+      done;
+      let bigger = Array.make !cap 0 in
+      Array.blit v.a 0 bigger 0 v.n;
+      v.a <- bigger
+    end
+
+  let push v x =
+    ensure v 1;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+
+  let append dst src =
+    ensure dst src.n;
+    Array.blit src.a 0 dst.a dst.n src.n;
+    dst.n <- dst.n + src.n
+end
+
+(* The builder accumulates interned ids bucketed by store stripe, deduped
+   against an open-addressed id set.  [builder_merge] is then a
+   partition-wise concatenation — O(smaller's rows) array blits, no
+   Patricia re-union, no per-row hashing — and [build] finishes each
+   stripe's run (sort or dense sweep, as in [of_ids]) and assembles the
+   relation with one [Idset.of_sorted_array] over the globally sorted
+   stripe-major concatenation.  Cross-builder duplicates (the same tuple
+   derived by two participants) survive until [build], so after a merge
+   [b_card] is an upper bound and [builder_add] is refused (the dedup set
+   is stale); [build] re-establishes the exact count. *)
+type builder = {
+  b_arity : int;
+  mutable b_tab : int array;  (* open-addressed id set; -1 = empty slot *)
+  mutable b_card : int;  (* exact until merged, then an upper bound *)
+  b_parts : Ivec.t array;  (* per-stripe ids, insertion order *)
+  mutable b_merged : bool;
+}
+
+let builder k =
   if k < 0 then invalid_arg "Relation.builder: negative arity";
-  match Option.value storage ~default:(default_storage ()) with
-  | `Treeset -> TB (Tree_store.builder k)
-  | `Hashed -> HB (Hash_store.builder k)
+  {
+    b_arity = k;
+    b_tab = Array.make 64 (-1);
+    b_card = 0;
+    b_parts = Array.init (Store.partitions ()) (fun _ -> Ivec.create ());
+    b_merged = false;
+  }
+
+(* Fibonacci mix: ids carry the stripe in their high bits, so low bits
+   alone would collide across stripes' dense locals. *)
+let bslot_hash id = id * 0x2545F4914F6CDD1D
+
+let btab_insert tab id =
+  let mask = Array.length tab - 1 in
+  let rec probe s =
+    let v = Array.unsafe_get tab s in
+    if v < 0 then begin
+      Array.unsafe_set tab s id;
+      true
+    end
+    else if v = id then false
+    else probe ((s + 1) land mask)
+  in
+  probe (bslot_hash id land mask)
 
 let builder_add b t =
-  match b with
-  | TB b -> Tree_store.builder_add b t
-  | HB b -> Hash_store.builder_add b t
+  if b.b_merged then invalid_arg "Relation.builder_add: builder was merged";
+  let id = Store.intern t in
+  (* Keep the load factor at most 1/2: [b_card] is exact occupancy here
+     because adds are refused after a merge. *)
+  if 2 * (b.b_card + 1) > Array.length b.b_tab then begin
+    let old = b.b_tab in
+    b.b_tab <- Array.make (2 * Array.length old) (-1);
+    Array.iter (fun v -> if v >= 0 then ignore (btab_insert b.b_tab v)) old
+  end;
+  if btab_insert b.b_tab id then begin
+    b.b_card <- b.b_card + 1;
+    Ivec.push b.b_parts.(Store.id_part id) id;
+    true
+  end
+  else false
 
-let builder_cardinal = function
-  | TB b -> Tree_store.builder_card b
-  | HB b -> Hash_store.builder_card b
+let builder_cardinal b = b.b_card
 
-let builder_arity = function
-  | TB b -> Tree_store.builder_arity b
-  | HB b -> Hash_store.builder_arity b
+let builder_arity b = b.b_arity
 
 let builder_merge b1 b2 =
-  if builder_arity b1 <> builder_arity b2 then
+  if b1.b_arity <> b2.b_arity then
     invalid_arg
       (Printf.sprintf "Relation.builder_merge: arities %d and %d differ"
-         (builder_arity b1) (builder_arity b2));
-  match (b1, b2) with
-  | TB a, TB b -> TB (Tree_store.builder_merge a b)
-  | HB a, HB b -> HB (Hash_store.builder_merge a b)
-  | (TB _ | HB _), _ ->
-    (* Shard accumulators of one execution share one backend by
-       construction; a mixed merge is a caller bug, not a coercion case. *)
-    invalid_arg "Relation.builder_merge: mixed storage backends"
+         b1.b_arity b2.b_arity);
+  let big, small = if b1.b_card >= b2.b_card then (b1, b2) else (b2, b1) in
+  Array.iteri (fun p v -> Ivec.append big.b_parts.(p) v) small.b_parts;
+  big.b_card <- big.b_card + small.b_card;
+  big.b_merged <- true;
+  big
 
-let build = function TB b -> T (Tree_store.build b) | HB b -> H (Hash_store.build b)
+let build b =
+  let total =
+    Array.fold_left (fun acc (v : Ivec.t) -> acc + v.Ivec.n) 0 b.b_parts
+  in
+  if total = 0 then empty b.b_arity
+  else begin
+    let scounts = Store.part_counts () in
+    let dst = Array.make total 0 in
+    let u = ref 0 in
+    Array.iteri
+      (fun p (v : Ivec.t) ->
+        emit_sorted_part ~stripe_count:scounts.(p) p v.Ivec.a 0 v.Ivec.n dst u)
+      b.b_parts;
+    let dst = if !u = total then dst else Array.sub dst 0 !u in
+    make_t b.b_arity (Idset.of_sorted_array dst) !u
+  end
 
 (* --- derived relational algebra ----------------------------------------- *)
 
 let product r1 r2 =
-  let k = arity r1 + arity r2 in
   let pairs =
     fold
       (fun t1 acc -> fold (fun t2 acc -> Tuple.append t1 t2 :: acc) r2 acc)
       r1 []
   in
-  of_list_in (storage_of r1) k pairs
+  of_list (r1.arity + r2.arity) pairs
 
 let project positions r =
-  let k = List.length positions in
-  map k (Tuple.project positions) r
+  map (List.length positions) (Tuple.project positions) r
 
 let select = filter
 
 let select_eq i c r = filter (fun t -> Symbol.equal (Tuple.get t i) c) r
 
 let join_positions eqs r1 r2 =
-  let k = arity r1 + arity r2 in
   let rows =
     fold
       (fun t1 acc ->
@@ -308,13 +474,14 @@ let join_positions eqs r1 r2 =
           r2 acc)
       r1 []
   in
-  of_list_in (storage_of r1) k rows
+  of_list (r1.arity + r2.arity) rows
 
-let full_in storage universe k =
+let full universe k =
+  if k < 0 then invalid_arg "Relation.full: negative arity";
   let elements = Array.of_list universe in
   let n = Array.length elements in
-  if k = 0 then add Tuple.empty (make_empty storage 0)
-  else if n = 0 then make_empty storage k
+  if k = 0 then singleton Tuple.empty
+  else if n = 0 then empty k
   else begin
     (* One bulk pass: enumerate universe^k into a list, then build the set
        and leave indexes lazy — no per-add record or index churn. *)
@@ -329,14 +496,10 @@ let full_in storage universe k =
         done
     in
     fill 0;
-    of_list_in storage k !acc
+    of_list k !acc
   end
 
-let full ?storage universe k =
-  if k < 0 then invalid_arg "Relation.full: negative arity";
-  full_in (Option.value storage ~default:(default_storage ())) universe k
-
-let complement universe r = diff (full_in (storage_of r) universe (arity r)) r
+let complement universe r = diff (full universe r.arity) r
 
 let pp ppf r =
   Format.fprintf ppf "{@[<hov>%a@]}"
@@ -392,11 +555,9 @@ let tighten ~kind ~col current candidates =
         end)
     best;
   match !fresh with
-  | [] -> (current, empty ~storage:(storage_of current) k)
+  | [] -> (current, empty k)
   | fresh_list ->
     let shrunk = List.fold_left (fun r tu -> remove tu r) current !dropped in
-    ( add_all fresh_list shrunk,
-      of_list ~storage:(storage_of current) k fresh_list )
+    (add_all fresh_list shrunk, of_list k fresh_list)
 
-let dominant ~kind ~col r =
-  fst (tighten ~kind ~col (empty ~storage:(storage_of r) (arity r)) r)
+let dominant ~kind ~col r = fst (tighten ~kind ~col (empty (arity r)) r)

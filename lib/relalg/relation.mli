@@ -4,14 +4,11 @@
     creation.  Operations that combine two relations require compatible
     arities and raise [Invalid_argument] otherwise.
 
-    Two storage backends implement this interface, selectable per relation
-    and ablatable globally ({!set_default_storage}):
-    - [`Hashed] (the default): tuples are interned once into the global
-      packed {!Store} and the relation is a Patricia set of integer ids —
-      membership is a precomputed-hash probe, and union / intersection /
-      difference / equality merge shared structure;
-    - [`Treeset]: the seed representation, a balanced tree set of tuples —
-      kept as an ablation baseline ([--storage treeset], bench Part 4).
+    Tuples are interned once into the global packed {!Store} and a
+    relation is a Patricia set ({!Idset}) of their integer ids with an
+    O(1) cached cardinal: membership is a precomputed-hash probe, and
+    union / intersection / difference / equality merge shared structure
+    instead of comparing tuples elementwise.
 
     Every relation additionally carries memoized per-column hash indexes
     (see {!matching}): a column's index is built at most once per value of
@@ -22,32 +19,23 @@
     relations is safe, including across domains (a racy lazy build at worst
     duplicates work, never corrupts).
 
-    Iteration order ({!iter}, {!fold}) is deterministic but
-    backend-dependent: tuple order for [`Treeset], intern order for
-    [`Hashed].  {!to_list} (and hence {!pp}) always sorts, so printed
-    output is representation-independent. *)
+    Iteration order ({!iter}, {!fold}) is intern order: deterministic, but
+    not tuple order.  {!to_list} (and hence {!pp}) sorts. *)
 
 type t
 
-(** {1 Storage backends} *)
-
-type storage = [ `Treeset | `Hashed ]
+type storage = [ `Hashed ]
+(** The one relation store.  The type and {!set_default_storage} exist only
+    because the end-to-end benchmark harness under [bench/e2e], which is
+    frozen between benchmark revisions, still names the store it runs on;
+    both go when that harness drops the call. *)
 
 val set_default_storage : storage -> unit
-(** Sets the backend used by constructors not given an explicit [?storage].
-    Affects subsequently created relations only; existing values keep their
-    representation.  Default: [`Hashed]. *)
-
-val default_storage : unit -> storage
-
-val storage_of : t -> storage
-
-val pp_storage : Format.formatter -> storage -> unit
-(** Prints [hashed] or [treeset]. *)
+(** Does nothing; see {!storage}. *)
 
 (** {1 Construction and set structure} *)
 
-val empty : ?storage:storage -> int -> t
+val empty : int -> t
 (** [empty k] is the empty relation of arity [k]. *)
 
 val arity : t -> int
@@ -55,12 +43,11 @@ val arity : t -> int
 val is_empty : t -> bool
 
 val cardinal : t -> int
-(** O(1) in both backends. *)
+(** O(1). *)
 
-val ids : t -> Idset.t option
-(** The interned tuple-id set backing a [`Hashed] relation, [None] for
-    [`Treeset].  Lets the snapshot writer stream packed {!Store} rows
-    without boxing tuples; treeset callers fall back to {!iter}. *)
+val ids : t -> Idset.t
+(** The interned tuple-id set backing the relation.  Lets the snapshot
+    writer stream packed {!Store} rows without boxing tuples. *)
 
 val mem : Tuple.t -> t -> bool
 
@@ -72,23 +59,26 @@ val remove : Tuple.t -> t -> t
 
 val singleton : Tuple.t -> t
 
-val of_list : ?storage:storage -> int -> Tuple.t list -> t
+val of_list : int -> Tuple.t list -> t
 (** [of_list k tuples] builds an arity-[k] relation in one bulk pass (no
     per-add index maintenance).  All tuples must have arity [k]. *)
 
-val of_seq : ?storage:storage -> int -> Tuple.t Seq.t -> t
+val of_seq : int -> Tuple.t Seq.t -> t
 (** Bulk construction from a sequence; the sequence is forced once. *)
 
-val of_array : ?storage:storage -> int -> Tuple.t array -> t
+val of_array : int -> Tuple.t array -> t
 (** [of_array k tuples] builds an arity-[k] relation in one bulk pass,
-    without the intermediate list of {!of_list} on the hashed backend.
-    All tuples must have arity [k]; the array is not retained. *)
+    without the intermediate list of {!of_list}: tuples are interned into
+    an id array that is sorted and deduplicated in place.  All tuples must
+    have arity [k]; the array is not retained. *)
 
-val of_flat_rows : ?storage:storage -> int -> Symbol.t array -> t
+val of_flat_rows : int -> Symbol.t array -> t
 (** [of_flat_rows k flat] builds the arity-[k] relation whose rows are the
     consecutive length-[k] segments of [flat] — the snapshot-restore fast
-    path: on the hashed backend rows are interned in place with no per-row
-    boxing ({!Hash_store.of_flat_rows}).  [flat] is not retained.
+    path: rows are interned in place ({!Store.intern_seg}, no per-row
+    boxing), and when the resulting ids span most of the store the
+    sort-and-dedup pass is a dense mark-and-sweep rather than a comparison
+    sort.  [flat] is not retained.
     @raise Invalid_argument if [k <= 0] or [Array.length flat] is not a
     multiple of [k]. *)
 
@@ -99,10 +89,10 @@ val add_all : Tuple.t list -> t -> t
     @raise Invalid_argument on an arity mismatch. *)
 
 val to_list : t -> Tuple.t list
-(** Tuples in increasing order, whatever the backend. *)
+(** Tuples in increasing order. *)
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** Backend iteration order (see the module preamble). *)
+(** Intern order (see the module preamble). *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -113,7 +103,9 @@ val exists : (Tuple.t -> bool) -> t -> bool
 val filter : (Tuple.t -> bool) -> t -> t
 
 val map : int -> (Tuple.t -> Tuple.t) -> t -> t
-(** [map k f r] applies [f] to every tuple; the result has arity [k]. *)
+(** [map k f r] applies [f] to every tuple; the result has arity [k].
+    @raise Invalid_argument if [f] returns a tuple whose arity is not
+    [k]. *)
 
 val union : t -> t -> t
 
@@ -125,13 +117,11 @@ val subset : t -> t -> bool
 (** [subset r1 r2] is true when every tuple of [r1] is in [r2]. *)
 
 val equal : t -> t -> bool
-(** Same tuple set — representation-independent (a hashed and a tree
-    relation with equal contents are equal). *)
+(** Same arity and same tuple set. *)
 
 val compare : t -> t -> int
-(** A total order consistent with {!equal} among relations of one backend;
-    mixing backends inside one ordered container is not supported (mixed
-    comparisons fall back to a slower representation-independent order). *)
+(** A total order consistent with {!equal}.  It depends on intern order,
+    so it is stable within a process but not across processes. *)
 
 val choose_opt : t -> Tuple.t option
 
@@ -144,7 +134,7 @@ val choose_opt : t -> Tuple.t option
 
 type builder
 
-val builder : ?storage:storage -> int -> builder
+val builder : int -> builder
 (** [builder k]: an empty accumulator for an arity-[k] relation. *)
 
 val builder_add : builder -> Tuple.t -> bool
@@ -162,11 +152,11 @@ val builder_merge : builder -> builder -> builder
     O(smaller) work and returns the combined accumulator.  Neither argument
     may be used afterwards, and the result accepts only further merges and
     {!build}.  The sharded plan executor merges per-shard accumulators with
-    this at the barrier — on the hashed backend the merge is a per-stripe
-    id-run concatenation (no re-hashing), so the barrier cost is O(rows
-    moved) and deduplication happens once in {!build}.
-    @raise Invalid_argument on an arity or storage-backend mismatch (shard
-    accumulators of one execution always share both). *)
+    this at the barrier — the merge is a per-stripe id-run concatenation
+    (no re-hashing), so the barrier cost is O(rows moved) and
+    deduplication happens once in {!build}.
+    @raise Invalid_argument on an arity mismatch (shard accumulators of
+    one execution always share one arity). *)
 
 val build : builder -> t
 (** Finalise.  The builder must not be reused afterwards; the relation's
@@ -175,8 +165,7 @@ val build : builder -> t
 (** {1 Relational algebra} *)
 
 val product : t -> t -> t
-(** Cartesian product; arities add.  Built in one bulk pass; the result
-    uses the left operand's backend. *)
+(** Cartesian product; arities add.  Built in one bulk pass. *)
 
 val project : int list -> t -> t
 (** [project positions r] projects every tuple onto [positions] (which may
@@ -204,13 +193,12 @@ val join_positions : (int * int) list -> t -> t -> t
     where, for each [(i, j)] in [eqs], component [i] of the [r1]-tuple equals
     component [j] of the [r2]-tuple. *)
 
-val full : ?storage:storage -> Symbol.t list -> int -> t
+val full : Symbol.t list -> int -> t
 (** [full universe k] is the complete relation [universe]{^ k}, built in one
     bulk pass.  Use only for small [|universe|]{^ k}. *)
 
 val complement : Symbol.t list -> t -> t
-(** [complement universe r] is [full universe (arity r)] minus [r], in
-    [r]'s backend. *)
+(** [complement universe r] is [full universe (arity r)] minus [r]. *)
 
 (** {1 Limit semantics}
 

@@ -7,7 +7,7 @@
      (symbol names, relation directory, tuple rows, override plans), so
      [encode] is a pure function of the model and re-snapshotting a
      restored model reproduces the bytes exactly, whatever the process's
-     intern order or storage backend.
+     intern order or partition count.
 
    - {e Fail-closed decoding with no global effects}: [decode] works
      entirely on local ints and strings — it never interns a symbol or
@@ -167,30 +167,18 @@ let rows_of_relation sym_to_dict kind name r =
     if d < 0 then raise (Out_of_universe name) else d
   in
   let acc = ref [] in
-  (match Relation.ids r with
-  | Some ids ->
-    (* Hashed backend: stream rows straight out of the packed store
-       arrays — no per-tuple boxing.  Ids decode to (stripe, local); the
-       encoded rows are dictionary-coded and sorted below, so the output
-       bytes are independent of how tuples were striped. *)
-    let v = Store.view () in
-    Idset.iter
-      (fun id ->
-        let p = Store.id_part id and l = Store.id_local id in
-        let off = v.Store.v_off.(p).(l) and len = v.Store.v_len.(p).(l) in
-        let data = v.Store.v_data.(p) in
-        acc :=
-          Array.init len (fun j -> dict_of_word data.(off + j))
-          :: !acc)
-      ids
-  | None ->
-    Relation.iter
-      (fun t ->
-        acc :=
-          Array.init (Tuple.arity t) (fun j ->
-              dict_of_word (Symbol.to_int (Tuple.get t j)))
-          :: !acc)
-      r);
+  (* Stream rows straight out of the packed store arrays — no per-tuple
+     boxing.  Ids decode to (stripe, local); the encoded rows are
+     dictionary-coded and sorted below, so the output bytes are
+     independent of how tuples were striped. *)
+  let v = Store.view () in
+  Idset.iter
+    (fun id ->
+      let p = Store.id_part id and l = Store.id_local id in
+      let off = v.Store.v_off.(p).(l) and len = v.Store.v_len.(p).(l) in
+      let data = v.Store.v_data.(p) in
+      acc := Array.init len (fun j -> dict_of_word data.(off + j)) :: !acc)
+    (Relation.ids r);
   let rows = Array.of_list !acc in
   Array.sort compare_row rows;
   { rr_kind = kind; rr_name = name; rr_arity = Relation.arity r; rr_rows = rows }
@@ -687,7 +675,7 @@ type restored = {
   r_seeds : (Datalog.Ast.rule * Plan.variant * (int * int) list) list;
 }
 
-let restore ?storage image =
+let restore ?storage:(_ : Relation.storage option) image =
   (* Seeds first: override rule text is the only thing that can still be
      rejected, and failing before interning keeps the global tables
      untouched on any [Error]. *)
@@ -713,8 +701,7 @@ let restore ?storage image =
     let relation_of ri =
       if ri.arity = 0 then
         (* At most one row (the empty tuple, validated by decode). *)
-        Relation.of_array ?storage 0
-          (Array.make ri.row_count Tuple.empty)
+        Relation.of_array 0 (Array.make ri.row_count Tuple.empty)
       else begin
         (* Translate the span's dictionary ids to symbols in one flat
            sweep; [of_flat_rows] interns the rows in place from there —
@@ -723,7 +710,7 @@ let restore ?storage image =
         let flat =
           Array.init wlen (fun i -> syms.(words.(ri.word_off + i)))
         in
-        Relation.of_flat_rows ?storage ri.arity flat
+        Relation.of_flat_rows ri.arity flat
       end
     in
     let db, idb, unknown =

@@ -35,7 +35,7 @@
     symbol section), never process-local intern ids, and every variable
     part is sorted — so {!encode} is a pure function of the model:
     snapshotting a restored model reproduces the file byte for byte,
-    whatever the intern order or storage backend of the process.
+    whatever the intern order or partition count of the process.
 
     {2 Fail-closed reading}
 
@@ -156,7 +156,9 @@ val restore :
   ?storage:Relalg.Relation.storage -> image -> (restored, error) result
 (** Interns the dictionary and rebuilds relations with bulk constructors.
     The only failure on an image that passed {!decode} is an unparseable
-    override rule (reported as [Corrupt] of the overrides section). *)
+    override rule (reported as [Corrupt] of the overrides section).
+    [storage] is ignored; it remains for the same reason as
+    {!Relalg.Relation.storage}. *)
 
 val check_program :
   image ->

@@ -5,8 +5,8 @@
    load-bearing ones for the refactor:
 
    - the planner ablation matrix: [`Static], [`Greedy] and [`Scan] plans
-     compute the same model under every engine and storage backend, for
-     every semantics, on random programs;
+     compute the same model under every engine, for every semantics, on
+     random programs;
    - delta-specialized plans derive exactly what full plans derive: the
      semi-naive engine (which runs the [Delta j] variants) agrees with the
      naive engine (full plans only) on the experiment workloads;
@@ -40,13 +40,11 @@ let pi1 = Parser.parse_program_exn "t(X) :- e(Y, X), !t(Y)."
 let tc_program =
   Parser.parse_program_exn "s(X, Y) :- e(X, Y). s(X, Y) :- e(X, Z), s(Z, Y)."
 
-(* --- the planner x engine x storage agreement matrix ----------------------- *)
+(* --- the planner x engine agreement matrix ----------------------------------- *)
 
 let planners : Plan.planner list = [ `Static; `Greedy; `Scan; `Adaptive ]
 
 let engines = [ `Seminaive; `Parallel ]
-
-let storages : Relalg.Relation.storage list = [ `Hashed; `Treeset ]
 
 (* The grain axis only matters under the [`Parallel] engine (morsel
    sharding vs rule fan-out); everywhere else one point suffices. *)
@@ -60,40 +58,35 @@ let all_modes_agree eval equal reference =
       List.for_all
         (fun engine ->
           List.for_all
-            (fun storage ->
-              List.for_all
-                (fun grain ->
-                  equal reference (eval ~planner ~engine ~storage ~grain))
-                (grains_for engine))
-            storages)
+            (fun grain -> equal reference (eval ~planner ~engine ~grain))
+            (grains_for engine))
         engines)
     planners
 
 let prop_matrix_inflationary =
   QCheck.Test.make
-    ~name:"planner x engine x storage matrix agrees (inflationary)" ~count:60
+    ~name:"planner x engine matrix agrees (inflationary)" ~count:60
     arb_case (fun (p, db) ->
       let reference = Evallib.Inflationary.eval p db in
       all_modes_agree
-        (fun ~planner ~engine ~storage ~grain ->
-          Evallib.Inflationary.eval ~planner ~engine ~storage ~grain p db)
+        (fun ~planner ~engine ~grain ->
+          Evallib.Inflationary.eval ~planner ~engine ~grain p db)
         Idb.equal reference)
 
 let prop_matrix_positive =
   QCheck.Test.make
-    ~name:"planner x engine x storage matrix agrees (positive lfp)" ~count:60
+    ~name:"planner x engine matrix agrees (positive lfp)" ~count:60
     arb_case (fun (p, db) ->
       let p = positivise p in
       let reference = Evallib.Naive.least_fixpoint p db in
       all_modes_agree
-        (fun ~planner ~engine ~storage ~grain ->
-          Evallib.Naive.least_fixpoint ~planner ~engine ~storage ~grain p db)
+        (fun ~planner ~engine ~grain ->
+          Evallib.Naive.least_fixpoint ~planner ~engine ~grain p db)
         Idb.equal reference)
 
 let prop_matrix_semantics =
   QCheck.Test.make
-    ~name:
-      "planner x engine x storage matrix agrees (stratified + well-founded)"
+    ~name:"planner x engine matrix agrees (stratified + well-founded)"
     ~count:40 arb_case (fun (p, db) ->
       QCheck.assume (Datalog.Stratify.is_stratified p);
       let strat_ref = Evallib.Stratified.eval_exn p db in
@@ -105,12 +98,12 @@ let prop_matrix_semantics =
              b.Evallib.Wellfounded.possible
       in
       all_modes_agree
-        (fun ~planner ~engine ~storage ~grain ->
-          Evallib.Stratified.eval_exn ~planner ~engine ~storage ~grain p db)
+        (fun ~planner ~engine ~grain ->
+          Evallib.Stratified.eval_exn ~planner ~engine ~grain p db)
         Idb.equal strat_ref
       && all_modes_agree
-           (fun ~planner ~engine ~storage ~grain ->
-             Evallib.Wellfounded.eval ~planner ~engine ~storage ~grain p db)
+           (fun ~planner ~engine ~grain ->
+             Evallib.Wellfounded.eval ~planner ~engine ~grain p db)
            wf_equal wf_ref)
 
 (* Kripke-Kleene runs through the grounding, whose instantiation plans are

@@ -14,7 +14,10 @@
        stratified, and a least fixpoint always exists;
      - on stratifiable programs the well-founded model is total and equals
        the stratified semantics;
-     - the Proposition 1 operator translation preserves semantics. *)
+     - the Proposition 1 operator translation preserves semantics;
+     - Theta, the inflationary fixpoint and the stratified model agree with
+       a plain-set reference written straight from the definitions
+       (test/support/reference.ml), which shares no code with the engine. *)
 
 module Ast = Datalog.Ast
 module Idb = Evallib.Idb
@@ -30,6 +33,28 @@ let arb_case = Testsupport.Gen_programs.arb_case
 
 let positivise = Testsupport.Gen_programs.positivise
 
+module Reference = Testsupport.Reference
+
+(* The engine's valuation as reference facts. *)
+let facts_of_idb s =
+  List.fold_left
+    (fun acc (pred, rel) ->
+      Relalg.Relation.fold
+        (fun t acc ->
+          Reference.Facts.add
+            (pred, List.map Relalg.Symbol.name (Relalg.Tuple.to_list t))
+            acc)
+        rel acc)
+    Reference.Facts.empty (Idb.bindings s)
+
+let matches_reference reference s =
+  Reference.Facts.equal reference (facts_of_idb s)
+
+let stratified_reference p db =
+  match Reference.stratified p (Reference.of_database db) with
+  | Some m -> m
+  | None -> QCheck.Test.fail_report "reference finds the program unstratifiable"
+
 (* --- properties ------------------------------------------------------------ *)
 
 let prop_engines_agree =
@@ -39,77 +64,71 @@ let prop_engines_agree =
         (Evallib.Inflationary.eval ~engine:`Naive p db)
         (Evallib.Inflationary.eval ~engine:`Seminaive p db))
 
-(* Every (storage, engine, indexing) combination must compute the same
-   model — the fixpoint is a semantic object, not an artefact of relation
-   representation, evaluation order, index structure, or domain
+(* Every (engine, indexing) combination must compute the model the
+   reference computes from the definitions — the fixpoint is a semantic
+   object, not an artefact of evaluation order, index structure, or domain
    scheduling. *)
-let storages : Relalg.Relation.storage list = [ `Hashed; `Treeset ]
-
 let engines = [ `Naive; `Seminaive; `Parallel ]
 
 let indexings = [ `Cached; `Percall; `Scan ]
 
 let all_modes_agree eval equal reference =
   List.for_all
-    (fun storage ->
+    (fun engine ->
       List.for_all
-        (fun engine ->
-          List.for_all
-            (fun indexing ->
-              equal reference (eval ~storage ~engine ~indexing))
-            indexings)
-        engines)
-    storages
+        (fun indexing -> equal reference (eval ~engine ~indexing))
+        indexings)
+    engines
 
 let prop_engine_matrix_inflationary =
   QCheck.Test.make
-    ~name:"all storage x engine x indexing modes agree (inflationary fixpoint)"
+    ~name:"all engine x indexing modes = reference (inflationary fixpoint)"
     ~count:60 arb_case (fun (p, db) ->
-      let reference = Evallib.Inflationary.eval p db in
+      let reference = Reference.inflationary p (Reference.of_database db) in
       all_modes_agree
-        (fun ~storage ~engine ~indexing ->
-          Evallib.Inflationary.eval ~storage ~engine ~indexing p db)
-        Idb.equal reference)
+        (fun ~engine ~indexing ->
+          Evallib.Inflationary.eval ~engine ~indexing p db)
+        matches_reference reference)
 
 let prop_engine_matrix_positive =
   QCheck.Test.make
-    ~name:"all storage x engine x indexing modes agree (positive lfp)"
+    ~name:"all engine x indexing modes = reference (positive lfp)"
     ~count:60 arb_case (fun (p, db) ->
       let p = positivise p in
-      let reference = Evallib.Naive.least_fixpoint p db in
+      (* A positive program is one stratum: the reference's stratified
+         model is the least fixpoint of Theta. *)
+      let reference = stratified_reference p db in
       all_modes_agree
-        (fun ~storage ~engine ~indexing ->
-          Evallib.Naive.least_fixpoint ~storage ~engine ~indexing p db)
-        Idb.equal reference)
+        (fun ~engine ~indexing ->
+          Evallib.Naive.least_fixpoint ~engine ~indexing p db)
+        matches_reference reference)
 
 let prop_engine_matrix_semantics =
   QCheck.Test.make
-    ~name:
-      "all storage x engine x indexing modes agree (stratified + well-founded)"
+    ~name:"all engine x indexing modes = reference (stratified + well-founded)"
     ~count:40 arb_case (fun (p, db) ->
       QCheck.assume (Datalog.Stratify.is_stratified p);
-      let strat_ref = Evallib.Stratified.eval_exn p db in
-      let wf_equal (a : Evallib.Wellfounded.model) b =
-        Idb.equal a.Evallib.Wellfounded.true_facts
-          b.Evallib.Wellfounded.true_facts
-        && Idb.equal a.Evallib.Wellfounded.possible
-             b.Evallib.Wellfounded.possible
+      let strat_ref = stratified_reference p db in
+      (* On a stratifiable program the well-founded model is total and
+         equals the stratified one. *)
+      let wf_matches reference (m : Evallib.Wellfounded.model) =
+        matches_reference reference m.Evallib.Wellfounded.true_facts
+        && matches_reference reference m.Evallib.Wellfounded.possible
       in
-      let wf_ref = Evallib.Wellfounded.eval p db in
       all_modes_agree
-        (fun ~storage ~engine ~indexing ->
-          Evallib.Stratified.eval_exn ~storage ~engine ~indexing p db)
-        Idb.equal strat_ref
+        (fun ~engine ~indexing ->
+          Evallib.Stratified.eval_exn ~engine ~indexing p db)
+        matches_reference strat_ref
       && all_modes_agree
-           (fun ~storage ~engine ~indexing ->
-             Evallib.Wellfounded.eval ~storage ~engine ~indexing p db)
-           wf_equal wf_ref)
+           (fun ~engine ~indexing ->
+             Evallib.Wellfounded.eval ~engine ~indexing p db)
+           wf_matches strat_ref)
 
 (* The morsel grain is pure scheduling: whatever the shard size (one tuple,
    a prime that straddles shard boundaries, the auto heuristic) or the
    rule-level fallback, the [`Parallel] engine must compute the reference
-   model — across planners and storage backends, and for every semantics
-   built on saturation. *)
+   model — across planners, and for every semantics built on
+   saturation. *)
 let grains : Evallib.Engine.grain list = [ `Fixed 1; `Fixed 7; `Auto; `Rules ]
 
 let planners : Evallib.Engine.planner list = [ `Static; `Greedy; `Scan ]
@@ -120,19 +139,14 @@ let shared_pool = lazy (Negdl_util.Domain_pool.create ~size:2 ())
 
 let prop_grain_matrix =
   QCheck.Test.make
-    ~name:"parallel engine agrees across grain x planner x storage (all \
-           semantics)"
+    ~name:"parallel engine agrees across grain x planner (all semantics)"
     ~count:30 arb_case (fun (p, db) ->
       let pool = Lazy.force shared_pool in
       let agree eval equal reference =
         List.for_all
           (fun grain ->
             List.for_all
-              (fun planner ->
-                List.for_all
-                  (fun storage ->
-                    equal reference (eval ~grain ~planner ~storage))
-                  storages)
+              (fun planner -> equal reference (eval ~grain ~planner))
               planners)
           grains
       in
@@ -140,14 +154,14 @@ let prop_grain_matrix =
       let pos = positivise p in
       let lfp_ref = Evallib.Naive.least_fixpoint pos db in
       agree
-        (fun ~grain ~planner ~storage ->
-          Evallib.Inflationary.eval ~engine:`Parallel ~pool ~grain ~planner
-            ~storage p db)
+        (fun ~grain ~planner ->
+          Evallib.Inflationary.eval ~engine:`Parallel ~pool ~grain ~planner p
+            db)
         Idb.equal infl_ref
       && agree
-           (fun ~grain ~planner ~storage ->
+           (fun ~grain ~planner ->
              Evallib.Naive.least_fixpoint ~engine:`Parallel ~pool ~grain
-               ~planner ~storage pos db)
+               ~planner pos db)
            Idb.equal lfp_ref
       &&
       if not (Datalog.Stratify.is_stratified p) then true
@@ -161,42 +175,51 @@ let prop_grain_matrix =
                b.Evallib.Wellfounded.possible
         in
         agree
-          (fun ~grain ~planner ~storage ->
+          (fun ~grain ~planner ->
             Evallib.Stratified.eval_exn ~engine:`Parallel ~pool ~grain
-              ~planner ~storage p db)
+              ~planner p db)
           Idb.equal strat_ref
         && agree
-             (fun ~grain ~planner ~storage ->
+             (fun ~grain ~planner ->
                Evallib.Wellfounded.eval ~engine:`Parallel ~pool ~grain
-                 ~planner ~storage p db)
+                 ~planner p db)
              wf_equal wf_ref)
 
 (* The partitioned packed store must be observationally identical to the
-   seed's single-table semantics: a Treeset/Seminaive reference model is
-   compared against the Hashed (partitioned) backend under both the
-   sequential and the parallel engine, at the auto and per-rule grains. *)
+   plain-set semantics: the reference's stratified model is compared
+   against the store under both the sequential and the parallel engine, at
+   the auto and per-rule grains. *)
 let prop_partitioned_store_oracle =
   QCheck.Test.make
-    ~name:"partitioned hashed store matches single-table treeset semantics"
+    ~name:"partitioned hashed store matches the plain-set reference"
     ~count:40 arb_case (fun (p, db) ->
       if not (Datalog.Stratify.is_stratified p) then true
       else
         let pool = Lazy.force shared_pool in
-        let reference =
-          Evallib.Stratified.eval_exn ~engine:`Seminaive ~storage:`Treeset p
-            db
-        in
-        List.for_all
-          (fun storage ->
-            Idb.equal reference
-              (Evallib.Stratified.eval_exn ~engine:`Seminaive ~storage p db)
-            && List.for_all
-                 (fun grain ->
-                   Idb.equal reference
-                     (Evallib.Stratified.eval_exn ~engine:`Parallel ~pool
-                        ~grain ~storage p db))
-                 [ `Auto; `Rules ])
-          [ `Hashed; `Treeset ])
+        let reference = stratified_reference p db in
+        matches_reference reference
+          (Evallib.Stratified.eval_exn ~engine:`Seminaive p db)
+        && List.for_all
+             (fun grain ->
+               matches_reference reference
+                 (Evallib.Stratified.eval_exn ~engine:`Parallel ~pool ~grain p
+                    db))
+             [ `Auto; `Rules ])
+
+(* Theta itself, not just its limits: one application at every stage of
+   the inflationary iteration matches the reference operator. *)
+let prop_theta_matches_reference =
+  QCheck.Test.make ~name:"Theta = reference Theta along the iteration"
+    ~count:100 arb_case (fun (p, db) ->
+      let rdb = Reference.of_database db in
+      let rec walk s n =
+        n = 0
+        ||
+        let step = Theta.apply p db s in
+        matches_reference (Reference.theta p rdb (facts_of_idb s)) step
+        && walk (Idb.union s step) (n - 1)
+      in
+      walk (Idb.of_program p) 4)
 
 let prop_limit_is_inflationary_fixpoint =
   QCheck.Test.make ~name:"Theta(limit) is contained in the limit" ~count:150
@@ -344,7 +367,7 @@ let prop_indexed_equals_scan =
    group.  Because the generator's guards match the limit kind's polarity
    (min with <=, max with >=), the strata above the limit predicate are
    insensitive to the dominant filter, so the whole models must coincide —
-   across storage backends, engines, and static/adaptive planners. *)
+   across engines and static/adaptive planners. *)
 let prop_limit_differential =
   QCheck.Test.make ~name:"limit tightening = dominant filter of pair model"
     ~count:60 Testsupport.Gen_programs.arb_limit_case
@@ -362,17 +385,13 @@ let prop_limit_differential =
           pairs limit_p.Ast.limits
       in
       List.for_all
-        (fun storage ->
+        (fun engine ->
           List.for_all
-            (fun engine ->
-              List.for_all
-                (fun planner ->
-                  Idb.equal reference
-                    (Evallib.Stratified.eval_exn ~storage ~engine ~planner
-                       limit_p db))
-                [ `Static; `Adaptive ])
-            [ `Seminaive; `Parallel ])
-        storages)
+            (fun planner ->
+              Idb.equal reference
+                (Evallib.Stratified.eval_exn ~engine ~planner limit_p db))
+            [ `Static; `Adaptive ])
+        [ `Seminaive; `Parallel ])
 
 let prop_pretty_roundtrip =
   QCheck.Test.make ~name:"pretty-printed programs re-parse identically"
@@ -407,5 +426,6 @@ let () =
             prop_indexed_equals_scan;
             prop_limit_differential;
             prop_pretty_roundtrip;
+            prop_theta_matches_reference;
           ] );
     ]

@@ -102,6 +102,16 @@ let test_relation_full_zero_arity () =
   check int "empty universe, arity 0" 1 (Relation.cardinal (Relation.full [] 0));
   check int "empty universe, arity 2" 0 (Relation.cardinal (Relation.full [] 2))
 
+let test_relation_map_arity () =
+  let r = Relation.of_list 1 [ Tuple.of_strings [ "a" ] ] in
+  Alcotest.check_raises "map to the wrong arity"
+    (Invalid_argument "Relation.map: tuple arity 1, relation arity 2")
+    (fun () -> ignore (Relation.map 2 (fun _ -> Tuple.of_strings [ "x" ]) r));
+  check bool "map to the declared arity" true
+    (Relation.equal
+       (Relation.map 2 (fun t -> Tuple.append t t) r)
+       (Relation.of_list 2 [ Tuple.of_strings [ "a"; "a" ] ]))
+
 let test_relation_join_positions () =
   let e =
     Relation.of_list 2
@@ -253,165 +263,90 @@ let test_store_partition_ids () =
     (c.Store.partition_skew
     <= Array.fold_left max 0 (Store.part_counts ()))
 
-(* --- Storage backends -------------------------------------------------------- *)
-
-let storages : Relation.storage list = [ `Hashed; `Treeset ]
+(* --- Relation store --------------------------------------------------------- *)
 
 let t2 a b = Tuple.of_strings [ a; b ]
 
-let test_backend_round_trip () =
-  List.iter
-    (fun storage ->
-      let r =
-        Relation.of_list ~storage 2 [ t2 "a" "b"; t2 "b" "c"; t2 "a" "b" ]
-      in
-      check bool "storage kept" true (Relation.storage_of r = storage);
-      check int "of_list dedups" 2 (Relation.cardinal r);
-      check bool "mem" true (Relation.mem (t2 "b" "c") r);
-      check bool "not mem" false (Relation.mem (t2 "c" "b") r);
-      let r' = Relation.of_seq ~storage 2 (List.to_seq (Relation.to_list r)) in
-      check bool "of_seq round trip" true (Relation.equal r r'))
-    storages
+let test_store_round_trip () =
+  let r = Relation.of_list 2 [ t2 "a" "b"; t2 "b" "c"; t2 "a" "b" ] in
+  check int "of_list dedups" 2 (Relation.cardinal r);
+  check bool "mem" true (Relation.mem (t2 "b" "c") r);
+  check bool "not mem" false (Relation.mem (t2 "c" "b") r);
+  let r' = Relation.of_seq 2 (List.to_seq (Relation.to_list r)) in
+  check bool "of_seq round trip" true (Relation.equal r r')
 
-let test_backend_equal_across () =
-  let tuples = [ t2 "a" "b"; t2 "b" "c" ] in
-  let h = Relation.of_list ~storage:`Hashed 2 tuples in
-  let t = Relation.of_list ~storage:`Treeset 2 tuples in
-  check bool "hashed = treeset with same contents" true (Relation.equal h t);
-  check bool "subset both ways" true
-    (Relation.subset h t && Relation.subset t h);
-  check int "compare agrees" 0 (Relation.compare h t);
-  let t' = Relation.add (t2 "c" "d") t in
-  check bool "differ after add" false (Relation.equal h t')
+let test_store_add_all () =
+  let r = Relation.of_list 2 [ t2 "a" "b" ] in
+  (* Build a column index first so add_all must extend it. *)
+  ignore (Relation.matching 0 (Symbol.intern "a") r);
+  let r' = Relation.add_all [ t2 "a" "c"; t2 "a" "b"; t2 "d" "e" ] r in
+  check int "add_all adds only fresh" 3 (Relation.cardinal r');
+  check int "extended index serves new tuples" 2
+    (List.length (Relation.matching 0 (Symbol.intern "a") r'))
 
-let test_backend_mixed_ops () =
-  let h = Relation.of_list ~storage:`Hashed 1 [ Tuple.of_strings [ "a" ]; Tuple.of_strings [ "b" ] ] in
-  let t = Relation.of_list ~storage:`Treeset 1 [ Tuple.of_strings [ "b" ]; Tuple.of_strings [ "c" ] ] in
-  let u = Relation.union h t in
-  check int "mixed union" 3 (Relation.cardinal u);
-  check bool "union keeps left backend" true (Relation.storage_of u = `Hashed);
-  check int "mixed inter" 1 (Relation.cardinal (Relation.inter h t));
-  check int "mixed diff" 1 (Relation.cardinal (Relation.diff t h));
-  check bool "mixed product" true
-    (Relation.equal (Relation.product h t)
-       (Relation.product
-          (Relation.of_list ~storage:`Treeset 1 (Relation.to_list h))
-          t))
+let test_store_builder () =
+  let b = Relation.builder 2 in
+  check bool "first add is fresh" true (Relation.builder_add b (t2 "a" "b"));
+  check bool "duplicate add reports stale" false
+    (Relation.builder_add b (t2 "a" "b"));
+  check bool "second fresh" true (Relation.builder_add b (t2 "b" "c"));
+  check int "builder cardinal" 2 (Relation.builder_cardinal b);
+  let r = Relation.build b in
+  check int "built cardinal" 2 (Relation.cardinal r)
 
-let test_backend_add_all () =
-  List.iter
-    (fun storage ->
-      let r = Relation.of_list ~storage 2 [ t2 "a" "b" ] in
-      (* Build a column index first so add_all must extend it. *)
-      ignore (Relation.matching 0 (Symbol.intern "a") r);
-      let r' = Relation.add_all [ t2 "a" "c"; t2 "a" "b"; t2 "d" "e" ] r in
-      check int "add_all adds only fresh" 3 (Relation.cardinal r');
-      check int "extended index serves new tuples" 2
-        (List.length (Relation.matching 0 (Symbol.intern "a") r')))
-    storages
+let test_store_builder_merge () =
+  (* Disjoint accumulators: the union has both sides' tuples. *)
+  let fill tuples =
+    let b = Relation.builder 2 in
+    List.iter (fun t -> ignore (Relation.builder_add b t)) tuples;
+    b
+  in
+  let a = fill [ t2 "a" "b"; t2 "a" "c" ] in
+  let b = fill [ t2 "b" "c" ] in
+  let m = Relation.builder_merge a b in
+  check int "disjoint merge cardinal" 3 (Relation.builder_cardinal m);
+  check int "merged arity" 2 (Relation.builder_arity m);
+  (* Overlapping accumulators: cross-builder duplicates collapse in
+     [build] (the merge defers dedup there, so the post-merge builder
+     cardinal is only an upper bound). *)
+  let c = fill [ t2 "a" "b"; t2 "d" "e" ] in
+  let d = fill [ t2 "d" "e"; t2 "a" "b"; t2 "f" "g" ] in
+  let m2 = Relation.builder_merge c d in
+  check bool "overlapping merge cardinal is an upper bound" true
+    (Relation.builder_cardinal m2 >= 3);
+  let built2 = Relation.build m2 in
+  check int "overlapping built cardinal" 3 (Relation.cardinal built2);
+  check bool "merge equals set union" true
+    (Relation.equal built2
+       (Relation.of_list 2 [ t2 "a" "b"; t2 "d" "e"; t2 "f" "g" ]));
+  (* Merging with an empty accumulator is the identity on contents. *)
+  let e = fill [ t2 "x" "y" ] in
+  let m3 = Relation.builder_merge e (fill []) in
+  check int "empty right" 1 (Relation.builder_cardinal m3);
+  (* Arity mismatch is rejected. *)
+  let b1 = Relation.builder 1 in
+  let b2 = Relation.builder 2 in
+  Alcotest.check_raises "arity mismatch"
+    (Invalid_argument "Relation.builder_merge: arities 1 and 2 differ")
+    (fun () -> ignore (Relation.builder_merge b1 b2))
 
-let test_backend_builder () =
-  List.iter
-    (fun storage ->
-      let b = Relation.builder ~storage 2 in
-      check bool "first add is fresh" true (Relation.builder_add b (t2 "a" "b"));
-      check bool "duplicate add reports stale" false
-        (Relation.builder_add b (t2 "a" "b"));
-      check bool "second fresh" true (Relation.builder_add b (t2 "b" "c"));
-      check int "builder cardinal" 2 (Relation.builder_cardinal b);
-      let r = Relation.build b in
-      check int "built cardinal" 2 (Relation.cardinal r);
-      check bool "built storage" true (Relation.storage_of r = storage))
-    storages
-
-let test_backend_builder_merge () =
-  List.iter
-    (fun storage ->
-      (* Disjoint accumulators: the union has both sides' tuples. *)
-      let fill tuples =
-        let b = Relation.builder ~storage 2 in
-        List.iter (fun t -> ignore (Relation.builder_add b t)) tuples;
-        b
-      in
-      let a = fill [ t2 "a" "b"; t2 "a" "c" ] in
-      let b = fill [ t2 "b" "c" ] in
-      let m = Relation.builder_merge a b in
-      check int "disjoint merge cardinal" 3 (Relation.builder_cardinal m);
-      check int "merged arity" 2 (Relation.builder_arity m);
-      (* Overlapping accumulators: cross-builder duplicates collapse by
-         [build] at the latest (the hashed backend defers dedup there, so
-         the post-merge builder cardinal is only an upper bound). *)
-      let c = fill [ t2 "a" "b"; t2 "d" "e" ] in
-      let d = fill [ t2 "d" "e"; t2 "a" "b"; t2 "f" "g" ] in
-      let m2 = Relation.builder_merge c d in
-      check bool "overlapping merge cardinal is an upper bound" true
-        (Relation.builder_cardinal m2 >= 3);
-      let built2 = Relation.build m2 in
-      check int "overlapping built cardinal" 3 (Relation.cardinal built2);
-      check bool "merge equals set union" true
-        (Relation.equal built2
-           (Relation.of_list ~storage 2
-              [ t2 "a" "b"; t2 "d" "e"; t2 "f" "g" ]));
-      (* Merging with an empty accumulator is the identity on contents. *)
-      let e = fill [ t2 "x" "y" ] in
-      let m3 = Relation.builder_merge e (fill []) in
-      check int "empty right" 1 (Relation.builder_cardinal m3);
-      (* Arity mismatch is rejected. *)
-      let b1 = Relation.builder ~storage 1 in
-      let b2 = Relation.builder ~storage 2 in
-      Alcotest.check_raises "arity mismatch"
-        (Invalid_argument "Relation.builder_merge: arities 1 and 2 differ")
-        (fun () -> ignore (Relation.builder_merge b1 b2)))
-    storages;
-  (* Mixed backends are rejected: accumulators cannot be unified cheaply
-     across representations. *)
-  let h = Relation.builder ~storage:`Hashed 2 in
-  let t = Relation.builder ~storage:`Treeset 2 in
-  Alcotest.check_raises "mixed backends"
-    (Invalid_argument "Relation.builder_merge: mixed storage backends")
-    (fun () -> ignore (Relation.builder_merge h t))
-
-let test_backend_full () =
+let test_store_full () =
   let u = List.map Symbol.intern [ "a"; "b"; "c" ] in
-  let h = Relation.full ~storage:`Hashed u 2 in
-  let t = Relation.full ~storage:`Treeset u 2 in
-  check int "hashed full 3^2" 9 (Relation.cardinal h);
-  check bool "backends agree on full" true (Relation.equal h t)
+  let full = Relation.full u 2 in
+  check int "full 3^2" 9 (Relation.cardinal full);
+  let pairs =
+    List.concat_map (fun x -> List.map (fun y -> Tuple.make [| x; y |]) u) u
+  in
+  check bool "full = every pair" true
+    (Relation.equal full (Relation.of_list 2 pairs))
 
+(* [set_default_storage] remains only so the end-to-end bench harness
+   compiles; calling it must change nothing. *)
 let test_default_storage () =
-  let saved = Relation.default_storage () in
-  Fun.protect
-    ~finally:(fun () -> Relation.set_default_storage saved)
-    (fun () ->
-      Relation.set_default_storage `Treeset;
-      check bool "default respected" true
-        (Relation.storage_of (Relation.empty 1) = `Treeset);
-      Relation.set_default_storage `Hashed;
-      check bool "default restored" true
-        (Relation.storage_of (Relation.empty 1) = `Hashed))
-
-let arb_backend_case =
-  QCheck.make
-    QCheck.Gen.(
-      let* arity = int_range 0 2 in
-      let tg = list_size (return arity) (int_range 0 4) >|= Tuple.of_ints in
-      let* l1 = list_size (int_range 0 12) tg in
-      let* l2 = list_size (int_range 0 12) tg in
-      return (arity, l1, l2))
-
-let prop_backends_agree =
-  QCheck.Test.make ~name:"hashed and treeset backends agree on set algebra"
-    ~count:200 arb_backend_case (fun (arity, l1, l2) ->
-      let via storage =
-        let r1 = Relation.of_list ~storage arity l1 in
-        let r2 = Relation.of_list ~storage arity l2 in
-        ( Relation.to_list (Relation.union r1 r2),
-          Relation.to_list (Relation.inter r1 r2),
-          Relation.to_list (Relation.diff r1 r2),
-          Relation.subset r1 r2,
-          Relation.equal r1 r2 )
-      in
-      via `Hashed = via `Treeset)
+  let before = Relation.of_list 1 [ Tuple.of_strings [ "a" ] ] in
+  Relation.set_default_storage `Hashed;
+  check bool "later relations are unchanged" true
+    (Relation.equal before (Relation.of_list 1 [ Tuple.of_strings [ "a" ] ]))
 
 (* --- Concurrent interning ----------------------------------------------------- *)
 
@@ -556,9 +491,9 @@ let test_concurrent_intern_seg () =
                  (Tuple.make (Array.sub flat (r * k) k))))
           first))
 
-(* Simulate the sharded barrier on the hashed backend: per-participant
-   builders fed round-robin, merged pairwise, built once — the result must
-   be exactly the bulk-constructed relation, with an exact cardinal. *)
+(* Simulate the sharded barrier: per-participant builders fed round-robin,
+   merged pairwise, built once — the result must be exactly the
+   bulk-constructed relation, with an exact cardinal. *)
 let test_partitioned_builder_barrier () =
   (* Row [i] is determined by [i mod 50], so the same tuple recurs in
      different builders (50 mod 4 <> 0): cross-builder duplicates must
@@ -568,7 +503,7 @@ let test_partitioned_builder_barrier () =
         let r = i mod 50 in
         t2 (Printf.sprintf "pb_%d" r) (string_of_int (r * 7 mod 11)))
   in
-  let builders = Array.init 4 (fun _ -> Relation.builder ~storage:`Hashed 2) in
+  let builders = Array.init 4 (fun _ -> Relation.builder 2) in
   List.iteri
     (fun i t -> ignore (Relation.builder_add builders.(i mod 4) t))
     tuples;
@@ -581,9 +516,9 @@ let test_partitioned_builder_barrier () =
     (List.length (List.sort_uniq Tuple.compare tuples))
     (Relation.cardinal r);
   check bool "barrier build equals bulk construction" true
-    (Relation.equal r (Relation.of_list ~storage:`Hashed 2 tuples));
+    (Relation.equal r (Relation.of_list 2 tuples));
   Alcotest.check_raises "builder_add after merge is refused"
-    (Invalid_argument "Hash_store.builder_add: builder was merged")
+    (Invalid_argument "Relation.builder_add: builder was merged")
     (fun () -> ignore (Relation.builder_add !merged (t2 "pb_x" "pb_y")))
 
 (* --- Schema ---------------------------------------------------------------- *)
@@ -678,6 +613,21 @@ let arb_pair_of_relations =
       let* l2 = list_size (int_range 0 12) tg in
       return (arity, l1, l2))
 
+let prop_set_algebra_model =
+  QCheck.Test.make ~name:"relation set algebra agrees with Set.Make(Tuple)"
+    ~count:200 arb_pair_of_relations (fun (arity, l1, l2) ->
+      let module TS = Set.Make (Tuple) in
+      let r1 = Relation.of_list arity l1 and r2 = Relation.of_list arity l2 in
+      let m1 = TS.of_list l1 and m2 = TS.of_list l2 in
+      let same r m =
+        List.equal Tuple.equal (Relation.to_list r) (TS.elements m)
+      in
+      same (Relation.union r1 r2) (TS.union m1 m2)
+      && same (Relation.inter r1 r2) (TS.inter m1 m2)
+      && same (Relation.diff r1 r2) (TS.diff m1 m2)
+      && Relation.subset r1 r2 = TS.subset m1 m2
+      && Relation.equal r1 r2 = TS.equal m1 m2)
+
 let prop_union_commutes =
   QCheck.Test.make ~name:"union commutes" ~count:200 arb_pair_of_relations
     (fun (arity, l1, l2) ->
@@ -709,7 +659,7 @@ let qcheck_tests =
       prop_tuple_compare_total;
       prop_idset_model;
       prop_idset_compare;
-      prop_backends_agree;
+      prop_set_algebra_model;
     ]
 
 let () =
@@ -735,6 +685,7 @@ let () =
           Alcotest.test_case "product/project" `Quick test_relation_product_project;
           Alcotest.test_case "full/complement" `Quick test_relation_full_complement;
           Alcotest.test_case "zero arity" `Quick test_relation_full_zero_arity;
+          Alcotest.test_case "map arity check" `Quick test_relation_map_arity;
           Alcotest.test_case "join" `Quick test_relation_join_positions;
           Alcotest.test_case "tighten" `Quick test_relation_tighten;
           Alcotest.test_case "tighten max" `Quick test_relation_tighten_max;
@@ -755,17 +706,14 @@ let () =
         ] );
       ( "storage",
         [
-          Alcotest.test_case "round trip" `Quick test_backend_round_trip;
-          Alcotest.test_case "equal across backends" `Quick
-            test_backend_equal_across;
-          Alcotest.test_case "mixed-backend ops" `Quick test_backend_mixed_ops;
-          Alcotest.test_case "add_all" `Quick test_backend_add_all;
-          Alcotest.test_case "builder" `Quick test_backend_builder;
+          Alcotest.test_case "round trip" `Quick test_store_round_trip;
+          Alcotest.test_case "add_all" `Quick test_store_add_all;
+          Alcotest.test_case "builder" `Quick test_store_builder;
           Alcotest.test_case "builder merge" `Quick
-            test_backend_builder_merge;
+            test_store_builder_merge;
           Alcotest.test_case "partitioned barrier build" `Quick
             test_partitioned_builder_barrier;
-          Alcotest.test_case "full" `Quick test_backend_full;
+          Alcotest.test_case "full" `Quick test_store_full;
           Alcotest.test_case "default storage" `Quick test_default_storage;
         ] );
       ( "concurrency",

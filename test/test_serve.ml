@@ -1,8 +1,8 @@
 (* Tests for the incremental materialization server: the snapshot after any
    sequence of insert/delete batches must fingerprint-identically match
    from-scratch stratified saturation (the differential oracle runs the same
-   random op sequences through both paths, on both storage backends and at
-   several pool sizes); the query cache must hit per version and miss across
+   random op sequences through both paths, with both engines and at several
+   pool sizes); the query cache must hit per version and miss across
    updates; snapshots pinned by a reader must be immune to concurrent
    writes; and the protocol layer must answer errors without dying. *)
 
@@ -325,8 +325,8 @@ let current_edges t =
 
 (* Runs one op sequence through a server and checks the oracle after every
    mutation.  Returns true (QCheck property) or raises via Alcotest.fail. *)
-let run_ops ~pool ~engine ~storage program db ops =
-  let t = ok_or_fail (Serve.create ~engine ~storage ?pool program db) in
+let run_ops ~pool ~engine program db ops =
+  let t = ok_or_fail (Serve.create ~engine ?pool program db) in
   List.iter
     (fun op ->
       (match op with
@@ -352,7 +352,7 @@ let run_ops ~pool ~engine ~storage program db ops =
     ops;
   true
 
-let prop_differential ~name ~engine ~storage ~pool_size =
+let prop_differential ~name ~engine ~pool_size =
   QCheck.Test.make ~name ~count:40
     (QCheck.make
        QCheck.Gen.(
@@ -373,22 +373,18 @@ let prop_differential ~name ~engine ~storage ~pool_size =
         if pool_size = 0 then None
         else Some (Negdl_util.Domain_pool.create ~size:pool_size ())
       in
-      let r = run_ops ~pool ~engine ~storage reach db ops in
+      let r = run_ops ~pool ~engine reach db ops in
       Option.iter Negdl_util.Domain_pool.shutdown pool;
       r)
 
 let differential_props =
   [
     prop_differential ~name:"oracle: seminaive, hashed, par=1"
-      ~engine:`Seminaive ~storage:`Hashed ~pool_size:0;
-    prop_differential ~name:"oracle: seminaive, treeset, par=1"
-      ~engine:`Seminaive ~storage:`Treeset ~pool_size:0;
+      ~engine:`Seminaive ~pool_size:0;
     prop_differential ~name:"oracle: parallel, hashed, par=2"
-      ~engine:`Parallel ~storage:`Hashed ~pool_size:1;
+      ~engine:`Parallel ~pool_size:1;
     prop_differential ~name:"oracle: parallel, hashed, par=4"
-      ~engine:`Parallel ~storage:`Hashed ~pool_size:3;
-    prop_differential ~name:"oracle: parallel, treeset, par=4"
-      ~engine:`Parallel ~storage:`Treeset ~pool_size:3;
+      ~engine:`Parallel ~pool_size:3;
   ]
 
 let () =

@@ -2,7 +2,7 @@
 
    The roundtrip oracle: saturate a random program on a random EDB, capture
    a snapshot, restore it, and the restored model must fingerprint-equal the
-   original — across both storage backends and both saturation engines —
+   original — under both saturation engines —
    and snapshotting the restored model must reproduce the file byte for
    byte (the encoding is canonical: dictionary ids, universal sorting).
 
@@ -54,11 +54,11 @@ let idb_of_bindings program bindings =
     (fun idb (name, rel) -> Idb.set idb name rel)
     (Idb.of_program program) bindings
 
-(* Saturate, capture and encode under one engine/storage combination. *)
-let encode_of ~engine ~storage program db =
+(* Saturate, capture and encode under one engine. *)
+let encode_of ~engine program db =
   let idb =
     ok_or_fail Stratified.error_to_string
-      (Stratified.eval ~engine ~storage program db)
+      (Stratified.eval ~engine program db)
   in
   let image =
     snap_ok
@@ -67,13 +67,7 @@ let encode_of ~engine ~storage program db =
   in
   (idb, Snapshot.encode image)
 
-let combos =
-  [
-    ("seminaive/hashed", `Seminaive, `Hashed);
-    ("seminaive/treeset", `Seminaive, `Treeset);
-    ("parallel/hashed", `Parallel, `Hashed);
-    ("parallel/treeset", `Parallel, `Treeset);
-  ]
+let combos = [ ("seminaive", `Seminaive); ("parallel", `Parallel) ]
 
 (* --- codec primitives ----------------------------------------------------- *)
 
@@ -138,40 +132,34 @@ let test_roundtrip_fixed () =
   let db = path_db 6 in
   let per_combo =
     List.map
-      (fun (name, engine, storage) ->
-        (name, encode_of ~engine ~storage tc db))
+      (fun (name, engine) -> (name, encode_of ~engine tc db))
       combos
   in
   let _, (idb0, bytes0) = List.hd per_combo in
-  (* Canonical encoding: every engine/storage combination produces the same
-     bytes for the same model. *)
+  (* Canonical encoding: every engine produces the same bytes for the same
+     model. *)
   List.iter
     (fun (name, (_, bytes)) ->
       check bool (name ^ " encodes identically") true
         (String.equal bytes0 bytes))
     per_combo;
   let image = snap_ok (Snapshot.decode_string bytes0) in
-  List.iter
-    (fun (_, _, storage) ->
-      let restored = snap_ok (Snapshot.restore ~storage image) in
-      let ridb = idb_of_bindings tc restored.Snapshot.r_idb in
-      check bool "restored model equals original" true (Idb.equal idb0 ridb);
-      check int "fingerprints agree" (Idb.fingerprint idb0)
-        (Idb.fingerprint ridb);
-      check bool "restored EDB digest matches" true
-        (String.equal
-           (Snapshot.database_digest restored.Snapshot.r_db)
-           (Snapshot.database_digest db));
-      (* Snapshotting the restored model reproduces the file byte for
-         byte, whatever backend it was rebuilt in. *)
-      let image' =
-        snap_ok
-          (Snapshot.capture ~program:tc ~semantics:"stratified"
-             ~db:restored.Snapshot.r_db restored.Snapshot.r_idb)
-      in
-      check bool "second snapshot is byte-identical" true
-        (String.equal bytes0 (Snapshot.encode image')))
-    combos
+  let restored = snap_ok (Snapshot.restore image) in
+  let ridb = idb_of_bindings tc restored.Snapshot.r_idb in
+  check bool "restored model equals original" true (Idb.equal idb0 ridb);
+  check int "fingerprints agree" (Idb.fingerprint idb0) (Idb.fingerprint ridb);
+  check bool "restored EDB digest matches" true
+    (String.equal
+       (Snapshot.database_digest restored.Snapshot.r_db)
+       (Snapshot.database_digest db));
+  (* Snapshotting the restored model reproduces the file byte for byte. *)
+  let image' =
+    snap_ok
+      (Snapshot.capture ~program:tc ~semantics:"stratified"
+         ~db:restored.Snapshot.r_db restored.Snapshot.r_idb)
+  in
+  check bool "second snapshot is byte-identical" true
+    (String.equal bytes0 (Snapshot.encode image'))
 
 (* --- roundtrip: qcheck differential oracle -------------------------------- *)
 
@@ -187,7 +175,7 @@ let prop_roundtrip =
       in
       let per_combo =
         List.map
-          (fun (_, engine, storage) -> encode_of ~engine ~storage program db)
+          (fun (_, engine) -> encode_of ~engine program db)
           combos
       in
       let idb0, bytes0 = List.hd per_combo in
@@ -197,22 +185,19 @@ let prop_roundtrip =
             QCheck.Test.fail_report "engines disagree on the encoding")
         per_combo;
       let image = snap_ok (Snapshot.decode_string bytes0) in
-      List.iter
-        (fun (_, _, storage) ->
-          let restored = snap_ok (Snapshot.restore ~storage image) in
-          let ridb = idb_of_bindings program restored.Snapshot.r_idb in
-          if not (Idb.equal idb0 ridb) then
-            QCheck.Test.fail_report "restored model differs";
-          if Idb.fingerprint idb0 <> Idb.fingerprint ridb then
-            QCheck.Test.fail_report "restored fingerprint differs";
-          let image' =
-            snap_ok
-              (Snapshot.capture ~program ~semantics:"stratified"
-                 ~db:restored.Snapshot.r_db restored.Snapshot.r_idb)
-          in
-          if not (String.equal bytes0 (Snapshot.encode image')) then
-            QCheck.Test.fail_report "second snapshot not byte-identical")
-        combos;
+      let restored = snap_ok (Snapshot.restore image) in
+      let ridb = idb_of_bindings program restored.Snapshot.r_idb in
+      if not (Idb.equal idb0 ridb) then
+        QCheck.Test.fail_report "restored model differs";
+      if Idb.fingerprint idb0 <> Idb.fingerprint ridb then
+        QCheck.Test.fail_report "restored fingerprint differs";
+      let image' =
+        snap_ok
+          (Snapshot.capture ~program ~semantics:"stratified"
+             ~db:restored.Snapshot.r_db restored.Snapshot.r_idb)
+      in
+      if not (String.equal bytes0 (Snapshot.encode image')) then
+        QCheck.Test.fail_report "second snapshot not byte-identical";
       true)
 
 (* --- corruption battery --------------------------------------------------- *)
