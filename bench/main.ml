@@ -7,12 +7,8 @@
    micro-benchmarks — one Test.make per experiment family plus the ablation
    comparisons (naive vs semi-naive, brute-force vs SAT search).
 
-   Part 3 ("eval") benchmarks the evaluation engine itself — cached vs
-   per-call vs no indexing, and the parallel engine vs sequential — and
-   writes the measurements to BENCH_eval.json in the current directory.
-
-   Part 4 is retired: there is one relation store, and its indexing rows
-   are Part 3's.
+   Parts 3 and 4 are retired: there is one relation store and one indexing
+   mode, and the parallel-vs-sequential rows are Part 7's.
 
    Part 5 ("satpar") is the parallel-search benchmark: the portfolio CDCL
    racer vs the sequential solver on a band of hard random 3-CNF, and the
@@ -20,28 +16,28 @@
    answer-parity checks.  Writes BENCH_sat.json and exits nonzero if any
    answer diverges.
 
-   Part 6 ("plan") is the join-planner ablation: compile-once static plans
-   vs per-application greedy replanning vs unplanned textual scans, on
+   Part 6 ("plan") is the join-planner benchmark: compile-once static plans
+   vs the adaptive feedback planner, on the Theta-application loop and on
    iteration-heavy and join-dominated E7/E8 workloads, with E1-E8 parity
-   fingerprints under all three planners and an allocation bound on the
-   plan executor's hot loop.  Writes BENCH_plan.json and exits nonzero on
-   any divergence.
+   fingerprints under both planners and an allocation bound on the plan
+   executor's hot loop.  Writes BENCH_plan.json and exits nonzero on any
+   divergence or if adaptive planning regresses.
 
    Part 7 ("par") is the intra-rule parallelism benchmark: morsel-sharded
-   plan execution vs whole-rule fan-out on a single-heavy-rule transitive
-   closure, the par=1 sharding-tax bound against the sequential engine, a
-   domain-scaling curve (one row per pool size in {1,2,4,8}, capped by
-   NEGDL_DOMAINS or the host's core count, with store-contention counters
-   per row), a merge microbench pitting the partitioned builder barrier
-   against the seed's set-union merge, model parity across the grain
-   ablation for every saturation semantics, and fingerprint parity across
-   store partition counts (fresh subprocesses under NEGDL_PARTITIONS in
-   {1,2,4,8}).  Writes BENCH_par.json (with the host's domain count in
-   the header — the >= 2x morsel speedup check is skipped below 4
-   domains, unreachable curve points are marked skipped) and exits
-   nonzero on any divergence, if the partitioned merge is not faster than
-   the seed path, or if a multi-domain curve row shows flat contention
-   counters.
+   plan execution vs the sequential engine on a single-heavy-rule
+   transitive closure (where whole-rule fan-out reduces to sequential
+   execution), the par=1 sharding-tax bound, a domain-scaling curve (one
+   row per pool size in {1,2,4,8}, capped by NEGDL_DOMAINS or the host's
+   core count, with store-contention counters per row), a merge
+   microbench pitting the partitioned builder barrier against the seed's
+   set-union merge, parallel-vs-sequential model parity for every
+   saturation semantics, and fingerprint parity across store partition
+   counts (fresh subprocesses under NEGDL_PARTITIONS in {1,2,4,8}).
+   Writes BENCH_par.json (with the host's domain count in the header —
+   the >= 2x morsel speedup check is skipped below 4 domains, unreachable
+   curve points are marked skipped) and exits nonzero on any divergence,
+   if the partitioned merge is not faster than the seed path, or if a
+   multi-domain curve row shows flat contention counters.
 
    Part 8 ("serve") is the incremental-serving benchmark: a long-lived
    server absorbing single-fact and batched update streams (delete +
@@ -64,7 +60,7 @@
    and critical-path (max) bounds over seeded weighted graphs, limit-aware
    tightening vs the pair-materializing Datalog-not encoding of the same
    query, with dominant-filter parity, limit-model fingerprint parity
-   across planners x engines x grains, E1-E8 fingerprint invariance, and
+   across planners x engines, E1-E8 fingerprint invariance, and
    an incremental serve session under mixed
    insert/delete that must keep dred full applications at 0.  Writes
    BENCH_agg.json and exits nonzero on any divergence or if tightening is
@@ -75,7 +71,6 @@
    Run with:  dune exec bench/main.exe                    (parts 1 and 2)
               dune exec bench/main.exe -- tables          (part 1 only)
               dune exec bench/main.exe -- micro           (part 2 only)
-              dune exec bench/main.exe -- eval            (part 3 only)
               dune exec bench/main.exe -- satpar [quick]  (part 5 only)
               dune exec bench/main.exe -- plan [quick]    (part 6 only)
               dune exec bench/main.exe -- par [quick]     (part 7 only)
@@ -600,34 +595,17 @@ let micro_tests () =
       ]
   in
   let theta_group =
+    (* One full application of the TC rules against its saturated IDB. *)
+    let tc_db = db_of (Generate.random ~seed:65 ~n:40 ~p:0.1) in
+    let tc_full = Inflationary.eval tc_program tc_db in
     Test.make_grouped ~name:"theta_operator"
       [
         Test.make ~name:"theta_pi1_c8"
           (stage (fun () -> Theta.apply pi1 c8 (Idb.of_program pi1)));
         Test.make ~name:"ground_apply_pi1_c8"
           (stage (fun () -> Ground.apply pi1_c8_ground (Idb.of_program pi1)));
-      ]
-  in
-  let indexing_group =
-    (* Ablation: one full application of the TC rules against a saturated
-       IDB, with and without the per-call hash indexes. *)
-    let g = Generate.random ~seed:65 ~n:40 ~p:0.1 in
-    let db = db_of g in
-    let full = Inflationary.eval tc_program db in
-    let resolver = Engine.uniform (Engine.layered db full) in
-    let schema =
-      match Ast.idb_schema tc_program with Ok s -> s | Error e -> failwith e
-    in
-    let universe = Database.universe db in
-    let apply indexing () =
-      Engine.eval_rules ~indexing ~universe ~resolver ~schema
-        tc_program.Ast.rules
-    in
-    Test.make_grouped ~name:"ablation_indexing"
-      [
-        Test.make ~name:"theta_tc_n40_cached" (stage (apply `Cached));
-        Test.make ~name:"theta_tc_n40_percall" (stage (apply `Percall));
-        Test.make ~name:"theta_tc_n40_scan" (stage (apply `Scan));
+        Test.make ~name:"theta_tc_n40"
+          (stage (fun () -> Theta.apply tc_program tc_db tc_full));
       ]
   in
   let magic_group =
@@ -658,7 +636,6 @@ let micro_tests () =
       fixpoint_group;
       sat_group;
       theta_group;
-      indexing_group;
       magic_group;
       stable_group;
     ]
@@ -696,7 +673,7 @@ let run_micro () =
       else Format.printf "  %-50s %10.0f ns@." name ns)
     rows
 
-(* --- Part 3: evaluation-engine benchmark (BENCH_eval.json) ----------------- *)
+(* --- Best-of-k wall-clock timing ------------------------------------------- *)
 
 let wall f =
   let start = Unix.gettimeofday () in
@@ -712,125 +689,6 @@ let best_of repeats f =
     if t < !best then best := t
   done;
   (Option.get !result, !best)
-
-(* k vertex-disjoint transitive closures: s_i over its own edge relation
-   e_i.  The 2k rules touch pairwise-disjoint predicates, so every rule
-   application of an iteration is independent — the best case for the
-   parallel engine's fan-out. *)
-let disjoint_tc_workload ~copies ~n ~p =
-  let rules =
-    List.init copies (fun i ->
-        Printf.sprintf
-          "s%d(X, Y) :- e%d(X, Y). s%d(X, Y) :- e%d(X, Z), s%d(Z, Y)." i i i
-          i i)
-    |> String.concat "\n"
-  in
-  let program = Parser.parse_program_exn rules in
-  let db =
-    List.init copies (fun i ->
-        let g = Generate.random ~seed:(80 + i) ~n ~p in
-        Digraph.to_database
-          ~universe_prefix:(Printf.sprintf "c%dv" i)
-          ~pred:(Printf.sprintf "e%d" i)
-          g)
-    |> List.fold_left Database.merge (Database.create ~universe:[])
-  in
-  (program, db)
-
-let eval_bench () =
-  Format.printf
-    "Evaluation-engine benchmark (best-of-k wall times) -> BENCH_eval.json@.";
-  let results = ref [] in
-  let record name ~runs seconds =
-    results := (name, runs, seconds) :: !results;
-    Format.printf "  %-36s %10.2f ms@." name (seconds *. 1e3)
-  in
-  (* Indexing ablation 1: semi-naive TC on a dense 200-node random digraph
-     (np = 4).  Few iterations, large deltas: the join output dominates, so
-     all index strategies that avoid full scans are close. *)
-  let tc_db = db_of (Generate.random ~seed:79 ~n:200 ~p:0.02) in
-  let tc indexing () =
-    Inflationary.eval ~engine:`Seminaive ~indexing tc_program tc_db
-  in
-  let r_cached, t_cached = best_of 5 (tc `Cached) in
-  record "tc200_dense_seminaive_cached" ~runs:5 t_cached;
-  let r_percall, t_percall = best_of 5 (tc `Percall) in
-  record "tc200_dense_seminaive_percall" ~runs:5 t_percall;
-  let r_scan, t_scan = best_of 2 (tc `Scan) in
-  record "tc200_dense_seminaive_scan" ~runs:2 t_scan;
-  let indexing_agree = Idb.equal r_cached r_percall && Idb.equal r_cached r_scan in
-  (* Indexing ablation 2: semi-naive TC on a long-diameter graph with a
-     large stable edge relation — an 80-vertex path (80 iterations) plus
-     700 disjoint extra edges that fatten [e] without deepening the
-     closure.  Here the per-application cost of rebuilding the edge index
-     dominates the join work, which is exactly what the cached persistent
-     index eliminates: it is built once and reused by all ~80 iterations.
-     (On the dense digraph above the join output dominates instead, so
-     cached and per-call indexing tie there.) *)
-  let sparse_db =
-    db_of
-      (Digraph.disjoint_union (Generate.path 80)
-         (Generate.disjoint_copies 700 (Generate.path 2)))
-  in
-  let sparse_reps = 20 in
-  let tc_sparse indexing () =
-    for _ = 2 to sparse_reps do
-      ignore (Inflationary.eval ~engine:`Seminaive ~indexing tc_program sparse_db)
-    done;
-    Inflationary.eval ~engine:`Seminaive ~indexing tc_program sparse_db
-  in
-  let rs_cached, ts_cached = best_of 3 (tc_sparse `Cached) in
-  record "tc_path80_wide_cached" ~runs:3 (ts_cached /. float_of_int sparse_reps);
-  let rs_percall, ts_percall = best_of 3 (tc_sparse `Percall) in
-  record "tc_path80_wide_percall" ~runs:3 (ts_percall /. float_of_int sparse_reps);
-  let sparse_agree = Idb.equal rs_cached rs_percall in
-  (* Parallel fan-out: 4 disjoint transitive closures, 8 independent rules. *)
-  let par_program, par_db = disjoint_tc_workload ~copies:4 ~n:140 ~p:0.028 in
-  let fan engine () = Inflationary.eval ~engine par_program par_db in
-  let r_seq, t_seq = best_of 5 (fan `Seminaive) in
-  record "tc4x140_seminaive" ~runs:5 t_seq;
-  let r_par, t_par = best_of 5 (fan `Parallel) in
-  record "tc4x140_parallel" ~runs:5 t_par;
-  let parallel_agree = Idb.equal r_seq r_par in
-  let speedup_idx = t_percall /. t_cached in
-  let speedup_sparse = ts_percall /. ts_cached in
-  let speedup_scan = t_scan /. t_cached in
-  let speedup_par = t_seq /. t_par in
-  Format.printf "  cached vs percall (dense):  %.2fx@." speedup_idx;
-  Format.printf "  cached vs percall (path+wide): %.2fx@." speedup_sparse;
-  Format.printf "  cached vs scan (dense):     %.2fx@." speedup_scan;
-  Format.printf "  parallel vs seminaive:      %.2fx (%d worker domains)@."
-    speedup_par
-    (Domain_pool.size (Domain_pool.default ()));
-  Format.printf "  results agree: indexing %s, sparse %s, parallel %s@."
-    (ok indexing_agree) (ok sparse_agree) (ok parallel_agree);
-  let oc = open_out "BENCH_eval.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
-  out "  \"benchmarks\": [\n";
-  let entries = List.rev !results in
-  List.iteri
-    (fun i (name, runs, seconds) ->
-      out "    {\"name\": %S, \"ns_per_op\": %.0f, \"runs\": %d}%s\n" name
-        (seconds *. 1e9) runs
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  out "  ],\n";
-  out "  \"speedups\": {\n";
-  out "    \"cached_vs_percall_dense\": %.3f,\n" speedup_idx;
-  out "    \"cached_vs_percall_iterheavy\": %.3f,\n" speedup_sparse;
-  out "    \"cached_vs_scan_dense\": %.3f,\n" speedup_scan;
-  out "    \"parallel_vs_seminaive\": %.3f\n" speedup_par;
-  out "  },\n";
-  out "  \"checks\": {\n";
-  out "    \"indexing_modes_agree\": %b,\n" (indexing_agree && sparse_agree);
-  out "    \"parallel_matches_sequential\": %b\n" parallel_agree;
-  out "  },\n";
-  out "  \"worker_domains\": %d\n" (Domain_pool.size (Domain_pool.default ()));
-  out "}\n";
-  close_out oc
 
 (* --- E1-E8 parity fingerprint ------------------------------------------------ *)
 
@@ -1016,7 +874,6 @@ let satpar_bench ~quick () =
   out "{\n";
   out "  \"quick\": %b,\n" quick;
   out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
   out "  \"portfolio_workers\": %d,\n" n_workers;
   out "  \"random3sat\": [\n";
   List.iteri
@@ -1054,7 +911,7 @@ let satpar_bench ~quick () =
     exit 1
   end
 
-(* --- Part 6: planner ablation benchmark (BENCH_plan.json) -------------------- *)
+(* --- Part 6: planner benchmark (BENCH_plan.json) ----------------------------- *)
 
 let with_planner planner f =
   let saved = Plan.default_planner () in
@@ -1098,19 +955,17 @@ let with_drift factor f =
 
 let plan_bench ~quick () =
   Format.printf
-    "Planner ablation benchmark (static vs greedy vs scan vs adaptive%s) -> \
-     BENCH_plan.json@."
+    "Planner benchmark (static vs adaptive%s) -> BENCH_plan.json@."
     (if quick then ", quick mode" else "");
-  let planners = [ `Static; `Greedy; `Scan; `Adaptive ] in
+  let planners = [ `Static; `Adaptive ] in
   let best_reps = if quick then 2 else 4 in
   (* Workload 1 — the Theta-application loop itself, on E1's pi_1: the
      operator every semantics in the paper iterates, applied over and over
      at its inflationary valuation on C_8 with a shared plan cache.  This
      is the regime of Theta.iterate's orbit detection and the well-founded
      alternating fixpoint's inner reducts — thousands of applications over
-     a tiny valuation — and it isolates exactly what the plan layer
-     changed: per application, static fetches a cached plan where greedy
-     replans from fresh cardinalities. *)
+     a tiny valuation — where per-application planning overhead, not
+     join work, dominates. *)
   let theta_db = db_of (Generate.cycle 8) in
   (* A true fixpoint valuation (one of C_8's kernels), so each application
      re-derives exactly S. *)
@@ -1133,13 +988,13 @@ let plan_bench ~quick () =
         let r, t = best_of best_reps run in
         (Idb.total_cardinal r, t /. float_of_int theta_iters))
   in
-  (* Workload 2 — application-heavy TC (the E7 family, tilted to where
-     replanning hurts): k vertex-disjoint transitive closures over small
-     cycles.  Every semi-naive stage runs one delta application per copy,
-     each joining a handful of tuples — so the greedy policy pays a
-     replan per copy per stage against joins too small to ever reorder
-     differently.  Static planning compiles each (rule, variant) once and
-     hits the cache for the rest of the run. *)
+  (* Workload 2 — application-heavy TC (the E7 family): k vertex-disjoint
+     transitive closures over small cycles.  Every semi-naive stage runs
+     one delta application per copy, each joining a handful of tuples —
+     the regime where scanning a tiny relation beats probing its index,
+     which the adaptive planner's feedback loop has to discover.  Both
+     planners compile each (rule, variant) once and hit the cache for the
+     rest of the run. *)
   let multi_copies = if quick then 32 else 48 in
   let multi_cycle = 8 in
   let multi_reps = if quick then 4 else 6 in
@@ -1170,9 +1025,8 @@ let plan_bench ~quick () =
         (Idb.total_cardinal r, t /. float_of_int multi_reps))
   in
   (* Workload 3 — the E8 distance program on L_n: six rules, three
-     delta-specialized variants per stage, ~n stages; the multi-rule body
-     mix (negation, universe enumeration) makes replanning costlier than
-     on TC while the per-stage deltas stay small. *)
+     delta-specialized variants per stage, ~n stages; a multi-rule body
+     mix (negation, universe enumeration) with small per-stage deltas. *)
   let dist_n = if quick then 10 else 13 in
   let dist_reps = if quick then 3 else 4 in
   let dist_g = Generate.path dist_n in
@@ -1188,10 +1042,8 @@ let plan_bench ~quick () =
         (Relation.cardinal r, t /. float_of_int dist_reps))
   in
   (* Workload 4 — dense TC (join-output-dominated, the E7 dense point):
-     here execution dwarfs planning, so static and greedy should tie and
-     only scan (no index probes) falls off a cliff.  Kept as the honest
-     counterpoint: static planning wins by removing replan overhead, not
-     by finding better orders than greedy. *)
+     here execution dwarfs planning, and index probes are what keep it
+     fast — the adaptive planner must not trade them away. *)
   let dense_n = if quick then 90 else 140 in
   let dense_db =
     db_of (Generate.random ~seed:79 ~n:dense_n ~p:(4.0 /. float_of_int dense_n))
@@ -1240,38 +1092,18 @@ let plan_bench ~quick () =
         List.for_all (fun p -> fst (cell wname p) = t0) planners)
       workloads
   in
-  let speedup wname a b = snd (cell wname b) /. snd (cell wname a) in
-  let sg_theta = speedup "theta_pi1_apply" `Static `Greedy in
-  let sg_tc = speedup "tc_multi_iterheavy" `Static `Greedy in
-  let sg_dist = speedup "distance_path" `Static `Greedy in
-  let sg_dense = speedup "tc_dense" `Static `Greedy in
-  let ss_dense = speedup "tc_dense" `Static `Scan in
-  Format.printf "  static vs greedy (theta loop):    %.2fx@." sg_theta;
-  Format.printf "  static vs greedy (tc multi):      %.2fx@." sg_tc;
-  Format.printf "  static vs greedy (distance):      %.2fx@." sg_dist;
-  Format.printf "  static vs greedy (tc dense):      %.2fx@." sg_dense;
-  Format.printf "  static vs scan   (tc dense):      %.2fx@." ss_dense;
-  (* The adaptive gate: no single static choice wins every workload (scan
-     beats static on the many-tiny-joins TC, static beats scan 6x+ on the
-     dense one), so the feedback planner must land within 10% of whichever
-     static choice is best, on every workload — and strictly beat static
-     where scan wins today. *)
+  (* The adaptive gate: the feedback planner must land within 10% of the
+     static planner on every workload — and strictly beat it on the
+     many-tiny-joins TC, where scanning beats probing. *)
   let adaptive_margins =
     List.map
       (fun (wname, _) ->
-        let best =
-          List.fold_left
-            (fun acc p -> Float.min acc (snd (cell wname p)))
-            infinity
-            [ `Static; `Greedy; `Scan ]
-        in
-        (wname, snd (cell wname `Adaptive) /. best))
+        (wname, snd (cell wname `Adaptive) /. snd (cell wname `Static)))
       workloads
   in
   List.iter
     (fun (wname, margin) ->
-      Format.printf "  adaptive vs best static choice (%s): %.2fx@." wname
-        margin)
+      Format.printf "  adaptive vs static (%s): %.2fx@." wname margin)
     adaptive_margins;
   let adaptive_within_10pct =
     List.for_all (fun (_, margin) -> margin <= 1.10) adaptive_margins
@@ -1280,32 +1112,25 @@ let plan_bench ~quick () =
     snd (cell "tc_multi_iterheavy" `Adaptive)
     < snd (cell "tc_multi_iterheavy" `Static)
   in
-  Format.printf "  adaptive within 10%% of best everywhere %s@."
+  Format.printf "  adaptive within 10%% of static everywhere %s@."
     (ok adaptive_within_10pct);
   Format.printf "  adaptive beats static on tc_multi_iterheavy %s@."
     (ok adaptive_beats_static_tc_multi);
   (* Plan-counter telemetry on the iteration-heavy workload: static compiles
      a bounded set of plans — full + delta variants, at most 3 per copy —
-     and hits the cache everywhere else; greedy compiles once per rule
-     application, so it scales with iterations, not rules. *)
-  let counters planner =
-    with_planner planner (fun () ->
+     and hits the cache everywhere else, so compiles scale with rules, not
+     with iterations. *)
+  let static_compiles, static_hits =
+    with_planner `Static (fun () ->
         let stats = Stats.create () in
         ignore
           (Inflationary.eval ~engine:`Seminaive ~stats multi_program multi_db);
         (stats.Stats.plan.Plan.plan_compiles,
          stats.Stats.plan.Plan.plan_cache_hits))
   in
-  let static_compiles, static_hits = counters `Static in
-  let greedy_compiles, greedy_hits = counters `Greedy in
-  Format.printf
-    "  plan compiles on %dx tc C_%d: static %d (%d cache hits), greedy %d \
-     (%d)@."
-    multi_copies multi_cycle static_compiles static_hits greedy_compiles
-    greedy_hits;
-  let compile_once_ok =
-    static_compiles <= 3 * multi_copies && greedy_compiles > static_compiles
-  in
+  Format.printf "  plan compiles on %dx tc C_%d: static %d (%d cache hits)@."
+    multi_copies multi_cycle static_compiles static_hits;
+  let compile_once_ok = static_compiles <= 3 * multi_copies in
   (* Feedback-loop telemetry on the dense TC, where the growing closure
      moves observed per-step cardinalities furthest from the estimates the
      delta plans were compiled against: the adaptive planner converts the
@@ -1368,7 +1193,6 @@ let plan_bench ~quick () =
   out "{\n";
   out "  \"quick\": %b,\n" quick;
   out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
   out "  \"matrix\": [\n";
   List.iteri
     (fun i (wname, planner, tuples, seconds) ->
@@ -1381,9 +1205,7 @@ let plan_bench ~quick () =
   out "  ],\n";
   out "  \"plan_counters\": {\n";
   out "    \"static_compiles\": %d,\n" static_compiles;
-  out "    \"static_cache_hits\": %d,\n" static_hits;
-  out "    \"greedy_compiles\": %d,\n" greedy_compiles;
-  out "    \"greedy_cache_hits\": %d\n" greedy_hits;
+  out "    \"static_cache_hits\": %d\n" static_hits;
   out "  },\n";
   out "  \"adaptive\": {\n";
   out "    \"tc_dense_compiles_default_drift\": %d,\n" dense_compiles_default;
@@ -1392,22 +1214,15 @@ let plan_bench ~quick () =
   out "    \"tc_dense_replans_drift1\": %d,\n" dense_replans_tight;
   List.iteri
     (fun i (wname, margin) ->
-      out "    \"margin_vs_best_%s\": %.3f%s\n" wname margin
+      out "    \"margin_vs_static_%s\": %.3f%s\n" wname margin
         (if i = List.length adaptive_margins - 1 then "" else ","))
     adaptive_margins;
-  out "  },\n";
-  out "  \"speedups\": {\n";
-  out "    \"static_vs_greedy_theta_apply\": %.3f,\n" sg_theta;
-  out "    \"static_vs_greedy_tc_iterheavy\": %.3f,\n" sg_tc;
-  out "    \"static_vs_greedy_distance\": %.3f,\n" sg_dist;
-  out "    \"static_vs_greedy_tc_dense\": %.3f,\n" sg_dense;
-  out "    \"static_vs_scan_tc_dense\": %.3f\n" ss_dense;
   out "  },\n";
   out "  \"checks\": {\n";
   out "    \"e1_e8_fingerprints_match\": %b,\n" parity_ok;
   out "    \"planner_results_agree\": %b,\n" results_agree;
   out "    \"compile_once\": %b,\n" compile_once_ok;
-  out "    \"adaptive_within_10pct_of_best\": %b,\n" adaptive_within_10pct;
+  out "    \"adaptive_within_10pct_of_static\": %b,\n" adaptive_within_10pct;
   out "    \"adaptive_beats_static_tc_multi\": %b,\n"
     adaptive_beats_static_tc_multi;
   out "    \"adaptive_replans_recorded\": %b,\n" replans_recorded;
@@ -1428,18 +1243,11 @@ let plan_bench ~quick () =
 
 (* --- Part 7: intra-rule parallelism benchmark (BENCH_par.json) ---------------- *)
 
-let with_grain grain f =
-  let saved = Engine.default_grain () in
-  Engine.set_default_grain grain;
-  Fun.protect ~finally:(fun () -> Engine.set_default_grain saved) f
-
-let grain_name = Engine.grain_to_string
-
 (* Model-level parity for the [`Parallel] engine: every semantics built on
-   saturation, evaluated under an explicit pool and grain, reduced to
-   (name, count) entries.  Compared against the sequential reference and
-   across grain settings — the morsel schedule must never change a model. *)
-let par_model_fingerprint ~engine ?pool ?grain () =
+   saturation, evaluated under an explicit pool, reduced to (name, count)
+   entries.  Compared against the sequential engine — the morsel schedule
+   must never change a model. *)
+let par_model_fingerprint ~engine ?pool () =
   let entries = ref [] in
   let add name v = entries := (name, v) :: !entries in
   (* pi_1 (recursion through negation) on cycles and paths. *)
@@ -1447,11 +1255,11 @@ let par_model_fingerprint ~engine ?pool ?grain () =
     (fun (name, g) ->
       add ("infl_pi1_" ^ name)
         (Idb.total_cardinal
-           (Inflationary.eval ~engine ?pool ?grain pi1 (db_of g))))
+           (Inflationary.eval ~engine ?pool pi1 (db_of g))))
     [ ("C8", Generate.cycle 8); ("L9", Generate.path 9) ];
   (* E7-style transitive closure: tuples and stage counts. *)
   let tr =
-    Inflationary.eval_trace ~engine ?pool ?grain tc_program
+    Inflationary.eval_trace ~engine ?pool tc_program
       (db_of (Generate.random ~seed:31 ~n:30 ~p:0.13))
   in
   add "tc30_tuples" (Idb.total_cardinal tr.Saturate.result);
@@ -1463,11 +1271,11 @@ let par_model_fingerprint ~engine ?pool ?grain () =
   in
   let neg_db = db_of (Generate.random ~seed:57 ~n:12 ~p:0.2) in
   add "strat_unreach_tuples"
-    (Idb.total_cardinal (Stratified.eval_exn ~engine ?pool ?grain neg_p neg_db));
+    (Idb.total_cardinal (Stratified.eval_exn ~engine ?pool neg_p neg_db));
   (* The three-valued side: the alternating fixpoint re-saturates many
      times, so a scheduling bug would surface here first. *)
   let m =
-    Wellfounded.eval ~engine ?pool ?grain pi1 (db_of (Generate.cycle 6))
+    Wellfounded.eval ~engine ?pool pi1 (db_of (Generate.cycle 6))
   in
   add "wf_pi1_c6_true" (Idb.total_cardinal m.Wellfounded.true_facts);
   add "wf_pi1_c6_possible" (Idb.total_cardinal m.Wellfounded.possible);
@@ -1569,10 +1377,10 @@ let par_bench ~quick () =
   let pool1 = Domain_pool.create ~size:0 () in
   let best_reps = if quick then 3 else 5 in
   (* The single-heavy-rule regime: after stage 1 every semi-naive stage of
-     TC has exactly one runnable delta application, so rule-level fan-out
-     ([`Rules]) degenerates to sequential execution no matter how many
-     domains the pool holds.  Morsel sharding splits that one
-     application's driving input across the pool instead. *)
+     TC has exactly one runnable delta application, so whole-rule fan-out
+     reduces to sequential execution no matter how many domains the pool
+     holds.  Morsel sharding splits that one application's driving input
+     across the pool instead. *)
   let n = if quick then 160 else 220 in
   let heavy_db =
     db_of (Generate.random ~seed:97 ~n ~p:(3.2 /. float_of_int n))
@@ -1597,8 +1405,7 @@ let par_bench ~quick () =
      of the best-of window. *)
   let seq () = Inflationary.eval ~engine:`Seminaive tc_program heavy_db in
   let par1 () =
-    Inflationary.eval ~engine:`Parallel ~pool:pool1 ~grain:`Auto tc_program
-      heavy_db
+    Inflationary.eval ~engine:`Parallel ~pool:pool1 tc_program heavy_db
   in
   ignore (seq ());
   ignore (par1 ());
@@ -1619,25 +1426,16 @@ let par_bench ~quick () =
   let r_par1 = Option.get !r_par1 and t_par1 = !t_par1 in
   record "tc_heavy_seminaive" (Idb.total_cardinal r_seq) t_seq;
   record "tc_heavy_par1_morsel_auto" (Idb.total_cardinal r_par1) t_par1;
-  let r_rules, t_rules =
-    measure "tc_heavy_par4_rule_fanout" (fun () ->
-        Inflationary.eval ~engine:`Parallel ~pool ~grain:`Rules tc_program
-          heavy_db)
-  in
   let r_auto, t_auto =
     measure "tc_heavy_par4_morsel_auto" (fun () ->
-        Inflationary.eval ~engine:`Parallel ~pool ~grain:`Auto tc_program
-          heavy_db)
+        Inflationary.eval ~engine:`Parallel ~pool tc_program heavy_db)
   in
-  let models_agree =
-    Idb.equal r_seq r_rules && Idb.equal r_seq r_auto
-    && Idb.equal r_seq r_par1
-  in
+  let models_agree = Idb.equal r_seq r_auto && Idb.equal r_seq r_par1 in
   (* Scheduling counters, from a stats run of the morsel configuration. *)
   let sched = Stats.create () in
   ignore
-    (Inflationary.eval ~engine:`Parallel ~pool ~grain:`Auto ~stats:sched
-       tc_program heavy_db);
+    (Inflationary.eval ~engine:`Parallel ~pool ~stats:sched tc_program
+       heavy_db);
   Format.printf
     "  scheduling: %d morsels, %d steals, max shard skew %d@."
     sched.Stats.morsels sched.Stats.steals sched.Stats.max_shard_skew;
@@ -1654,8 +1452,7 @@ let par_bench ~quick () =
         else begin
           let pool_d = Domain_pool.create ~size:(d - 1) () in
           let run db () =
-            Inflationary.eval ~engine:`Parallel ~pool:pool_d ~grain:`Auto
-              tc_program db
+            Inflationary.eval ~engine:`Parallel ~pool:pool_d tc_program db
           in
           ignore (run heavy_db ());
           let r, t = best_of best_reps (run heavy_db) in
@@ -1667,8 +1464,8 @@ let par_bench ~quick () =
           let before = Relalg.Store.contention () in
           let s = Stats.create () in
           ignore
-            (Inflationary.eval ~engine:`Parallel ~pool:pool_d ~grain:`Auto
-               ~stats:s tc_program fresh_db);
+            (Inflationary.eval ~engine:`Parallel ~pool:pool_d ~stats:s
+               tc_program fresh_db);
           let after = Relalg.Store.contention () in
           Domain_pool.shutdown pool_d;
           let row =
@@ -1810,62 +1607,28 @@ let par_bench ~quick () =
     (Array.length rows) shards (t_seed_merge *. 1e6) (t_part_merge *. 1e6)
     (t_seed_merge /. t_part_merge)
     (ok (merge_below_seed && merge_parity));
-  let speedup_morsel = t_rules /. t_auto in
-  let speedup_rules = t_seq /. t_rules in
+  let speedup_morsel = t_seq /. t_auto in
   let par1_tax = t_par1 /. t_seq in
-  Format.printf "  morsel auto vs rule fan-out: %.2fx@." speedup_morsel;
-  Format.printf "  rule fan-out vs seminaive:   %.2fx@." speedup_rules;
+  Format.printf "  morsel auto vs seminaive:    %.2fx@." speedup_morsel;
   Format.printf "  par=1 sharding tax:          %.3fx (bound 1.05)@." par1_tax;
-  (* Model parity across the grain ablation, all saturation semantics. *)
-  let grains : Engine.grain list = [ `Fixed 1; `Fixed 7; `Auto; `Rules ] in
+  (* Parallel-vs-sequential model parity, all saturation semantics. *)
   let reference = par_model_fingerprint ~engine:`Seminaive () in
-  let grain_divergences =
-    List.concat_map
-      (fun grain ->
-        let fp = par_model_fingerprint ~engine:`Parallel ~pool ~grain () in
-        List.filter_map
-          (fun ((name, s), (name', v)) ->
-            assert (name = name');
-            if s = v then None else Some (grain_name grain, name, s, v))
-          (List.combine reference fp))
-      grains
+  let divergences =
+    List.filter_map
+      (fun ((name, s), (name', v)) ->
+        assert (name = name');
+        if s = v then None else Some (name, s, v))
+      (List.combine reference
+         (par_model_fingerprint ~engine:`Parallel ~pool ()))
   in
   List.iter
-    (fun (gname, name, s, v) ->
-      Format.printf "  DIVERGENCE %s under grain %s: seq=%d got=%d@." name
-        gname s v)
-    grain_divergences;
-  let grain_parity = grain_divergences = [] in
-  Format.printf "  parity: parallel models (%d entries x %d grains) %s@."
-    (List.length reference) (List.length grains) (ok grain_parity);
-  (* The grain default must be inert outside the [`Parallel] engine: the
-     full E1-E8 fingerprint (SAT census, Fagin decider, distance queries —
-     all on sequential defaults) cannot move with it. *)
-  let seq_grains : Engine.grain list =
-    if quick then [ `Fixed 7 ] else [ `Fixed 1; `Fixed 7; `Rules ]
-  in
-  let fp_default = parity_fingerprint () in
-  let seq_divergences =
-    List.concat_map
-      (fun grain ->
-        List.filter_map
-          (fun ((name, s), (name', v)) ->
-            assert (name = name');
-            if s = v then None else Some (grain_name grain, name, s, v))
-          (List.combine fp_default
-             (with_grain grain parity_fingerprint)))
-      seq_grains
-  in
-  List.iter
-    (fun (gname, name, s, v) ->
-      Format.printf
-        "  DIVERGENCE %s: default grain=%d, grain %s=%d (sequential path!)@."
-        name s gname v)
-    seq_divergences;
-  let seq_grain_parity = seq_divergences = [] in
-  Format.printf
-    "  parity: E1-E8 fingerprints (%d entries x %d grain defaults) %s@."
-    (List.length fp_default) (List.length seq_grains) (ok seq_grain_parity);
+    (fun (name, s, v) ->
+      Format.printf "  DIVERGENCE %s under the parallel engine: seq=%d got=%d@."
+        name s v)
+    divergences;
+  let parallel_parity = divergences = [] in
+  Format.printf "  parity: parallel models (%d entries) %s@."
+    (List.length reference) (ok parallel_parity);
   (* Cross-partition parity: the same fingerprints must come out of fresh
      processes running the store at 1, 2, 4 and 8 stripes. *)
   let partition_counts, partition_parity = par_partition_parity ~quick () in
@@ -1873,10 +1636,10 @@ let par_bench ~quick () =
     (String.concat ", " (List.map string_of_int partition_counts))
     (ok partition_parity);
   let par1_ok = par1_tax <= 1.05 in
-  (* The >= 2x morsel-over-fan-out check needs real parallel hardware: with
-     fewer than 4 domains the pool's workers time-slice one core and the
-     wall-clock gain is physically unobtainable, so the check is recorded
-     as skipped rather than silently passed or unfairly failed. *)
+  (* The >= 2x morsel-over-sequential check needs real parallel hardware:
+     with fewer than 4 domains the pool's workers time-slice the cores and
+     the wall-clock gain is physically unobtainable, so the check is
+     recorded as skipped rather than silently passed or unfairly failed. *)
   let morsel_check =
     if host_domains < 4 then `Skipped
     else if speedup_morsel >= 2.0 then `Pass
@@ -1887,8 +1650,7 @@ let par_bench ~quick () =
     | `Pass -> "pass"
     | `Fail -> "fail"
   in
-  Format.printf "  morsel >= 2x over rule fan-out: %s@."
-    (check_name morsel_check);
+  Format.printf "  morsel >= 2x over seminaive: %s@." (check_name morsel_check);
   Format.printf "  contention counters non-zero (d >= 2): %s@."
     (check_name contention_check);
   let oc = open_out "BENCH_par.json" in
@@ -1898,7 +1660,6 @@ let par_bench ~quick () =
   out "  \"host_domains\": %d,\n" host_domains;
   out "  \"available_domains\": %d,\n" avail;
   out "  \"store_partitions\": %d,\n" (Relalg.Store.partitions ());
-  out "  \"grain\": %S,\n" (grain_name (Engine.default_grain ()));
   out "  \"pool_participants\": %d,\n" (Domain_pool.size pool + 1);
   out "  \"benchmarks\": [\n";
   let entries = List.rev !results in
@@ -1946,14 +1707,12 @@ let par_bench ~quick () =
   out "    \"max_shard_skew\": %d\n" sched.Stats.max_shard_skew;
   out "  },\n";
   out "  \"speedups\": {\n";
-  out "    \"morsel_vs_rule_fanout\": %.3f,\n" speedup_morsel;
-  out "    \"rule_fanout_vs_seminaive\": %.3f,\n" speedup_rules;
+  out "    \"morsel_vs_seminaive\": %.3f,\n" speedup_morsel;
   out "    \"par1_vs_seminaive_tax\": %.3f\n" par1_tax;
   out "  },\n";
   out "  \"checks\": {\n";
   out "    \"models_agree\": %b,\n" models_agree;
-  out "    \"grain_parity_parallel\": %b,\n" grain_parity;
-  out "    \"grain_parity_sequential_paths\": %b,\n" seq_grain_parity;
+  out "    \"parallel_model_parity\": %b,\n" parallel_parity;
   out "    \"partition_parity\": %b,\n" partition_parity;
   out "    \"merge_parity\": %b,\n" merge_parity;
   out "    \"merge_below_seed\": %b,\n" merge_below_seed;
@@ -1968,7 +1727,7 @@ let par_bench ~quick () =
   Domain_pool.shutdown pool1;
   if
     not
-      (models_agree && grain_parity && seq_grain_parity && partition_parity
+      (models_agree && parallel_parity && partition_parity
      && merge_parity && merge_below_seed && par1_ok
      && morsel_check <> `Fail
       && contention_check <> `Fail)
@@ -2487,7 +2246,7 @@ let agg_bench ~quick () =
       ~limit_pred:"best" ~derived:[ "good"; "modest" ]
   in
   (* Config parity: the limit model's fingerprint must be invariant across
-     planners, engines and grain defaults. *)
+     planners and engines. *)
   let model_fp ?planner ?engine () =
     Idb.fingerprint (Stratified.eval_exn ?planner ?engine min_limit min_db)
   in
@@ -2507,14 +2266,6 @@ let agg_bench ~quick () =
             (name, model_fp ~planner ~engine ()))
           [ `Seminaive; `Parallel ])
       [ `Static; `Adaptive ]
-  in
-  let config_fps =
-    config_fps
-    @ List.map
-        (fun grain ->
-          ( Printf.sprintf "grain/%s" (grain_name grain),
-            with_grain grain (fun () -> model_fp ~engine:`Parallel ()) ))
-        [ `Fixed 256; `Rules ]
   in
   let config_divergences =
     List.filter (fun (_, fp) -> fp <> reference) config_fps
@@ -2640,7 +2391,6 @@ let () =
   let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "quick" in
   if what = "tables" || what = "all" then tables ();
   if what = "micro" || what = "all" then run_micro ();
-  if what = "eval" then eval_bench ();
   if what = "satpar" then satpar_bench ~quick ();
   if what = "plan" then plan_bench ~quick ();
   if what = "par-fingerprint" then par_fingerprint_print ();

@@ -85,19 +85,6 @@ let engine_arg =
            $(b,parallel) (semi-naive with rule applications fanned across \
            domains).")
 
-let indexing_arg =
-  let indexing_conv =
-    Arg.enum [ ("cached", `Cached); ("percall", `Percall); ("scan", `Scan) ]
-  in
-  Arg.(
-    value
-    & opt indexing_conv `Cached
-    & info [ "indexing" ] ~docv:"MODE"
-        ~doc:
-          "Join indexing: $(b,cached) (default, persistent per-relation \
-           column indexes maintained incrementally), $(b,percall) (rebuilt \
-           for every rule application), or $(b,scan) (no indexes).")
-
 let planner_arg =
   let planner_conv =
     let parse s =
@@ -117,9 +104,7 @@ let planner_arg =
            sizes drift), $(b,adaptive) (static plus a feedback loop: \
            observed per-step cardinalities that diverge from the \
            estimates trigger a bounded recompile with the observed values \
-           substituted), $(b,greedy) (replan on every rule application — \
-           the pre-plan-layer behaviour, kept as an ablation), or \
-           $(b,scan) (textual literal order, no index probes).")
+           substituted).")
 
 let plan_drift_arg =
   Arg.(
@@ -160,27 +145,6 @@ let stats_arg =
         ~doc:
           "Print evaluation statistics (iterations, rule applications, \
            tuples derived, index hits, stage timings) to stderr.")
-
-let parallel_grain_arg =
-  let grain_conv =
-    let parse s =
-      match Negdl.Engine.grain_of_string s with
-      | Ok v -> Ok v
-      | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv ~docv:"GRAIN" (parse, Negdl.Engine.pp_grain)
-  in
-  Arg.(
-    value
-    & opt grain_conv `Auto
-    & info [ "parallel-grain" ] ~docv:"GRAIN"
-        ~doc:
-          "Morsel size for the $(b,parallel) engine's intra-rule sharding \
-           (tuples of the driving input per morsel): $(b,auto) (default, \
-           sized from the input and the domain count), a positive integer, \
-           or $(b,rules) (never shard within a rule — whole-rule fan-out \
-           only, the pre-morsel behaviour).  The computed result is \
-           identical for every setting.")
 
 let sat_par_arg =
   Arg.(
@@ -256,9 +220,8 @@ let eval_cmd =
              (fail closed), a merely stale one is re-evaluated.")
   in
   let run program_path db_path semantics engine planner plan_drift explain
-      indexing stats sat_par grain pred snapshot_file =
+      stats sat_par pred snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
-    Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
@@ -270,8 +233,7 @@ let eval_cmd =
     let evaluate_and_save () =
       let result =
         or_die
-          (Negdl.run ~engine ~planner ?plan_cache ~indexing ?stats semantics
-             program db)
+          (Negdl.run ~engine ~planner ?plan_cache ?stats semantics program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -347,9 +309,8 @@ let eval_cmd =
     (Cmd.info "eval" ~doc)
     Term.(
       const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
-      $ planner_arg $ plan_drift_arg $ explain_arg $ indexing_arg
-      $ stats_arg $ sat_par_arg $ parallel_grain_arg $ pred_arg
-      $ snapshot_arg)
+      $ planner_arg $ plan_drift_arg $ explain_arg $ stats_arg $ sat_par_arg
+      $ pred_arg $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
 
@@ -399,9 +360,8 @@ let fixpoints_cmd =
              text file) — delete $(docv) after editing $(i,DATABASE).")
   in
   let run program_path db_path planner plan_drift explain limit enumerate
-      sat_par grain sat_budget count_budget stats snapshot_file =
+      sat_par sat_budget count_budget stats snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
-    Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
@@ -490,9 +450,8 @@ let fixpoints_cmd =
     (Cmd.info "fixpoints" ~doc)
     Term.(
       const run $ program_arg $ database_arg $ planner_arg $ plan_drift_arg
-      $ explain_arg $ limit_arg $ enumerate_arg $ sat_par_arg
-      $ parallel_grain_arg $ sat_budget_arg $ count_budget_arg $ stats_arg
-      $ snapshot_arg)
+      $ explain_arg $ limit_arg $ enumerate_arg $ sat_par_arg $ sat_budget_arg
+      $ count_budget_arg $ stats_arg $ snapshot_arg)
 
 (* --- explain ----------------------------------------------------------------- *)
 
@@ -668,9 +627,8 @@ let serve_cmd =
              program — is a hard error.  When $(docv) does not exist, \
              materialise normally and checkpoint to it before serving.")
   in
-  let run program_path db_path engine planner plan_drift indexing stats grain
-      socket snapshot_file =
-    Negdl.Engine.set_default_grain grain;
+  let run program_path db_path engine planner plan_drift stats socket
+      snapshot_file =
     apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
     let stats_rec = Negdl.Stats.create () in
@@ -678,8 +636,7 @@ let serve_cmd =
       let db = or_die (load_database db_path) in
       let state =
         or_die
-          (Negdl.Serve.create ~engine ~planner ~indexing ~grain
-             ~stats:stats_rec program db)
+          (Negdl.Serve.create ~engine ~planner ~stats:stats_rec program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -694,8 +651,8 @@ let serve_cmd =
       | Some file when Sys.file_exists file ->
         let image = snap_die (Negdl.Snapshot.read_file file) in
         or_die
-          (Negdl.Serve.create_restored ~engine ~planner ~indexing ~grain
-             ~stats:stats_rec program image)
+          (Negdl.Serve.create_restored ~engine ~planner ~stats:stats_rec
+             program image)
       | _ -> cold_start ()
     in
     (* One client session over a raw file descriptor; returns how it
@@ -829,8 +786,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ engine_arg $ planner_arg
-      $ plan_drift_arg $ indexing_arg $ stats_arg $ parallel_grain_arg
-      $ socket_arg $ snapshot_arg)
+      $ plan_drift_arg $ stats_arg $ socket_arg $ snapshot_arg)
 
 (* --- snapshot / restore ----------------------------------------------------- *)
 

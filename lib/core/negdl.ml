@@ -119,7 +119,7 @@ let reject_limits who (program : Ast.program) =
          l.limit_pred
          (Ast.limit_kind_to_string l.kind))
 
-let run ?engine ?planner ?plan_cache ?indexing
+let run ?engine ?planner ?plan_cache ?indexing:(_ : Engine.indexing option)
     ?storage:(_ : Relation.storage option) ?stats semantics program db =
   let cache = plan_cache in
   try
@@ -131,28 +131,25 @@ let run ?engine ?planner ?plan_cache ?indexing
       Ok
         {
           facts =
-            Inflationary.eval ?engine ?planner ?cache ?indexing ?stats
-              program db;
+            Inflationary.eval ?engine ?planner ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_least_fixpoint ->
       Ok
         {
           facts =
-            Naive.least_fixpoint ?engine ?planner ?cache ?indexing ?stats
-              program db;
+            Naive.least_fixpoint ?engine ?planner ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_stratified -> (
       match
-        Stratified.eval ?engine ?planner ?cache ?indexing ?stats program db
+        Stratified.eval ?engine ?planner ?cache ?stats program db
       with
       | Ok facts -> Ok { facts; unknown = None }
       | Error e -> Error (Stratified.error_to_string e))
     | Semantics_well_founded ->
       let model =
-        Wellfounded.eval ?engine ?planner ?cache ?indexing ?stats program
-          db
+        Wellfounded.eval ?engine ?planner ?cache ?stats program db
       in
       let unknown = Wellfounded.unknown model in
       Ok

@@ -177,12 +177,11 @@ val run :
     tighten-union fixpoint); every other semantics returns an error for
     them.  [engine] selects the saturation
     strategy ([`Seminaive] default, [`Naive], or [`Parallel] which fans the
-    rule applications of each iteration across domains); [indexing] selects
-    the column-index strategy (see {!Engine.indexing}); [storage] is
-    ignored (it remains for the same reason as {!Relation.storage});
-    [planner] selects the join-order
-    planning policy ({!Plan.planner}: [`Static] compile-once plans by
-    default, [`Greedy] per-application replanning, [`Scan] textual order);
+    rule applications of each iteration across domains); [indexing] and
+    [storage] are ignored (they remain for the same reason as
+    {!Relation.storage}); [planner] selects the join-order planning policy
+    ({!Plan.planner}: [`Static] compile-once plans by default, or
+    [`Adaptive] with the cardinality feedback loop);
     [plan_cache], when given, retains the compiled plans — the CLI's
     [--explain] prints them back with estimated and actual cardinalities;
     [stats], when given, accumulates evaluation counters and stage timings

@@ -45,10 +45,8 @@ val apply :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?who:string ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
@@ -63,7 +61,7 @@ val apply :
     re-added survives.  Duplicate facts in a batch are collapsed; an
     addition already present is a no-op.  [cache], when given, shares
     compiled plans across batches (a long-lived server passes one);
-    [engine]/[pool]/[grain] select the engine for the semi-naive
+    [engine]/[pool] select the engine for the semi-naive
     continuations.  [who] prefixes error messages (defaults to
     ["Dred.apply"]).
     @raise Invalid_argument if the program is not stratifiable, or a fact

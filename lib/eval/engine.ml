@@ -12,38 +12,13 @@ type occurrence = Plan.occurrence = {
 
 type resolver = occurrence -> source
 
-type indexing = Plan.indexing
+type indexing = [ `Cached ]
 
 type planner = Plan.planner
 
-type grain = [ `Auto | `Fixed of int | `Rules ]
+type grain = [ `Auto ]
 
-let grain_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" -> Ok `Auto
-  | "rules" -> Ok `Rules
-  | s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok (`Fixed n)
-    | _ ->
-      Error
-        (Printf.sprintf
-           "unknown grain %S (auto, rules, or a positive tuple count)" s))
-
-let grain_to_string = function
-  | `Auto -> "auto"
-  | `Rules -> "rules"
-  | `Fixed n -> string_of_int n
-
-let pp_grain ppf g = Format.pp_print_string ppf (grain_to_string g)
-
-(* The global default, ablatable like {!Planlib.Plan.set_default_planner};
-   the CLI's [--parallel-grain] sets it. *)
-let default_grain_cell : grain Atomic.t = Atomic.make `Auto
-
-let set_default_grain g = Atomic.set default_grain_cell g
-
-let default_grain () = Atomic.get default_grain_cell
+let set_default_grain (_ : grain) = ()
 
 (* Cardinalities for the cost model, read through the same resolver the
    plan will execute with — so a delta-variant plan sees the delta's
@@ -65,7 +40,7 @@ let plan_rule ?planner ?cache ?variant ?label ?(limits = []) ?stats
     | None -> ());
     Plan.compile ?planner ?variant ?label ~limits ~sizes ~universe_size rule
 
-let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
+let run_plan ?stats ~universe ~resolver plan =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
   let arity = Array.length plan.Plan.head_args in
   (* Head tuples stream into a bulk accumulator; the relation (and its lazy
@@ -73,7 +48,7 @@ let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
   let acc = Relation.builder arity in
   let emitted = ref 0 in
   let allocated = ref 0 in
-  Plan.run ~indexing ?counters ~resolver ~universe plan ~on_row:(fun env ->
+  Plan.run ?counters ~resolver ~universe plan ~on_row:(fun env ->
       incr emitted;
       if Relation.builder_add acc (Plan.head_tuple plan env) then
         incr allocated);
@@ -91,15 +66,7 @@ let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
    accumulator (and plan-counter shard), so the hot loop stays lock-free;
    the builders are merged in participant order at the barrier, which
    makes the result deterministic whatever the steal schedule did. *)
-let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
-    ~universe ~resolver plan =
-  let grain =
-    match grain with
-    | `Auto -> None
-    | `Fixed n -> Some (max 1 n)
-    | `Rules ->
-      invalid_arg "Engine.run_plan_sharded: `Rules selects rule fan-out"
-  in
+let run_plan_sharded ?stats ~pool ~universe ~resolver plan =
   let arity = Array.length plan.Plan.head_args in
   let workers = Negdl_util.Domain_pool.size pool + 1 in
   let builders = Array.init workers (fun _ -> Relation.builder arity) in
@@ -108,9 +75,9 @@ let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
     Array.init workers (fun _ -> Option.map (fun _ -> Plan.counters ()) stats)
   in
   let report =
-    Plan.run_sharded ~indexing
+    Plan.run_sharded
       ~counters:(fun p -> shards.(p))
-      ~pool ?grain ~resolver ~universe plan
+      ~pool ~resolver ~universe plan
       ~on_row:(fun p env ->
         emitted.(p) <- emitted.(p) + 1;
         ignore (Relation.builder_add builders.(p) (Plan.head_tuple plan env)))
@@ -160,22 +127,17 @@ let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
   | None -> ());
   built
 
-let eval_rule ?planner ?cache ?variant ?indexing ?stats ~universe
-    ~resolver rule =
+let eval_rule ?planner ?cache ?variant ?stats ~universe ~resolver rule =
   let plan =
     plan_rule ?planner ?cache ?variant ?stats
       ~universe_size:(List.length universe) ~resolver rule
   in
-  run_plan ?indexing ?stats ~universe ~resolver plan
+  run_plan ?stats ~universe ~resolver plan
 
-let eval_rules ?planner ?cache ?indexing ?stats ~universe ~resolver
-    ~schema rules =
+let eval_rules ?planner ?cache ?stats ~universe ~resolver ~schema rules =
   List.fold_left
     (fun acc rule ->
-      let derived =
-        eval_rule ?planner ?cache ?indexing ?stats ~universe
-          ~resolver rule
-      in
+      let derived = eval_rule ?planner ?cache ?stats ~universe ~resolver rule in
       let name = rule.Datalog.Ast.head.pred in
       let current =
         if Idb.mem acc name then Idb.get acc name

@@ -29,42 +29,26 @@ type occurrence = Planlib.Plan.occurrence = {
 type resolver = occurrence -> source
 (** Decides, per atom occurrence, which source to read. *)
 
-type indexing = Planlib.Plan.indexing
-(** How joins locate matching tuples:
-    - [`Cached] (default): through the relation's own memoized column
-      indexes ({!Relalg.Relation.matching}) — built once per relation value
-      and maintained incrementally as deltas are unioned in, so the hot
-      fixpoint loop stops paying a per-call re-indexing tax;
-    - [`Percall]: throwaway hash indexes rebuilt on every rule application
-      (the pre-cache behaviour, kept as a benchmark baseline);
-    - [`Scan]: no indexes at all, full scans (ablation). *)
+type indexing = [ `Cached ]
+(** The one indexing mode: every join probe reads the relation's memoized
+    column index (see {!Planlib.Plan.run}).  The type exists only because
+    the end-to-end benchmark harness under [bench/e2e], which is frozen
+    between benchmark revisions, still names the mode it runs (through
+    [Negdl.run] and {!Serve.create}); it goes when that harness drops the
+    argument. *)
 
 type planner = Planlib.Plan.planner
 (** Join-order planning policy — see {!Planlib.Plan.planner}.  The default
     is {!Planlib.Plan.default_planner}. *)
 
-type grain = [ `Auto | `Fixed of int | `Rules ]
-(** How the [`Parallel] engine splits work {e within} a rule when a stage
-    has fewer runnable rule applications than domains:
-    - [`Auto] (default): shard each plan's driving input into morsels of
-      {!Planlib.Plan.auto_grain} tuples;
-    - [`Fixed n]: morsels of exactly [n] driving tuples;
-    - [`Rules]: never shard — whole-rule fan-out only (the pre-morsel
-      behaviour, kept as the bench baseline). *)
-
-val grain_of_string : string -> (grain, string) result
-(** Accepts ["auto"], ["rules"], or a positive integer. *)
-
-val grain_to_string : grain -> string
-
-val pp_grain : Format.formatter -> grain -> unit
+type grain = [ `Auto ]
+(** The one morsel size: the [`Parallel] engine always sizes morsels by
+    {!Planlib.Plan.auto_grain}.  The type and {!set_default_grain} exist
+    only for the same reason as {!indexing}; both go when the frozen
+    [bench/e2e] harness drops the call. *)
 
 val set_default_grain : grain -> unit
-(** Sets the grain used when no explicit [?grain] reaches the evaluator —
-    the CLI's [--parallel-grain], like
-    {!Planlib.Plan.set_default_planner}. *)
-
-val default_grain : unit -> grain
+(** Does nothing; see {!grain}. *)
 
 val plan_rule :
   ?planner:planner ->
@@ -85,7 +69,6 @@ val plan_rule :
     aggregation steps — see {!Planlib.Plan.compile}. *)
 
 val run_plan :
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
@@ -97,10 +80,8 @@ val run_plan :
     rule-application, derivation, accumulator and plan counters. *)
 
 val run_plan_sharded :
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   pool:Negdl_util.Domain_pool.t ->
-  grain:grain ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
   Planlib.Plan.t ->
@@ -112,15 +93,12 @@ val run_plan_sharded :
     so the derived relation equals {!run_plan}'s whatever the steal
     schedule.  [stats] additionally collects the morsel / steal /
     shard-skew scheduling counters; per-shard plan counters are merged
-    exactly at the barrier.  [grain] must be [`Auto] or [`Fixed]
-    (@raise Invalid_argument on [`Rules] — that selects whole-rule
-    fan-out, which is {!Saturate}'s job, not this function's). *)
+    exactly at the barrier. *)
 
 val eval_rule :
   ?planner:planner ->
   ?cache:Planlib.Cache.t ->
   ?variant:Planlib.Plan.variant ->
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
@@ -132,7 +110,6 @@ val eval_rule :
 val eval_rules :
   ?planner:planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->

@@ -11,26 +11,22 @@ val eval :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t
 (** Theta-infinity for all IDB predicates.  Default engine: [`Seminaive]
     (see {!Saturate} for why the differential cut remains sound under
-    negation, and for the [`Parallel] fan-out; [pool] and [grain] only
-    matter there). *)
+    negation, and for the [`Parallel] fan-out; [pool] only matters
+    there). *)
 
 val eval_trace :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Saturate.trace

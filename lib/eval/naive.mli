@@ -11,25 +11,21 @@ val least_fixpoint :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t
 (** @raise Invalid_argument if the program uses negation or inequality, or
-    has inconsistent arities.  Default engine: [`Seminaive]; [pool] and
-    [grain] only matter under [`Parallel]. *)
+    has inconsistent arities.  Default engine: [`Seminaive]; [pool] only
+    matters under [`Parallel]. *)
 
 val least_fixpoint_trace :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Saturate.trace

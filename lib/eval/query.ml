@@ -31,12 +31,12 @@ let select rel ~query =
          query.Datalog.Ast.pred want query.Datalog.Ast.pred got)
   else Ok (Relation.filter (matches_query query) rel)
 
-let answer ?engine ?indexing ?stats p db ~query =
+let answer ?engine ?stats p db ~query =
   match Datalog.Magic.rewrite p ~query with
   | Error _ as e -> e
   | Ok rewritten ->
     let result =
-      Naive.least_fixpoint ?engine ?indexing ?stats
+      Naive.least_fixpoint ?engine ?stats
         rewritten.Datalog.Magic.program db
     in
     let full =
@@ -50,8 +50,8 @@ let answer ?engine ?indexing ?stats p db ~query =
        query surfaces as [Error] instead of a [List.for_all2] crash. *)
     select full ~query
 
-let answer_exn ?engine ?indexing ?stats p db ~query =
-  match answer ?engine ?indexing ?stats p db ~query with
+let answer_exn ?engine ?stats p db ~query =
+  match answer ?engine ?stats p db ~query with
   | Ok r -> r
   | Error msg -> invalid_arg ("Query.answer: " ^ msg)
 

@@ -28,7 +28,7 @@ let make_resolver ~schema ~base ~neg ~current ~delta_occ ~delta
     | `Neg -> (
       match neg with
       | `Current -> { Engine.find = (fun p _a -> Idb.get current p) }
-      | `Fixed src -> src)
+      | `Frozen src -> src)
     | `Pos -> (
       match delta_occ with
       | Some j when occ.index = j ->
@@ -80,17 +80,14 @@ let rule_tasks ~planner ~cache ~limits ~stats ~universe spec =
    whole tasks fan across the pool (each saturates one domain); when it has
    fewer — the single-heavy-recursive-rule regime, where rule fan-out
    degenerates to sequential execution — each task instead runs morsel-
-   sharded {e within} the pool ({!Engine.run_plan_sharded}), unless the
-   grain is [`Rules] (the pre-morsel baseline). *)
-let run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema ~universe tasks
-    =
+   sharded {e within} the pool ({!Engine.run_plan_sharded}). *)
+let run_tasks ~parallel ~pool ~stats ~schema ~universe tasks =
   let seq t =
-    Engine.run_plan ~indexing ?stats:t.shard ~universe
-      ~resolver:t.resolver t.plan
+    Engine.run_plan ?stats:t.shard ~universe ~resolver:t.resolver t.plan
   in
   let sharded t =
-    Engine.run_plan_sharded ~indexing ?stats:t.shard ~pool ~grain
-      ~universe ~resolver:t.resolver t.plan
+    Engine.run_plan_sharded ?stats:t.shard ~pool ~universe
+      ~resolver:t.resolver t.plan
   in
   let results =
     match tasks with
@@ -101,7 +98,7 @@ let run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema ~universe tasks
       (* [max participants 2]: on a pool of size 0 a lone task still takes
          the sharded path (which then runs inline), so par=1 measures the
          sharding tax honestly instead of silently reverting. *)
-      if grain <> `Rules && List.length tasks < max participants 2 then
+      if List.length tasks < max participants 2 then
         List.map sharded tasks
       else (
         match tasks with
@@ -125,17 +122,17 @@ let run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema ~universe tasks
       Idb.set acc t.head (Relation.union old derived))
     (Idb.empty schema) tasks results
 
-let full_application ~parallel ~pool ~grain ~planner ~cache ~limits
-    ~indexing ~stats ~rules ~schema ~universe ~base ~neg ~current =
+let full_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+    ~schema ~universe ~base ~neg ~current =
   let resolver =
     make_resolver ~schema ~base ~neg ~current ~delta_occ:None ~delta:current
   in
-  run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema ~universe
+  run_tasks ~parallel ~pool ~stats ~schema ~universe
     (rule_tasks ~planner ~cache ~limits ~stats ~universe
        (List.map (fun r -> (r, Plan.Full, resolver)) rules))
 
-let delta_application ~parallel ~pool ~grain ~planner ~cache ~limits
-    ~indexing ~stats ~rules ~schema ~universe ~base ~neg ~current ~delta =
+let delta_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+    ~schema ~universe ~base ~neg ~current ~delta =
   let spec =
     List.concat_map
       (fun rule ->
@@ -148,19 +145,19 @@ let delta_application ~parallel ~pool ~grain ~planner ~cache ~limits
           (delta_positions ~schema rule))
       rules
   in
-  run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema ~universe
+  run_tasks ~parallel ~pool ~stats ~schema ~universe
     (rule_tasks ~planner ~cache ~limits ~stats ~universe spec)
 
 (* The semi-naive delta chase shared by [run] (after its full stage 1) and
    [run_delta] (seeded directly): iterate delta applications until no fresh
    tuple appears.  [init] must already contain [delta]. *)
-let seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
-    ~stats ~rules ~schema ~universe ~base ~neg ~bump_iteration ~init ~delta =
+let seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+    ~schema ~universe ~base ~neg ~bump_iteration ~init ~delta =
   let rec loop current delta rev_deltas =
     bump_iteration ();
     let derived =
-      delta_application ~parallel ~pool ~grain ~planner ~cache ~limits
-        ~indexing ~stats ~rules ~schema ~universe ~base ~neg ~current ~delta
+      delta_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+        ~schema ~universe ~base ~neg ~current ~delta
     in
     (* The limit-aware union: candidates for a declared limit relation
        land only when they improve their group's bound, and [fresh] is the
@@ -172,24 +169,19 @@ let seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
   in
   loop init delta []
 
-let apply_once ?(parallel = false) ?pool ?grain ?planner ?cache
-    ?(limits = []) ?(indexing = `Cached) ?stats ~rules ~schema
-    ~universe ~base ~neg ~current () =
+let apply_once ?(parallel = false) ?pool ?planner ?cache ?(limits = []) ?stats
+    ~rules ~schema ~universe ~base ~neg ~current () =
   let pool =
     match pool with Some p -> p | None -> Negdl_util.Domain_pool.default ()
-  in
-  let grain =
-    match grain with Some g -> g | None -> Engine.default_grain ()
   in
   let cache =
     match cache with Some c -> c | None -> Planlib.Cache.create ()
   in
-  full_application ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
-    ~stats ~rules ~schema ~universe ~base ~neg ~current
+  full_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+    ~schema ~universe ~base ~neg ~current
 
-let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
-    ?(indexing = `Cached) ?stats ?pool ?grain ?label ~rules ~schema
-    ~universe ~base ~neg ~init () =
+let run ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats ?pool
+    ?label ~rules ~schema ~universe ~base ~neg ~init () =
   (match label with
   | Some l -> Stats.timed stats l
   | None -> fun f -> f ())
@@ -202,9 +194,6 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
   let pool =
     match pool with Some p -> p | None -> Negdl_util.Domain_pool.default ()
   in
-  let grain =
-    match grain with Some g -> g | None -> Engine.default_grain ()
-  in
   let bump_iteration () =
     match stats with
     | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
@@ -215,9 +204,8 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
     let rec loop current rev_deltas =
       bump_iteration ();
       let derived =
-        full_application ~parallel:false ~pool ~grain ~planner ~cache
-          ~limits ~indexing ~stats ~rules ~schema ~universe ~base ~neg
-          ~current
+        full_application ~parallel:false ~pool ~planner ~cache ~limits ~stats
+          ~rules ~schema ~universe ~base ~neg ~current
       in
       let next, delta = Idb.tighten_union ~limits current derived in
       if Idb.is_empty delta then
@@ -235,23 +223,21 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
     let parallel = e = `Parallel in
     bump_iteration ();
     let derived =
-      full_application ~parallel ~pool ~grain ~planner ~cache ~limits
-        ~indexing ~stats ~rules ~schema ~universe ~base ~neg
-        ~current:init
+      full_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+        ~schema ~universe ~base ~neg ~current:init
     in
     let init1, delta1 = Idb.tighten_union ~limits init derived in
     if Idb.is_empty delta1 then { result = init; deltas = [] }
     else
       let t =
-        seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits
-          ~indexing ~stats ~rules ~schema ~universe ~base ~neg
-          ~bump_iteration ~init:init1 ~delta:delta1
+        seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+          ~schema ~universe ~base ~neg ~bump_iteration ~init:init1
+          ~delta:delta1
       in
       { t with deltas = delta1 :: t.deltas }
 
-let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
-    ?(indexing = `Cached) ?stats ?pool ?grain ?label ~rules ~schema
-    ~universe ~base ~neg ~init ~delta () =
+let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats
+    ?pool ?label ~rules ~schema ~universe ~base ~neg ~init ~delta () =
   (match label with
   | Some l -> Stats.timed stats l
   | None -> fun f -> f ())
@@ -264,9 +250,6 @@ let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
     let pool =
       match pool with Some p -> p | None -> Negdl_util.Domain_pool.default ()
     in
-    let grain =
-      match grain with Some g -> g | None -> Engine.default_grain ()
-    in
     let bump_iteration () =
       match stats with
       | Some s -> s.Stats.iterations <- s.Stats.iterations + 1
@@ -276,7 +259,6 @@ let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
        delta-specialized form, so it rides the semi-naive chase too — the
        computed limit is the same. *)
     let parallel = engine = `Parallel in
-    seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
-      ~stats ~rules ~schema ~universe ~base ~neg ~bump_iteration
-      ~init ~delta
+    seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+      ~schema ~universe ~base ~neg ~bump_iteration ~init ~delta
   end

@@ -19,9 +19,8 @@
       pool participants fan whole applications out (one per domain), while
       stages with fewer — one heavy recursive rule is the common case —
       shard each application's driving input into morsels instead
-      ({!Engine.run_plan_sharded}, unless the grain is [`Rules]).  Both
-      merge deterministically at the stage barrier, so the computed limit
-      is identical.
+      ({!Engine.run_plan_sharded}).  Both merge deterministically at the
+      stage barrier, so the computed limit is identical.
 
     The [neg] parameter selects where {e negated} occurrences of evolving
     predicates read: the current valuation (inflationary semantics) or a
@@ -54,21 +53,18 @@ val run :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?label:string ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
   universe:Relalg.Symbol.t list ->
   base:Engine.source ->
-  neg:[ `Current | `Fixed of Engine.source ] ->
+  neg:[ `Current | `Frozen of Engine.source ] ->
   init:Idb.t ->
   unit ->
   trace
-(** Default engine: [`Seminaive]; default indexing: [`Cached]; default
-    planner:
+(** Default engine: [`Seminaive]; default planner:
     {!Planlib.Plan.default_planner}.  Each rule is compiled once per
     variant — the full application and one delta-specialized variant per
     positive evolving body position — into a {!Planlib.Plan.t} and reused
@@ -76,9 +72,8 @@ val run :
     across saturations (the well-founded alternating fixpoint and the
     stratified layers pass one).  Plans are fetched in the coordinator
     before any parallel fan-out.  [pool] (default
-    {!Negdl_util.Domain_pool.default}) and [grain] (default
-    {!Engine.default_grain}) only matter under [`Parallel]: they pick the
-    domains and the morsel size for intra-rule sharding.  [stats], when
+    {!Negdl_util.Domain_pool.default}) only matters under [`Parallel]: it
+    picks the domains for rule fan-out and intra-rule sharding.  [stats], when
     given, accumulates iteration/rule/index counters; if [label] is also
     given, the run's wall time is recorded as a stage under that name (the
     stratified evaluator labels each stratum, the inflationary evaluator
@@ -91,17 +86,15 @@ val run :
 val apply_once :
   ?parallel:bool ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
   universe:Relalg.Symbol.t list ->
   base:Engine.source ->
-  neg:[ `Current | `Fixed of Engine.source ] ->
+  neg:[ `Current | `Frozen of Engine.source ] ->
   current:Idb.t ->
   unit ->
   Idb.t
@@ -116,16 +109,14 @@ val run_delta :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?label:string ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
   universe:Relalg.Symbol.t list ->
   base:Engine.source ->
-  neg:[ `Current | `Fixed of Engine.source ] ->
+  neg:[ `Current | `Frozen of Engine.source ] ->
   init:Idb.t ->
   delta:Idb.t ->
   unit ->

@@ -32,9 +32,7 @@ type t = {
   program : Ast.program;
   engine : Saturate.engine option;
   planner : Engine.planner option;
-  indexing : Engine.indexing option;
   pool : Negdl_util.Domain_pool.t option;
-  grain : Engine.grain option;
   stats : Stats.t;
   cache : Planlib.Cache.t;  (** Compiled plans shared across all batches. *)
   mutable db : Database.t;
@@ -58,14 +56,12 @@ let zero_counters =
     cache_misses = 0;
   }
 
-let create ?engine ?planner ?indexing ?storage:(_ : Relation.storage option)
-    ?pool ?grain ?stats program db =
+let create ?engine ?planner ?indexing:(_ : Engine.indexing option)
+    ?storage:(_ : Relation.storage option) ?pool
+    ?grain:(_ : Engine.grain option) ?stats program db =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let cache = Planlib.Cache.create () in
-  match
-    Stratified.eval ?engine ?planner ~cache ?indexing ~stats ?pool
-      ?grain program db
-  with
+  match Stratified.eval ?engine ?planner ~cache ~stats ?pool program db with
   | Error e -> Error (Stratified.error_to_string e)
   | Ok idb ->
     Ok
@@ -73,9 +69,7 @@ let create ?engine ?planner ?indexing ?storage:(_ : Relation.storage option)
         program;
         engine;
         planner;
-        indexing;
         pool;
-        grain;
         stats;
         cache;
         db;
@@ -146,15 +140,12 @@ let restore_from t path =
       Planlib.Cache.seed_overrides t.cache seeds;
       Ok ())
 
-let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats program
-    image =
+let create_restored ?engine ?planner ?pool ?stats program image =
   match Datalog.Stratify.stratify program with
-  | Datalog.Stratify.Not_stratifiable { offending = p, q } ->
-    Error
-      (Printf.sprintf "program not stratifiable: %s depends negatively on %s"
-         p q)
+  | Datalog.Stratify.Not_stratifiable { offending } ->
+    Error (Stratified.error_to_string (Not_stratifiable { offending }))
   | Datalog.Stratify.Not_limit_stratifiable { pred; rule } ->
-    Error (Datalog.Stratify.limit_error_to_string ~pred ~rule)
+    Error (Stratified.error_to_string (Not_limit_stratifiable { pred; rule }))
   | Datalog.Stratify.Stratified _ -> (
     match model_of_image program image with
     | Error e -> Error e
@@ -167,9 +158,7 @@ let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats program
           program;
           engine;
           planner;
-          indexing;
           pool;
-          grain;
           stats;
           cache;
           db;
@@ -184,9 +173,8 @@ let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats program
 let update t ~additions ~removals =
   match
     Dred.apply ?engine:t.engine ?planner:t.planner ~cache:t.cache
-      ?indexing:t.indexing ~stats:t.stats ?pool:t.pool
-      ?grain:t.grain ~who:"update" t.program t.db ~current:t.idb ~additions
-      ~removals ()
+      ~stats:t.stats ?pool:t.pool ~who:"update" t.program t.db ~current:t.idb
+      ~additions ~removals ()
   with
   | exception Invalid_argument msg -> Error msg
   | delta ->
@@ -289,7 +277,15 @@ let query_all t atoms =
         [] keyed
       |> List.rev
     in
-    List.iter (fun _ -> bump_misses t) misses;
+    (* Each distinct atom not cached before the batch is one miss; every
+       other atom — cached before, or repeating one earlier in the batch —
+       is a hit, so hits + misses = the batch size. *)
+    t.c <-
+      {
+        t.c with
+        cache_misses = t.c.cache_misses + List.length misses;
+        cache_hits = t.c.cache_hits + List.length atoms - List.length misses;
+      };
     let pool =
       match t.pool with
       | Some p -> p
@@ -308,9 +304,7 @@ let query_all t atoms =
     List.map
       (fun (a, k) ->
         match cached t k with
-        | Some rel ->
-          bump_hits t;
-          Ok rel
+        | Some rel -> Ok rel
         | None -> eval_query ~db ~idb a)
       keyed
 
@@ -401,8 +395,7 @@ let stats_lines t =
   ]
   @
   (* Store contention, cumulative like every other counter here; omitted
-     entirely (tree backend, untouched store) rather than printed as
-     zeros. *)
+     entirely (untouched store) rather than printed as zeros. *)
   let c = Relalg.Store.contention () in
   if
     c.Relalg.Store.stripe_locks + c.Relalg.Store.cache_hits
@@ -417,6 +410,14 @@ let stats_lines t =
         c.Relalg.Store.stripe_locks c.Relalg.Store.cache_hits
         c.Relalg.Store.cache_misses c.Relalg.Store.partition_skew;
     ]
+
+let write_reply ~cmd (r : update_report) =
+  if cmd = "insert" then
+    Printf.sprintf "ok inserted=%d overdeleted=%d derived=%d" r.inserted
+      r.overdeleted r.rederived
+  else
+    Printf.sprintf "ok deleted=%d overdeleted=%d rederived=%d" r.deleted
+      r.overdeleted r.rederived
 
 let handle_line t line =
   let line = String.trim line in
@@ -436,16 +437,7 @@ let handle_line t line =
         in
         match result with
         | Error e -> Reply [ "error: " ^ e ]
-        | Ok r ->
-          Reply
-            [
-              (if cmd = "insert" then
-                 Printf.sprintf "ok inserted=%d overdeleted=%d derived=%d"
-                   r.inserted r.overdeleted r.rederived
-               else
-                 Printf.sprintf "ok deleted=%d overdeleted=%d rederived=%d"
-                   r.deleted r.overdeleted r.rederived);
-            ]))
+        | Ok r -> Reply [ write_reply ~cmd r ]))
     | "query" ->
       (* Multiple atoms separated by ';' are answered as one batch —
          cache misses fan concurrently over the pool against one pinned
@@ -510,14 +502,6 @@ let classify_write line =
       | Ok facts -> Some (cmd, facts)
       | Error _ -> None)
     | _ -> None
-
-let write_reply ~cmd (r : update_report) =
-  if cmd = "insert" then
-    Printf.sprintf "ok inserted=%d overdeleted=%d derived=%d" r.inserted
-      r.overdeleted r.rederived
-  else
-    Printf.sprintf "ok deleted=%d overdeleted=%d rederived=%d" r.deleted
-      r.overdeleted r.rederived
 
 let handle_batch t lines =
   (* A maximal run of consecutive same-command write lines coalesces into

@@ -60,15 +60,13 @@ val create :
     [Error] if the program is not stratifiable.  One plan cache is created
     here and shared by the initial materialisation and every later batch,
     so each (rule, variant) pair compiles once for the server's lifetime.
-    [storage] is ignored; it remains for the same reason as
-    {!Relalg.Relation.storage}. *)
+    [indexing], [storage] and [grain] are ignored; they remain for the
+    same reason as {!Relalg.Relation.storage}. *)
 
 val create_restored :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
-  ?indexing:Engine.indexing ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Snapshotlib.Snapshot.image ->
@@ -120,7 +118,9 @@ val query_all :
   t -> Datalog.Ast.atom list -> (Relalg.Relation.t, string) result list
 (** One batch: cache hits are served directly, the distinct misses are
     evaluated concurrently on the domain pool against one pinned snapshot,
-    then cached.  Results are in argument order. *)
+    then cached.  Results are in argument order.  Each distinct atom not
+    cached before the batch counts as one cache miss and every other atom
+    as a hit, so the batch adds its length to [cache_hits + cache_misses]. *)
 
 val snapshot_to : t -> string -> (int, string) result
 (** [snapshot_to t file] checkpoints the current model (and the plan

@@ -116,8 +116,7 @@ let pp ppf t =
   Format.fprintf ppf "morsels executed:  %d@," t.morsels;
   Format.fprintf ppf "morsel steals:     %d@," t.steals;
   Format.fprintf ppf "max shard skew:    %d@," t.max_shard_skew;
-  (* The store-contention block appears only when something was measured:
-     hashed-backend runs show it, tree-backend runs keep the seed block. *)
+  (* The store-contention block appears only when something was measured. *)
   if
     t.stripe_locks + t.intern_hits + t.intern_misses + t.partition_skew
     + t.merge_ns

@@ -79,8 +79,7 @@ val harvest_contention : t -> unit
     (stripe locks, per-domain intern-cache hits/misses, partition skew)
     into the record.  Called once at report sites; {!pp} prints the
     contention block only when something non-zero was harvested (or
-    {!field-merge_ns} accumulated), so tree-backend runs keep the seed
-    report shape. *)
+    {!field-merge_ns} accumulated). *)
 
 val record_stage : t -> string -> float -> unit
 (** [record_stage s name dt] logs [dt] seconds against [name] and adds it

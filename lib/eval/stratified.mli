@@ -18,25 +18,20 @@ val eval :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   (Idb.t, error) result
-(** [stats], when given, records one wall-time stage per stratum.  [pool]
-    and [grain] are passed through to {!Saturate.run} and only matter under
-    [`Parallel]. *)
+(** [stats], when given, records one wall-time stage per stratum.  [pool] is
+    passed through to {!Saturate.run} and only matters under [`Parallel]. *)
 
 val eval_exn :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t

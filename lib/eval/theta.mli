@@ -11,10 +11,8 @@
 val apply :
   ?parallel:bool ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
@@ -24,9 +22,8 @@ val apply :
     across [pool] (default {!Negdl_util.Domain_pool.default}) exactly like
     one [`Parallel] saturation stage: whole-rule fan-out when there are at
     least as many rules as pool participants, morsel-sharded plan
-    execution within each rule otherwise ([grain], default
-    {!Engine.default_grain}, sizes the morsels; [`Rules] forces fan-out).
-    The result is identical either way.
+    execution within each rule otherwise.  The result is identical either
+    way.
     @raise Invalid_argument if the program has inconsistent arities. *)
 
 val is_fixpoint : Datalog.Ast.program -> Relalg.Database.t -> Idb.t -> bool
@@ -50,7 +47,6 @@ val iterate :
   ?max_steps:int ->
   ?parallel:bool ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   ?planner:Engine.planner ->
   Datalog.Ast.program ->
   Relalg.Database.t ->

@@ -29,10 +29,8 @@ val eval :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   model
@@ -41,10 +39,8 @@ val reduct_fixpoint :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?grain:Engine.grain ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t ->

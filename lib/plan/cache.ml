@@ -35,8 +35,8 @@ let create () = { table = H.create 32; pending = H.create 8 }
 (* Consecutive feedback replans a plan may accumulate before the cache
    falls back to a plain recompile (which clears the overrides and resets
    the generation): each lookup performs at most one compilation, so a
-   persistently mispredicting rule costs one recompile per stage at worst
-   — the greedy planner's steady state — instead of diverging. *)
+   persistently mispredicting rule costs at worst one recompile per stage
+   instead of diverging. *)
 let max_generation = 2
 
 (* Replan when any cardinality the cost model saw has drifted past the
@@ -73,33 +73,24 @@ let find ?counters ?planner ?(variant = Plan.Full) ?label ?(limits = [])
     match planner with Some p -> p | None -> Plan.default_planner ()
   in
   let klimit = List.assoc_opt rule.Ast.head.pred limits in
+  let key = { krule = rule; kvariant = variant; klimit } in
+  let replace plan =
+    H.replace cache.table key plan;
+    plan
+  in
   let compile () =
     bump_compile counters;
     Plan.compile ~planner ~variant ?label ~limits ~sizes ~universe_size rule
   in
   match planner with
-  | `Greedy ->
-    (* The ablation baseline replans on every application and never reads
-       the cache. *)
-    compile ()
-  | `Static | `Scan -> (
-    let key = { krule = rule; kvariant = variant; klimit } in
+  | `Static -> (
     match H.find_opt cache.table key with
-    | Some plan
-      when plan.Plan.planner = planner
-           && (planner = `Scan || not (drifted plan ~sizes)) ->
+    | Some plan when plan.Plan.planner = `Static && not (drifted plan ~sizes)
+      ->
       bump_hit counters;
       plan
-    | _ ->
-      let plan = compile () in
-      H.replace cache.table key plan;
-      plan)
+    | _ -> replace (compile ()))
   | `Adaptive -> (
-    let key = { krule = rule; kvariant = variant; klimit } in
-    let replace plan =
-      H.replace cache.table key plan;
-      plan
-    in
     match H.find_opt cache.table key with
     | Some plan when plan.Plan.planner = `Adaptive -> (
       (* Feedback first: observed-selectivity divergence wins over the

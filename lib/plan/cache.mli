@@ -10,9 +10,6 @@
       saw has drifted by more than {!Plan.drift_factor} (+ slack) —
       estimates refresh as the fixpoint grows relations, without paying a
       replan per application;
-    - [`Scan]: plans are size-independent, always hit;
-    - [`Greedy]: never cached — recompiled per application (the ablation
-      baseline the bench measures static against);
     - [`Adaptive]: the [`Static] policy plus the feedback loop.  Each
       lookup first consults {!Plan.replan_hint}: if the cached plan's
       observed per-step cardinalities diverge from its estimates past the

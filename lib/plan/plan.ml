@@ -20,27 +20,21 @@ type occurrence = {
 
 type resolver = occurrence -> source
 
-type indexing = [ `Cached | `Percall | `Scan ]
-
-type planner = [ `Static | `Greedy | `Scan | `Adaptive ]
+type planner = [ `Static | `Adaptive ]
 
 let planner_of_string = function
   | "static" -> Ok `Static
-  | "greedy" -> Ok `Greedy
-  | "scan" -> Ok `Scan
   | "adaptive" -> Ok `Adaptive
-  | s ->
-    Error (Printf.sprintf "unknown planner %S (static|greedy|scan|adaptive)" s)
+  | s -> Error (Printf.sprintf "unknown planner %S (static|adaptive)" s)
 
 let planner_to_string = function
   | `Static -> "static"
-  | `Greedy -> "greedy"
-  | `Scan -> "scan"
   | `Adaptive -> "adaptive"
 
 let pp_planner ppf p = Format.pp_print_string ppf (planner_to_string p)
 
-(* The global default; the bench ablates through [set_default_planner]. *)
+(* The global default; the bench runs its experiment drivers under each
+   planner through [set_default_planner]. *)
 let default = Atomic.make `Static
 
 let set_default_planner p = Atomic.set default p
@@ -418,12 +412,11 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
     let card = size `Pos occ pred arity in
     let checks = check_positions args in
     let access = { occ; pred; arity } in
-    (* Probe through the first bound column when one exists (and the
-       planner is allowed to plan indexes); otherwise scan.  The adaptive
-       planner prefers a constant key (sideways-passed head bindings make
-       these common under magic-style workloads) and falls back to a scan
-       below [probe_cutoff], trusting the feedback loop to flip the
-       decision if observation disagrees. *)
+    (* Probe through the first bound column when one exists; otherwise
+       scan.  The adaptive planner prefers a constant key (sideways-passed
+       head bindings make these common under magic-style workloads) and
+       falls back to a scan below [probe_cutoff], trusting the feedback
+       loop to flip the decision if observation disagrees. *)
     let col = ref (-1) in
     Array.iteri
       (fun i t -> if !col < 0 && is_bound t then col := i)
@@ -443,21 +436,16 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
     rows := est;
     let use_probe =
       !col >= 0
-      &&
-      match planner with
-      | `Scan -> false
-      | `Adaptive -> card > probe_cutoff
-      | `Static | `Greedy -> true
+      && match planner with `Adaptive -> card > probe_cutoff | `Static -> true
     in
     if use_probe then
       let key = args.(!col) in
-      (* [pattern] binds the fresh slots; the probed column stays a check
-         in the pattern so the [`Scan] indexing fallback needs no special
-         case. *)
+      (* [pattern] binds the fresh slots; the probed column stays a
+         (redundant) check in the pattern. *)
       push (Index_probe { access; col = !col; key; pat = pattern args }) est
     else push (Scan { access; pat = pattern args }) est
   in
-  (* Cost-based ordering (Static / Greedy / Adaptive): repeatedly
+  (* Cost-based ordering: repeatedly
      1. emit every decided literal (comparisons, then half-bound equality
         propagation, then membership filters), turning atoms whose only
         unbound variables are {e dead} (head-absent and unread by any
@@ -636,59 +624,7 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
       solve ()
     end
   in
-  let textual () =
-    (* [`Scan] planner: textual order, no probes, no reordering, no
-       existence short-circuits — the pre-planning ablation baseline. *)
-    List.iter
-      (fun l ->
-        match l with
-        | BCmp { negated = false; left; right } -> (
-          match (is_bound left, is_bound right, left, right) with
-          | true, true, _, _ -> emit_compare false left right
-          | true, false, _, Slot s ->
-            mark_bound s;
-            push (Assign { slot = s; value = left }) !rows
-          | false, true, Slot s, _ ->
-            mark_bound s;
-            push (Assign { slot = s; value = right }) !rows
-          | false, false, Slot s, _ ->
-            emit_enumerate s;
-            if is_bound right then emit_compare false left right
-            else begin
-              (match right with
-              | Slot s' ->
-                mark_bound s';
-                push (Assign { slot = s'; value = left }) !rows
-              | Const _ -> assert false)
-            end
-          | _ -> assert false)
-        | BCmp { negated = true; left; right } ->
-          (match left with Slot s when not bound.(s) -> emit_enumerate s | _ -> ());
-          (match right with Slot s when not bound.(s) -> emit_enumerate s | _ -> ());
-          emit_compare true left right
-        | BLe { left; right } ->
-          (match left with Slot s when not bound.(s) -> emit_enumerate s | _ -> ());
-          (match right with Slot s when not bound.(s) -> emit_enumerate s | _ -> ());
-          emit_le left right
-        | BPlus { a; b; res } ->
-          (match a with Slot s when not bound.(s) -> emit_enumerate s | _ -> ());
-          (match b with Slot s when not bound.(s) -> emit_enumerate s | _ -> ());
-          emit_plus a b res
-        | BAtom { polarity = `Pos; occ; pred; args } ->
-          if all_bound args then emit_filter `Pos occ pred args
-          else emit_join occ pred args
-        | BAtom { polarity = `Neg; occ; pred; args } ->
-          Array.iter
-            (function
-              | Slot s when not bound.(s) -> emit_enumerate s
-              | _ -> ())
-            args;
-          emit_filter `Neg occ pred args)
-      blits
-  in
-  (match planner with
-  | `Scan -> textual ()
-  | `Static | `Greedy | `Adaptive -> solve ());
+  solve ();
   let head_args =
     Array.of_list (List.map term_of r.head.args)
   in
@@ -847,24 +783,21 @@ let ipow_sat base e =
   in
   go 1 e
 
-(* A prepared execution context: the per-run state the old [run] built
-   inline — resolved sources, slot environment, scratch probe tuples,
-   per-call index tables — plus the index of the plan's {e driving} step
-   (the first [Scan]/[Index_probe]/[Enumerate], whose input rows the
-   sharded executor partitions into morsels).  One context belongs to one
-   domain; the shared compiled plan is immutable — per-step row counts
-   accumulate in the context's [p_rows] and are folded into the plan's
-   feedback record at the run barrier ({!harvest}). *)
+(* A prepared execution context: the per-run state — resolved sources,
+   slot environment, scratch probe tuples — plus the index of the plan's
+   {e driving} step (the first [Scan]/[Index_probe]/[Enumerate], whose
+   input rows the sharded executor partitions into morsels).  One context
+   belongs to one domain; the shared compiled plan is immutable — per-step
+   row counts accumulate in the context's [p_rows] and are folded into the
+   plan's feedback record at the run barrier ({!harvest}). *)
 type prepared = {
   p_plan : t;
-  p_indexing : indexing;
   p_counters : counters option;
   p_universe : Symbol.t list;
   p_usize : int;
   p_env : Symbol.t array;
   p_rels : Relation.t array;
   p_scratch : Symbol.t array array;
-  p_percall : (Symbol.t, Tuple.t list) Hashtbl.t option array;
   p_driving : int;
   p_rows : int array;
   p_best : (Tuple.t, Symbol.t) Hashtbl.t;
@@ -875,13 +808,12 @@ type prepared = {
   mutable p_din : int;
 }
 
-let prepare ?(indexing = `Cached) ?counters ~resolver ~universe plan =
+let prepare ?counters ~resolver ~universe plan =
   let steps = plan.steps in
   let nsteps = Array.length steps in
   let env = Array.make (max plan.nslots 1) dummy in
   let rels = Array.make (max nsteps 1) (Relation.empty 0) in
   let scratch = Array.make (max nsteps 1) [||] in
-  let percall = Array.make (max nsteps 1) None in
   Array.iteri
     (fun i st ->
       match st.op with
@@ -928,14 +860,12 @@ let prepare ?(indexing = `Cached) ?counters ~resolver ~universe plan =
     steps;
   {
     p_plan = plan;
-    p_indexing = indexing;
     p_counters = counters;
     p_universe = universe;
     p_usize = List.length universe;
     p_env = env;
     p_rels = rels;
     p_scratch = scratch;
-    p_percall = percall;
     p_driving = !driving;
     p_rows = Array.make (max nsteps 1) 0;
     p_best = Hashtbl.create 16;
@@ -1052,23 +982,6 @@ let current_group_bound prep i col group =
     |> Option.map (fun t -> Tuple.get t col)
   end
 
-let percall_table prep i col =
-  match prep.p_percall.(i) with
-  | Some table ->
-    bump_index prep true;
-    table
-  | None ->
-    bump_index prep false;
-    let table = Hashtbl.create 64 in
-    Relation.iter
-      (fun t ->
-        let k = Tuple.get t col in
-        Hashtbl.replace table k
-          (t :: Option.value ~default:[] (Hashtbl.find_opt table k)))
-      prep.p_rels.(i);
-    prep.p_percall.(i) <- Some table;
-    table
-
 (* Rows of the driving step's input — the quantity the sharded executor
    partitions.  Positions are stable per relation value: backend iteration
    order for scans, bucket order for probes, universe order for
@@ -1125,20 +1038,10 @@ let driving_rows prep =
       match steps.(d).op with
       | Scan _ -> Relation.cardinal prep.p_rels.(d)
       | Enumerate _ -> prep.p_usize
-      | Index_probe { col; key; _ } -> (
-        match prep.p_indexing with
-        | `Scan -> Relation.cardinal prep.p_rels.(d)
-        | `Cached ->
-          (* Also warms the relation's memoized index in the coordinator,
-             so shard contexts hit it. *)
-          List.length (Relation.matching col (value env key) prep.p_rels.(d))
-        | `Percall ->
-          (* Count matches without building this context's throwaway
-             table — shard contexts each build their own. *)
-          let k = value env key in
-          Relation.fold
-            (fun t n -> if Symbol.equal (Tuple.get t col) k then n + 1 else n)
-            prep.p_rels.(d) 0)
+      | Index_probe { col; key; _ } ->
+        (* Also warms the relation's memoized index in the coordinator, so
+           shard contexts hit it. *)
+        List.length (Relation.matching col (value env key) prep.p_rels.(d))
       | Compare _ | Assign _ | Const_filter _ | Neg_check _ | Exists _
       | Neg_exists _ | Le_check _ | Plus_bind _ | Plus_check _
       | Aggregate_probe _ | Tighten_emit _ ->
@@ -1270,21 +1173,9 @@ let exec_range prep ~lo ~hi ~on_row =
       | Scan { pat; _ } ->
         bump_scan prep;
         scan_rel i pat
-      | Index_probe { col; key; pat; _ } -> (
-        match prep.p_indexing with
-        | `Scan ->
-          (* The probed column is still checked by the pattern, so the
-             fallback is a plain filtered scan (sliced by scan position
-             when this is the driving step). *)
-          bump_scan prep;
-          scan_rel i pat
-        | `Cached ->
-          bump_index prep (Relation.has_index prep.p_rels.(i) col);
-          stream i pat (Relation.matching col (value env key) prep.p_rels.(i))
-        | `Percall ->
-          let table = percall_table prep i col in
-          stream i pat
-            (Option.value ~default:[] (Hashtbl.find_opt table (value env key))))
+      | Index_probe { col; key; pat; _ } ->
+        bump_index prep (Relation.has_index prep.p_rels.(i) col);
+        stream i pat (Relation.matching col (value env key) prep.p_rels.(i))
   and scan_rel i pat =
     if i = d then begin
       let pos = ref 0 in
@@ -1345,8 +1236,8 @@ let exec_range prep ~lo ~hi ~on_row =
 
 let exec prep ~on_row = exec_range prep ~lo:0 ~hi:max_int ~on_row
 
-let run ?indexing ?counters ~resolver ~universe plan ~on_row =
-  let prep = prepare ?indexing ?counters ~resolver ~universe plan in
+let run ?counters ~resolver ~universe plan ~on_row =
+  let prep = prepare ?counters ~resolver ~universe plan in
   exec prep ~on_row;
   harvest plan [ prep ]
 
@@ -1366,10 +1257,10 @@ let auto_grain ~rows ~workers =
   let w = max 1 workers in
   if w = 1 then max 16 rows else max 16 ((rows + (8 * w) - 1) / (8 * w))
 
-let run_sharded ?(indexing = `Cached) ?(counters = fun _ -> None) ~pool ?grain
-    ~resolver ~universe plan ~on_row =
+let run_sharded ?(counters = fun _ -> None) ~pool ?grain ~resolver ~universe
+    plan ~on_row =
   (* The counting context doubles as participant 0's execution context. *)
-  let count_ctx = prepare ~indexing ~resolver ~universe plan in
+  let count_ctx = prepare ~resolver ~universe plan in
   let fb = plan.fb in
   (* The driving-input count is only walked on a plan's first run; after
      that the feedback record's observed average sizes the morsels and the
@@ -1411,7 +1302,7 @@ let run_sharded ?(indexing = `Cached) ?(counters = fun _ -> None) ~pool ?grain
       | None ->
         let prep =
           if p = 0 then { count_ctx with p_counters = counters 0 }
-          else prepare ~indexing ?counters:(counters p) ~resolver ~universe plan
+          else prepare ?counters:(counters p) ~resolver ~universe plan
         in
         preps.(p) <- Some prep;
         prep

@@ -58,19 +58,9 @@ type occurrence = {
 type resolver = occurrence -> source
 (** Decides, per atom occurrence, which source to read. *)
 
-type indexing = [ `Cached | `Percall | `Scan ]
-(** How [Index_probe] steps locate matching tuples — see {!Evallib.Engine}:
-    memoized relation-owned indexes, throwaway per-execution hash tables,
-    or plain scans (the pattern re-checks the probed column, so the
-    fallback needs no replanning). *)
-
-type planner = [ `Static | `Greedy | `Scan | `Adaptive ]
+type planner = [ `Static | `Adaptive ]
 (** - [`Static] (default): compile once per (rule, variant), cache, and
       only recompile when relation sizes drift past the {!Cache} threshold;
-    - [`Greedy]: recompile on every rule application with fresh sizes —
-      the pre-plan-layer behaviour, kept as the ablation baseline;
-    - [`Scan]: no planning at all — textual literal order, no index
-      probes (plans are size-independent and cached);
     - [`Adaptive]: like [`Static], plus the feedback loop — observed
       per-step cardinalities trigger bounded replans with observed stats
       substituted for estimates, small relations are scanned rather than
@@ -83,7 +73,7 @@ val pp_planner : Format.formatter -> planner -> unit
 
 val set_default_planner : planner -> unit
 (** Sets the planner used when no explicit [?planner] is given (the bench
-    ablates through this). *)
+    runs its experiment drivers under each planner through this). *)
 
 val default_planner : unit -> planner
 
@@ -281,7 +271,6 @@ val replan_hint : t -> (int * int) option
     flowing through the wrong access path or join order. *)
 
 val run :
-  ?indexing:indexing ->
   ?counters:counters ->
   resolver:resolver ->
   universe:Relalg.Symbol.t list ->
@@ -290,10 +279,13 @@ val run :
   unit
 (** Executes the plan: [on_row] is called once per complete binding with
     the slot environment (valid only for the duration of the call — copy
-    what you keep, or use {!head_tuple}).  Matching is return-value based
-    (no exceptions on the hot path) and allocation-free apart from index
-    construction and the caller's [on_row].  Completes by folding the
-    run's observed cardinalities into the plan's feedback record. *)
+    what you keep, or use {!head_tuple}).  An [Index_probe] reads the
+    relation's memoized column index ({!Relalg.Relation.matching}), built
+    once per relation value and maintained incrementally as deltas are
+    unioned in.  Matching is return-value based (no exceptions on the hot
+    path) and allocation-free apart from index construction and the
+    caller's [on_row].  Completes by folding the run's observed
+    cardinalities into the plan's feedback record. *)
 
 (** {2 Sharded (morsel-driven) execution}
 
@@ -309,12 +301,11 @@ val run :
 
 type prepared
 (** A per-domain execution context: resolved sources, slot registers,
-    scratch probe tuples, per-call index tables, the driving-step index,
-    and the context's share of the run's observed row counts.  Cheap
-    relative to execution; one per (plan, run, domain). *)
+    scratch probe tuples, the driving-step index, and the context's share
+    of the run's observed row counts.  Cheap relative to execution; one
+    per (plan, run, domain). *)
 
 val prepare :
-  ?indexing:indexing ->
   ?counters:counters ->
   resolver:resolver ->
   universe:Relalg.Symbol.t list ->
@@ -327,10 +318,9 @@ val prepare :
 val driving_rows : prepared -> int
 (** How many input rows the driving step would iterate: the driven
     relation's cardinality for scans, the probed bucket's length for index
-    probes (under [`Scan] indexing, the cardinality — the fallback scans),
-    the universe size for enumerations, and 1 for plans with no driving
-    step (fully constant-decided).  Evaluates the constant prefix before
-    the driving step — so a probe key bound by an earlier [Assign]
+    probes, the universe size for enumerations, and 1 for plans with no
+    driving step (fully constant-decided).  Evaluates the constant prefix
+    before the driving step — so a probe key bound by an earlier [Assign]
     resolves, and a failed prefix filter reports 0 — without bumping any
     row or probe counters.  {!run_sharded} calls this only on a plan's
     first run; afterwards the feedback record's observed driving-input
@@ -351,7 +341,6 @@ type shard_report = {
 }
 
 val run_sharded :
-  ?indexing:indexing ->
   ?counters:(int -> counters option) ->
   pool:Negdl_util.Domain_pool.t ->
   ?grain:int ->
@@ -361,10 +350,12 @@ val run_sharded :
   on_row:(int -> Relalg.Symbol.t array -> unit) ->
   shard_report
 (** Executes the plan with its driving step sharded into morsels of
-    [grain] rows (default {!auto_grain}) over [pool].  [on_row p env] and
-    [counters p] are keyed by participant — [on_row] must be thread-safe
-    across {e distinct} participants but is never called concurrently for
-    one participant, so per-participant accumulators need no locking.
+    {!auto_grain} rows over [pool]; [grain] overrides the morsel size and
+    exists so tests can force many small morsels on small inputs.
+    [on_row p env] and [counters p] are keyed by participant — [on_row]
+    must be thread-safe across {e distinct} participants but is never
+    called concurrently for one participant, so per-participant
+    accumulators need no locking.
     Participant indices are dense in [0, pool size + 1).  With one morsel
     (or a pool of size 0 and a single participant) everything runs inline
     on the calling domain and emits exactly what {!run} would (the only

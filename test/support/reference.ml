@@ -13,20 +13,23 @@ type db = {
   edb : Facts.t;
 }
 
-let of_database d =
+(* Facts of (predicate, relation) bindings — a database's relations, or an
+   engine valuation's. *)
+let facts_of_bindings bindings =
   let name = Relalg.Symbol.name in
-  let edb =
-    List.fold_left
-      (fun acc (pred, rel) ->
-        List.fold_left
-          (fun acc t ->
-            Facts.add (pred, List.map name (Relalg.Tuple.to_list t)) acc)
-          acc
-          (Relalg.Relation.to_list rel))
-      Facts.empty
-      (Relalg.Database.relations d)
-  in
-  { universe = List.map name (Relalg.Database.universe d); edb }
+  List.fold_left
+    (fun acc (pred, rel) ->
+      List.fold_left
+        (fun acc t -> Facts.add (pred, List.map name (Relalg.Tuple.to_list t)) acc)
+        acc
+        (Relalg.Relation.to_list rel))
+    Facts.empty bindings
+
+let of_database d =
+  {
+    universe = List.map Relalg.Symbol.name (Relalg.Database.universe d);
+    edb = facts_of_bindings (Relalg.Database.relations d);
+  }
 
 let unsupported what =
   invalid_arg (Printf.sprintf "Reference: %s is outside the reference" what)

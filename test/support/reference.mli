@@ -24,9 +24,14 @@ type db = {
   edb : Facts.t;
 }
 
+val facts_of_bindings : (string * Relalg.Relation.t) list -> Facts.t
+(** The facts of (predicate, relation) bindings — how a test reads an
+    engine valuation to compare it with this module's results. *)
+
 val of_database : Relalg.Database.t -> db
-(** Reads a database's universe and facts.  The only use of the engine's
-    relation type in this module: the input boundary. *)
+(** Reads a database's universe and facts.  With {!facts_of_bindings}, the
+    only use of the engine's relation type in this module: the input
+    boundary. *)
 
 val theta : Datalog.Ast.program -> db -> Facts.t -> Facts.t
 (** The immediate consequence operator: [theta p d s] is the set of head

@@ -4,14 +4,17 @@
    every Theta-consumer executes it, so the properties here are the
    load-bearing ones for the refactor:
 
-   - the planner ablation matrix: [`Static], [`Greedy] and [`Scan] plans
-     compute the same model under every engine, for every semantics, on
+   - the planner x engine matrix: [`Static] and [`Adaptive] plans compute
+     the model the plain-set reference (test/support/reference.ml) computes
+     from the definitions, under every engine, for every semantics, on
      random programs;
+   - morsel scheduling is invisible: every plan run sharded into morsels of
+     1 or 7 driving rows, inline or on a pool, emits what [Plan.run] emits;
    - delta-specialized plans derive exactly what full plans derive: the
      semi-naive engine (which runs the [Delta j] variants) agrees with the
      naive engine (full plans only) on the experiment workloads;
    - the plan cache's policy: static plans are reused until relation sizes
-     drift, scan plans forever, greedy plans never;
+     drift;
    - compiled plans are well-formed on the paper's programs (negation
      becomes [Neg_check], unbound head variables become [Enumerate]);
    - [Theta.iterate] detects long-period orbits in one fingerprint lookup
@@ -42,69 +45,70 @@ let tc_program =
 
 (* --- the planner x engine agreement matrix ----------------------------------- *)
 
-let planners : Plan.planner list = [ `Static; `Greedy; `Scan; `Adaptive ]
+module Reference = Testsupport.Reference
+
+let planners : Plan.planner list = [ `Static; `Adaptive ]
 
 let engines = [ `Seminaive; `Parallel ]
-
-(* The grain axis only matters under the [`Parallel] engine (morsel
-   sharding vs rule fan-out); everywhere else one point suffices. *)
-let grains_for = function
-  | `Parallel -> ([ `Auto; `Fixed 2; `Rules ] : Evallib.Engine.grain list)
-  | _ -> [ `Auto ]
 
 let all_modes_agree eval equal reference =
   List.for_all
     (fun planner ->
       List.for_all
-        (fun engine ->
-          List.for_all
-            (fun grain -> equal reference (eval ~planner ~engine ~grain))
-            (grains_for engine))
+        (fun engine -> equal reference (eval ~planner ~engine))
         engines)
     planners
+
+let matches_reference reference s =
+  Reference.Facts.equal reference (Reference.facts_of_bindings (Idb.bindings s))
+
+let stratified_reference p db =
+  match Reference.stratified p (Reference.of_database db) with
+  | Some m -> m
+  | None -> QCheck.Test.fail_report "reference finds the program unstratifiable"
 
 let prop_matrix_inflationary =
   QCheck.Test.make
     ~name:"planner x engine matrix agrees (inflationary)" ~count:60
     arb_case (fun (p, db) ->
-      let reference = Evallib.Inflationary.eval p db in
+      let reference = Reference.inflationary p (Reference.of_database db) in
       all_modes_agree
-        (fun ~planner ~engine ~grain ->
-          Evallib.Inflationary.eval ~planner ~engine ~grain p db)
-        Idb.equal reference)
+        (fun ~planner ~engine -> Evallib.Inflationary.eval ~planner ~engine p db)
+        matches_reference reference)
 
 let prop_matrix_positive =
   QCheck.Test.make
     ~name:"planner x engine matrix agrees (positive lfp)" ~count:60
     arb_case (fun (p, db) ->
       let p = positivise p in
-      let reference = Evallib.Naive.least_fixpoint p db in
+      (* One stratum: the reference's stratified model is the least
+         fixpoint of Theta. *)
+      let reference = stratified_reference p db in
       all_modes_agree
-        (fun ~planner ~engine ~grain ->
-          Evallib.Naive.least_fixpoint ~planner ~engine ~grain p db)
-        Idb.equal reference)
+        (fun ~planner ~engine ->
+          Evallib.Naive.least_fixpoint ~planner ~engine p db)
+        matches_reference reference)
 
 let prop_matrix_semantics =
   QCheck.Test.make
     ~name:"planner x engine matrix agrees (stratified + well-founded)"
     ~count:40 arb_case (fun (p, db) ->
       QCheck.assume (Datalog.Stratify.is_stratified p);
-      let strat_ref = Evallib.Stratified.eval_exn p db in
-      let wf_ref = Evallib.Wellfounded.eval p db in
-      let wf_equal (a : Evallib.Wellfounded.model) b =
-        Idb.equal a.Evallib.Wellfounded.true_facts
-          b.Evallib.Wellfounded.true_facts
-        && Idb.equal a.Evallib.Wellfounded.possible
-             b.Evallib.Wellfounded.possible
+      let reference = stratified_reference p db in
+      (* On a stratifiable program the well-founded model is total and
+         equals the stratified one. *)
+      let wf_matches reference (m : Evallib.Wellfounded.model) =
+        matches_reference reference m.Evallib.Wellfounded.true_facts
+        && matches_reference reference m.Evallib.Wellfounded.possible
       in
       all_modes_agree
-        (fun ~planner ~engine ~grain ->
-          Evallib.Stratified.eval_exn ~planner ~engine ~grain p db)
-        Idb.equal strat_ref
+        (fun ~planner ~engine ->
+          Evallib.Stratified.eval_exn ~planner ~engine p db)
+        matches_reference reference
       && all_modes_agree
-           (fun ~planner ~engine ~grain ->
-             Evallib.Wellfounded.eval ~planner ~engine ~grain p db)
-           wf_equal wf_ref)
+           (fun ~planner ~engine ->
+             Evallib.Wellfounded.eval ~planner ~engine p db)
+           wf_matches reference)
 
 (* Kripke-Kleene runs through the grounding, whose instantiation plans are
    the planner-sensitive part. *)
@@ -120,6 +124,66 @@ let prop_matrix_fitting =
           && Idb.equal m.Evallib.Fitting.possible
                reference.Evallib.Fitting.possible)
         planners)
+
+(* --- morsel scheduling -------------------------------------------------------- *)
+
+module Tuples = Set.Make (Tuple)
+
+(* Pools of 1 and 3 participants, shared across cases: spawning domains per
+   case would dominate the property's runtime. *)
+let pools =
+  lazy
+    [
+      Negdl_util.Domain_pool.create ~size:0 ();
+      Negdl_util.Domain_pool.create ~size:2 ();
+    ]
+
+(* Small inputs only split into many morsels under a forced grain: one
+   driving row per morsel, and a prime that straddles morsel boundaries.
+   Each configuration compiles a fresh plan and runs it twice, covering the
+   first run (which counts the driving input) and a later one (which sizes
+   morsels from the feedback record and leaves the last one open-ended). *)
+let prop_sharded_equals_run =
+  QCheck.Test.make
+    ~name:"sharded plans emit Plan.run's rows (grains 1, 7; pools 0, 2)"
+    ~count:60 arb_case (fun (p, db) ->
+      let s = Evallib.Inflationary.eval p db in
+      let resolver = Evallib.Engine.uniform (Evallib.Engine.layered db s) in
+      let universe = Database.universe db in
+      let compile rule =
+        Evallib.Engine.plan_rule ~universe_size:(List.length universe)
+          ~resolver rule
+      in
+      List.for_all
+        (fun rule ->
+          let plan = compile rule in
+          let expected = ref Tuples.empty in
+          Plan.run ~resolver ~universe plan ~on_row:(fun env ->
+              expected := Tuples.add (Plan.head_tuple plan env) !expected);
+          List.for_all
+            (fun pool ->
+              List.for_all
+                (fun grain ->
+                  let plan = compile rule in
+                  let sharded () =
+                    let rows =
+                      Array.make
+                        (Negdl_util.Domain_pool.size pool + 1)
+                        Tuples.empty
+                    in
+                    ignore
+                      (Plan.run_sharded ~pool ~grain ~resolver ~universe plan
+                         ~on_row:(fun part env ->
+                           rows.(part) <-
+                             Tuples.add (Plan.head_tuple plan env) rows.(part)));
+                    Array.fold_left Tuples.union Tuples.empty rows
+                  in
+                  let first = sharded () in
+                  let later = sharded () in
+                  Tuples.equal first !expected && Tuples.equal later !expected)
+                [ 1; 7 ])
+            (Lazy.force pools))
+        p.Ast.rules)
 
 (* --- delta-specialized plans = full plans on the experiment workloads ----- *)
 
@@ -169,31 +233,23 @@ let test_cache_policy () =
   let counters = Plan.counters () in
   let size = ref 16 in
   let sizes _ _ = !size in
-  let find planner =
-    Cache.find ~counters ~planner cache ~sizes ~universe_size:16 tc_rec_rule
+  let find () =
+    Cache.find ~counters ~planner:`Static cache ~sizes ~universe_size:16
+      tc_rec_rule
   in
-  let p1 = find `Static in
-  let p2 = find `Static in
+  let p1 = find () in
+  let p2 = find () in
   Alcotest.(check bool) "static plan is reused" true (p1 == p2);
   (* Same magnitude: no drift, still a hit. *)
   size := 40;
-  let p3 = find `Static in
+  let p3 = find () in
   Alcotest.(check bool) "4x-with-slack drift not yet reached" true (p1 == p3);
   (* Past the 4x + slack threshold: recompiled. *)
   size := 1000;
-  let p4 = find `Static in
+  let p4 = find () in
   Alcotest.(check bool) "drifted sizes force a replan" true (p1 != p4);
-  (* Greedy never reuses. *)
-  let g1 = find `Greedy in
-  let g2 = find `Greedy in
-  Alcotest.(check bool) "greedy always replans" true (g1 != g2);
-  (* Scan plans are size-independent. *)
-  let s1 = find `Scan in
-  size := 7;
-  let s2 = find `Scan in
-  Alcotest.(check bool) "scan plans never drift" true (s1 == s2);
-  Alcotest.(check bool) "compiles and hits were counted" true
-    (counters.Plan.plan_compiles >= 4 && counters.Plan.plan_cache_hits >= 3)
+  Alcotest.(check int) "compiles counted" 2 counters.Plan.plan_compiles;
+  Alcotest.(check int) "hits counted" 2 counters.Plan.plan_cache_hits
 
 (* --- the adaptive feedback loop -------------------------------------------- *)
 
@@ -282,15 +338,9 @@ let test_plan_shapes () =
   in
   Alcotest.(check int) "dead negated variables become existence checks" 2
     neg_exists;
-  (* The recursive TC rule under static planning probes through an index;
-     under scan planning it must not. *)
+  (* The recursive TC rule under static planning probes through an index. *)
   let p = Plan.compile ~planner:`Static ~sizes ~universe_size:8 tc_rec_rule in
   Alcotest.(check bool) "tc join compiles to an index probe" true
-    (List.exists
-       (function Plan.Index_probe _ -> true | _ -> false)
-       (ops p));
-  let p = Plan.compile ~planner:`Scan ~sizes ~universe_size:8 tc_rec_rule in
-  Alcotest.(check bool) "scan planner emits no probes" false
     (List.exists
        (function Plan.Index_probe _ -> true | _ -> false)
        (ops p))
@@ -372,12 +422,13 @@ let () =
             prop_matrix_positive;
             prop_matrix_semantics;
             prop_matrix_fitting;
+            prop_sharded_equals_run;
           ] );
       ( "regressions",
         [
           Alcotest.test_case "delta plans = full plans (E-workloads)" `Quick
             test_delta_equals_full;
-          Alcotest.test_case "cache policy (static drift, greedy, scan)" `Quick
+          Alcotest.test_case "cache policy (static drift)" `Quick
             test_cache_policy;
           Alcotest.test_case "adaptive feedback replan (bounded, same model)"
             `Quick test_adaptive_replan;

@@ -36,16 +36,7 @@ let positivise = Testsupport.Gen_programs.positivise
 module Reference = Testsupport.Reference
 
 (* The engine's valuation as reference facts. *)
-let facts_of_idb s =
-  List.fold_left
-    (fun acc (pred, rel) ->
-      Relalg.Relation.fold
-        (fun t acc ->
-          Reference.Facts.add
-            (pred, List.map Relalg.Symbol.name (Relalg.Tuple.to_list t))
-            acc)
-        rel acc)
-    Reference.Facts.empty (Idb.bindings s)
+let facts_of_idb s = Reference.facts_of_bindings (Idb.bindings s)
 
 let matches_reference reference s =
   Reference.Facts.equal reference (facts_of_idb s)
@@ -64,49 +55,37 @@ let prop_engines_agree =
         (Evallib.Inflationary.eval ~engine:`Naive p db)
         (Evallib.Inflationary.eval ~engine:`Seminaive p db))
 
-(* Every (engine, indexing) combination must compute the model the
-   reference computes from the definitions — the fixpoint is a semantic
-   object, not an artefact of evaluation order, index structure, or domain
-   scheduling. *)
+(* Every engine must compute the model the reference computes from the
+   definitions — the fixpoint is a semantic object, not an artefact of
+   evaluation order or domain scheduling. *)
 let engines = [ `Naive; `Seminaive; `Parallel ]
 
-let indexings = [ `Cached; `Percall; `Scan ]
-
 let all_modes_agree eval equal reference =
-  List.for_all
-    (fun engine ->
-      List.for_all
-        (fun indexing -> equal reference (eval ~engine ~indexing))
-        indexings)
-    engines
+  List.for_all (fun engine -> equal reference (eval ~engine)) engines
 
 let prop_engine_matrix_inflationary =
-  QCheck.Test.make
-    ~name:"all engine x indexing modes = reference (inflationary fixpoint)"
+  QCheck.Test.make ~name:"all engines = reference (inflationary fixpoint)"
     ~count:60 arb_case (fun (p, db) ->
       let reference = Reference.inflationary p (Reference.of_database db) in
       all_modes_agree
-        (fun ~engine ~indexing ->
-          Evallib.Inflationary.eval ~engine ~indexing p db)
+        (fun ~engine -> Evallib.Inflationary.eval ~engine p db)
         matches_reference reference)
 
 let prop_engine_matrix_positive =
-  QCheck.Test.make
-    ~name:"all engine x indexing modes = reference (positive lfp)"
-    ~count:60 arb_case (fun (p, db) ->
+  QCheck.Test.make ~name:"all engines = reference (positive lfp)" ~count:60
+    arb_case (fun (p, db) ->
       let p = positivise p in
       (* A positive program is one stratum: the reference's stratified
          model is the least fixpoint of Theta. *)
       let reference = stratified_reference p db in
       all_modes_agree
-        (fun ~engine ~indexing ->
-          Evallib.Naive.least_fixpoint ~engine ~indexing p db)
+        (fun ~engine -> Evallib.Naive.least_fixpoint ~engine p db)
         matches_reference reference)
 
 let prop_engine_matrix_semantics =
   QCheck.Test.make
-    ~name:"all engine x indexing modes = reference (stratified + well-founded)"
-    ~count:40 arb_case (fun (p, db) ->
+    ~name:"all engines = reference (stratified + well-founded)" ~count:40
+    arb_case (fun (p, db) ->
       QCheck.assume (Datalog.Stratify.is_stratified p);
       let strat_ref = stratified_reference p db in
       (* On a stratifiable program the well-founded model is total and
@@ -116,79 +95,20 @@ let prop_engine_matrix_semantics =
         && matches_reference reference m.Evallib.Wellfounded.possible
       in
       all_modes_agree
-        (fun ~engine ~indexing ->
-          Evallib.Stratified.eval_exn ~engine ~indexing p db)
+        (fun ~engine -> Evallib.Stratified.eval_exn ~engine p db)
         matches_reference strat_ref
       && all_modes_agree
-           (fun ~engine ~indexing ->
-             Evallib.Wellfounded.eval ~engine ~indexing p db)
+           (fun ~engine -> Evallib.Wellfounded.eval ~engine p db)
            wf_matches strat_ref)
-
-(* The morsel grain is pure scheduling: whatever the shard size (one tuple,
-   a prime that straddles shard boundaries, the auto heuristic) or the
-   rule-level fallback, the [`Parallel] engine must compute the reference
-   model — across planners, and for every semantics built on
-   saturation. *)
-let grains : Evallib.Engine.grain list = [ `Fixed 1; `Fixed 7; `Auto; `Rules ]
-
-let planners : Evallib.Engine.planner list = [ `Static; `Greedy; `Scan ]
 
 (* One pool shared across all iterations: spawning domains per case would
    dominate the property's runtime. *)
 let shared_pool = lazy (Negdl_util.Domain_pool.create ~size:2 ())
 
-let prop_grain_matrix =
-  QCheck.Test.make
-    ~name:"parallel engine agrees across grain x planner (all semantics)"
-    ~count:30 arb_case (fun (p, db) ->
-      let pool = Lazy.force shared_pool in
-      let agree eval equal reference =
-        List.for_all
-          (fun grain ->
-            List.for_all
-              (fun planner -> equal reference (eval ~grain ~planner))
-              planners)
-          grains
-      in
-      let infl_ref = Evallib.Inflationary.eval p db in
-      let pos = positivise p in
-      let lfp_ref = Evallib.Naive.least_fixpoint pos db in
-      agree
-        (fun ~grain ~planner ->
-          Evallib.Inflationary.eval ~engine:`Parallel ~pool ~grain ~planner p
-            db)
-        Idb.equal infl_ref
-      && agree
-           (fun ~grain ~planner ->
-             Evallib.Naive.least_fixpoint ~engine:`Parallel ~pool ~grain
-               ~planner pos db)
-           Idb.equal lfp_ref
-      &&
-      if not (Datalog.Stratify.is_stratified p) then true
-      else
-        let strat_ref = Evallib.Stratified.eval_exn p db in
-        let wf_ref = Evallib.Wellfounded.eval p db in
-        let wf_equal (a : Evallib.Wellfounded.model) b =
-          Idb.equal a.Evallib.Wellfounded.true_facts
-            b.Evallib.Wellfounded.true_facts
-          && Idb.equal a.Evallib.Wellfounded.possible
-               b.Evallib.Wellfounded.possible
-        in
-        agree
-          (fun ~grain ~planner ->
-            Evallib.Stratified.eval_exn ~engine:`Parallel ~pool ~grain
-              ~planner p db)
-          Idb.equal strat_ref
-        && agree
-             (fun ~grain ~planner ->
-               Evallib.Wellfounded.eval ~engine:`Parallel ~pool ~grain
-                 ~planner p db)
-             wf_equal wf_ref)
-
 (* The partitioned packed store must be observationally identical to the
    plain-set semantics: the reference's stratified model is compared
-   against the store under both the sequential and the parallel engine, at
-   the auto and per-rule grains. *)
+   against the store under both the sequential engine and the parallel
+   engine on a three-participant pool. *)
 let prop_partitioned_store_oracle =
   QCheck.Test.make
     ~name:"partitioned hashed store matches the plain-set reference"
@@ -199,12 +119,8 @@ let prop_partitioned_store_oracle =
         let reference = stratified_reference p db in
         matches_reference reference
           (Evallib.Stratified.eval_exn ~engine:`Seminaive p db)
-        && List.for_all
-             (fun grain ->
-               matches_reference reference
-                 (Evallib.Stratified.eval_exn ~engine:`Parallel ~pool ~grain p
-                    db))
-             [ `Auto; `Rules ])
+        && matches_reference reference
+             (Evallib.Stratified.eval_exn ~engine:`Parallel ~pool p db))
 
 (* Theta itself, not just its limits: one application at every stage of
    the inflationary iteration matches the reference operator. *)
@@ -341,26 +257,6 @@ let prop_kripke_kleene_within_wellfounded =
       Idb.subset kk.Evallib.Fitting.true_facts wf.Evallib.Wellfounded.true_facts
       && Idb.subset wf.Evallib.Wellfounded.possible kk.Evallib.Fitting.possible)
 
-let prop_indexed_equals_scan =
-  QCheck.Test.make ~name:"indexed joins = full-scan joins" ~count:100 arb_case
-    (fun (p, db) ->
-      match Ast.idb_schema p with
-      | Error _ -> true
-      | Ok schema ->
-        let universe = Relalg.Database.universe db in
-        (* One Theta application against the inflationary limit, computed
-           under all three indexing strategies. *)
-        let s = Evallib.Inflationary.eval p db in
-        let resolver =
-          Evallib.Engine.uniform (Evallib.Engine.layered db s)
-        in
-        let apply indexing =
-          Evallib.Engine.eval_rules ~indexing ~universe ~resolver ~schema
-            p.Ast.rules
-        in
-        let cached = apply `Cached in
-        Idb.equal cached (apply `Percall) && Idb.equal cached (apply `Scan))
-
 (* Limit predicates: the plan-path tightening evaluation must agree with
    a brute-force reference that materializes every cost tuple (same rules,
    no limit declarations) and then keeps only the dominant tuple of each
@@ -408,7 +304,6 @@ let () =
             prop_engine_matrix_inflationary;
             prop_engine_matrix_positive;
             prop_engine_matrix_semantics;
-            prop_grain_matrix;
             prop_partitioned_store_oracle;
             prop_limit_is_inflationary_fixpoint;
             prop_deltas_partition;
@@ -423,7 +318,6 @@ let () =
             prop_prop1_translation;
             prop_wellfounded_algorithms_agree;
             prop_kripke_kleene_within_wellfounded;
-            prop_indexed_equals_scan;
             prop_limit_differential;
             prop_pretty_roundtrip;
             prop_theta_matches_reference;

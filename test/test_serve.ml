@@ -123,6 +123,18 @@ let test_query_batch () =
     check int "s(v1, _)" 2 (Relation.cardinal b);
     check bool "duplicate answered identically" true (Relation.equal a a')
   | _ -> Alcotest.fail "unexpected batch shape");
+  (* Three distinct atoms were uncached (one of them an error): three
+     misses.  Only the repeated atom is a hit. *)
+  let c = Serve.counters t in
+  check int "every atom served" 4 c.Serve.queries;
+  check int "one miss per distinct uncached atom" 3 c.Serve.cache_misses;
+  check int "the duplicate is the only hit" 1 c.Serve.cache_hits;
+  (* Atoms cached before the batch are hits too. *)
+  ignore (Serve.query_all t [ goal "s(v1, Y)"; goal "s(v2, Y)" ]);
+  let c = Serve.counters t in
+  check int "cached-before atom hits" 2 c.Serve.cache_hits;
+  check int "hits + misses = served" c.Serve.queries
+    (c.Serve.cache_hits + c.Serve.cache_misses);
   Negdl_util.Domain_pool.shutdown pool
 
 (* --- Query.select (regression: arity mismatch was a bare exception) ------- *)
