@@ -315,8 +315,8 @@ let () =
             prop_positive_has_least_fixpoint;
             prop_wellfounded_on_stratified;
             prop_wellfounded_bounds;
-            prop_prop1_translation;
             prop_wellfounded_algorithms_agree;
+            prop_prop1_translation;
             prop_kripke_kleene_within_wellfounded;
             prop_limit_differential;
             prop_pretty_roundtrip;
