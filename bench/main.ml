@@ -16,12 +16,12 @@
    answer-parity checks.  Writes BENCH_sat.json and exits nonzero if any
    answer diverges.
 
-   Part 6 ("plan") is the join-planner benchmark: compile-once static plans
-   vs the adaptive feedback planner, on the Theta-application loop and on
-   iteration-heavy and join-dominated E7/E8 workloads, with E1-E8 parity
-   fingerprints under both planners and an allocation bound on the plan
-   executor's hot loop.  Writes BENCH_plan.json and exits nonzero on any
-   divergence or if adaptive planning regresses.
+   Part 6 ("plan") is the plan-layer benchmark: compile-once static plans
+   timed on the Theta-application loop and on iteration-heavy and
+   join-dominated E7/E8 workloads, the compile-once counters on the
+   iteration-heavy one, and an allocation bound on the plan executor's hot
+   loop.  Writes BENCH_plan.json and exits nonzero if compiles grow with
+   iterations or the executor reaches 8 minor words per row.
 
    Part 7 ("par") is the intra-rule parallelism benchmark: morsel-sharded
    plan execution vs the sequential engine on a single-heavy-rule
@@ -60,7 +60,7 @@
    and critical-path (max) bounds over seeded weighted graphs, limit-aware
    tightening vs the pair-materializing Datalog-not encoding of the same
    query, with dominant-filter parity, limit-model fingerprint parity
-   across planners x engines, E1-E8 fingerprint invariance, and
+   across engines, E1-E8 fingerprint invariance, and
    an incremental serve session under mixed
    insert/delete that must keep dred full applications at 0.  Writes
    BENCH_agg.json and exits nonzero on any divergence or if tightening is
@@ -911,14 +911,7 @@ let satpar_bench ~quick () =
     exit 1
   end
 
-(* --- Part 6: planner benchmark (BENCH_plan.json) ----------------------------- *)
-
-let with_planner planner f =
-  let saved = Plan.default_planner () in
-  Plan.set_default_planner planner;
-  Fun.protect ~finally:(fun () -> Plan.set_default_planner saved) f
-
-let planner_name = Plan.planner_to_string
+(* --- Part 6: plan-layer benchmark (BENCH_plan.json) -------------------------- *)
 
 (* Satellite check: the plan executor's hot loop must not allocate per row
    (return-value matching, no exceptions, plain-array environment).  A warm
@@ -933,8 +926,7 @@ let executor_words_per_row () =
   let universe = Database.universe db in
   let rule = List.nth tc_program.Ast.rules 1 in
   let plan =
-    Engine.plan_rule ~planner:`Static ~universe_size:(List.length universe)
-      ~resolver rule
+    Engine.plan_rule ~universe_size:(List.length universe) ~resolver rule
   in
   let rows = ref 0 in
   let run () =
@@ -948,16 +940,9 @@ let executor_words_per_row () =
   let after = Gc.minor_words () in
   (after -. before) /. float_of_int (max 1 !rows)
 
-let with_drift factor f =
-  let saved = Plan.drift_factor () in
-  Plan.set_drift_factor factor;
-  Fun.protect ~finally:(fun () -> Plan.set_drift_factor saved) f
-
 let plan_bench ~quick () =
-  Format.printf
-    "Planner benchmark (static vs adaptive%s) -> BENCH_plan.json@."
-    (if quick then ", quick mode" else "");
-  let planners = [ `Static; `Adaptive ] in
+  Format.printf "Plan-layer benchmark%s -> BENCH_plan.json@."
+    (if quick then " (quick mode)" else "");
   let best_reps = if quick then 2 else 4 in
   (* Workload 1 — the Theta-application loop itself, on E1's pi_1: the
      operator every semantics in the paper iterates, applied over and over
@@ -975,26 +960,23 @@ let plan_bench ~quick () =
     | None -> Inflationary.eval pi1 theta_db
   in
   let theta_iters = if quick then 20000 else 50000 in
-  let theta_cell planner =
-    with_planner planner (fun () ->
-        let cache = Plan_cache.create () in
-        ignore (Theta.apply ~cache pi1 theta_db theta_fp);
-        let run () =
-          for _ = 2 to theta_iters do
-            ignore (Theta.apply ~cache pi1 theta_db theta_fp)
-          done;
-          Theta.apply ~cache pi1 theta_db theta_fp
-        in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t /. float_of_int theta_iters))
+  let theta_cell () =
+    let cache = Plan_cache.create () in
+    ignore (Theta.apply ~cache pi1 theta_db theta_fp);
+    let run () =
+      for _ = 2 to theta_iters do
+        ignore (Theta.apply ~cache pi1 theta_db theta_fp)
+      done;
+      Theta.apply ~cache pi1 theta_db theta_fp
+    in
+    let r, t = best_of best_reps run in
+    (Idb.total_cardinal r, t /. float_of_int theta_iters)
   in
   (* Workload 2 — application-heavy TC (the E7 family): k vertex-disjoint
      transitive closures over small cycles.  Every semi-naive stage runs
-     one delta application per copy, each joining a handful of tuples —
-     the regime where scanning a tiny relation beats probing its index,
-     which the adaptive planner's feedback loop has to discover.  Both
-     planners compile each (rule, variant) once and hit the cache for the
-     rest of the run. *)
+     one delta application per copy, each joining a handful of tuples.
+     Each (rule, variant) compiles once and hits the cache for the rest
+     of the run. *)
   let multi_copies = if quick then 32 else 48 in
   let multi_cycle = 8 in
   let multi_reps = if quick then 4 else 6 in
@@ -1013,16 +995,15 @@ let plan_bench ~quick () =
           (Generate.cycle multi_cycle))
     |> List.fold_left Database.merge (Database.create ~universe:[])
   in
-  let tc_cell planner =
-    with_planner planner (fun () ->
-        let run () =
-          for _ = 2 to multi_reps do
-            ignore (Inflationary.eval ~engine:`Seminaive multi_program multi_db)
-          done;
-          Inflationary.eval ~engine:`Seminaive multi_program multi_db
-        in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t /. float_of_int multi_reps))
+  let tc_cell () =
+    let run () =
+      for _ = 2 to multi_reps do
+        ignore (Inflationary.eval ~engine:`Seminaive multi_program multi_db)
+      done;
+      Inflationary.eval ~engine:`Seminaive multi_program multi_db
+    in
+    let r, t = best_of best_reps run in
+    (Idb.total_cardinal r, t /. float_of_int multi_reps)
   in
   (* Workload 3 — the E8 distance program on L_n: six rules, three
      delta-specialized variants per stage, ~n stages; a multi-rule body
@@ -1030,29 +1011,27 @@ let plan_bench ~quick () =
   let dist_n = if quick then 10 else 13 in
   let dist_reps = if quick then 3 else 4 in
   let dist_g = Generate.path dist_n in
-  let dist_cell planner =
-    with_planner planner (fun () ->
-        let run () =
-          for _ = 2 to dist_reps do
-            ignore (Distance.inflationary dist_g)
-          done;
-          Distance.inflationary dist_g
-        in
-        let r, t = best_of best_reps run in
-        (Relation.cardinal r, t /. float_of_int dist_reps))
+  let dist_cell () =
+    let run () =
+      for _ = 2 to dist_reps do
+        ignore (Distance.inflationary dist_g)
+      done;
+      Distance.inflationary dist_g
+    in
+    let r, t = best_of best_reps run in
+    (Relation.cardinal r, t /. float_of_int dist_reps)
   in
   (* Workload 4 — dense TC (join-output-dominated, the E7 dense point):
      here execution dwarfs planning, and index probes are what keep it
-     fast — the adaptive planner must not trade them away. *)
+     fast. *)
   let dense_n = if quick then 90 else 140 in
   let dense_db =
     db_of (Generate.random ~seed:79 ~n:dense_n ~p:(4.0 /. float_of_int dense_n))
   in
-  let dense_cell planner =
-    with_planner planner (fun () ->
-        let run () = Inflationary.eval ~engine:`Seminaive tc_program dense_db in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t))
+  let dense_cell () =
+    let run () = Inflationary.eval ~engine:`Seminaive tc_program dense_db in
+    let r, t = best_of best_reps run in
+    (Idb.total_cardinal r, t)
   in
   let workloads =
     [
@@ -1062,128 +1041,30 @@ let plan_bench ~quick () =
       ("tc_dense", dense_cell);
     ]
   in
-  let matrix =
-    List.concat_map
-      (fun (wname, cell) ->
-        List.map
-          (fun planner ->
-            let tuples, seconds = cell planner in
-            (wname, planner, tuples, seconds))
-          planners)
-      workloads
-  in
-  Format.printf "  %-34s %10s %10s@." "workload x planner" "ms" "tuples";
-  List.iter
-    (fun (wname, planner, tuples, seconds) ->
-      Format.printf "  %-34s %10.2f %10d@."
-        (Printf.sprintf "%s_%s" wname (planner_name planner))
-        (seconds *. 1e3) tuples)
-    matrix;
-  let cell wname planner =
-    let _, _, tuples, seconds =
-      List.find (fun (w, p, _, _) -> w = wname && p = planner) matrix
-    in
-    (tuples, seconds)
-  in
-  let results_agree =
-    List.for_all
-      (fun (wname, _) ->
-        let t0, _ = cell wname `Static in
-        List.for_all (fun p -> fst (cell wname p) = t0) planners)
-      workloads
-  in
-  (* The adaptive gate: the feedback planner must land within 10% of the
-     static planner on every workload — and strictly beat it on the
-     many-tiny-joins TC, where scanning beats probing. *)
-  let adaptive_margins =
+  let rows =
     List.map
-      (fun (wname, _) ->
-        (wname, snd (cell wname `Adaptive) /. snd (cell wname `Static)))
+      (fun (wname, cell) ->
+        let tuples, seconds = cell () in
+        (wname, tuples, seconds))
       workloads
   in
+  Format.printf "  %-34s %10s %10s@." "workload" "ms" "tuples";
   List.iter
-    (fun (wname, margin) ->
-      Format.printf "  adaptive vs static (%s): %.2fx@." wname margin)
-    adaptive_margins;
-  let adaptive_within_10pct =
-    List.for_all (fun (_, margin) -> margin <= 1.10) adaptive_margins
-  in
-  let adaptive_beats_static_tc_multi =
-    snd (cell "tc_multi_iterheavy" `Adaptive)
-    < snd (cell "tc_multi_iterheavy" `Static)
-  in
-  Format.printf "  adaptive within 10%% of static everywhere %s@."
-    (ok adaptive_within_10pct);
-  Format.printf "  adaptive beats static on tc_multi_iterheavy %s@."
-    (ok adaptive_beats_static_tc_multi);
-  (* Plan-counter telemetry on the iteration-heavy workload: static compiles
-     a bounded set of plans — full + delta variants, at most 3 per copy —
-     and hits the cache everywhere else, so compiles scale with rules, not
+    (fun (wname, tuples, seconds) ->
+      Format.printf "  %-34s %10.2f %10d@." wname (seconds *. 1e3) tuples)
+    rows;
+  (* Plan-counter telemetry on the iteration-heavy workload: a bounded set
+     of plans compiles — full + delta variants, at most 3 per copy — and
+     the cache hits everywhere else, so compiles scale with rules, not
      with iterations. *)
-  let static_compiles, static_hits =
-    with_planner `Static (fun () ->
-        let stats = Stats.create () in
-        ignore
-          (Inflationary.eval ~engine:`Seminaive ~stats multi_program multi_db);
-        (stats.Stats.plan.Plan.plan_compiles,
-         stats.Stats.plan.Plan.plan_cache_hits))
+  let compiles, cache_hits =
+    let stats = Stats.create () in
+    ignore (Inflationary.eval ~engine:`Seminaive ~stats multi_program multi_db);
+    (stats.Stats.plan.Plan.plan_compiles, stats.Stats.plan.Plan.plan_cache_hits)
   in
-  Format.printf "  plan compiles on %dx tc C_%d: static %d (%d cache hits)@."
-    multi_copies multi_cycle static_compiles static_hits;
-  let compile_once_ok = static_compiles <= 3 * multi_copies in
-  (* Feedback-loop telemetry on the dense TC, where the growing closure
-     moves observed per-step cardinalities furthest from the estimates the
-     delta plans were compiled against: the adaptive planner converts the
-     blind size-drift recompiles static pays into bounded, informed
-     replans (overridden occurrences are exempt from the drift check, so
-     total compiles drop), both at the default tolerance and at the
-     tightest one. *)
-  let adaptive_dense_counters drift =
-    with_drift drift (fun () ->
-        with_planner `Adaptive (fun () ->
-            let stats = Stats.create () in
-            ignore
-              (Inflationary.eval ~engine:`Seminaive ~stats tc_program dense_db);
-            ( stats.Stats.plan.Plan.plan_compiles,
-              stats.Stats.plan.Plan.plan_replans )))
-  in
-  let dense_compiles_default, dense_replans_default =
-    adaptive_dense_counters (Plan.drift_factor ())
-  in
-  let dense_compiles_tight, dense_replans_tight = adaptive_dense_counters 1 in
-  Format.printf
-    "  adaptive on tc_dense: drift %d -> %d compiles %d replans; drift 1 -> \
-     %d compiles %d replans@."
-    (Plan.drift_factor ()) dense_compiles_default dense_replans_default
-    dense_compiles_tight dense_replans_tight;
-  let replans_recorded = dense_replans_default > 0 || dense_replans_tight > 0 in
-  Format.printf "  feedback replans engage on tc_dense %s@."
-    (ok replans_recorded);
-  (* E1-E8 parity: every experiment count must be planner-invariant. *)
-  let fps =
-    List.map (fun p -> (p, with_planner p parity_fingerprint)) planners
-  in
-  let fp_static = List.assoc `Static fps in
-  let divergences =
-    List.concat_map
-      (fun (p, fp) ->
-        if p = `Static then []
-        else
-          List.filter_map
-            (fun ((name, s), (name', v)) ->
-              assert (name = name');
-              if s = v then None else Some (planner_name p, name, s, v))
-            (List.combine fp_static fp))
-      fps
-  in
-  List.iter
-    (fun (pname, name, s, v) ->
-      Format.printf "  DIVERGENCE %s under %s: static=%d got=%d@." name pname s
-        v)
-    divergences;
-  let parity_ok = divergences = [] in
-  Format.printf "  parity: E1-E8 fingerprints (%d entries x %d planners) %s@."
-    (List.length fp_static) (List.length planners) (ok parity_ok);
+  let compile_once_ok = compiles <= 3 * multi_copies in
+  Format.printf "  plan compiles on %dx tc C_%d: %d (%d cache hits) %s@."
+    multi_copies multi_cycle compiles cache_hits (ok compile_once_ok);
   let words_per_row = executor_words_per_row () in
   let alloc_ok = words_per_row < 8.0 in
   Format.printf "  executor allocation: %.2f minor words/row (bound 8.0) %s@."
@@ -1193,51 +1074,27 @@ let plan_bench ~quick () =
   out "{\n";
   out "  \"quick\": %b,\n" quick;
   out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"matrix\": [\n";
+  out "  \"workloads\": [\n";
   List.iteri
-    (fun i (wname, planner, tuples, seconds) ->
-      out
-        "    {\"workload\": %S, \"planner\": %S, \"ns_per_op\": %.0f, \
-         \"tuples\": %d}%s\n"
-        wname (planner_name planner) (seconds *. 1e9) tuples
-        (if i = List.length matrix - 1 then "" else ","))
-    matrix;
+    (fun i (wname, tuples, seconds) ->
+      out "    {\"workload\": %S, \"ns_per_op\": %.0f, \"tuples\": %d}%s\n"
+        wname (seconds *. 1e9) tuples
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
   out "  ],\n";
   out "  \"plan_counters\": {\n";
-  out "    \"static_compiles\": %d,\n" static_compiles;
-  out "    \"static_cache_hits\": %d\n" static_hits;
-  out "  },\n";
-  out "  \"adaptive\": {\n";
-  out "    \"tc_dense_compiles_default_drift\": %d,\n" dense_compiles_default;
-  out "    \"tc_dense_replans_default_drift\": %d,\n" dense_replans_default;
-  out "    \"tc_dense_compiles_drift1\": %d,\n" dense_compiles_tight;
-  out "    \"tc_dense_replans_drift1\": %d,\n" dense_replans_tight;
-  List.iteri
-    (fun i (wname, margin) ->
-      out "    \"margin_vs_static_%s\": %.3f%s\n" wname margin
-        (if i = List.length adaptive_margins - 1 then "" else ","))
-    adaptive_margins;
+  out "    \"compiles\": %d,\n" compiles;
+  out "    \"cache_hits\": %d\n" cache_hits;
   out "  },\n";
   out "  \"checks\": {\n";
-  out "    \"e1_e8_fingerprints_match\": %b,\n" parity_ok;
-  out "    \"planner_results_agree\": %b,\n" results_agree;
   out "    \"compile_once\": %b,\n" compile_once_ok;
-  out "    \"adaptive_within_10pct_of_static\": %b,\n" adaptive_within_10pct;
-  out "    \"adaptive_beats_static_tc_multi\": %b,\n"
-    adaptive_beats_static_tc_multi;
-  out "    \"adaptive_replans_recorded\": %b,\n" replans_recorded;
   out "    \"executor_words_per_row\": %.2f,\n" words_per_row;
   out "    \"executor_allocation_ok\": %b\n" alloc_ok;
   out "  }\n";
   out "}\n";
   close_out oc;
-  if
-    not
-      (parity_ok && results_agree && alloc_ok && compile_once_ok
-      && adaptive_within_10pct && adaptive_beats_static_tc_multi
-      && replans_recorded)
-  then begin
-    Format.printf "  planner divergence or adaptive regression — failing@.";
+  if not (alloc_ok && compile_once_ok) then begin
+    Format.printf "  plan executor allocates per row or recompiles — failing@.";
     exit 1
   end
 
@@ -2246,26 +2103,15 @@ let agg_bench ~quick () =
       ~limit_pred:"best" ~derived:[ "good"; "modest" ]
   in
   (* Config parity: the limit model's fingerprint must be invariant across
-     planners and engines. *)
-  let model_fp ?planner ?engine () =
-    Idb.fingerprint (Stratified.eval_exn ?planner ?engine min_limit min_db)
+     engines. *)
+  let model_fp ?engine () =
+    Idb.fingerprint (Stratified.eval_exn ?engine min_limit min_db)
   in
   let reference = model_fp () in
   let config_fps =
-    List.concat_map
-      (fun planner ->
-        List.map
-          (fun engine ->
-            let name =
-              Printf.sprintf "%s/%s" (planner_name planner)
-                (match engine with
-                | `Seminaive -> "seminaive"
-                | `Parallel -> "parallel"
-                | `Naive -> "naive")
-            in
-            (name, model_fp ~planner ~engine ()))
-          [ `Seminaive; `Parallel ])
-      [ `Static; `Adaptive ]
+    List.map
+      (fun (name, engine) -> (name, model_fp ~engine ()))
+      [ ("seminaive", `Seminaive); ("parallel", `Parallel) ]
   in
   let config_divergences =
     List.filter (fun (_, fp) -> fp <> reference) config_fps

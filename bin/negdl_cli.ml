@@ -85,44 +85,6 @@ let engine_arg =
            $(b,parallel) (semi-naive with rule applications fanned across \
            domains).")
 
-let planner_arg =
-  let planner_conv =
-    let parse s =
-      match Negdl.Plan.planner_of_string s with
-      | Ok v -> Ok v
-      | Error msg -> Error (`Msg msg)
-    in
-    Arg.conv ~docv:"PLANNER" (parse, Negdl.Plan.pp_planner)
-  in
-  Arg.(
-    value
-    & opt planner_conv `Static
-    & info [ "planner" ] ~docv:"PLANNER"
-        ~doc:
-          "Join-order planning: $(b,static) (default, compile each rule \
-           once into a cost-ordered plan, replanning only when relation \
-           sizes drift), $(b,adaptive) (static plus a feedback loop: \
-           observed per-step cardinalities that diverge from the \
-           estimates trigger a bounded recompile with the observed values \
-           substituted).")
-
-let plan_drift_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "plan-drift" ] ~docv:"FACTOR"
-        ~doc:
-          "Cardinality drift tolerance shared by the static replanning \
-           check and the adaptive planner's feedback loop: a cached plan \
-           is recompiled when a relation size (static) or an observed \
-           per-step cardinality (adaptive) diverges from what its cost \
-           model saw by more than $(docv)x plus a small slack.  Default \
-           4; values below 1 are clamped.")
-
-let apply_plan_drift = function
-  | Some f -> Negdl.Plan.set_drift_factor f
-  | None -> ()
-
 let explain_arg =
   Arg.(
     value
@@ -219,10 +181,9 @@ let eval_cmd =
              $(docv).  A corrupt or version-skewed file is a hard error \
              (fail closed), a merely stale one is re-evaluated.")
   in
-  let run program_path db_path semantics engine planner plan_drift explain
-      stats sat_par pred snapshot_file =
+  let run program_path db_path semantics engine explain stats sat_par pred
+      snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
-    apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
     let stats = if stats then Some (Negdl.Stats.create ()) else None in
@@ -233,7 +194,7 @@ let eval_cmd =
     let evaluate_and_save () =
       let result =
         or_die
-          (Negdl.run ~engine ~planner ?plan_cache ?stats semantics program db)
+          (Negdl.run ~engine ?plan_cache ?stats semantics program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -309,8 +270,7 @@ let eval_cmd =
     (Cmd.info "eval" ~doc)
     Term.(
       const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
-      $ planner_arg $ plan_drift_arg $ explain_arg $ stats_arg $ sat_par_arg
-      $ pred_arg $ snapshot_arg)
+      $ explain_arg $ stats_arg $ sat_par_arg $ pred_arg $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
 
@@ -359,10 +319,9 @@ let fixpoints_cmd =
              EDB is trusted (checksummed, but not compared against the \
              text file) — delete $(docv) after editing $(i,DATABASE).")
   in
-  let run program_path db_path planner plan_drift explain limit enumerate
-      sat_par sat_budget count_budget stats snapshot_file =
+  let run program_path db_path explain limit enumerate sat_par sat_budget
+      count_budget stats snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
-    apply_plan_drift plan_drift;
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
     let load_and_save () =
@@ -398,7 +357,7 @@ let fixpoints_cmd =
       if explain then Some (Negdl.Plan_cache.create ()) else None
     in
     let report =
-      Negdl.analyze_fixpoints ~planner ?plan_cache ~count_limit:limit
+      Negdl.analyze_fixpoints ?plan_cache ~count_limit:limit
         ?sat_budget ?count_budget program db
     in
     Format.printf "ground atoms:    %d@." report.Negdl.ground_atoms;
@@ -425,7 +384,7 @@ let fixpoints_cmd =
         print_idb ~header:"-- least fixpoint --" least
       | None -> Format.printf "least fixpoint:  no@.");
       if enumerate then begin
-        let solver = Negdl.Fixpoints.prepare ~planner ?plan_cache program db in
+        let solver = Negdl.Fixpoints.prepare ?plan_cache program db in
         List.iteri
           (fun i fp ->
             Format.printf "-- fixpoint %d --@." (i + 1);
@@ -449,9 +408,9 @@ let fixpoints_cmd =
   Cmd.v
     (Cmd.info "fixpoints" ~doc)
     Term.(
-      const run $ program_arg $ database_arg $ planner_arg $ plan_drift_arg
-      $ explain_arg $ limit_arg $ enumerate_arg $ sat_par_arg $ sat_budget_arg
-      $ count_budget_arg $ stats_arg $ snapshot_arg)
+      const run $ program_arg $ database_arg $ explain_arg $ limit_arg
+      $ enumerate_arg $ sat_par_arg $ sat_budget_arg $ count_budget_arg
+      $ stats_arg $ snapshot_arg)
 
 (* --- explain ----------------------------------------------------------------- *)
 
@@ -466,47 +425,9 @@ let explain_cmd =
              feed the cost model.  Without one, every relation is assumed \
              to hold 16 tuples over an 8-constant universe.")
   in
-  let feedback_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "feedback" ]
-          ~doc:
-            "Evaluate the program (inflationary semantics) before \
-             printing, and show each cached plan's feedback record — \
-             observed per-step cardinalities against the estimates, \
-             recorded overrides, generation, and whether the adaptive \
-             planner would replan it.  Requires a $(i,DATABASE).")
-  in
-  let run program_path db_path planner plan_drift feedback =
-    apply_plan_drift plan_drift;
+  let run program_path db_path =
     let program = or_die (load_program program_path) in
     let db = Option.map (fun p -> or_die (load_database p)) db_path in
-    if feedback then begin
-      let db =
-        match db with
-        | Some db -> db
-        | None ->
-          or_die
-            (Error
-               "--feedback executes the plans to gather observed \
-                cardinalities; give a DATABASE")
-      in
-      let cache = Negdl.Plan_cache.create () in
-      (* Limit programs are only defined under the stratified semantics;
-         everything else keeps the historical inflationary run. *)
-      let semantics =
-        if program.Negdl.Ast.limits = [] then Negdl.Semantics_inflationary
-        else Negdl.Semantics_stratified
-      in
-      (match Negdl.run ~planner ~plan_cache:cache semantics program db with
-      | Ok _ -> ()
-      | Error e -> or_die (Error e));
-      List.iter
-        (fun plan -> Format.printf "%a@." Negdl.Plan.pp_feedback plan)
-        (Negdl.Plan_cache.program_plans cache program)
-    end
-    else
     let schema =
       match Negdl.Ast.idb_schema program with
       | Ok s -> s
@@ -533,15 +454,13 @@ let explain_cmd =
     in
     List.iter
       (fun rule ->
-        let full =
-          Negdl.Plan.compile ~planner ~limits ~sizes ~universe_size rule
-        in
+        let full = Negdl.Plan.compile ~limits ~sizes ~universe_size rule in
         Format.printf "%a@." Negdl.Plan.pp full;
         List.iter
           (fun j ->
             let d =
-              Negdl.Plan.compile ~planner ~limits
-                ~variant:(Negdl.Plan.Delta j) ~sizes ~universe_size rule
+              Negdl.Plan.compile ~limits ~variant:(Negdl.Plan.Delta j) ~sizes
+                ~universe_size rule
             in
             Format.printf "%a@." Negdl.Plan.pp d)
           (Negdl.Saturate.delta_positions ~schema rule))
@@ -552,22 +471,18 @@ let explain_cmd =
     [
       `S Manpage.s_description;
       `P
-        "Compiles every rule under the chosen planner and prints the \
-         resulting operator pipelines with their estimated per-step \
-         cardinalities: the full plan first, then one delta-specialized \
-         variant per positive occurrence of an evolving (IDB) predicate — \
-         the plans semi-naive evaluation would execute.  Estimates only: \
-         nothing is evaluated, so no actual row counts are shown (use \
-         $(b,--explain) on $(b,eval) or $(b,fixpoints) for those, or \
-         $(b,--feedback) here to evaluate and print each plan's observed \
-         cardinality profile).";
+        "Compiles every rule and prints the resulting operator pipelines \
+         with their estimated per-step cardinalities: the full plan first, \
+         then one delta-specialized variant per positive occurrence of an \
+         evolving (IDB) predicate — the plans semi-naive evaluation would \
+         execute.  Estimates only: nothing is evaluated, so no actual row \
+         counts are shown (use $(b,--explain) on $(b,eval) or \
+         $(b,fixpoints) for those).";
     ]
   in
   Cmd.v
     (Cmd.info "explain" ~doc ~man)
-    Term.(
-      const run $ program_arg $ database_opt_arg $ planner_arg
-      $ plan_drift_arg $ feedback_arg)
+    Term.(const run $ program_arg $ database_opt_arg)
 
 (* --- query ------------------------------------------------------------------- *)
 
@@ -627,16 +542,14 @@ let serve_cmd =
              program — is a hard error.  When $(docv) does not exist, \
              materialise normally and checkpoint to it before serving.")
   in
-  let run program_path db_path engine planner plan_drift stats socket
-      snapshot_file =
-    apply_plan_drift plan_drift;
+  let run program_path db_path engine stats socket snapshot_file =
     let program = or_die (load_program program_path) in
     let stats_rec = Negdl.Stats.create () in
     let cold_start () =
       let db = or_die (load_database db_path) in
       let state =
         or_die
-          (Negdl.Serve.create ~engine ~planner ~stats:stats_rec program db)
+          (Negdl.Serve.create ~engine ~stats:stats_rec program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -651,8 +564,8 @@ let serve_cmd =
       | Some file when Sys.file_exists file ->
         let image = snap_die (Negdl.Snapshot.read_file file) in
         or_die
-          (Negdl.Serve.create_restored ~engine ~planner ~stats:stats_rec
-             program image)
+          (Negdl.Serve.create_restored ~engine ~stats:stats_rec program
+             image)
       | _ -> cold_start ()
     in
     (* One client session over a raw file descriptor; returns how it
@@ -785,8 +698,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ program_arg $ database_arg $ engine_arg $ planner_arg
-      $ plan_drift_arg $ stats_arg $ socket_arg $ snapshot_arg)
+      const run $ program_arg $ database_arg $ engine_arg $ stats_arg
+      $ socket_arg $ snapshot_arg)
 
 (* --- snapshot / restore ----------------------------------------------------- *)
 
@@ -812,12 +725,10 @@ let snapshot_cmd =
             "One of $(b,inflationary), $(b,stratified) (default), \
              $(b,well-founded), $(b,kripke-kleene), $(b,least).")
   in
-  let run program_path db_path file semantics engine planner =
+  let run program_path db_path file semantics engine =
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
-    let result =
-      or_die (Negdl.run ~engine ~planner semantics program db)
-    in
+    let result = or_die (Negdl.run ~engine semantics program db) in
     let bytes =
       save_snapshot ~program
         ~semantics:(Negdl.semantics_to_string semantics)
@@ -853,7 +764,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ snapshot_file_arg
-      $ semantics_arg $ engine_arg $ planner_arg)
+      $ semantics_arg $ engine_arg)
 
 let restore_cmd =
   let file_arg =

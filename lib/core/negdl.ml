@@ -91,7 +91,7 @@ let semantics_of_string s =
     Error
       (Printf.sprintf
          "unknown semantics %S (expected inflationary, stratified, \
-          well-founded or least)"
+          well-founded, kripke-kleene or least)"
          other)
 
 let semantics_to_string = function
@@ -119,7 +119,8 @@ let reject_limits who (program : Ast.program) =
          l.limit_pred
          (Ast.limit_kind_to_string l.kind))
 
-let run ?engine ?planner ?plan_cache ?indexing:(_ : Engine.indexing option)
+let run ?engine ?planner:(_ : Plan.planner option) ?plan_cache
+    ?indexing:(_ : Engine.indexing option)
     ?storage:(_ : Relation.storage option) ?stats semantics program db =
   let cache = plan_cache in
   try
@@ -130,27 +131,21 @@ let run ?engine ?planner ?plan_cache ?indexing:(_ : Engine.indexing option)
     | Semantics_inflationary ->
       Ok
         {
-          facts =
-            Inflationary.eval ?engine ?planner ?cache ?stats program db;
+          facts = Inflationary.eval ?engine ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_least_fixpoint ->
       Ok
         {
-          facts =
-            Naive.least_fixpoint ?engine ?planner ?cache ?stats program db;
+          facts = Naive.least_fixpoint ?engine ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_stratified -> (
-      match
-        Stratified.eval ?engine ?planner ?cache ?stats program db
-      with
+      match Stratified.eval ?engine ?cache ?stats program db with
       | Ok facts -> Ok { facts; unknown = None }
       | Error e -> Error (Stratified.error_to_string e))
     | Semantics_well_founded ->
-      let model =
-        Wellfounded.eval ?engine ?planner ?cache ?stats program db
-      in
+      let model = Wellfounded.eval ?engine ?cache ?stats program db in
       let unknown = Wellfounded.unknown model in
       Ok
         {
@@ -158,7 +153,7 @@ let run ?engine ?planner ?plan_cache ?indexing:(_ : Engine.indexing option)
           unknown = (if Idb.is_empty unknown then None else Some unknown);
         }
     | Semantics_kripke_kleene ->
-      let model = Fitting.eval ?planner ?cache program db in
+      let model = Fitting.eval ?cache program db in
       let unknown = Fitting.unknown model in
       Ok
         {
@@ -180,10 +175,10 @@ type fixpoint_report = {
   example : Idb.t option;
 }
 
-let analyze_fixpoints ?planner ?plan_cache ?(count_limit = 256) ?sat_budget
-    ?count_budget program db =
+let analyze_fixpoints ?planner:(_ : Plan.planner option) ?plan_cache
+    ?(count_limit = 256) ?sat_budget ?count_budget program db =
   reject_limits "fixpoint analysis" program;
-  let solver = Fixpoints.prepare ?planner ?plan_cache program db in
+  let solver = Fixpoints.prepare ?plan_cache program db in
   let ground = Fixpoints.ground solver in
   let example, existence_unknown =
     match sat_budget with

@@ -179,9 +179,7 @@ val run :
     strategy ([`Seminaive] default, [`Naive], or [`Parallel] which fans the
     rule applications of each iteration across domains); [indexing] and
     [storage] are ignored (they remain for the same reason as
-    {!Relation.storage}); [planner] selects the join-order planning policy
-    ({!Plan.planner}: [`Static] compile-once plans by default, or
-    [`Adaptive] with the cardinality feedback loop);
+    {!Relation.storage}), and so is [planner] (see {!Plan.planner});
     [plan_cache], when given, retains the compiled plans — the CLI's
     [--explain] prints them back with estimated and actual cardinalities;
     [stats], when given, accumulates evaluation counters and stage timings
@@ -222,7 +220,8 @@ val analyze_fixpoints :
     is reported through [existence_unknown], never raised.  [count_budget]
     additionally runs the exact #SAT census with that node budget and
     fills [exact_count].  SAT parallelism follows
-    {!Sat_solver.set_default_parallelism}. *)
+    {!Sat_solver.set_default_parallelism}.  [planner] is ignored, as in
+    {!run}. *)
 
 val parse_program : string -> (Ast.program, string) result
 (** Alias of {!Parser.parse_program}. *)

@@ -20,8 +20,6 @@ let adorn bound (a : Ast.atom) =
       | Ast.Const _ -> 'b'
       | Ast.Var x -> if SSet.mem x bound then 'b' else 'f')
 
-let adornment ~bound (a : Ast.atom) = adorn (SSet.of_list bound) a
-
 let bound_args adornment args =
   List.filteri (fun i _ -> adornment.[i] = 'b') args
 

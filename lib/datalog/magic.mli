@@ -33,10 +33,3 @@ val rewrite_exn : Ast.program -> query:Ast.atom -> rewritten
 
 val bound_constants : Ast.atom -> Relalg.Symbol.t list
 (** The query's constants, in positional order. *)
-
-val adornment : bound:string list -> Ast.atom -> string
-(** The atom's binding pattern given the variables currently bound:
-    constants and bound variables are ['b'], the rest ['f'] — the same
-    analysis the rewrite uses for sideways information passing, exported
-    so the adaptive planner can order probes by how much of an atom the
-    bindings flowing into it already pin down. *)

@@ -26,14 +26,13 @@ type delta = {
    (rule, variant) pair compiles once and the delta work is pure plan
    execution. *)
 type opts = {
-  planner : Engine.planner option;
   cache : Planlib.Cache.t;
   stats : Stats.t option;
 }
 
 let eval_rule opts ~variant ~universe ~resolver rule =
-  Engine.eval_rule ?planner:opts.planner ~cache:opts.cache ~variant
-    ?stats:opts.stats ~universe ~resolver rule
+  Engine.eval_rule ~cache:opts.cache ~variant ?stats:opts.stats ~universe
+    ~resolver rule
 
 (* The delta-scoped work counters ride on [Stats.extra]: the bench's
    no-full-re-ground check asserts that per batch only these grow (plus
@@ -191,7 +190,7 @@ let extend_deltas m idb =
           m)
     m (Idb.bindings idb)
 
-let apply ?engine ?planner ?cache ?stats ?pool ?(who = "Dred.apply") p db
+let apply ?engine ?cache ?stats ?pool ?(who = "Dred.apply") p db
     ~current ~additions ~removals () =
   (* --- validation (string sets, not List.mem: O(batch log program)) --- *)
   let idb_preds = SSet.of_list (Ast.idb_predicates p) in
@@ -272,7 +271,7 @@ let apply ?engine ?planner ?cache ?stats ?pool ?(who = "Dred.apply") p db
   let new_u = Database.universe new_db in
   let universe_grew = List.length new_u > List.length old_u in
   let cache = match cache with Some c -> c | None -> Planlib.Cache.create () in
-  let opts = { planner; cache; stats } in
+  let opts = { cache; stats } in
   let full_schema = Idb.schema current in
   (* --- stratum-by-stratum maintenance --------------------------------- *)
   (* [del]/[add] carry the per-predicate deltas visible below the stratum
@@ -396,10 +395,10 @@ let apply ?engine ?planner ?cache ?stats ?pool ?(who = "Dred.apply") p db
                 Idb.total_cardinal init - Idb.total_cardinal survivors )
             else
               let trace =
-                Saturate.run_delta ?engine ?planner:opts.planner
-                  ~cache:opts.cache ~limits ?stats:opts.stats ?pool ~rules
-                  ~schema:schema_s ~universe:new_u ~base:new_base
-                  ~neg:`Current ~init ~delta:fresh ()
+                Saturate.run_delta ?engine ~cache:opts.cache ~limits
+                  ?stats:opts.stats ?pool ~rules ~schema:schema_s
+                  ~universe:new_u ~base:new_base ~neg:`Current ~init
+                  ~delta:fresh ()
               in
               ( trace.Saturate.result,
                 Idb.total_cardinal trace.Saturate.result
@@ -440,7 +439,7 @@ let apply ?engine ?planner ?cache ?stats ?pool ?(who = "Dred.apply") p db
         if Idb.is_empty fresh then (after_del, 0)
         else
           let trace =
-            Saturate.run_delta ?engine ?planner:opts.planner ~cache:opts.cache
+            Saturate.run_delta ?engine ~cache:opts.cache
               ~limits ?stats:opts.stats ?pool ~rules ~schema:schema_s
               ~universe:new_u ~base:new_base ~neg:`Current ~init:init3
               ~delta:fresh ()

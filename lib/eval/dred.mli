@@ -43,7 +43,6 @@ type delta = {
 
 val apply :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->

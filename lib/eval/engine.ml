@@ -14,8 +14,6 @@ type resolver = occurrence -> source
 
 type indexing = [ `Cached ]
 
-type planner = Plan.planner
-
 type grain = [ `Auto ]
 
 let set_default_grain (_ : grain) = ()
@@ -26,19 +24,19 @@ let set_default_grain (_ : grain) = ()
 let resolver_sizes (resolver : resolver) occ arity =
   Relation.cardinal ((resolver occ).find occ.pred arity)
 
-let plan_rule ?planner ?cache ?variant ?label ?(limits = []) ?stats
+let plan_rule ?cache ?variant ?label ?(limits = []) ?stats
     ~universe_size ~resolver rule =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
   let sizes occ arity = resolver_sizes resolver occ arity in
   match cache with
   | Some cache ->
-    Plan_cache.find ?counters ?planner ?variant ?label ~limits cache ~sizes
+    Plan_cache.find ?counters ?variant ?label ~limits cache ~sizes
       ~universe_size rule
   | None ->
     (match counters with
     | Some c -> c.Plan.plan_compiles <- c.Plan.plan_compiles + 1
     | None -> ());
-    Plan.compile ?planner ?variant ?label ~limits ~sizes ~universe_size rule
+    Plan.compile ?variant ?label ~limits ~sizes ~universe_size rule
 
 let run_plan ?stats ~universe ~resolver plan =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
@@ -127,17 +125,17 @@ let run_plan_sharded ?stats ~pool ~universe ~resolver plan =
   | None -> ());
   built
 
-let eval_rule ?planner ?cache ?variant ?stats ~universe ~resolver rule =
+let eval_rule ?cache ?variant ?stats ~universe ~resolver rule =
   let plan =
-    plan_rule ?planner ?cache ?variant ?stats
+    plan_rule ?cache ?variant ?stats
       ~universe_size:(List.length universe) ~resolver rule
   in
   run_plan ?stats ~universe ~resolver plan
 
-let eval_rules ?planner ?cache ?stats ~universe ~resolver ~schema rules =
+let eval_rules ?cache ?stats ~universe ~resolver ~schema rules =
   List.fold_left
     (fun acc rule ->
-      let derived = eval_rule ?planner ?cache ?stats ~universe ~resolver rule in
+      let derived = eval_rule ?cache ?stats ~universe ~resolver rule in
       let name = rule.Datalog.Ast.head.pred in
       let current =
         if Idb.mem acc name then Idb.get acc name

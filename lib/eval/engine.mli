@@ -8,12 +8,12 @@
     is what gives the toggle rule [t(Z) :- !q(U), !t(W)] its meaning.
 
     Since the plan layer was introduced the engine no longer plans joins
-    itself: each rule is compiled (once, under the [`Static] planner) into
-    a {!Planlib.Plan.t} and the hot loop executes plans.  The engine is
-    parameterised by where each atom occurrence reads its relation, which
-    lets every semantics in this library (simultaneous Theta, semi-naive
-    deltas, stratified layers, the alternating fixpoint of the well-founded
-    semantics) reuse one implementation. *)
+    itself: each rule is compiled once into a {!Planlib.Plan.t} and the
+    hot loop executes plans.  The engine is parameterised by where each
+    atom occurrence reads its relation, which lets every semantics in this
+    library (simultaneous Theta, semi-naive deltas, stratified layers, the
+    alternating fixpoint of the well-founded semantics) reuse one
+    implementation. *)
 
 type source = Planlib.Plan.source = {
   find : string -> int -> Relalg.Relation.t;
@@ -37,10 +37,6 @@ type indexing = [ `Cached ]
     [Negdl.run] and {!Serve.create}); it goes when that harness drops the
     argument. *)
 
-type planner = Planlib.Plan.planner
-(** Join-order planning policy — see {!Planlib.Plan.planner}.  The default
-    is {!Planlib.Plan.default_planner}. *)
-
 type grain = [ `Auto ]
 (** The one morsel size: the [`Parallel] engine always sizes morsels by
     {!Planlib.Plan.auto_grain}.  The type and {!set_default_grain} exist
@@ -51,7 +47,6 @@ val set_default_grain : grain -> unit
 (** Does nothing; see {!grain}. *)
 
 val plan_rule :
-  ?planner:planner ->
   ?cache:Planlib.Cache.t ->
   ?variant:Planlib.Plan.variant ->
   ?label:string ->
@@ -96,7 +91,6 @@ val run_plan_sharded :
     exactly at the barrier. *)
 
 val eval_rule :
-  ?planner:planner ->
   ?cache:Planlib.Cache.t ->
   ?variant:Planlib.Plan.variant ->
   ?stats:Stats.t ->
@@ -108,7 +102,6 @@ val eval_rule :
     rule under the given sources. *)
 
 val eval_rules :
-  ?planner:planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->

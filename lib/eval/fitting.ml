@@ -42,4 +42,4 @@ let eval_ground g =
   in
   iterate (Idb.empty schema) all
 
-let eval ?planner ?cache p db = eval_ground (Ground.ground ?planner ?cache p db)
+let eval ?cache p db = eval_ground (Ground.ground ?cache p db)

@@ -31,13 +31,12 @@ val unknown : model -> Idb.t
 val is_total : model -> bool
 
 val eval :
-  ?planner:Planlib.Plan.planner ->
   ?cache:Planlib.Cache.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   model
-(** [planner] and [cache] control (and retain) the grounding's
-    instantiation plans — see {!Ground.ground}. *)
+(** [cache] retains the grounding's instantiation plans — see
+    {!Ground.ground}. *)
 
 val eval_ground : Ground.t -> model
 (** Same, on an existing grounding. *)

@@ -38,7 +38,7 @@ type t = {
    shared cache. *)
 let instances_pred = "$instances"
 
-let ground ?(keep = []) ?planner ?cache (p : Datalog.Ast.program) db =
+let ground ?(keep = []) ?cache (p : Datalog.Ast.program) db =
   let schema =
     match Datalog.Ast.idb_schema p with
     | Ok s -> s
@@ -108,9 +108,9 @@ let ground ?(keep = []) ?planner ?cache (p : Datalog.Ast.program) db =
     let plan =
       match cache with
       | Some cache ->
-        Planlib.Cache.find ?planner ~label cache ~sizes ~universe_size pseudo
+        Planlib.Cache.find ~label cache ~sizes ~universe_size pseudo
       | None ->
-        Planlib.Plan.compile ?planner ~label ~sizes ~universe_size pseudo
+        Planlib.Plan.compile ~label ~sizes ~universe_size pseudo
     in
     let head_spec = (r.head.pred, atom_spec r.head) in
     let sym_pos = List.rev !sym_pos and sym_neg = List.rev !sym_neg in

@@ -31,7 +31,6 @@ type t
 
 val ground :
   ?keep:string list ->
-  ?planner:Planlib.Plan.planner ->
   ?cache:Planlib.Cache.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
@@ -40,8 +39,8 @@ val ground :
 
     Instantiation runs on the shared plan layer: each rule's decidable
     (non-IDB) literals form one conjunctive pseudo-rule projecting all rule
-    variables, compiled by {!Planlib.Plan.compile} under [planner] and
-    executed over the database; there is no separate grounding compiler.
+    variables, compiled by {!Planlib.Plan.compile} and executed over the
+    database; there is no separate grounding compiler.
     [cache], when given, retains the instantiation plans (keyed on the
     pseudo-rules) — the CLI's [--explain] on [fixpoints] reads them back.
 

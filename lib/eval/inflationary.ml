@@ -3,16 +3,16 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Inflationary: " ^ msg)
 
-let eval_trace ?engine ?planner ?cache ?stats ?pool p db =
+let eval_trace ?engine ?cache ?stats ?pool p db =
   let schema = idb_schema_exn p in
-  Saturate.run ?engine ?planner ?cache ?stats ?pool ~label:"inflationary"
+  Saturate.run ?engine ?cache ?stats ?pool ~label:"inflationary"
     ~rules:p.Datalog.Ast.rules ~schema
     ~universe:(Relalg.Database.universe db)
     ~base:(Engine.database_source db) ~neg:`Current ~init:(Idb.empty schema)
     ()
 
-let eval ?engine ?planner ?cache ?stats ?pool p db =
-  (eval_trace ?engine ?planner ?cache ?stats ?pool p db).result
+let eval ?engine ?cache ?stats ?pool p db =
+  (eval_trace ?engine ?cache ?stats ?pool p db).result
 
 let carrier ?engine p ~carrier db =
   let result = eval ?engine p db in

@@ -9,7 +9,6 @@
 
 val eval :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
@@ -23,7 +22,6 @@ val eval :
 
 val eval_trace :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->

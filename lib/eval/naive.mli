@@ -9,7 +9,6 @@
 
 val least_fixpoint :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
@@ -22,7 +21,6 @@ val least_fixpoint :
 
 val least_fixpoint_trace :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->

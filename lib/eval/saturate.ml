@@ -58,13 +58,13 @@ type task = {
   resolver : Engine.resolver;
 }
 
-let rule_tasks ~planner ~cache ~limits ~stats ~universe spec =
+let rule_tasks ~cache ~limits ~stats ~universe spec =
   let universe_size = List.length universe in
   List.map
     (fun ((rule : Datalog.Ast.rule), variant, resolver) ->
       let shard = Option.map (fun _ -> Stats.create ()) stats in
       let plan =
-        Engine.plan_rule ?planner ~cache ~variant ~limits ?stats:shard
+        Engine.plan_rule ~cache ~variant ~limits ?stats:shard
           ~universe_size ~resolver rule
       in
       { shard; head = rule.head.pred; plan; resolver })
@@ -122,16 +122,16 @@ let run_tasks ~parallel ~pool ~stats ~schema ~universe tasks =
       Idb.set acc t.head (Relation.union old derived))
     (Idb.empty schema) tasks results
 
-let full_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+let full_application ~parallel ~pool ~cache ~limits ~stats ~rules
     ~schema ~universe ~base ~neg ~current =
   let resolver =
     make_resolver ~schema ~base ~neg ~current ~delta_occ:None ~delta:current
   in
   run_tasks ~parallel ~pool ~stats ~schema ~universe
-    (rule_tasks ~planner ~cache ~limits ~stats ~universe
+    (rule_tasks ~cache ~limits ~stats ~universe
        (List.map (fun r -> (r, Plan.Full, resolver)) rules))
 
-let delta_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+let delta_application ~parallel ~pool ~cache ~limits ~stats ~rules
     ~schema ~universe ~base ~neg ~current ~delta =
   let spec =
     List.concat_map
@@ -146,17 +146,17 @@ let delta_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
       rules
   in
   run_tasks ~parallel ~pool ~stats ~schema ~universe
-    (rule_tasks ~planner ~cache ~limits ~stats ~universe spec)
+    (rule_tasks ~cache ~limits ~stats ~universe spec)
 
 (* The semi-naive delta chase shared by [run] (after its full stage 1) and
    [run_delta] (seeded directly): iterate delta applications until no fresh
    tuple appears.  [init] must already contain [delta]. *)
-let seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+let seminaive_chase ~parallel ~pool ~cache ~limits ~stats ~rules
     ~schema ~universe ~base ~neg ~bump_iteration ~init ~delta =
   let rec loop current delta rev_deltas =
     bump_iteration ();
     let derived =
-      delta_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+      delta_application ~parallel ~pool ~cache ~limits ~stats ~rules
         ~schema ~universe ~base ~neg ~current ~delta
     in
     (* The limit-aware union: candidates for a declared limit relation
@@ -169,7 +169,7 @@ let seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
   in
   loop init delta []
 
-let apply_once ?(parallel = false) ?pool ?planner ?cache ?(limits = []) ?stats
+let apply_once ?(parallel = false) ?pool ?cache ?(limits = []) ?stats
     ~rules ~schema ~universe ~base ~neg ~current () =
   let pool =
     match pool with Some p -> p | None -> Negdl_util.Domain_pool.default ()
@@ -177,10 +177,10 @@ let apply_once ?(parallel = false) ?pool ?planner ?cache ?(limits = []) ?stats
   let cache =
     match cache with Some c -> c | None -> Planlib.Cache.create ()
   in
-  full_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+  full_application ~parallel ~pool ~cache ~limits ~stats ~rules
     ~schema ~universe ~base ~neg ~current
 
-let run ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats ?pool
+let run ?(engine = `Seminaive) ?cache ?(limits = []) ?stats ?pool
     ?label ~rules ~schema ~universe ~base ~neg ~init () =
   (match label with
   | Some l -> Stats.timed stats l
@@ -204,7 +204,7 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats ?pool
     let rec loop current rev_deltas =
       bump_iteration ();
       let derived =
-        full_application ~parallel:false ~pool ~planner ~cache ~limits ~stats
+        full_application ~parallel:false ~pool ~cache ~limits ~stats
           ~rules ~schema ~universe ~base ~neg ~current
       in
       let next, delta = Idb.tighten_union ~limits current derived in
@@ -223,20 +223,20 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats ?pool
     let parallel = e = `Parallel in
     bump_iteration ();
     let derived =
-      full_application ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+      full_application ~parallel ~pool ~cache ~limits ~stats ~rules
         ~schema ~universe ~base ~neg ~current:init
     in
     let init1, delta1 = Idb.tighten_union ~limits init derived in
     if Idb.is_empty delta1 then { result = init; deltas = [] }
     else
       let t =
-        seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+        seminaive_chase ~parallel ~pool ~cache ~limits ~stats ~rules
           ~schema ~universe ~base ~neg ~bump_iteration ~init:init1
           ~delta:delta1
       in
       { t with deltas = delta1 :: t.deltas }
 
-let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats
+let run_delta ?(engine = `Seminaive) ?cache ?(limits = []) ?stats
     ?pool ?label ~rules ~schema ~universe ~base ~neg ~init ~delta () =
   (match label with
   | Some l -> Stats.timed stats l
@@ -259,6 +259,6 @@ let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = []) ?stats
        delta-specialized form, so it rides the semi-naive chase too — the
        computed limit is the same. *)
     let parallel = engine = `Parallel in
-    seminaive_chase ~parallel ~pool ~planner ~cache ~limits ~stats ~rules
+    seminaive_chase ~parallel ~pool ~cache ~limits ~stats ~rules
       ~schema ~universe ~base ~neg ~bump_iteration ~init ~delta
   end

@@ -50,7 +50,6 @@ val delta_positions :
 
 val run :
   ?engine:engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?stats:Stats.t ->
@@ -64,8 +63,7 @@ val run :
   init:Idb.t ->
   unit ->
   trace
-(** Default engine: [`Seminaive]; default planner:
-    {!Planlib.Plan.default_planner}.  Each rule is compiled once per
+(** Default engine: [`Seminaive].  Each rule is compiled once per
     variant — the full application and one delta-specialized variant per
     positive evolving body position — into a {!Planlib.Plan.t} and reused
     across iterations; [cache], when given, additionally shares plans
@@ -86,7 +84,6 @@ val run :
 val apply_once :
   ?parallel:bool ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?stats:Stats.t ->
@@ -106,7 +103,6 @@ val apply_once :
 
 val run_delta :
   ?engine:engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?stats:Stats.t ->

@@ -31,7 +31,6 @@ type counters = {
 type t = {
   program : Ast.program;
   engine : Saturate.engine option;
-  planner : Engine.planner option;
   pool : Negdl_util.Domain_pool.t option;
   stats : Stats.t;
   cache : Planlib.Cache.t;  (** Compiled plans shared across all batches. *)
@@ -56,19 +55,19 @@ let zero_counters =
     cache_misses = 0;
   }
 
-let create ?engine ?planner ?indexing:(_ : Engine.indexing option)
+let create ?engine ?planner:(_ : Plan.planner option)
+    ?indexing:(_ : Engine.indexing option)
     ?storage:(_ : Relation.storage option) ?pool
     ?grain:(_ : Engine.grain option) ?stats program db =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let cache = Planlib.Cache.create () in
-  match Stratified.eval ?engine ?planner ~cache ~stats ?pool program db with
+  match Stratified.eval ?engine ~cache ~stats ?pool program db with
   | Error e -> Error (Stratified.error_to_string e)
   | Ok idb ->
     Ok
       {
         program;
         engine;
-        planner;
         pool;
         stats;
         cache;
@@ -92,9 +91,7 @@ let snapshot_to t path =
      while the update loop keeps installing new versions. *)
   let db = t.db and idb = t.idb in
   match
-    Snapfile.capture
-      ~overrides:(Planlib.Cache.export_overrides t.cache)
-      ~program:t.program ~semantics ~db (Idb.bindings idb)
+    Snapfile.capture ~program:t.program ~semantics ~db (Idb.bindings idb)
   with
   | Error e -> Error (Snapfile.error_to_string e)
   | Ok image -> (
@@ -121,7 +118,7 @@ let model_of_image program image =
             (Idb.of_program program) r.Snapfile.r_idb
         with
         | exception Invalid_argument m -> Error ("snapshot: " ^ m)
-        | idb -> Ok (r.Snapfile.r_db, idb, r.Snapfile.r_seeds)))
+        | idb -> Ok (r.Snapfile.r_db, idb)))
 
 let restore_from t path =
   match Snapfile.read_file path with
@@ -129,7 +126,7 @@ let restore_from t path =
   | Ok image -> (
     match model_of_image t.program image with
     | Error e -> Error e
-    | Ok (db, idb, seeds) ->
+    | Ok (db, idb) ->
       t.db <- db;
       t.idb <- idb;
       (* Reset to version 0 with the result cache emptied: entries tagged
@@ -137,10 +134,9 @@ let restore_from t path =
          version counter. *)
       Hashtbl.reset t.query_cache;
       t.version <- 0;
-      Planlib.Cache.seed_overrides t.cache seeds;
       Ok ())
 
-let create_restored ?engine ?planner ?pool ?stats program image =
+let create_restored ?engine ?pool ?stats program image =
   match Datalog.Stratify.stratify program with
   | Datalog.Stratify.Not_stratifiable { offending } ->
     Error (Stratified.error_to_string (Not_stratifiable { offending }))
@@ -149,18 +145,15 @@ let create_restored ?engine ?planner ?pool ?stats program image =
   | Datalog.Stratify.Stratified _ -> (
     match model_of_image program image with
     | Error e -> Error e
-    | Ok (db, idb, seeds) ->
+    | Ok (db, idb) ->
       let stats = match stats with Some s -> s | None -> Stats.create () in
-      let cache = Planlib.Cache.create () in
-      Planlib.Cache.seed_overrides cache seeds;
       Ok
         {
           program;
           engine;
-          planner;
           pool;
           stats;
-          cache;
+          cache = Planlib.Cache.create ();
           db;
           idb;
           version = 0;
@@ -172,7 +165,7 @@ let create_restored ?engine ?planner ?pool ?stats program image =
 
 let update t ~additions ~removals =
   match
-    Dred.apply ?engine:t.engine ?planner:t.planner ~cache:t.cache
+    Dred.apply ?engine:t.engine ~cache:t.cache
       ~stats:t.stats ?pool:t.pool ~who:"update" t.program t.db ~current:t.idb
       ~additions ~removals ()
   with
@@ -380,11 +373,10 @@ let stats_lines t =
       t.c.batches t.c.inserted t.c.deleted t.c.overdeleted t.c.rederived;
     Printf.sprintf "queries: served=%d cache_hits=%d cache_misses=%d"
       t.c.queries t.c.cache_hits t.c.cache_misses;
-    Printf.sprintf "plans: cached=%d compiles=%d cache_hits=%d replans=%d"
+    Printf.sprintf "plans: cached=%d compiles=%d cache_hits=%d"
       (Planlib.Cache.cardinal t.cache)
       t.stats.Stats.plan.Plan.plan_compiles
-      t.stats.Stats.plan.Plan.plan_cache_hits
-      t.stats.Stats.plan.Plan.plan_replans;
+      t.stats.Stats.plan.Plan.plan_cache_hits;
     Printf.sprintf
       "work: rule_applications=%d delta_applications=%d \
        putback_applications=%d full_applications=%d"

@@ -47,7 +47,7 @@ type counters = {
 
 val create :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
+  ?planner:Planlib.Plan.planner ->
   ?indexing:Engine.indexing ->
   ?storage:Relalg.Relation.storage ->
   ?pool:Negdl_util.Domain_pool.t ->
@@ -60,12 +60,11 @@ val create :
     [Error] if the program is not stratifiable.  One plan cache is created
     here and shared by the initial materialisation and every later batch,
     so each (rule, variant) pair compiles once for the server's lifetime.
-    [indexing], [storage] and [grain] are ignored; they remain for the
-    same reason as {!Relalg.Relation.storage}. *)
+    [planner], [indexing], [storage] and [grain] are ignored; they remain
+    for the same reason as {!Relalg.Relation.storage}. *)
 
 val create_restored :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
@@ -75,8 +74,7 @@ val create_restored :
     instead of saturating — milliseconds instead of a full fixpoint.
     Fails closed when the snapshot was taken for a different program or
     semantics, holds a three-valued model, or the program is not
-    stratifiable.  Adaptive-planner overrides persisted in the snapshot
-    seed the fresh plan cache. *)
+    stratifiable.  The plan cache starts empty. *)
 
 val database : t -> Relalg.Database.t
 (** The current EDB snapshot (immutable). *)
@@ -123,10 +121,10 @@ val query_all :
     as a hit, so the batch adds its length to [cache_hits + cache_misses]. *)
 
 val snapshot_to : t -> string -> (int, string) result
-(** [snapshot_to t file] checkpoints the current model (and the plan
-    cache's learned overrides) to [file], atomically; returns the bytes
-    written.  The writer works against the pinned immutable snapshot, so
-    checkpointing never blocks the update loop. *)
+(** [snapshot_to t file] checkpoints the current model to [file],
+    atomically; returns the bytes written.  The writer works against the
+    pinned immutable snapshot, so checkpointing never blocks the update
+    loop. *)
 
 val restore_from : t -> string -> (unit, string) result
 (** [restore_from t file] replaces the database and materialised model

@@ -107,7 +107,6 @@ let pp ppf t =
   Format.fprintf ppf "bulk builds:       %d@," t.bulk_builds;
   Format.fprintf ppf "plan compiles:     %d@," t.plan.Plan.plan_compiles;
   Format.fprintf ppf "plan cache hits:   %d@," t.plan.Plan.plan_cache_hits;
-  Format.fprintf ppf "plan replans:      %d@," t.plan.Plan.plan_replans;
   Format.fprintf ppf "index hits:        %d@," t.plan.Plan.index_hits;
   Format.fprintf ppf "index builds:      %d@," t.plan.Plan.index_builds;
   Format.fprintf ppf "full scans:        %d@," t.plan.Plan.full_scans;

@@ -18,7 +18,7 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Stratified: " ^ msg)
 
-let eval ?engine ?planner ?cache ?stats ?pool p db =
+let eval ?engine ?cache ?stats ?pool p db =
   match Datalog.Stratify.stratify p with
   | Datalog.Stratify.Not_stratifiable { offending } ->
     Error (Not_stratifiable { offending })
@@ -52,7 +52,7 @@ let eval ?engine ?planner ?cache ?stats ?pool p db =
         (* Lower strata are frozen into the base source. *)
         let base = Engine.layered db accumulated in
         let trace =
-          Saturate.run ?engine ?planner ~cache ~limits ?stats ?pool
+          Saturate.run ?engine ~cache ~limits ?stats ?pool
             ~label:(Printf.sprintf "stratum %d" s)
             ~rules ~schema ~universe ~base ~neg:`Current
             ~init:(Idb.empty schema) ()
@@ -67,9 +67,9 @@ let eval ?engine ?planner ?cache ?stats ?pool p db =
     in
     Ok (layer 0 (Idb.empty full_schema))
 
-let eval_exn ?engine ?planner ?cache ?stats ?pool p db =
+let eval_exn ?engine ?cache ?stats ?pool p db =
   match
-    eval ?engine ?planner ?cache ?stats ?pool p db
+    eval ?engine ?cache ?stats ?pool p db
   with
   | Ok idb -> idb
   | Error e -> invalid_arg ("Stratified.eval: " ^ error_to_string e)

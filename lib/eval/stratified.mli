@@ -16,7 +16,6 @@ val error_to_string : error -> string
 
 val eval :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
@@ -28,7 +27,6 @@ val eval :
 
 val eval_exn :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->

@@ -3,7 +3,7 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Theta: " ^ msg)
 
-let apply ?(parallel = false) ?pool ?planner ?cache ?stats p db s =
+let apply ?(parallel = false) ?pool ?cache ?stats p db s =
   let schema = idb_schema_exn p in
   if parallel then
     (* Same semantics as the sequential path below — evolving predicates
@@ -13,13 +13,13 @@ let apply ?(parallel = false) ?pool ?planner ?cache ?stats p db s =
        valuation missing some IDB predicate still resolves (the layered
        source's database fallback, made explicit). *)
     let s = Idb.union (Idb.empty schema) s in
-    Saturate.apply_once ~parallel:true ?pool ?planner ?cache ?stats
+    Saturate.apply_once ~parallel:true ?pool ?cache ?stats
       ~rules:p.Datalog.Ast.rules ~schema
       ~universe:(Relalg.Database.universe db)
       ~base:(Engine.database_source db) ~neg:`Current ~current:s ()
   else
     let resolver = Engine.uniform (Engine.layered db s) in
-    Engine.eval_rules ?planner ?cache ?stats
+    Engine.eval_rules ?cache ?stats
       ~universe:(Relalg.Database.universe db) ~resolver ~schema
       p.Datalog.Ast.rules
 
@@ -32,7 +32,7 @@ type iteration_outcome =
   | Entered_cycle of { entry : int; period : int; states : Idb.t list }
   | Gave_up of { steps : int }
 
-let iterate ?(max_steps = 10000) ?parallel ?pool ?planner p db start =
+let iterate ?(max_steps = 10000) ?parallel ?pool p db start =
   (* The orbit of a deterministic map on a finite space is a rho: store the
      states seen with their step index and stop at the first repeat.  The
      repeat test hashes each state's canonical fingerprint into buckets of
@@ -58,7 +58,7 @@ let iterate ?(max_steps = 10000) ?parallel ?pool ?planner p db start =
   let rec loop history current step =
     if step > max_steps then Gave_up { steps = step - 1 }
     else
-      let next = apply ?parallel ?pool ?planner ~cache p db current in
+      let next = apply ?parallel ?pool ~cache p db current in
       if Idb.equal next current then
         Reached_fixpoint { fixpoint = current; steps = step - 1 }
       else

@@ -11,7 +11,6 @@
 val apply :
   ?parallel:bool ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
@@ -47,7 +46,6 @@ val iterate :
   ?max_steps:int ->
   ?parallel:bool ->
   ?pool:Negdl_util.Domain_pool.t ->
-  ?planner:Engine.planner ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t ->

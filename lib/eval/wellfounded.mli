@@ -27,7 +27,6 @@ val is_total : model -> bool
 
 val eval :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
@@ -37,7 +36,6 @@ val eval :
 
 val reduct_fixpoint :
   ?engine:Saturate.engine ->
-  ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->

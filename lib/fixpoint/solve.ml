@@ -16,8 +16,9 @@ type t = {
   encoding : Encode.t;
 }
 
-let prepare ?planner ?plan_cache program db =
-  let ground = Ground.ground ?planner ?cache:plan_cache program db in
+let prepare ?planner:(_ : Planlib.Plan.planner option) ?plan_cache program
+    db =
+  let ground = Ground.ground ?cache:plan_cache program db in
   { program; db; ground; encoding = Encode.build ground }
 
 let ground t = t.ground

@@ -30,9 +30,10 @@ val prepare :
   Datalog.Ast.program ->
   Relalg.Database.t ->
   t
-(** Grounds the program ({!Evallib.Ground.ground} — [planner] selects the
-    instantiation plans' join ordering, [plan_cache] retains them for
-    display) and builds the SAT encoding. *)
+(** Grounds the program ({!Evallib.Ground.ground} — [plan_cache] retains
+    the instantiation plans for display) and builds the SAT encoding.
+    [planner] is ignored; it remains for the same reason as
+    {!Planlib.Plan.planner}. *)
 
 val ground : t -> Evallib.Ground.t
 

@@ -2,7 +2,6 @@ module Relation = Relalg.Relation
 module Tuple = Relalg.Tuple
 module Symbol = Relalg.Symbol
 module Ast = Datalog.Ast
-module Magic = Datalog.Magic
 
 (* Every pool worker primes its domain-local store intern cache at spawn:
    sharded executions then never pay cache initialisation (or its registry
@@ -20,39 +19,7 @@ type occurrence = {
 
 type resolver = occurrence -> source
 
-type planner = [ `Static | `Adaptive ]
-
-let planner_of_string = function
-  | "static" -> Ok `Static
-  | "adaptive" -> Ok `Adaptive
-  | s -> Error (Printf.sprintf "unknown planner %S (static|adaptive)" s)
-
-let planner_to_string = function
-  | `Static -> "static"
-  | `Adaptive -> "adaptive"
-
-let pp_planner ppf p = Format.pp_print_string ppf (planner_to_string p)
-
-(* The global default; the bench runs its experiment drivers under each
-   planner through [set_default_planner]. *)
-let default = Atomic.make `Static
-
-let set_default_planner p = Atomic.set default p
-
-let default_planner () = Atomic.get default
-
-(* Replan when an observed quantity has drifted past this factor from the
-   one the cost model saw — early fixpoint stages grow relations from
-   empty, so the first plans are made against unrepresentative sizes.
-   Shared by the cache's input-size drift check and the adaptive planner's
-   observed-selectivity check; the CLI's [--plan-drift] sets it. *)
-let drift_cell = Atomic.make 4
-
-let set_drift_factor f = Atomic.set drift_cell (max 1 f)
-
-let drift_factor () = Atomic.get drift_cell
-
-let drift_slack = 16
+type planner = [ `Static ]
 
 type variant = Full | Delta of int
 
@@ -132,17 +99,12 @@ type step = {
 type feedback = {
   mutable fb_runs : int;
   fb_rows : int array;
-  mutable fb_emitted : int;
   mutable fb_driving : int;
-  mutable fb_deltas : int list;
 }
-
-let deltas_kept = 8
 
 type t = {
   rule : Ast.rule;
   label : string;
-  planner : planner;
   variant : variant;
   nslots : int;
   slot_names : string array;
@@ -151,9 +113,6 @@ type t = {
   head_args : term array;
   est_out : float;
   sizes_at_plan : (occurrence * int * int) list;
-  universe_at_plan : int;
-  overrides : (int * int) list;
-  generation : int;
   fb : feedback;
 }
 
@@ -183,7 +142,6 @@ let counters () =
 let merge_counters dst ~src =
   dst.plan_compiles <- dst.plan_compiles + src.plan_compiles;
   dst.plan_cache_hits <- dst.plan_cache_hits + src.plan_cache_hits;
-  dst.plan_replans <- dst.plan_replans + src.plan_replans;
   dst.index_hits <- dst.index_hits + src.index_hits;
   dst.index_builds <- dst.index_builds + src.index_builds;
   dst.full_scans <- dst.full_scans + src.full_scans;
@@ -206,32 +164,10 @@ type blit =
 
 let dummy = Symbol.unsafe_of_id 0
 
-(* Below this cardinality the adaptive planner scans instead of probing:
-   walking a handful of tuples is cheaper than the hash lookup plus bucket
-   indirection, and iteration-heavy fixpoints live in this regime.  A
-   mispredicted cutoff is exactly what the feedback loop repairs — the
-   override substitutes the observed effective cardinality and the replan
-   flips the access path. *)
-let probe_cutoff = 256
-
-let compile ?planner ?(variant = Full) ?label ?(overrides = [])
-    ?(generation = 0) ?(limits = []) ~sizes ~universe_size (r : Ast.rule) =
-  let planner =
-    match planner with Some p -> p | None -> default_planner ()
-  in
+let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
+    (r : Ast.rule) =
   let label =
     match label with Some l -> l | None -> Datalog.Pretty.rule_to_string r
-  in
-  (* Observed effective cardinalities (from a feedback replan) shadow the
-     resolver's sizes for the positive occurrences they cover; everything
-     downstream — join order, probe-vs-scan choice, estimates — then reads
-     the observed value.  [sizes_at_plan] records the shadowed value too,
-     so the cache's input-size drift check must skip overridden
-     occurrences (see {!Cache}). *)
-  let sizes occ arity =
-    match List.assoc_opt occ.index overrides with
-    | Some eff when occ.polarity = `Pos -> eff
-    | _ -> sizes occ arity
   in
   let vars = Ast.rule_variables r in
   let nslots = List.length vars in
@@ -413,32 +349,16 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
     let checks = check_positions args in
     let access = { occ; pred; arity } in
     (* Probe through the first bound column when one exists; otherwise
-       scan.  The adaptive planner prefers a constant key (sideways-passed
-       head bindings make these common under magic-style workloads) and
-       falls back to a scan below [probe_cutoff], trusting the feedback
-       loop to flip the decision if observation disagrees. *)
+       scan. *)
     let col = ref (-1) in
     Array.iteri
       (fun i t -> if !col < 0 && is_bound t then col := i)
       args;
-    if planner = `Adaptive then begin
-      let const_col = ref (-1) in
-      Array.iteri
-        (fun i t ->
-          if !const_col < 0 && (match t with Const _ -> true | Slot _ -> false)
-          then const_col := i)
-        args;
-      if !const_col >= 0 then col := !const_col
-    end;
     let est =
       !rows *. float_of_int card /. (u ** float_of_int checks)
     in
     rows := est;
-    let use_probe =
-      !col >= 0
-      && match planner with `Adaptive -> card > probe_cutoff | `Static -> true
-    in
-    if use_probe then
+    if !col >= 0 then
       let key = args.(!col) in
       (* [pattern] binds the fresh slots; the probed column stays a
          (redundant) check in the pattern. *)
@@ -451,8 +371,7 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
         unbound variables are {e dead} (head-absent and unread by any
         other pending literal) into first-witness existence checks;
      2. join through the positive atom with the fewest estimated matches
-        (the adaptive planner breaks near-ties by the magic-sets
-        adornment — most bound positions first);
+        (the first such atom on a tie);
      3. with only under-bound negations / comparisons left, enumerate the
         universe for their first unbound variable. *)
   let pending = ref blits in
@@ -551,40 +470,19 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
         | Some (BCmp _ | BLe _ | BPlus _) -> assert false
         | None -> ()))
   in
-  let bound_var_names () =
-    List.filteri (fun i _ -> bound.(i)) vars
-  in
-  let adorned_bound_count occ =
-    match List.nth_opt r.body occ with
-    | Some (Ast.Pos a) | Some (Ast.Neg a) ->
-      let sigma = Magic.adornment ~bound:(bound_var_names ()) a in
-      String.fold_left (fun n ch -> if ch = 'b' then n + 1 else n) 0 sigma
-    | _ -> 0
-  in
   let best_join () =
     List.fold_left
       (fun best l ->
         match l with
-        | BAtom { polarity = `Pos; occ; pred; args } ->
+        | BAtom { polarity = `Pos; occ; pred; args } -> (
           let arity = Array.length args in
           let card = size `Pos occ pred arity in
           let est =
             float_of_int card /. (u ** float_of_int (check_positions args))
           in
-          (match best with
-          | Some (_, best_est, best_bc) ->
-            if est < best_est then Some (l, est, adorned_bound_count occ)
-            else if
-              (* Near-tie: sideways information passing — prefer the atom
-                 the current bindings adorn most ('b'-count under the
-                 magic-sets analysis).  Adaptive only, so the static plans
-                 the cram tests pin are byte-identical. *)
-              planner = `Adaptive
-              && est = best_est
-              && adorned_bound_count occ > best_bc
-            then Some (l, est, adorned_bound_count occ)
-            else best
-          | None -> Some (l, est, adorned_bound_count occ))
+          match best with
+          | Some (_, best_est) when est >= best_est -> best
+          | _ -> Some (l, est))
         | _ -> best)
       None !pending
   in
@@ -613,7 +511,7 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
     settle ();
     if !pending <> [] then begin
       (match best_join () with
-      | Some ((BAtom { occ; pred; args; _ } as l), _, _) ->
+      | Some ((BAtom { occ; pred; args; _ } as l), _) ->
         remove l;
         emit_join occ pred args
       | Some _ -> assert false
@@ -671,7 +569,6 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
   {
     rule = r;
     label;
-    planner;
     variant;
     nslots;
     slot_names;
@@ -683,69 +580,13 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
       Hashtbl.fold (fun _ entry acc -> entry :: acc) sizes_seen []
       |> List.sort (fun ((a : occurrence), _, _) ((b : occurrence), _, _) ->
              Int.compare a.index b.index);
-    universe_at_plan = universe_size;
-    overrides;
-    generation;
     fb =
       {
         fb_runs = 0;
         fb_rows = Array.make (max (Array.length steps) 1) 0;
-        fb_emitted = 0;
         fb_driving = 0;
-        fb_deltas = [];
       };
   }
-
-(* --- the feedback loop -------------------------------------------------- *)
-
-let pat_checks pat =
-  Array.fold_left
-    (fun n p -> match p with Bind _ -> n | Check_const _ | Check_slot _ -> n + 1)
-    0 pat
-
-(* Observed-selectivity divergence: compare each join step's average
-   observed output rows against its estimate.  Input-size drift is the
-   cache's job (it re-reads the resolver's cardinalities); what only the
-   feedback record can see is a {e selectivity} misprediction — the right
-   input sizes flowing through the wrong join order or access path.  The
-   worst-diverging, not-yet-overridden join wins; the override is the
-   effective cardinality that would have produced the observed output
-   ([obs/in * u^checks] — the cost model solved for card). *)
-let replan_hint plan =
-  let fb = plan.fb in
-  if fb.fb_runs = 0 then None
-  else begin
-    let f = float_of_int (drift_factor ()) in
-    let slack = float_of_int drift_slack in
-    let runs = float_of_int fb.fb_runs in
-    let u = float_of_int (max plan.universe_at_plan 1) in
-    let best = ref None in
-    let input = ref 1.0 in
-    Array.iteri
-      (fun i st ->
-        let obs = float_of_int fb.fb_rows.(i) /. runs in
-        (match st.op with
-        | Scan { access; pat } | Index_probe { access; pat; _ }
-          when not (List.mem_assoc access.occ plan.overrides) ->
-          let est = st.est in
-          if obs > (f *. est) +. slack || est > (f *. obs) +. slack then begin
-            let ratio =
-              let r = (obs +. slack) /. (est +. slack) in
-              if r < 1.0 then 1.0 /. r else r
-            in
-            let eff =
-              (obs /. Float.max !input 1.0) *. (u ** float_of_int (pat_checks pat))
-            in
-            let eff = int_of_float (Float.min eff 1e15) in
-            match !best with
-            | Some (r0, _, _) when r0 >= ratio -> ()
-            | _ -> best := Some (ratio, access.occ, max 0 eff)
-          end
-        | _ -> ());
-        input := obs)
-      plan.steps;
-    Option.map (fun (_, occ, eff) -> (occ, eff)) !best
-  end
 
 (* --- execution ---------------------------------------------------------- *)
 
@@ -804,7 +645,6 @@ type prepared = {
       (* [Tighten_emit]'s per-context best candidate per group.  Contexts
          are per run (and per shard), so the table never outlives the
          stage whose current valuation the probes read. *)
-  mutable p_emitted : int;
   mutable p_din : int;
 }
 
@@ -869,34 +709,24 @@ let prepare ?counters ~resolver ~universe plan =
     p_driving = !driving;
     p_rows = Array.make (max nsteps 1) 0;
     p_best = Hashtbl.create 16;
-    p_emitted = 0;
     p_din = 0;
   }
 
 (* Folds one or more execution contexts (participant order on the sharded
    path) into the plan's feedback record, closing one run: per-step row
-   counts, emitted rows, and the driving step's input size, which also
-   heads the recent-deltas window.  Called once per {!run} /
+   counts and the driving step's input size.  Called once per {!run} /
    {!run_sharded} — the stage barrier — so the plan itself is never
    written concurrently. *)
 let harvest plan ctxs =
   let fb = plan.fb in
-  let din = List.fold_left (fun acc c -> acc + c.p_din) 0 ctxs in
   List.iter
     (fun c ->
       Array.iteri
         (fun i n -> if n > 0 then fb.fb_rows.(i) <- fb.fb_rows.(i) + n)
         c.p_rows;
-      fb.fb_emitted <- fb.fb_emitted + c.p_emitted)
+      fb.fb_driving <- fb.fb_driving + c.p_din)
     ctxs;
-  fb.fb_driving <- fb.fb_driving + din;
-  fb.fb_runs <- fb.fb_runs + 1;
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  fb.fb_deltas <- din :: take (deltas_kept - 1) fb.fb_deltas
+  fb.fb_runs <- fb.fb_runs + 1
 
 let bump_scan prep =
   match prep.p_counters with
@@ -1066,10 +896,7 @@ let exec_range prep ~lo ~hi ~on_row =
   let universe = prep.p_universe in
   let d = prep.p_driving in
   let rec exec i =
-    if i = nsteps then begin
-      prep.p_emitted <- prep.p_emitted + 1;
-      on_row env
-    end
+    if i = nsteps then on_row env
     else
       let st = Array.unsafe_get steps i in
       match st.op with
@@ -1405,8 +1232,7 @@ let pp_step names ppf st =
   Format.fprintf ppf "%a  [est %.1f rows]" (pp_op names) st.op st.est
 
 let pp ppf plan =
-  Format.fprintf ppf "@[<v2>%s  {%s, %s}" plan.label
-    (planner_to_string plan.planner)
+  Format.fprintf ppf "@[<v2>%s  {%s}" plan.label
     (variant_to_string plan.variant);
   Array.iteri
     (fun i st ->
@@ -1422,46 +1248,3 @@ let pp ppf plan =
   Format.fprintf ppf "@]"
 
 let to_string plan = Format.asprintf "%a" pp plan
-
-(* The [explain --feedback] view: per step, the estimate the plan was
-   compiled against, the observed per-run average, and a [drift] marker
-   where the two diverge past the drift factor; then the replan state —
-   the overrides already substituted, the generation, and what the next
-   adaptive cache lookup would do. *)
-let pp_feedback ppf plan =
-  let fb = plan.fb in
-  let runs = max fb.fb_runs 1 in
-  let avg n = float_of_int n /. float_of_int runs in
-  Format.fprintf ppf "@[<v2>%s  {%s, %s, generation %d}" plan.label
-    (planner_to_string plan.planner)
-    (variant_to_string plan.variant)
-    plan.generation;
-  Format.fprintf ppf "@,runs %d; driving avg %.1f; emitted avg %.1f (est %.1f)"
-    fb.fb_runs (avg fb.fb_driving) (avg fb.fb_emitted) plan.est_out;
-  let f = float_of_int (drift_factor ()) in
-  let slack = float_of_int drift_slack in
-  Array.iteri
-    (fun i st ->
-      let obs = avg fb.fb_rows.(i) in
-      Format.fprintf ppf "@,%d. %a  [est %.1f, obs %.1f%s]" (i + 1)
-        (pp_op plan.slot_names) st.op st.est obs
-        (if
-           fb.fb_runs > 0
-           && (obs > (f *. st.est) +. slack || st.est > (f *. obs) +. slack)
-         then ", drift"
-         else ""))
-    plan.steps;
-  (match plan.overrides with
-  | [] -> Format.fprintf ppf "@,overrides: none"
-  | overrides ->
-    Format.fprintf ppf "@,overrides:";
-    List.iter
-      (fun (occ, eff) ->
-        Format.fprintf ppf " occurrence %d -> %d rows" occ eff)
-      (List.sort (fun (a, _) (b, _) -> Int.compare a b) overrides));
-  (match replan_hint plan with
-  | Some (occ, eff) ->
-    Format.fprintf ppf "@,replan: occurrence %d, observed effective %d rows"
-      occ eff
-  | None -> Format.fprintf ppf "@,replan: none");
-  Format.fprintf ppf "@]"

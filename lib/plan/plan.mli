@@ -1,4 +1,4 @@
-(** Compile-once physical plans for rule evaluation, with a feedback loop.
+(** Compile-once physical plans for rule evaluation.
 
     Every Theta-based semantics in this library ultimately does the same
     thing: apply each rule of the program to the current valuation, over and
@@ -32,20 +32,17 @@
     exit), replacing the enumerate-then-check cascade that cost [u]
     iterations per free variable.
 
-    {b Feedback.} Plans are immutable apart from a per-plan {!feedback}
-    record of observed cardinalities: per-step rows produced, emitted
-    rows, the driving step's input size, and a window of recent
-    driving-input ("delta") sizes.  Per-run counts accumulate in the
+    {b Observed rows.} Plans are immutable apart from a per-plan
+    {!feedback} record of observed cardinalities: per-step rows produced
+    and the driving step's input size.  Per-run counts accumulate in the
     {!prepared} execution context — one per domain — and are folded into
     the plan's record once per run, at the fixpoint-stage barrier on the
     sharded path, so the record is never written from two domains.  The
-    [`Adaptive] planner ({!Cache}) closes the loop: when observed
-    selectivities diverge from the estimates past {!drift_factor}, the
-    next cache lookup recompiles with the observed effective cardinality
-    substituted for the estimate ({!replan_hint}).  Where each atom
-    occurrence reads its relation is decided at {e run} time by a
-    resolver, which is what lets one plan serve both the full and the
-    delta-specialized applications of semi-naive evaluation. *)
+    record feeds [explain]'s actual row counts and sizes later sharded
+    runs' morsels; planning never reads it.  Where each atom occurrence
+    reads its relation is decided at {e run} time by a resolver, which is
+    what lets one plan serve both the full and the delta-specialized
+    applications of semi-naive evaluation. *)
 
 type source = { find : string -> int -> Relalg.Relation.t }
 
@@ -58,38 +55,14 @@ type occurrence = {
 type resolver = occurrence -> source
 (** Decides, per atom occurrence, which source to read. *)
 
-type planner = [ `Static | `Adaptive ]
-(** - [`Static] (default): compile once per (rule, variant), cache, and
-      only recompile when relation sizes drift past the {!Cache} threshold;
-    - [`Adaptive]: like [`Static], plus the feedback loop — observed
-      per-step cardinalities trigger bounded replans with observed stats
-      substituted for estimates, small relations are scanned rather than
-      probed, and near-tie join orders are broken by the magic-sets
-      adornment (sideways information passing). *)
-
-val planner_of_string : string -> (planner, string) result
-val planner_to_string : planner -> string
-val pp_planner : Format.formatter -> planner -> unit
-
-val set_default_planner : planner -> unit
-(** Sets the planner used when no explicit [?planner] is given (the bench
-    runs its experiment drivers under each planner through this). *)
-
-val default_planner : unit -> planner
-
-val set_drift_factor : int -> unit
-(** Sets the drift factor (default 4, clamped to >= 1) shared by the
-    cache's input-size drift check and the adaptive planner's
-    observed-selectivity check — the CLI's [--plan-drift].  A quantity has
-    drifted when it exceeds [factor * reference + drift_slack] in either
-    direction. *)
-
-val drift_factor : unit -> int
-
-val drift_slack : int
-(** Additive slack under which drift is never declared — early fixpoint
-    stages grow relations from empty, and a 4x change of almost nothing
-    is noise. *)
+type planner = [ `Static ]
+(** The one planner: compile each rule once per (rule, variant) into a
+    cost-ordered plan and recompile only when relation sizes drift (see
+    {!Cache}).  The type exists only because the end-to-end benchmark
+    harness under [bench/e2e], which is frozen between benchmark
+    revisions, still names the planner it runs (through [Negdl.run],
+    [Negdl.analyze_fixpoints], [Fixpoints.prepare] and [Serve.create]); it
+    goes when that harness drops the argument. *)
 
 type variant =
   | Full  (** Every occurrence reads the current valuation. *)
@@ -177,14 +150,10 @@ type feedback = {
   fb_rows : int array;
       (** Per step, rows that survived it, summed across runs — the
           observed counterpart of [step.est] is [fb_rows.(i) / fb_runs]. *)
-  mutable fb_emitted : int;  (** Rows emitted to [on_row], across runs. *)
   mutable fb_driving : int;
       (** Driving-step input rows, summed across runs — what
           {!run_sharded} partitions, cached here so only a plan's first
           sharded run pays the counting pass. *)
-  mutable fb_deltas : int list;
-      (** Recent per-run driving-input sizes, newest first (window of 8) —
-          for a [Delta] variant, the observed delta-size trajectory. *)
 }
 (** Observed cardinalities, harvested from per-context counters once per
     run (the stage barrier on the sharded path).  Reset by recompilation —
@@ -193,7 +162,6 @@ type feedback = {
 type t = {
   rule : Datalog.Ast.rule;
   label : string;  (** The rule in concrete syntax (or a caller label). *)
-  planner : planner;
   variant : variant;
   nslots : int;
   slot_names : string array;
@@ -203,16 +171,7 @@ type t = {
   est_out : float;  (** Estimated emitted rows. *)
   sizes_at_plan : (occurrence * int * int) list;
       (** (occurrence, arity, cardinality) snapshot the cost model saw —
-          {!Cache} compares against it to decide when to replan.  For an
-          overridden occurrence this records the override. *)
-  universe_at_plan : int;  (** Universe size the cost model saw. *)
-  overrides : (int * int) list;
-      (** [(occurrence index, observed effective cardinality)] pairs a
-          feedback replan substituted for the resolver's sizes — skipped
-          by the cache's input-size drift check. *)
-  generation : int;
-      (** Consecutive feedback replans behind this plan; {!Cache} bounds
-          it and falls back to a plain recompile at the cap. *)
+          {!Cache} compares against it to decide when to replan. *)
   fb : feedback;
 }
 
@@ -220,8 +179,8 @@ type counters = {
   mutable plan_compiles : int;
   mutable plan_cache_hits : int;
   mutable plan_replans : int;
-      (** Feedback-driven recompilations (adaptive planner only) —
-          bounded per plan by the {!Cache} generation cap. *)
+      (** Always 0.  The field exists only because the frozen
+          [bench/e2e] harness reads it (see {!planner}). *)
   mutable index_hits : int;
   mutable index_builds : int;
   mutable full_scans : int;
@@ -234,11 +193,8 @@ val counters : unit -> counters
 val merge_counters : counters -> src:counters -> unit
 
 val compile :
-  ?planner:planner ->
   ?variant:variant ->
   ?label:string ->
-  ?overrides:(int * int) list ->
-  ?generation:int ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   sizes:(occurrence -> int -> int) ->
   universe_size:int ->
@@ -248,27 +204,12 @@ val compile :
     occurrence reads (under the resolver the plan will later run with);
     the [variant] only documents which occurrence the resolver seeds from
     the delta — the delta's small cardinality reaches the join order
-    through [sizes].  [overrides] shadows [sizes] for the given positive
-    occurrences with observed effective cardinalities (a feedback
-    replan); [generation] counts the consecutive feedback replans that
-    produced this plan.  When [limits] declares the head predicate a
+    through [sizes].  When [limits] declares the head predicate a
     limit predicate, the plan closes with {!Aggregate_probe} and
     {!Tighten_emit} steps for its (kind, column) — callers evaluating a
     limit program under the tighten-union fixpoint must pass the
     program's limits; callers that want raw candidate derivation (DRed
     overdeletion) must not. *)
-
-val replan_hint : t -> (int * int) option
-(** [Some (occ, eff)] when the feedback record shows a join step's
-    observed output diverging from its estimate past {!drift_factor} (+
-    {!drift_slack}), for the worst such step whose occurrence is not
-    already overridden: recompiling with [eff] substituted at [occ] would
-    align the cost model with observation.  [None] before the first run,
-    while observation matches, or when every diverging occurrence is
-    already overridden.  Selectivity divergence is deliberately the
-    trigger — input-{e size} drift is already caught by {!Cache} against
-    [sizes_at_plan]; what only observation reveals is the right sizes
-    flowing through the wrong access path or join order. *)
 
 val run :
   ?counters:counters ->
@@ -378,10 +319,5 @@ val head_tuple : t -> Relalg.Symbol.t array -> Relalg.Tuple.t
 val pp : Format.formatter -> t -> unit
 (** Renders the plan with estimated and (when the plan has run) observed
     per-step cardinalities — the [negdl explain] output. *)
-
-val pp_feedback : Format.formatter -> t -> unit
-(** The [explain --feedback] view: per step, estimate vs observed per-run
-    average with drift markers, then the replan state — substituted
-    overrides, generation, and what {!replan_hint} would do next. *)
 
 val to_string : t -> string

@@ -4,7 +4,7 @@
 
    - {e Canonical encoding}: every variable part of the file is either
      derived from the model (dictionary ids, section offsets) or sorted
-     (symbol names, relation directory, tuple rows, override plans), so
+     (symbol names, relation directory, tuple rows), so
      [encode] is a pure function of the model and re-snapshotting a
      restored model reproduces the bytes exactly, whatever the process's
      intern order or partition count.
@@ -24,8 +24,6 @@ module Store = Relalg.Store
 module Idset = Relalg.Idset
 module Tuple = Relalg.Tuple
 module Pretty = Datalog.Pretty
-module Parser = Datalog.Parser
-module Plan = Planlib.Plan
 
 type error =
   | Io of string
@@ -80,7 +78,6 @@ type image = {
   program_md5 : string;
   semantics : string;
   edb_digest : string;
-  overrides : (string * int * (int * int) list) list;
 }
 
 let kind_code = function Edb -> 0 | Idb -> 1 | Unknown -> 2
@@ -96,7 +93,6 @@ let section_name = function
   | 2 -> "relations"
   | 3 -> "tuples"
   | 4 -> "program"
-  | 5 -> "overrides"
   | _ -> "unknown"
 
 let compare_row (a : int array) (b : int array) =
@@ -193,21 +189,6 @@ let database_digest db =
   let names, sym_to_dict = dictionary_of db in
   edb_digest_of ~names ~edb:(edb_images sym_to_dict db)
 
-let code_of_variant = function Plan.Full -> 0 | Plan.Delta j -> j + 1
-
-let variant_of_code = function 0 -> Plan.Full | n -> Plan.Delta (n - 1)
-
-let canonical_overrides overrides =
-  List.filter_map
-    (fun (rule, variant, pairs) ->
-      match List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs with
-      | [] -> None
-      | pairs -> Some (Pretty.rule_to_string rule, code_of_variant variant, pairs))
-    overrides
-  |> List.sort (fun (r1, v1, _) (r2, v2, _) ->
-         let c = String.compare r1 r2 in
-         if c <> 0 then c else Int.compare v1 v2)
-
 (* Flatten the per-relation row arrays into the image's single word array,
    recording each relation's span. *)
 let flatten rels =
@@ -241,7 +222,7 @@ let flatten rels =
   in
   (images, data)
 
-let capture ?(unknown = []) ?(overrides = []) ~program ~semantics ~db idb =
+let capture ?(unknown = []) ~program ~semantics ~db idb =
   let names, sym_to_dict = dictionary_of db in
   let sorted group =
     List.sort (fun (a, _) (b, _) -> String.compare a b) group
@@ -266,7 +247,6 @@ let capture ?(unknown = []) ?(overrides = []) ~program ~semantics ~db idb =
       program_md5 = program_digest program;
       semantics;
       edb_digest = edb_digest_of ~names ~edb;
-      overrides = canonical_overrides overrides;
     }
   with
   | image -> Ok image
@@ -317,22 +297,6 @@ let encode_program image =
   Buffer.add_string b image.edb_digest;
   Buffer.contents b
 
-let encode_overrides image =
-  let b = Buffer.create 256 in
-  Codec.add_u32 b (List.length image.overrides);
-  List.iter
-    (fun (rule, variant, pairs) ->
-      Codec.add_str b rule;
-      Codec.add_u32 b variant;
-      Codec.add_u32 b (List.length pairs);
-      List.iter
-        (fun (occ, eff) ->
-          Codec.add_u32 b occ;
-          Codec.add_u32 b eff)
-        pairs)
-    image.overrides;
-  Buffer.contents b
-
 let encode image =
   let sections =
     [
@@ -341,14 +305,13 @@ let encode image =
       (3, encode_tuples image);
       (4, encode_program image);
     ]
-    @ (if image.overrides = [] then [] else [ (5, encode_overrides image) ])
   in
-  let flags = if image.overrides = [] then 0 else 1 in
   let header_len = 20 + (24 * List.length sections) + 4 in
   let hb = Buffer.create header_len in
   Buffer.add_string hb magic;
   Codec.add_u32 hb format_version;
-  Codec.add_u32 hb flags;
+  (* Flags: none are defined, and [decode] refuses any set bit. *)
+  Codec.add_u32 hb 0;
   Codec.add_u32 hb (List.length sections);
   let off = ref header_len in
   List.iter
@@ -480,48 +443,6 @@ let parse_program r =
   if not (Codec.at_end r) then corrupt "program" "trailing bytes";
   (program_md5, semantics, edb_digest)
 
-let parse_overrides r =
-  in_section "overrides" @@ fun () ->
-  let count = Codec.u32 r in
-  if count = 0 then
-    (* Canonical encoding omits the section when there is nothing in it. *)
-    corrupt "overrides" "empty overrides section must be omitted";
-  if count > Codec.remaining r / 12 then
-    corrupt "overrides" "plan count exceeds section size";
-  let entries = Array.make count ("", 0, []) in
-  for i = 0 to count - 1 do
-    let rule = Codec.str r in
-    let variant = Codec.u32 r in
-    let npairs = Codec.u32 r in
-    if npairs > Codec.remaining r / 8 then
-      corrupt "overrides" "pair count exceeds section size";
-    if npairs = 0 then corrupt "overrides" "plan with no override pairs";
-    let pairs = ref [] in
-    for _ = 1 to npairs do
-      let occ = Codec.u32 r in
-      let eff = Codec.u32 r in
-      pairs := (occ, eff) :: !pairs
-    done;
-    let pairs = List.rev !pairs in
-    let rec sorted = function
-      | (a, _) :: ((b, _) :: _ as rest) ->
-        if a >= b then
-          corrupt "overrides" "pairs not strictly occurrence-sorted";
-        sorted rest
-      | _ -> ()
-    in
-    sorted pairs;
-    entries.(i) <- (rule, variant, pairs)
-  done;
-  for i = 1 to count - 1 do
-    let r1, v1, _ = entries.(i - 1) and r2, v2, _ = entries.(i) in
-    let c = String.compare r1 r2 in
-    let c = if c <> 0 then c else Int.compare v1 v2 in
-    if c >= 0 then corrupt "overrides" "plans not sorted by (rule, variant)"
-  done;
-  if not (Codec.at_end r) then corrupt "overrides" "trailing bytes";
-  Array.to_list entries
-
 let decode buf =
   try
     let dim = Bigarray.Array1.dim buf in
@@ -533,13 +454,15 @@ let decode buf =
     let version = in_section "header" (fun () -> Codec.u32 r) in
     if version <> format_version then
       raise (Fail (Version_skew { found = version; supported = format_version }));
-    let flags, count =
+    let count =
       in_section "header" @@ fun () ->
-      let flags = Codec.u32 r in
-      if flags land lnot 1 <> 0 then corrupt "header" "unknown flag bits";
-      (flags, Codec.u32 r)
+      (match Codec.u32 r with
+      | 0 -> ()
+      | 1 -> corrupt "header" "planner overrides are no longer supported"
+      | _ -> corrupt "header" "unknown flag bits");
+      Codec.u32 r
     in
-    let expected_ids = [ 1; 2; 3; 4 ] @ if flags land 1 = 1 then [ 5 ] else [] in
+    let expected_ids = [ 1; 2; 3; 4 ] in
     if count <> List.length expected_ids then
       corrupt "header" "wrong section count";
     let table =
@@ -597,9 +520,6 @@ let decode buf =
         ([], 0) entries
     in
     let program_md5, semantics, edb_digest = parse_program (reader_of 4) in
-    let overrides =
-      if flags land 1 = 1 then parse_overrides (reader_of 5) else []
-    in
     Ok
       {
         symbols;
@@ -608,7 +528,6 @@ let decode buf =
         program_md5;
         semantics;
         edb_digest;
-        overrides;
       }
   with Fail e -> Error e
 
@@ -672,64 +591,43 @@ type restored = {
   r_db : Database.t;
   r_idb : (string * Relation.t) list;
   r_unknown : (string * Relation.t) list;
-  r_seeds : (Datalog.Ast.rule * Plan.variant * (int * int) list) list;
 }
 
 let restore ?storage:(_ : Relation.storage option) image =
-  (* Seeds first: override rule text is the only thing that can still be
-     rejected, and failing before interning keeps the global tables
-     untouched on any [Error]. *)
-  let seeds =
-    List.fold_left
-      (fun acc (rule_text, vcode, pairs) ->
-        match acc with
-        | Error _ -> acc
-        | Ok seeds -> (
-          match Parser.parse_rule rule_text with
-          | Ok rule -> Ok ((rule, variant_of_code vcode, pairs) :: seeds)
-          | Error e ->
-            Error
-              (Corrupt
-                 { section = "overrides"; reason = "unparseable rule: " ^ e })))
-      (Ok []) image.overrides
+  let syms = Array.map Symbol.intern image.symbols in
+  let words = image.words in
+  let relation_of ri =
+    if ri.arity = 0 then
+      (* At most one row (the empty tuple, validated by decode). *)
+      Relation.of_array 0 (Array.make ri.row_count Tuple.empty)
+    else begin
+      (* Translate the span's dictionary ids to symbols in one flat
+         sweep; [of_flat_rows] interns the rows in place from there —
+         no per-row boxing anywhere on this path. *)
+      let wlen = ri.row_count * ri.arity in
+      let flat =
+        Array.init wlen (fun i -> syms.(words.(ri.word_off + i)))
+      in
+      Relation.of_flat_rows ri.arity flat
+    end
   in
-  match seeds with
-  | Error e -> Error e
-  | Ok seeds ->
-    let syms = Array.map Symbol.intern image.symbols in
-    let words = image.words in
-    let relation_of ri =
-      if ri.arity = 0 then
-        (* At most one row (the empty tuple, validated by decode). *)
-        Relation.of_array 0 (Array.make ri.row_count Tuple.empty)
-      else begin
-        (* Translate the span's dictionary ids to symbols in one flat
-           sweep; [of_flat_rows] interns the rows in place from there —
-           no per-row boxing anywhere on this path. *)
-        let wlen = ri.row_count * ri.arity in
-        let flat =
-          Array.init wlen (fun i -> syms.(words.(ri.word_off + i)))
-        in
-        Relation.of_flat_rows ri.arity flat
-      end
-    in
-    let db, idb, unknown =
-      List.fold_left
-        (fun (db, idb, unknown) ri ->
-          match ri.kind with
-          | Edb -> (Database.set_relation ri.name (relation_of ri) db, idb, unknown)
-          | Idb -> (db, (ri.name, relation_of ri) :: idb, unknown)
-          | Unknown -> (db, idb, (ri.name, relation_of ri) :: unknown))
-        (Database.create ~universe:(Array.to_list syms), [], [])
-        image.relations
-    in
-    Ok
-      {
-        r_db = db;
-        r_idb = List.rev idb;
-        r_unknown = List.rev unknown;
-        r_seeds = List.rev seeds;
-      }
+  let db, idb, unknown =
+    List.fold_left
+      (fun (db, idb, unknown) ri ->
+        match ri.kind with
+        | Edb ->
+          (Database.set_relation ri.name (relation_of ri) db, idb, unknown)
+        | Idb -> (db, (ri.name, relation_of ri) :: idb, unknown)
+        | Unknown -> (db, idb, (ri.name, relation_of ri) :: unknown))
+      (Database.create ~universe:(Array.to_list syms), [], [])
+      image.relations
+  in
+  Ok
+    {
+      r_db = db;
+      r_idb = List.rev idb;
+      r_unknown = List.rev unknown;
+    }
 
 let check_program image ~program ~semantics =
   if image.semantics <> semantics then

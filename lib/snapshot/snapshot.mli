@@ -2,16 +2,15 @@
 
     A snapshot persists everything needed to warm-restart evaluation
     without re-saturating: the symbol dictionary, every EDB/IDB relation as
-    packed rows of dictionary ids, the program and EDB fingerprints that
-    gate restoring into the wrong process, and (optionally) the adaptive
-    planner's learned cardinality overrides.
+    packed rows of dictionary ids, and the program and EDB fingerprints
+    that gate restoring into the wrong process.
 
     {2 Layout (format version 1)}
 
     {v
     offset 0   magic "NEGDLSNP"                      8 bytes
                format version                        u32 le
-               flags (bit 0: overrides present)      u32
+               flags (none defined: always 0)        u32
                section count                         u32
                section table: id, offset, length,    (u32, u64, u64, u32)
                  crc32 per section                     x count
@@ -26,10 +25,12 @@
                    rows sorted lexicographically
       4 program    16-byte MD5 of the program text, semantics string,
                    16-byte EDB digest
-      5 overrides  u32 count; per plan: rule text, u32 variant (0 full,
-                   1+j delta j), u32 pairs; (u32 occurrence index,
-                   u32 effective cardinality) x pairs
     v}
+
+    Earlier builds could set flag bit 0 and append a fifth section of
+    planner cardinality overrides; such a file is refused with a [Corrupt]
+    error of the header.  Every other file of format version 1 reads as
+    before.
 
     Tuples are encoded as {e dictionary} ids (positions in the name-sorted
     symbol section), never process-local intern ids, and every variable
@@ -51,7 +52,7 @@ type error =
   | Io of string  (** The file could not be read or written. *)
   | Corrupt of { section : string; reason : string }
       (** Structural damage, located to a section ("header", "symbols",
-          "relations", "tuples", "program", "overrides", "trailer"). *)
+          "relations", "tuples", "program", "trailer"). *)
   | Version_skew of { found : int; supported : int }
       (** The snapshot's format version is not the one this build reads. *)
   | Program_mismatch of { snapshot : string; loaded : string }
@@ -95,9 +96,6 @@ type image = {
   program_md5 : string;  (** 16 raw bytes. *)
   semantics : string;  (** E.g. ["stratified"], ["wellfounded"]. *)
   edb_digest : string;  (** 16 raw bytes, see {!database_digest}. *)
-  overrides : (string * int * (int * int) list) list;
-      (** Adaptive-planner seeds: rule text, encoded variant, (occurrence,
-          effective cardinality) pairs. *)
 }
 
 (** {1 Fingerprints} *)
@@ -132,7 +130,6 @@ val read_file : string -> (image, error) result
 
 val capture :
   ?unknown:(string * Relalg.Relation.t) list ->
-  ?overrides:(Datalog.Ast.rule * Planlib.Plan.variant * (int * int) list) list ->
   program:Datalog.Ast.program ->
   semantics:string ->
   db:Relalg.Database.t ->
@@ -148,17 +145,15 @@ type restored = {
   r_db : Relalg.Database.t;
   r_idb : (string * Relalg.Relation.t) list;  (** Sorted by name. *)
   r_unknown : (string * Relalg.Relation.t) list;
-  r_seeds : (Datalog.Ast.rule * Planlib.Plan.variant * (int * int) list) list;
-      (** Feed to {!Planlib.Cache.seed_overrides}. *)
 }
 
 val restore :
   ?storage:Relalg.Relation.storage -> image -> (restored, error) result
 (** Interns the dictionary and rebuilds relations with bulk constructors.
-    The only failure on an image that passed {!decode} is an unparseable
-    override rule (reported as [Corrupt] of the overrides section).
-    [storage] is ignored; it remains for the same reason as
-    {!Relalg.Relation.storage}. *)
+    An image that passed {!decode} always restores; the result type and
+    [storage], which is ignored, remain for the same reason as
+    {!Relalg.Relation.storage}: the frozen [bench/e2e] harness uses
+    both. *)
 
 val check_program :
   image ->

@@ -54,31 +54,36 @@ let value sigma = function
 
 let ground sigma (a : Ast.atom) : fact = (a.pred, List.map (value sigma) a.args)
 
-let holds ~idb d s sigma literal =
-  let mem ((pred, _) as f) =
+(* Whether a ground body literal holds when positive IDB atoms are read in
+   [pos] and negated ones in [neg]: one set for the two-valued Theta,
+   Fitting's two bounds for Kripke-Kleene. *)
+let holds ~idb d ~pos ~neg sigma literal =
+  let mem s ((pred, _) as f) =
     if List.mem pred idb then Facts.mem f s else Facts.mem f d.edb
   in
   match literal with
-  | Ast.Pos a -> mem (ground sigma a)
-  | Ast.Neg a -> not (mem (ground sigma a))
+  | Ast.Pos a -> mem pos (ground sigma a)
+  | Ast.Neg a -> not (mem neg (ground sigma a))
   | Ast.Eq (t1, t2) -> String.equal (value sigma t1) (value sigma t2)
   | Ast.Neq (t1, t2) -> not (String.equal (value sigma t1) (value sigma t2))
   | Ast.Leq _ | Ast.Geq _ -> unsupported "an order comparison"
   | Ast.Plus _ -> unsupported "an addition"
 
-(* Theta restricted to [rules]: the heads of their ground instances whose
-   bodies hold. *)
-let theta_of ~idb rules d s =
+(* The heads of the ground instances of [rules] whose bodies hold. *)
+let heads ~idb rules d ~pos ~neg =
   List.fold_left
     (fun acc (r : Ast.rule) ->
       List.fold_left
         (fun acc sigma ->
-          if List.for_all (holds ~idb d s sigma) r.body then
+          if List.for_all (holds ~idb d ~pos ~neg sigma) r.body then
             Facts.add (ground sigma r.head) acc
           else acc)
         acc
         (assignments d.universe (Ast.rule_variables r)))
     Facts.empty rules
+
+(* Theta restricted to [rules]. *)
+let theta_of ~idb rules d s = heads ~idb rules d ~pos:s ~neg:s
 
 let theta p d s =
   check_supported p;
@@ -142,3 +147,34 @@ let stratified p d =
         stratum (k + 1) (limit step lower)
     in
     Some (stratum 0 Facts.empty)
+
+(* Every atom of a head predicate over the universe, at its head arity. *)
+let herbrand_base (p : Ast.program) d =
+  let rec tuples n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map (fun c -> List.map (fun t -> c :: t) (tuples (n - 1)))
+        d.universe
+  in
+  List.fold_left
+    (fun acc (r : Ast.rule) ->
+      List.fold_left
+        (fun acc args -> Facts.add (r.head.pred, args) acc)
+        acc
+        (tuples (List.length r.head.args)))
+    Facts.empty p.rules
+
+let kripke_kleene p d =
+  check_supported p;
+  let idb = idb_of p in
+  (* Fitting's operator on (true, possible): a head is true when some
+     instance's positive atoms are true and its negated atoms impossible,
+     possible when some instance's positive atoms are possible and its
+     negated atoms not true.  From (nothing, everything) it only gains
+     knowledge, so the iteration stops at its least fixpoint. *)
+  let rec iterate t q =
+    let t' = heads ~idb p.rules d ~pos:t ~neg:q in
+    let q' = heads ~idb p.rules d ~pos:q ~neg:t in
+    if Facts.equal t t' && Facts.equal q q' then (t, q) else iterate t' q'
+  in
+  iterate Facts.empty (herbrand_base p d)

@@ -49,3 +49,12 @@ val stratified : Datalog.Ast.program -> db -> Facts.t option
     as high as each positive IDB body predicate and strictly higher than
     each negated one); each stratum is then the least fixpoint of its
     rules above the fixed lower strata. *)
+
+val kripke_kleene : Datalog.Ast.program -> db -> Facts.t * Facts.t
+(** The Kripke-Kleene (Fitting) model as its (true, possible) pair: the
+    least fixpoint, in the knowledge order, of Fitting's three-valued
+    operator, iterated from (empty, every atom of a head predicate over
+    the universe).  A head is true when some ground instance has all
+    positive atoms true and no negated atom possible, and possible when
+    some instance has all positive atoms possible and no negated atom
+    true. *)

@@ -4,10 +4,11 @@
    every Theta-consumer executes it, so the properties here are the
    load-bearing ones for the refactor:
 
-   - the planner x engine matrix: [`Static] and [`Adaptive] plans compute
-     the model the plain-set reference (test/support/reference.ml) computes
-     from the definitions, under every engine, for every semantics, on
-     random programs;
+   - the Kripke-Kleene model, which runs through the grounding's
+     instantiation plans, is the one the plain-set reference
+     (test/support/reference.ml) computes from Fitting's definition on
+     random programs (the other semantics are checked against the same
+     reference under every engine in test_props.ml);
    - morsel scheduling is invisible: every plan run sharded into morsels of
      1 or 7 driving rows, inline or on a pool, emits what [Plan.run] emits;
    - delta-specialized plans derive exactly what full plans derive: the
@@ -34,8 +35,6 @@ module Tuple = Relalg.Tuple
 
 let arb_case = Testsupport.Gen_programs.arb_case
 
-let positivise = Testsupport.Gen_programs.positivise
-
 let db_of g = Digraph.to_database g
 
 let pi1 = Parser.parse_program_exn "t(X) :- e(Y, X), !t(Y)."
@@ -43,87 +42,23 @@ let pi1 = Parser.parse_program_exn "t(X) :- e(Y, X), !t(Y)."
 let tc_program =
   Parser.parse_program_exn "s(X, Y) :- e(X, Y). s(X, Y) :- e(X, Z), s(Z, Y)."
 
-(* --- the planner x engine agreement matrix ----------------------------------- *)
+(* --- Kripke-Kleene against its definition --------------------------------- *)
 
 module Reference = Testsupport.Reference
 
-let planners : Plan.planner list = [ `Static; `Adaptive ]
-
-let engines = [ `Seminaive; `Parallel ]
-
-let all_modes_agree eval equal reference =
-  List.for_all
-    (fun planner ->
-      List.for_all
-        (fun engine -> equal reference (eval ~planner ~engine))
-        engines)
-    planners
-
-let matches_reference reference s =
-  Reference.Facts.equal reference (Reference.facts_of_bindings (Idb.bindings s))
-
-let stratified_reference p db =
-  match Reference.stratified p (Reference.of_database db) with
-  | Some m -> m
-  | None -> QCheck.Test.fail_report "reference finds the program unstratifiable"
-
-let prop_matrix_inflationary =
-  QCheck.Test.make
-    ~name:"planner x engine matrix agrees (inflationary)" ~count:60
-    arb_case (fun (p, db) ->
-      let reference = Reference.inflationary p (Reference.of_database db) in
-      all_modes_agree
-        (fun ~planner ~engine -> Evallib.Inflationary.eval ~planner ~engine p db)
-        matches_reference reference)
-
-let prop_matrix_positive =
-  QCheck.Test.make
-    ~name:"planner x engine matrix agrees (positive lfp)" ~count:60
-    arb_case (fun (p, db) ->
-      let p = positivise p in
-      (* One stratum: the reference's stratified model is the least
-         fixpoint of Theta. *)
-      let reference = stratified_reference p db in
-      all_modes_agree
-        (fun ~planner ~engine ->
-          Evallib.Naive.least_fixpoint ~planner ~engine p db)
-        matches_reference reference)
-
-let prop_matrix_semantics =
-  QCheck.Test.make
-    ~name:"planner x engine matrix agrees (stratified + well-founded)"
-    ~count:40 arb_case (fun (p, db) ->
-      QCheck.assume (Datalog.Stratify.is_stratified p);
-      let reference = stratified_reference p db in
-      (* On a stratifiable program the well-founded model is total and
-         equals the stratified one. *)
-      let wf_matches reference (m : Evallib.Wellfounded.model) =
-        matches_reference reference m.Evallib.Wellfounded.true_facts
-        && matches_reference reference m.Evallib.Wellfounded.possible
-      in
-      all_modes_agree
-        (fun ~planner ~engine ->
-          Evallib.Stratified.eval_exn ~planner ~engine p db)
-        matches_reference reference
-      && all_modes_agree
-           (fun ~planner ~engine ->
-             Evallib.Wellfounded.eval ~planner ~engine p db)
-           wf_matches reference)
-
 (* Kripke-Kleene runs through the grounding, whose instantiation plans are
-   the planner-sensitive part. *)
-let prop_matrix_fitting =
-  QCheck.Test.make ~name:"planner matrix agrees (Kripke-Kleene grounding)"
-    ~count:40 arb_case (fun (p, db) ->
-      let reference = Evallib.Fitting.eval p db in
-      List.for_all
-        (fun planner ->
-          let m = Evallib.Fitting.eval ~planner p db in
-          Idb.equal m.Evallib.Fitting.true_facts
-            reference.Evallib.Fitting.true_facts
-          && Idb.equal m.Evallib.Fitting.possible
-               reference.Evallib.Fitting.possible)
-        planners)
+   the plan-sensitive part: both the true and the possible facts must be
+   the reference's. *)
+let prop_kripke_kleene_reference =
+  QCheck.Test.make ~name:"Kripke-Kleene = reference Kripke-Kleene" ~count:40
+    arb_case (fun (p, db) ->
+      let true_facts, possible =
+        Reference.kripke_kleene p (Reference.of_database db)
+      in
+      let m = Evallib.Fitting.eval p db in
+      let facts idb = Reference.facts_of_bindings (Idb.bindings idb) in
+      Reference.Facts.equal true_facts (facts m.Evallib.Fitting.true_facts)
+      && Reference.Facts.equal possible (facts m.Evallib.Fitting.possible))
 
 (* --- morsel scheduling -------------------------------------------------------- *)
 
@@ -213,10 +148,10 @@ let test_delta_equals_full () =
       List.iter
         (fun (pname, p) ->
           let full =
-            Evallib.Inflationary.eval ~engine:`Naive ~planner:`Static p db
+            Evallib.Inflationary.eval ~engine:`Naive p db
           in
           let delta =
-            Evallib.Inflationary.eval ~engine:`Seminaive ~planner:`Static p db
+            Evallib.Inflationary.eval ~engine:`Seminaive p db
           in
           Alcotest.(check bool)
             (Printf.sprintf "delta plans = full plans: %s on %s" pname gname)
@@ -234,8 +169,7 @@ let test_cache_policy () =
   let size = ref 16 in
   let sizes _ _ = !size in
   let find () =
-    Cache.find ~counters ~planner:`Static cache ~sizes ~universe_size:16
-      tc_rec_rule
+    Cache.find ~counters cache ~sizes ~universe_size:16 tc_rec_rule
   in
   let p1 = find () in
   let p2 = find () in
@@ -250,57 +184,6 @@ let test_cache_policy () =
   Alcotest.(check bool) "drifted sizes force a replan" true (p1 != p4);
   Alcotest.(check int) "compiles counted" 2 counters.Plan.plan_compiles;
   Alcotest.(check int) "hits counted" 2 counters.Plan.plan_cache_hits
-
-(* --- the adaptive feedback loop -------------------------------------------- *)
-
-(* Exactly one bounded feedback replan: compile against a lying size
-   estimate, run against a dense relation, and the next cache lookup must
-   recompile with the observed effective cardinality substituted — once,
-   with unchanged results, and with the override suppressing any further
-   replanning. *)
-let test_adaptive_replan () =
-  let db = db_of (Generate.random ~seed:5 ~n:8 ~p:0.9) in
-  let e =
-    match Database.relation "e" db with
-    | Some r -> r
-    | None -> Alcotest.fail "generated graph has no edges"
-  in
-  let rule =
-    List.hd (Parser.parse_program_exn "s(X, Y) :- e(X, Y).").Ast.rules
-  in
-  let cache = Cache.create () in
-  let counters = Plan.counters () in
-  (* The estimate the cost model sees is a fraction of [e]'s true
-     cardinality — far past the drift factor + slack once observed. *)
-  let sizes _ _ = 2 in
-  let find () =
-    Cache.find ~counters ~planner:`Adaptive cache ~sizes
-      ~universe_size:(Database.universe_size db) rule
-  in
-  let resolver _ = { Plan.find = (fun _ _ -> e) } in
-  let universe = Database.universe db in
-  let results plan =
-    let rows = ref [] in
-    Plan.run ~resolver ~universe plan ~on_row:(fun row ->
-        rows := Array.to_list row :: !rows);
-    List.sort compare !rows
-  in
-  let p1 = find () in
-  Alcotest.(check int) "no replan before feedback" 0 counters.Plan.plan_replans;
-  let r1 = results p1 in
-  let p2 = find () in
-  Alcotest.(check int) "observed divergence triggers one replan" 1
-    counters.Plan.plan_replans;
-  Alcotest.(check bool) "replan produced a fresh plan" true (p1 != p2);
-  Alcotest.(check bool) "replan recorded an override" true
-    (p2.Plan.overrides <> []);
-  Alcotest.(check int) "replan advanced the generation" 1 p2.Plan.generation;
-  let r2 = results p2 in
-  Alcotest.(check bool) "replanned plan derives the same rows" true (r1 = r2);
-  let p3 = find () in
-  Alcotest.(check bool) "the override suppresses further replans" true
-    (p2 == p3);
-  Alcotest.(check int) "replan count is stable" 1 counters.Plan.plan_replans
 
 (* --- plan shape on the paper's rules -------------------------------------- *)
 
@@ -338,8 +221,8 @@ let test_plan_shapes () =
   in
   Alcotest.(check int) "dead negated variables become existence checks" 2
     neg_exists;
-  (* The recursive TC rule under static planning probes through an index. *)
-  let p = Plan.compile ~planner:`Static ~sizes ~universe_size:8 tc_rec_rule in
+  (* The recursive TC rule probes through an index. *)
+  let p = Plan.compile ~sizes ~universe_size:8 tc_rec_rule in
   Alcotest.(check bool) "tc join compiles to an index probe" true
     (List.exists
        (function Plan.Index_probe _ -> true | _ -> false)
@@ -417,21 +300,13 @@ let () =
     [
       ( "matrix",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_matrix_inflationary;
-            prop_matrix_positive;
-            prop_matrix_semantics;
-            prop_matrix_fitting;
-            prop_sharded_equals_run;
-          ] );
+          [ prop_kripke_kleene_reference; prop_sharded_equals_run ] );
       ( "regressions",
         [
           Alcotest.test_case "delta plans = full plans (E-workloads)" `Quick
             test_delta_equals_full;
           Alcotest.test_case "cache policy (static drift)" `Quick
             test_cache_policy;
-          Alcotest.test_case "adaptive feedback replan (bounded, same model)"
-            `Quick test_adaptive_replan;
           Alcotest.test_case "plan shapes (neg check, enumerate, probes)"
             `Quick test_plan_shapes;
           Alcotest.test_case "pp output" `Quick test_pp_mentions_estimates;

@@ -263,7 +263,7 @@ let prop_kripke_kleene_within_wellfounded =
    group.  Because the generator's guards match the limit kind's polarity
    (min with <=, max with >=), the strata above the limit predicate are
    insensitive to the dominant filter, so the whole models must coincide —
-   across engines and static/adaptive planners. *)
+   under both the sequential and the parallel engine. *)
 let prop_limit_differential =
   QCheck.Test.make ~name:"limit tightening = dominant filter of pair model"
     ~count:60 Testsupport.Gen_programs.arb_limit_case
@@ -282,11 +282,7 @@ let prop_limit_differential =
       in
       List.for_all
         (fun engine ->
-          List.for_all
-            (fun planner ->
-              Idb.equal reference
-                (Evallib.Stratified.eval_exn ~engine ~planner limit_p db))
-            [ `Static; `Adaptive ])
+          Idb.equal reference (Evallib.Stratified.eval_exn ~engine limit_p db))
         [ `Seminaive; `Parallel ])
 
 let prop_pretty_roundtrip =

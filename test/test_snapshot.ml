@@ -11,9 +11,7 @@
    typed [Error] naming the failing section — never an exception — and
    must leave the global intern tables exactly as they were. *)
 
-module Ast = Datalog.Ast
 module Parser = Datalog.Parser
-module Pretty = Datalog.Pretty
 module Stratified = Evallib.Stratified
 module Idb = Evallib.Idb
 module Database = Relalg.Database
@@ -21,8 +19,6 @@ module Relation = Relalg.Relation
 module Tuple = Relalg.Tuple
 module Symbol = Relalg.Symbol
 module Store = Relalg.Store
-module Plan = Planlib.Plan
-module Cache = Planlib.Cache
 module Snapshot = Snapshotlib.Snapshot
 module Codec = Snapshotlib.Codec
 module Gen_programs = Testsupport.Gen_programs
@@ -203,11 +199,10 @@ let prop_roundtrip =
 (* --- corruption battery --------------------------------------------------- *)
 
 let known_sections =
-  [ "header"; "symbols"; "relations"; "tuples"; "program"; "overrides";
-    "trailer" ]
+  [ "header"; "symbols"; "relations"; "tuples"; "program"; "trailer" ]
 
 (* A snapshot exercising every section: symbols, EDB + IDB + unknown
-   relations, program fingerprints and adaptive-planner overrides. *)
+   relations and program fingerprints. *)
 let battery_bytes () =
   let db = path_db 5 in
   let idb =
@@ -217,14 +212,10 @@ let battery_bytes () =
   let unknown =
     [ ("w", Relation.of_list 2 [ Tuple.pair (v 0) (v 3); Tuple.pair (v 1) (v 2) ]) ]
   in
-  let r0 = List.nth tc.Ast.rules 0 and r1 = List.nth tc.Ast.rules 1 in
-  let overrides =
-    [ (r0, Plan.Full, [ (0, 5) ]); (r1, Plan.Delta 1, [ (0, 3); (1, 9) ]) ]
-  in
   let image =
     snap_ok
-      (Snapshot.capture ~unknown ~overrides ~program:tc
-         ~semantics:"stratified" ~db (Idb.bindings idb))
+      (Snapshot.capture ~unknown ~program:tc ~semantics:"stratified" ~db
+         (Idb.bindings idb))
   in
   Snapshot.encode image
 
@@ -313,13 +304,12 @@ let section_name = function
   | 2 -> "relations"
   | 3 -> "tuples"
   | 4 -> "program"
-  | 5 -> "overrides"
   | id -> Printf.sprintf "unknown(%d)" id
 
 let test_truncation_names_sections () =
   let bytes = battery_bytes () in
   let table = section_table bytes in
-  check int "all five sections present" 5 (List.length table);
+  check int "all four sections present" 4 (List.length table);
   List.iter
     (fun (id, off, len) ->
       check bool (section_name id ^ " is non-empty") true (len > 0);
@@ -415,63 +405,44 @@ let test_program_guards () =
     (String.equal image.Snapshot.edb_digest
        (Snapshot.database_digest (path_db 5)))
 
-(* --- overrides and unknown relations -------------------------------------- *)
+(* --- files that carry planner overrides ---------------------------------- *)
 
-let canonical_seeds seeds =
-  List.sort compare
-    (List.map
-       (fun (rule, variant, pairs) ->
-         (Pretty.rule_to_string rule, Plan.variant_to_string variant, pairs))
-       seeds)
-
-let test_overrides_roundtrip () =
+(* Flag bit 0 once announced a fifth section of planner overrides.  A plain
+   image has four sections; the same image with bit 0 set and its header
+   checksum recomputed, so that only the flag is at fault, is refused as a
+   header error. *)
+let test_overrides_flag_refused () =
   let db = path_db 5 in
   let idb =
     ok_or_fail Stratified.error_to_string (Stratified.eval tc db)
   in
-  let r0 = List.nth tc.Ast.rules 0 and r1 = List.nth tc.Ast.rules 1 in
-  let overrides =
-    [ (r1, Plan.Delta 1, [ (0, 3); (1, 9) ]); (r0, Plan.Full, [ (0, 5) ]) ]
-  in
-  let roundtrip image =
-    snap_ok (Snapshot.decode_string (Snapshot.encode image))
-  in
-  let image =
-    roundtrip
-      (snap_ok
-         (Snapshot.capture ~overrides ~program:tc ~semantics:"stratified"
-            ~db (Idb.bindings idb)))
-  in
-  let restored = snap_ok (Snapshot.restore image) in
-  check bool "override seeds roundtrip" true
-    (canonical_seeds overrides = canonical_seeds restored.Snapshot.r_seeds);
-  (* Seeds feed the plan cache without raising; the pending table is
-     consumed by the first fresh adaptive compile. *)
-  let cache = Cache.create () in
-  Cache.seed_overrides cache restored.Snapshot.r_seeds;
-  check int "seeding does not compile anything" 0 (Cache.cardinal cache);
-  (* No overrides: the section is omitted entirely and decodes to none. *)
-  let plain =
-    roundtrip
+  let bytes =
+    Snapshot.encode
       (snap_ok
          (Snapshot.capture ~program:tc ~semantics:"stratified" ~db
             (Idb.bindings idb)))
   in
-  check int "no override section without overrides" 4
-    (List.length (section_table (Snapshot.encode plain)));
-  check bool "no seeds decoded" true (plain.Snapshot.overrides = []);
-  (* All-empty override lists are dropped, not encoded as an empty
-     section. *)
-  let dropped =
-    roundtrip
-      (snap_ok
-         (Snapshot.capture ~overrides:[ (r0, Plan.Full, []) ] ~program:tc
-            ~semantics:"stratified" ~db (Idb.bindings idb)))
+  let table = section_table bytes in
+  check int "a plain image has four sections" 4 (List.length table);
+  (* The header ends where the first section starts; its last 4 bytes are
+     the header CRC, and the flags word sits at byte 12. *)
+  let header_len =
+    List.fold_left (fun m (_, off, _) -> min m off) max_int table
   in
-  check bool "empty override lists dropped" true
-    (dropped.Snapshot.overrides = []);
-  check bool "empty overrides encode as the plain snapshot" true
-    (String.equal (Snapshot.encode plain) (Snapshot.encode dropped))
+  let b = Bytes.of_string bytes in
+  Bytes.set_int32_le b 12 1l;
+  let crc =
+    Codec.crc32 (Bytes.sub_string b 0 (header_len - 4)) ~pos:0
+      ~len:(header_len - 4)
+  in
+  Bytes.set_int32_le b (header_len - 4) (Int32.of_int crc);
+  match expect_error "overrides flag" (Bytes.to_string b) with
+  | Snapshot.Corrupt { section = "header"; _ } -> ()
+  | e ->
+    Alcotest.failf "overrides flag: expected a header error, got %s"
+      (Snapshot.error_to_string e)
+
+(* --- unknown relations ---------------------------------------------------- *)
 
 let test_unknown_roundtrip () =
   let db = path_db 4 in
@@ -527,7 +498,6 @@ let () =
           Alcotest.test_case "fixed workload, all combos" `Quick
             test_roundtrip_fixed;
           QCheck_alcotest.to_alcotest prop_roundtrip;
-          Alcotest.test_case "override seeds" `Quick test_overrides_roundtrip;
           Alcotest.test_case "unknown relations" `Quick test_unknown_roundtrip;
           Alcotest.test_case "files" `Quick test_file_roundtrip;
         ] );
@@ -538,6 +508,8 @@ let () =
             test_truncation_names_sections;
           Alcotest.test_case "header perturbations" `Quick
             test_header_field_perturbations;
+          Alcotest.test_case "overrides flag refused" `Quick
+            test_overrides_flag_refused;
         ] );
       ( "guards",
         [ Alcotest.test_case "fingerprints" `Quick test_program_guards ] );
