@@ -7,14 +7,9 @@
    micro-benchmarks — one Test.make per experiment family plus the ablation
    comparisons (naive vs semi-naive, brute-force vs SAT search).
 
-   Parts 3 and 4 are retired: there is one relation store and one indexing
-   mode, and the parallel-vs-sequential rows are Part 7's.
-
-   Part 5 ("satpar") is the parallel-search benchmark: the portfolio CDCL
-   racer vs the sequential solver on a band of hard random 3-CNF, and the
-   component-parallel exact census vs flat enumeration on k x C_4, with
-   answer-parity checks.  Writes BENCH_sat.json and exits nonzero if any
-   answer diverges.
+   Parts 3 to 5 are retired: there is one relation store, one indexing
+   mode and one SAT search, and the parallel-vs-sequential rows are Part
+   7's.
 
    Part 6 ("plan") is the plan-layer benchmark: compile-once static plans
    timed on the Theta-application loop and on iteration-heavy and
@@ -71,7 +66,6 @@
    Run with:  dune exec bench/main.exe                    (parts 1 and 2)
               dune exec bench/main.exe -- tables          (part 1 only)
               dune exec bench/main.exe -- micro           (part 2 only)
-              dune exec bench/main.exe -- satpar [quick]  (part 5 only)
               dune exec bench/main.exe -- plan [quick]    (part 6 only)
               dune exec bench/main.exe -- par [quick]     (part 7 only)
               dune exec bench/main.exe -- serve [quick]   (part 8 only)
@@ -767,149 +761,6 @@ let parity_fingerprint () =
   add "wf_pi1_c5_true" (Idb.total_cardinal m.Wellfounded.true_facts);
   add "wf_pi1_c5_possible" (Idb.total_cardinal m.Wellfounded.possible);
   List.rev !entries
-
-(* --- Part 5: parallel SAT search benchmark (BENCH_sat.json) ----------------- *)
-
-let satpar_bench ~quick () =
-  let n_workers = if quick then 2 else 4 in
-  Format.printf
-    "Parallel SAT search benchmark (portfolio n=%d + component census%s) -> \
-     BENCH_sat.json@."
-    n_workers
-    (if quick then ", quick mode" else "");
-  (* Workload 1 — a band of random 3-CNF just below the satisfiability
-     threshold (ratio 3.8): the heavy-tailed regime, where the stock
-     heuristic occasionally stalls for seconds on an instance another
-     phase/restart profile dispatches in milliseconds.  Racing diversified
-     workers — even time-sliced on one core — buys back those stalls; the
-     band aggregates over fixed seeds so the tail events are
-     reproducible. *)
-  let vars = if quick then 150 else 300 in
-  let clauses = int_of_float (3.8 *. float_of_int vars) in
-  let seeds = List.init (if quick then 8 else 16) (fun i -> 1000 + i) in
-  let status = function Sat_solver.Sat _ -> "sat" | Sat_solver.Unsat -> "unsat" in
-  let reps = if quick then 1 else 2 in
-  let band =
-    List.map
-      (fun seed ->
-        let cnf = Sat_workload.random_3cnf ~seed ~vars ~clauses in
-        let r_seq, t_seq =
-          best_of reps (fun () -> Sat_solver.solve ~mode:`Sequential cnf)
-        in
-        let r_par, t_par =
-          best_of reps (fun () ->
-              Sat_solver.solve ~mode:(`Portfolio n_workers) cnf)
-        in
-        (seed, status r_seq, t_seq, status r_par, t_par))
-      seeds
-  in
-  Format.printf "  %-26s %6s %10s %10s %8s@." "random3sat" "answer" "seq ms"
-    "par ms" "speedup";
-  List.iter
-    (fun (seed, s_seq, t_seq, s_par, t_par) ->
-      Format.printf "  %-26s %6s %10.2f %10.2f %7.2fx%s@."
-        (Printf.sprintf "v%d_c%d_seed%d" vars clauses seed)
-        s_seq (t_seq *. 1e3) (t_par *. 1e3) (t_seq /. t_par)
-        (if s_seq = s_par then "" else "  DIVERGENCE"))
-    band;
-  let total f = List.fold_left (fun acc x -> acc +. f x) 0. band in
-  let t_seq_total = total (fun (_, _, t, _, _) -> t) in
-  let t_par_total = total (fun (_, _, _, _, t) -> t) in
-  let sat_speedup = t_seq_total /. t_par_total in
-  let sat_parity =
-    List.for_all (fun (_, s_seq, _, s_par, _) -> s_seq = s_par) band
-  in
-  Format.printf "  band total: seq %.2f ms, portfolio %.2f ms, %.2fx@."
-    (t_seq_total *. 1e3) (t_par_total *. 1e3) sat_speedup;
-  (* Workload 2 — the E1 census on k disjoint C_4's: flat enumeration pays
-     one blocking-clause SAT call per fixpoint (2^k of them), the
-     component-parallel exact census counts each C_4 once and multiplies. *)
-  let ks = if quick then [ 7; 8 ] else [ 8; 9; 10 ] in
-  let census =
-    List.map
-      (fun k ->
-        let g = Generate.disjoint_copies k (Generate.cycle 4) in
-        let solver = Fixpoints.prepare pi1 (db_of g) in
-        let flat, t_flat = best_of reps (fun () -> Fixpoints.count solver) in
-        let exact, t_exact =
-          best_of reps (fun () ->
-              Fixpoints.count_exact ~par:n_workers solver)
-        in
-        let exact_n =
-          match exact with
-          | Satlib.Outcome.Exact n -> n
-          | Satlib.Outcome.Lower_bound (n, _) -> n
-        in
-        let exact_is_exact =
-          match exact with Satlib.Outcome.Exact _ -> true | _ -> false
-        in
-        (k, flat, t_flat, exact_n, exact_is_exact, t_exact))
-      ks
-  in
-  Format.printf "  %-26s %8s %10s %10s %8s@." "census kxC4" "count" "flat ms"
-    "exact ms" "speedup";
-  List.iter
-    (fun (k, flat, t_flat, exact_n, exact_is_exact, t_exact) ->
-      Format.printf "  %-26s %8d %10.2f %10.2f %7.2fx%s@."
-        (Printf.sprintf "%dxC_4" k)
-        flat (t_flat *. 1e3) (t_exact *. 1e3) (t_flat /. t_exact)
-        (if flat = exact_n && exact_is_exact && flat = 1 lsl k then ""
-         else "  DIVERGENCE"))
-    census;
-  let census_parity =
-    List.for_all
-      (fun (k, flat, _, exact_n, exact_is_exact, _) ->
-        flat = exact_n && exact_is_exact && flat = 1 lsl k)
-      census
-  in
-  let census_speedup =
-    match List.rev census with
-    | (_, _, t_flat, _, _, t_exact) :: _ -> t_flat /. t_exact
-    | [] -> 0.
-  in
-  Format.printf "  parity: sat band %s, census counts %s@." (ok sat_parity)
-    (ok census_parity);
-  let oc = open_out "BENCH_sat.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"quick\": %b,\n" quick;
-  out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"portfolio_workers\": %d,\n" n_workers;
-  out "  \"random3sat\": [\n";
-  List.iteri
-    (fun i (seed, s_seq, t_seq, s_par, t_par) ->
-      out
-        "    {\"workload\": \"random3sat_v%d_c%d\", \"seed\": %d, \"answer\": \
-         %S, \"seq_ns\": %.0f, \"portfolio_ns\": %.0f, \"parity\": %b}%s\n"
-        vars clauses seed s_seq (t_seq *. 1e9) (t_par *. 1e9) (s_seq = s_par)
-        (if i = List.length band - 1 then "" else ","))
-    band;
-  out "  ],\n";
-  out "  \"census\": [\n";
-  List.iteri
-    (fun i (k, flat, t_flat, exact_n, exact_is_exact, t_exact) ->
-      out
-        "    {\"workload\": \"census_%dxC4\", \"fixpoints\": %d, \"flat_ns\": \
-         %.0f, \"exact_ns\": %.0f, \"parity\": %b}%s\n"
-        k flat (t_flat *. 1e9) (t_exact *. 1e9)
-        (flat = exact_n && exact_is_exact)
-        (if i = List.length census - 1 then "" else ","))
-    census;
-  out "  ],\n";
-  out "  \"speedups\": {\n";
-  out "    \"portfolio_vs_sequential_band\": %.3f,\n" sat_speedup;
-  out "    \"component_census_vs_flat\": %.3f\n" census_speedup;
-  out "  },\n";
-  out "  \"checks\": {\n";
-  out "    \"sat_answers_match\": %b,\n" sat_parity;
-  out "    \"census_counts_match\": %b\n" census_parity;
-  out "  }\n";
-  out "}\n";
-  close_out oc;
-  if not (sat_parity && census_parity) then begin
-    Format.printf "  answer divergence detected — failing@.";
-    exit 1
-  end
 
 (* --- Part 6: plan-layer benchmark (BENCH_plan.json) -------------------------- *)
 
@@ -2237,7 +2088,6 @@ let () =
   let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "quick" in
   if what = "tables" || what = "all" then tables ();
   if what = "micro" || what = "all" then run_micro ();
-  if what = "satpar" then satpar_bench ~quick ();
   if what = "plan" then plan_bench ~quick ();
   if what = "par-fingerprint" then par_fingerprint_print ();
   if what = "par" then par_bench ~quick ();

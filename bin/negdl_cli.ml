@@ -108,18 +108,6 @@ let stats_arg =
           "Print evaluation statistics (iterations, rule applications, \
            tuples derived, index hits, stage timings) to stderr.")
 
-let sat_par_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "sat-par" ] ~docv:"N"
-        ~doc:
-          "SAT search parallelism: run every satisfiability query as a \
-           portfolio of $(docv) diversified CDCL workers racing on the \
-           domain pool (first answer wins, losers are cancelled).  \
-           $(b,1) (default) is the plain sequential solver.  Parallelism \
-           never changes an answer, only how fast it arrives.")
-
 (* --- snapshot helpers ------------------------------------------------------ *)
 
 let snap_die = function
@@ -181,9 +169,8 @@ let eval_cmd =
              $(docv).  A corrupt or version-skewed file is a hard error \
              (fail closed), a merely stale one is re-evaluated.")
   in
-  let run program_path db_path semantics engine explain stats sat_par pred
+  let run program_path db_path semantics engine explain stats pred
       snapshot_file =
-    Negdl.Sat_solver.set_default_parallelism sat_par;
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
     let stats = if stats then Some (Negdl.Stats.create ()) else None in
@@ -270,7 +257,7 @@ let eval_cmd =
     (Cmd.info "eval" ~doc)
     Term.(
       const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
-      $ explain_arg $ stats_arg $ sat_par_arg $ pred_arg $ snapshot_arg)
+      $ explain_arg $ stats_arg $ pred_arg $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
 
@@ -292,10 +279,10 @@ let fixpoints_cmd =
       & opt (some int) None
       & info [ "sat-budget" ] ~docv:"CONFLICTS"
           ~doc:
-            "Bound the existence SAT search to $(docv) CDCL conflicts (per \
-             portfolio worker).  Exhaustion prints \"fixpoint exists: \
-             unknown (...)\" and skips the dependent queries — the run \
-             still exits cleanly with status 0.")
+            "Bound the existence SAT search to $(docv) CDCL conflicts.  \
+             Exhaustion prints \"fixpoint exists: unknown (...)\" and skips \
+             the dependent queries — the run still exits cleanly with status \
+             0.")
   in
   let count_budget_arg =
     Arg.(
@@ -319,9 +306,8 @@ let fixpoints_cmd =
              EDB is trusted (checksummed, but not compared against the \
              text file) — delete $(docv) after editing $(i,DATABASE).")
   in
-  let run program_path db_path explain limit enumerate sat_par sat_budget
+  let run program_path db_path explain limit enumerate sat_budget
       count_budget stats snapshot_file =
-    Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
     let load_and_save () =
@@ -409,7 +395,7 @@ let fixpoints_cmd =
     (Cmd.info "fixpoints" ~doc)
     Term.(
       const run $ program_arg $ database_arg $ explain_arg $ limit_arg
-      $ enumerate_arg $ sat_par_arg $ sat_budget_arg $ count_budget_arg
+      $ enumerate_arg $ sat_budget_arg $ count_budget_arg
       $ stats_arg $ snapshot_arg)
 
 (* --- explain ----------------------------------------------------------------- *)
@@ -904,31 +890,18 @@ let load_cnf path =
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
 let sat_cmd =
-  let portfolio_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "portfolio" ] ~docv:"N"
-          ~doc:
-            "Race $(docv) diversified CDCL workers; the first definite \
-             answer wins and cancels the rest.  $(b,1) (default) is the \
-             plain sequential solver.")
-  in
   let budget_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "budget" ] ~docv:"CONFLICTS"
           ~doc:
-            "Give up after $(docv) conflicts (per worker), printing \
-             \"s UNKNOWN\" and exiting 0.")
+            "Give up after $(docv) conflicts, printing \"s UNKNOWN\" and \
+             exiting 0.")
   in
-  let run cnf_path portfolio budget =
+  let run cnf_path budget =
     let cnf = or_die (load_cnf cnf_path) in
-    let mode =
-      if portfolio >= 2 then `Portfolio portfolio else `Sequential
-    in
-    match Negdl.Sat_solver.solve_outcome ~mode ?conflict_budget:budget cnf with
+    match Negdl.Sat_solver.solve_outcome ?conflict_budget:budget cnf with
     | Negdl.Sat_outcome.Unsat ->
       Format.printf "s UNSATISFIABLE@.";
       exit 20
@@ -945,7 +918,7 @@ let sat_cmd =
   let doc = "solve a DIMACS CNF with the built-in CDCL solver" in
   Cmd.v
     (Cmd.info "sat" ~doc)
-    Term.(const run $ cnf_arg $ portfolio_arg $ budget_arg)
+    Term.(const run $ cnf_arg $ budget_arg)
 
 (* --- sat2fp ----------------------------------------------------------------- *)
 

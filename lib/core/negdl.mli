@@ -219,9 +219,7 @@ val analyze_fixpoints :
     existence search in CDCL conflicts (unbounded by default); exhaustion
     is reported through [existence_unknown], never raised.  [count_budget]
     additionally runs the exact #SAT census with that node budget and
-    fills [exact_count].  SAT parallelism follows
-    {!Sat_solver.set_default_parallelism}.  [planner] is ignored, as in
-    {!run}. *)
+    fills [exact_count].  [planner] is ignored, as in {!run}. *)
 
 val parse_program : string -> (Ast.program, string) result
 (** Alias of {!Parser.parse_program}. *)

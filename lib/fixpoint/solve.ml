@@ -25,21 +25,19 @@ let ground t = t.ground
 
 let atom_count t = Ground.atom_count t.ground
 
-let exists ?mode t = Solver.is_satisfiable ?mode (Encode.cnf t.encoding)
+let exists t = Solver.is_satisfiable (Encode.cnf t.encoding)
 
-let exists_outcome ?mode ?conflict_budget ?time_budget t =
-  Solver.solve_outcome ?mode ?conflict_budget ?time_budget
-    (Encode.cnf t.encoding)
+let exists_outcome ?conflict_budget ?time_budget t =
+  Solver.solve_outcome ?conflict_budget ?time_budget (Encode.cnf t.encoding)
 
-let find ?mode t =
-  match Solver.solve ?mode (Encode.cnf t.encoding) with
+let find t =
+  match Solver.solve (Encode.cnf t.encoding) with
   | Solver.Unsat -> None
   | Solver.Sat model -> Some (Encode.idb_of_model t.encoding model)
 
-let find_outcome ?mode ?conflict_budget ?time_budget t =
+let find_outcome ?conflict_budget ?time_budget t =
   match
-    Solver.solve_outcome ?mode ?conflict_budget ?time_budget
-      (Encode.cnf t.encoding)
+    Solver.solve_outcome ?conflict_budget ?time_budget (Encode.cnf t.encoding)
   with
   | Outcome.Sat model -> `Found (Encode.idb_of_model t.encoding model)
   | Outcome.Unsat -> `No_fixpoint
@@ -130,72 +128,13 @@ let enumerate ?limit t =
 
 let count ?limit t = List.length (enumerate ?limit t)
 
-(* Cube-and-conquer: split one large component on the hottest VSIDS
-   variables of a short probe run, count the cubes independently (they
-   partition the model space) and sum. *)
-let cube_count ~budget ~par cnf clauses vars =
-  let constrained =
-    List.fold_left
-      (fun acc c -> List.fold_left (fun a l -> ISet.add (abs l) a) acc c)
-      ISet.empty clauses
-  in
-  let k =
-    let rec bits n acc = if n <= 1 then acc else bits (n / 2) (acc + 1) in
-    min 4 (max 1 (bits (2 * par) 0))
-  in
-  let split =
-    Solver.probe_activity_order cnf
-    |> List.filter (fun v -> ISet.mem v constrained)
-    |> take (Some k)
-  in
-  let rec cubes = function
-    | [] -> [ [] ]
-    | v :: rest ->
-      let sub = cubes rest in
-      List.map (fun c -> v :: c) sub @ List.map (fun c -> -v :: c) sub
-  in
-  let cube_list = cubes split in
-  let vars' = List.fold_left (fun acc v -> ISet.remove v acc) vars split in
-  let per_cube_budget = max 1 (budget / List.length cube_list) in
-  let jobs =
-    List.map
-      (fun cube () ->
-        let result =
-          match
-            List.fold_left (fun cs l -> Count.assign l cs) clauses cube
-          with
-          | exception Count.Conflict -> { Count.value = 0; exact = true }
-          | cs -> Count.count_clauses ~budget:per_cube_budget cs vars'
-        in
-        Sat_stats.cube_solved ();
-        result)
-      cube_list
-  in
-  let parts = Domain_pool.run (Domain_pool.default ()) jobs in
-  List.fold_left
-    (fun acc (p : Count.partial) ->
-      { Count.value = acc.Count.value + p.value; exact = acc.exact && p.exact })
-    { Count.value = 0; exact = true }
-    parts
-
-let count_exact ?(budget = 2_000_000) ?par t =
-  let par =
-    match par with
-    | Some n -> max 1 n
-    | None -> Solver.default_parallelism ()
-  in
+let count_exact ?(budget = 2_000_000) t =
   let cnf = Encode.cnf t.encoding in
   let nvars = Cnf.num_vars cnf in
   let all_vars = ISet.of_list (List.init nvars (fun i -> i + 1)) in
   let comps = Count.components (Cnf.clauses cnf) in
   match comps with
   | [] -> Outcome.Exact (pow2 nvars)
-  | [ (cs, vs) ] when par >= 2 && ISet.cardinal vs >= 20 ->
-    let free = ISet.cardinal (ISet.diff all_vars vs) in
-    let p = cube_count ~budget ~par cnf cs vs in
-    let value = p.Count.value * pow2 free in
-    if p.Count.exact then Outcome.Exact value
-    else Outcome.Lower_bound (value, Outcome.Node_budget)
   | [ _ ] -> Count.count_limited ~budget cnf
   | comps ->
     let constrained =

@@ -14,13 +14,12 @@
     - {!enumerate} / {!count} — fixpoint census (used to reproduce the
       2{^ n} incomparable fixpoints of the Section 2 example).
 
-    The search layer underneath is parallel and resource-bounded: SAT
-    calls accept a portfolio [mode] (see {!Satlib.Solver}), the census
-    decomposes by connected CNF components — counted or enumerated
-    concurrently on the shared domain pool and product-combined — and
-    budgets degrade into structured {!Satlib.Outcome} values instead of
-    exceptions.  Parallelism never changes an answer, only where a budget
-    turns into an [Unknown]. *)
+    Every SAT call goes to the one sequential CDCL search of
+    {!Satlib.Solver}.  The census decomposes by connected CNF components,
+    counted or enumerated on the shared domain pool and product-combined in
+    job order, so its answer does not depend on scheduling.  Budgets
+    degrade into structured {!Satlib.Outcome} values instead of
+    exceptions. *)
 
 type t
 
@@ -39,10 +38,9 @@ val ground : t -> Evallib.Ground.t
 
 val atom_count : t -> int
 
-val exists : ?mode:Satlib.Solver.mode -> t -> bool
+val exists : t -> bool
 
 val exists_outcome :
-  ?mode:Satlib.Solver.mode ->
   ?conflict_budget:int ->
   ?time_budget:float ->
   t ->
@@ -50,11 +48,10 @@ val exists_outcome :
 (** Budgeted fixpoint existence: [Unknown] when the budget runs out before
     the SAT search decides. *)
 
-val find : ?mode:Satlib.Solver.mode -> t -> Evallib.Idb.t option
+val find : t -> Evallib.Idb.t option
 (** Some fixpoint, if any. *)
 
 val find_outcome :
-  ?mode:Satlib.Solver.mode ->
   ?conflict_budget:int ->
   ?time_budget:float ->
   t ->
@@ -72,17 +69,15 @@ val count : ?limit:int -> t -> int
 (** Census by SAT enumeration with blocking clauses (one solver call per
     fixpoint within each component). *)
 
-val count_exact : ?budget:int -> ?par:int -> t -> Satlib.Outcome.count
+val count_exact : ?budget:int -> t -> Satlib.Outcome.count
 (** Census by exact model counting (#SAT with component decomposition) —
     sound because the encoding's auxiliary variables are functionally
     determined by the atom variables.  On the Section 2 example G{_n}
     (k disjoint cycles) this counts the 2{^ k} fixpoints without
     enumerating them.  Components are counted concurrently on the domain
-    pool; a single large component is split cube-and-conquer style on the
-    hottest VSIDS variables when [par >= 2] (default: the solver's default
-    parallelism).  When the [budget] of counting nodes (default two
-    million) runs out, the completed work is kept and reported as
-    [Lower_bound] — this function never raises. *)
+    pool, each with an equal share of the budget.  When the [budget] of
+    counting nodes (default two million) runs out, the completed work is
+    kept and reported as [Lower_bound] — this function never raises. *)
 
 val has_unique : t -> bool
 

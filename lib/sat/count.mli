@@ -19,14 +19,6 @@
 
 module ISet : Set.S with type elt = int
 
-exception Conflict
-
-val assign : int -> int list list -> int list list
-(** [assign l clauses] simplifies under literal [l] made true: satisfied
-    clauses are dropped, [-l] is removed from the rest.
-    @raise Conflict when a clause becomes empty.  Used by the
-    cube-and-conquer splitter in [Fixpointlib.Solve]. *)
-
 val components : int list list -> (int list list * ISet.t) list
 (** Partition clauses into connected components of the variable-sharing
     graph; each component comes with the set of variables it constrains. *)

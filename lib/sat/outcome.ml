@@ -2,7 +2,6 @@ type reason =
   | Conflict_budget
   | Node_budget
   | Time_budget
-  | Cancelled
 
 type t =
   | Sat of bool array
@@ -17,7 +16,6 @@ let reason_to_string = function
   | Conflict_budget -> "conflict budget exhausted"
   | Node_budget -> "node budget exhausted"
   | Time_budget -> "time budget exhausted"
-  | Cancelled -> "cancelled"
 
 let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 

@@ -1,7 +1,7 @@
 (** The outcome lattice of the resource-bounded search layer.
 
-    Every public search entry point that accepts a budget or a cancellation
-    flag reports exhaustion as a structured [Unknown] instead of raising:
+    Every public search entry point that accepts a budget reports
+    exhaustion as a structured [Unknown] instead of raising:
     [Sat]/[Unsat] are definite answers, [Unknown] records {e why} the search
     gave up.  Counting queries degrade the same way — a [Lower_bound]
     carries the partial work done before the budget ran out, never losing
@@ -11,9 +11,6 @@ type reason =
   | Conflict_budget  (** The CDCL conflict budget ran out. *)
   | Node_budget  (** The #SAT DPLL node budget ran out. *)
   | Time_budget  (** The wall-clock deadline passed. *)
-  | Cancelled
-      (** An external stop flag was raised — e.g. the search lost a
-          portfolio race to a sibling worker. *)
 
 type t =
   | Sat of bool array

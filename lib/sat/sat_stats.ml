@@ -1,50 +1,20 @@
-(* Process-global counters for the parallel search layer.  Workers on other
-   domains bump them concurrently, so every cell is an [Atomic.t]. *)
-
-let max_workers = 64
-
-let races_won = Array.init max_workers (fun _ -> Atomic.make 0)
-
-let portfolio_runs = Atomic.make 0
-
-let cubes_solved = Atomic.make 0
+(* Process-global counters for the SAT search layer.  The component census
+   bumps them from pool domains, so every cell is an [Atomic.t]. *)
 
 let budget_exhaustions = Atomic.make 0
 
 let components_counted = Atomic.make 0
 
 let reset () =
-  Array.iter (fun c -> Atomic.set c 0) races_won;
-  Atomic.set portfolio_runs 0;
-  Atomic.set cubes_solved 0;
   Atomic.set budget_exhaustions 0;
   Atomic.set components_counted 0
-
-let race_won worker =
-  if worker >= 0 && worker < max_workers then
-    Atomic.incr races_won.(worker)
-
-let portfolio_run () = Atomic.incr portfolio_runs
-
-let cube_solved () = Atomic.incr cubes_solved
 
 let budget_exhausted () = Atomic.incr budget_exhaustions
 
 let component_counted () = Atomic.incr components_counted
 
 let snapshot () =
-  let base =
-    [
-      ("sat portfolio runs", Atomic.get portfolio_runs);
-      ("sat components counted", Atomic.get components_counted);
-      ("sat cubes solved", Atomic.get cubes_solved);
-      ("sat budget exhaustions", Atomic.get budget_exhaustions);
-    ]
-  in
-  let races = ref [] in
-  for w = max_workers - 1 downto 0 do
-    let n = Atomic.get races_won.(w) in
-    if n > 0 then
-      races := (Printf.sprintf "sat races won by worker %d" w, n) :: !races
-  done;
-  base @ !races
+  [
+    ("sat components counted", Atomic.get components_counted);
+    ("sat budget exhaustions", Atomic.get budget_exhaustions);
+  ]

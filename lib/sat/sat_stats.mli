@@ -1,23 +1,15 @@
-(** Counters for the parallel search layer.
+(** Counters for the SAT search layer.
 
-    Process-global and atomic: portfolio workers racing on other domains
-    bump them concurrently.  The CLI surfaces a {!snapshot} through the
-    [--stats] flag; the benchmark harness uses them to report races won per
-    worker, components counted, cubes solved and budget exhaustions. *)
+    Process-global and atomic: the component census counts components on
+    the shared domain pool, so they may be bumped concurrently.  The CLI
+    surfaces a {!snapshot} through the [--stats] flag; the benchmark
+    harness reads components counted and budget exhaustions. *)
 
 val reset : unit -> unit
-
-val race_won : int -> unit
-(** [race_won w]: portfolio worker [w] produced the winning answer. *)
-
-val portfolio_run : unit -> unit
-
-val cube_solved : unit -> unit
 
 val budget_exhausted : unit -> unit
 
 val component_counted : unit -> unit
 
 val snapshot : unit -> (string * int) list
-(** Current values as printable [(name, value)] pairs; per-worker race
-    counters appear only for workers that have won at least once. *)
+(** Current values as printable [(name, value)] pairs. *)

@@ -1,14 +1,6 @@
-module Prng = Negdl_util.Prng
-module Domain_pool = Negdl_util.Domain_pool
-
 type result =
   | Sat of bool array
   | Unsat
-
-type mode =
-  [ `Sequential
-  | `Portfolio of int
-  ]
 
 (* Literal encoding inside the solver: variable v (1-based) yields literals
    2v (positive) and 2v+1 (negative); negation is [lxor 1]. *)
@@ -45,18 +37,12 @@ type state = {
   (* Restart bookkeeping lives in the state (not the solve loop) so a search
      can be paused and resumed without rewinding the Luby sequence. *)
   mutable restarts : int;
-  mutable restart_base : int;
-  (* Cancellation flag, shared between portfolio workers: the first worker
-     with a definite answer raises it and the others stop at their next
-     poll.  A fresh state gets a private, never-raised flag. *)
-  mutable stop : bool Atomic.t;
 }
 
 exception Found_unsat
 
-(* Raised inside the CDCL loop when a budget runs out or the stop flag is
-   up; caught by [solve_state], which rewinds to level 0 so the state stays
-   resumable. *)
+(* Raised inside the CDCL loop when a budget runs out; caught by
+   [solve_state], which rewinds to level 0 so the state stays resumable. *)
 exception Stop_search of Outcome.reason
 
 let create_state nvars =
@@ -78,8 +64,6 @@ let create_state nvars =
     seen = Array.make (nvars + 1) false;
     conflicts = 0;
     restarts = 0;
-    restart_base = 100;
-    stop = Atomic.make false;
   }
 
 let value st lit =
@@ -271,7 +255,10 @@ let pick_branch_var st =
   done;
   !best
 
-(* The Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
+(* The Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ..., scaled by
+   [restart_base] conflicts. *)
+let restart_base = 100
+
 let rec luby i =
   let rec find k = if (1 lsl k) - 1 >= i then k else find (k + 1) in
   let k = find 1 in
@@ -289,10 +276,8 @@ type verdict =
 (* [assumptions] are solver literals assumed for this call only, realised
    as the first decisions (MiniSat-style).
    [conflict_limit] is an absolute ceiling on [st.conflicts];
-   [deadline] an absolute [Unix.gettimeofday] instant;
-   [should_stop] an external cancellation probe (polled together with the
-   state's own atomic stop flag once per CDCL iteration, i.e. around every
-   propagate call).
+   [deadline] an absolute [Unix.gettimeofday] instant, checked once per
+   CDCL iteration, i.e. around every propagate call.
    On [V_stopped] the trail is rewound to level 0 but conflicts, restarts,
    learned clauses, phases and activities survive, so calling again simply
    resumes the search.
@@ -300,10 +285,8 @@ type verdict =
    assumptions) is contradicted at level 0; callers decide how to record
    that. *)
 let solve_state ?(assumptions = [||]) ?(conflict_limit = max_int)
-    ?(deadline = infinity) ?(should_stop = fun () -> false) st =
+    ?(deadline = infinity) st =
   let check_budgets () =
-    if Atomic.get st.stop || should_stop () then
-      raise (Stop_search Outcome.Cancelled);
     if st.conflicts >= conflict_limit then
       raise (Stop_search Outcome.Conflict_budget);
     if deadline < infinity && Unix.gettimeofday () >= deadline then
@@ -315,7 +298,7 @@ let solve_state ?(assumptions = [||]) ?(conflict_limit = max_int)
     let result = ref None in
     while !result = None do
       st.restarts <- st.restarts + 1;
-      let limit = st.restart_base * luby st.restarts in
+      let limit = restart_base * luby st.restarts in
       let conflicts_here = ref 0 in
       let restart = ref false in
       while (not !restart) && !result = None do
@@ -403,222 +386,46 @@ let load cnf extra_units =
   List.iter (fun l -> add [ l ]) extra_units;
   (st, !ok)
 
-(* --- portfolio diversification ------------------------------------------- *)
-
-(* Worker 0 always runs the stock configuration, so a portfolio answers no
-   later than the sequential solver would (modulo scheduling).  The other
-   workers diversify along the classic axes: initial phase, activity noise
-   (i.e. branching order) and restart cadence, all seeded deterministically
-   from the worker index via the splittable PRNG. *)
-type profile = {
-  seed : int;
-  restart_base : int;
-  phase_init : [ `Default | `Inverted | `Random ];
-  activity_noise : bool;
-}
-
-let profile_for_worker = function
-  | 0 -> { seed = 0; restart_base = 100; phase_init = `Default; activity_noise = false }
-  | 1 -> { seed = 1; restart_base = 100; phase_init = `Inverted; activity_noise = false }
-  | 2 -> { seed = 2; restart_base = 40; phase_init = `Random; activity_noise = true }
-  | 3 -> { seed = 3; restart_base = 300; phase_init = `Random; activity_noise = true }
-  | w ->
-    let bases = [| 25; 60; 150; 400; 800 |] in
-    { seed = (101 * w) + 7;
-      restart_base = bases.(w mod Array.length bases);
-      phase_init = `Random;
-      activity_noise = true }
-
-let apply_profile (st : state) (p : profile) =
-  st.restart_base <- p.restart_base;
-  let rng = Prng.create (0x5eed + (0x9e3779b9 * p.seed)) in
-  (match p.phase_init with
-  | `Default -> ()
-  | `Inverted ->
-    for v = 1 to st.nvars do
-      st.phase.(v) <- true
-    done
-  | `Random ->
-    for v = 1 to st.nvars do
-      st.phase.(v) <- Prng.bool rng
-    done);
-  if p.activity_noise then
-    for v = 1 to st.nvars do
-      st.activity.(v) <- Prng.float rng *. 0.5
-    done
-
 (* --- top-level solving ---------------------------------------------------- *)
 
-let run_to_outcome ?(conflict_limit = max_int) ?(deadline = infinity)
-    ?(should_stop = fun () -> false) st =
+let run_to_outcome ~conflict_limit ~deadline st =
   try
-    match solve_state ~conflict_limit ~deadline ~should_stop st with
+    match solve_state ~conflict_limit ~deadline st with
     | V_sat m -> Outcome.Sat m
     | V_unsat -> Outcome.Unsat
     | V_stopped r -> Outcome.Unknown r
   with Found_unsat -> Outcome.Unsat
 
-let sequential_outcome ~conflict_budget ~deadline ~should_stop cnf =
+let sequential_outcome ~conflict_budget ~deadline cnf =
   let st, ok = load cnf [] in
   if not ok then Outcome.Unsat
-  else run_to_outcome ~conflict_limit:conflict_budget ~deadline ~should_stop st
+  else run_to_outcome ~conflict_limit:conflict_budget ~deadline st
 
-(* How many conflicts a worker runs before yielding to its siblings when the
-   portfolio is interleaved on one core. *)
-let interleave_slice = 2000
+let set_default_parallelism n =
+  if n <> 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Solver.set_default_parallelism %d: the search is sequential, only 1 \
+          is accepted"
+         n)
 
-let portfolio_outcome ~n ~conflict_budget ~deadline ~should_stop cnf =
-  Sat_stats.portfolio_run ();
-  let shared_stop = Atomic.make false in
-  let states =
-    Array.init n (fun w ->
-        let st, ok = load cnf [] in
-        if not ok then None
-        else begin
-          apply_profile st (profile_for_worker w);
-          st.stop <- shared_stop;
-          Some st
-        end)
-  in
-  if Array.exists (fun s -> s = None) states then Outcome.Unsat
-  else begin
-    let states =
-      Array.map (function Some s -> s | None -> assert false) states
-    in
-    let budget_limit st =
-      if conflict_budget = max_int then max_int
-      else st.conflicts + conflict_budget
-    in
-    let pool = Domain_pool.default () in
-    if Domain_pool.size pool >= 1 then begin
-      (* Real race: one domain per worker, first definite answer raises the
-         shared stop flag and the others give up at their next poll. *)
-      let decided = Atomic.make None in
-      let worker w st () =
-        let outcome =
-          run_to_outcome ~conflict_limit:(budget_limit st) ~deadline
-            ~should_stop st
-        in
-        (match outcome with
-        | Outcome.Sat _ | Outcome.Unsat ->
-          if Atomic.compare_and_set decided None (Some (w, outcome)) then
-            Atomic.set shared_stop true
-        | Outcome.Unknown _ -> ());
-        outcome
-      in
-      let results =
-        Domain_pool.run pool
-          (Array.to_list (Array.mapi worker states))
-      in
-      match Atomic.get decided with
-      | Some (w, answer) ->
-        Sat_stats.race_won w;
-        answer
-      | None -> (
-        (* Nobody was decisive: every worker stopped on a budget or the
-           caller's flag.  Report the first worker's reason. *)
-        match results with
-        | first :: _ -> first
-        | [] -> assert false)
-    end
-    else begin
-      (* Single core: deterministic round-robin interleave.  Diversification
-         still pays off on heavy-tailed instances — the first worker whose
-         configuration gets lucky finishes the race for everyone. *)
-      let limits = Array.map budget_limit states in
-      let exhausted = Array.make n false in
-      let decided = ref None in
-      let stopped = ref None in
-      let progress = ref true in
-      while !decided = None && !stopped = None && !progress do
-        progress := false;
-        for w = 0 to n - 1 do
-          if !decided = None && !stopped = None && not exhausted.(w) then begin
-            let st = states.(w) in
-            let slice_limit = min limits.(w) (st.conflicts + interleave_slice) in
-            match
-              run_to_outcome ~conflict_limit:slice_limit ~deadline
-                ~should_stop st
-            with
-            | (Outcome.Sat _ | Outcome.Unsat) as answer ->
-              decided := Some (w, answer)
-            | Outcome.Unknown Outcome.Conflict_budget ->
-              if st.conflicts >= limits.(w) then exhausted.(w) <- true
-              else progress := true
-            | Outcome.Unknown r -> stopped := Some r
-          end
-        done
-      done;
-      match !decided with
-      | Some (w, answer) ->
-        Sat_stats.race_won w;
-        answer
-      | None -> (
-        match !stopped with
-        | Some r -> Outcome.Unknown r
-        | None -> Outcome.Unknown Outcome.Conflict_budget)
-    end
-  end
-
-(* A short bounded CDCL run whose only purpose is to heat up the VSIDS
-   activities; the cube-and-conquer splitter branches on the hottest
-   variables.  Sequential and deterministic. *)
-let probe_activity_order ?(conflicts = 200) cnf =
-  let st, ok = load cnf [] in
-  if not ok then []
-  else begin
-    (try ignore (solve_state ~conflict_limit:conflicts st)
-     with Found_unsat -> ());
-    let vars = List.init st.nvars (fun i -> i + 1) in
-    List.stable_sort
-      (fun a b -> compare st.activity.(b) st.activity.(a))
-      vars
-  end
-
-let default_par = Atomic.make 1
-
-let set_default_parallelism n = Atomic.set default_par (max 1 n)
-
-let default_parallelism () = Atomic.get default_par
-
-let default_mode () : mode =
-  let n = default_parallelism () in
-  if n >= 2 then `Portfolio n else `Sequential
-
-let solve_outcome ?mode ?(conflict_budget = max_int) ?(time_budget = infinity)
-    ?stop cnf =
-  let mode = match mode with Some m -> m | None -> default_mode () in
+let solve_outcome ?(conflict_budget = max_int) ?(time_budget = infinity) cnf =
   let deadline =
     if time_budget = infinity then infinity
     else Unix.gettimeofday () +. time_budget
   in
-  let should_stop =
-    match stop with
-    | Some flag -> fun () -> Atomic.get flag
-    | None -> fun () -> false
-  in
-  let outcome =
-    match mode with
-    | `Sequential ->
-      sequential_outcome ~conflict_budget ~deadline ~should_stop cnf
-    | `Portfolio n when n <= 1 ->
-      sequential_outcome ~conflict_budget ~deadline ~should_stop cnf
-    | `Portfolio n ->
-      let n = min n 64 in
-      portfolio_outcome ~n ~conflict_budget ~deadline ~should_stop cnf
-  in
+  let outcome = sequential_outcome ~conflict_budget ~deadline cnf in
   (match outcome with
-  | Outcome.Unknown (Outcome.Conflict_budget | Outcome.Time_budget | Outcome.Node_budget) ->
-    Sat_stats.budget_exhausted ()
+  | Outcome.Unknown _ -> Sat_stats.budget_exhausted ()
   | _ -> ());
   outcome
 
-let solve ?mode cnf =
-  match solve_outcome ?mode cnf with
+let solve cnf =
+  match solve_outcome cnf with
   | Outcome.Sat m -> Sat m
   | Outcome.Unsat -> Unsat
   | Outcome.Unknown _ ->
-    (* Unreachable: no budget and no stop flag were given. *)
+    (* Unreachable: no budget was given. *)
     assert false
 
 let solve_with_units cnf units =
@@ -631,8 +438,8 @@ let solve_with_units cnf units =
       | V_unsat | V_stopped _ -> assert false
     with Found_unsat -> Unsat
 
-let is_satisfiable ?mode cnf =
-  match solve ?mode cnf with
+let is_satisfiable cnf =
+  match solve cnf with
   | Sat _ -> true
   | Unsat -> false
 

@@ -1,70 +1,41 @@
-(** A CDCL SAT solver with a parallel portfolio mode.
+(** A CDCL SAT solver.
 
     Conflict-driven clause learning with two-watched-literal propagation,
     first-UIP conflict analysis, VSIDS-style activities, phase saving and
     Luby restarts.  This is the engine behind [Fixpointlib]: deciding
     whether a DATALOG-not program has a fixpoint on a database is
     NP-complete (Theorem 1), so a SAT solver is the natural — and the
-    honest — implementation vehicle.
-
-    The portfolio mode runs N diversified copies of the solver (seeded
-    phases, activity noise and restart cadences; worker 0 always keeps the
-    stock configuration) racing on the shared {!Negdl_util.Domain_pool}.
-    The first definite answer wins and cancels the losers through a shared
-    atomic stop flag polled in the search loop.  On a single-core host the
-    workers are interleaved deterministically in round-robin slices instead
-    — diversification still wins on heavy-tailed instances.  Parallelism
-    never changes an answer, only how fast it arrives (and where a budget
-    turns into [Unknown]). *)
+    honest — implementation vehicle.  The search is sequential and
+    deterministic: the same formula always yields the same answer and the
+    same model. *)
 
 type result =
   | Sat of bool array
       (** A satisfying assignment, indexed by variable ([.(0)] unused). *)
   | Unsat
 
-type mode =
-  [ `Sequential  (** One stock CDCL run. *)
-  | `Portfolio of int
-    (** [n] diversified workers racing; [`Portfolio 1] is [`Sequential]. *)
-  ]
-
 val set_default_parallelism : int -> unit
-(** Sets the process-wide parallelism degree used when no explicit [~mode]
-    is given ([--sat-par] plugs in here).  [1] means sequential. *)
+(** Does nothing: the search is always sequential.  The function exists
+    only because the end-to-end benchmark harness under [bench/e2e], which
+    is frozen between benchmark revisions, still calls it with [1]; it goes
+    when that harness drops the call.
+    @raise Invalid_argument on any value other than [1]. *)
 
-val default_parallelism : unit -> int
-
-val default_mode : unit -> mode
-(** [`Portfolio n] when the default parallelism is [n >= 2], else
-    [`Sequential]. *)
-
-val solve : ?mode:mode -> Cnf.t -> result
+val solve : Cnf.t -> result
 (** Complete search: always returns a definite answer. *)
 
 val solve_outcome :
-  ?mode:mode ->
-  ?conflict_budget:int ->
-  ?time_budget:float ->
-  ?stop:bool Atomic.t ->
-  Cnf.t ->
-  Outcome.t
+  ?conflict_budget:int -> ?time_budget:float -> Cnf.t -> Outcome.t
 (** Resource-bounded search.  [conflict_budget] caps the number of
-    conflicts ({e per worker} in portfolio mode), [time_budget] is a
-    wall-clock allowance in seconds, [stop] an external cancellation flag.
-    Exhaustion or cancellation yields a structured [Unknown] — this entry
-    point never raises on resource limits. *)
-
-val probe_activity_order : ?conflicts:int -> Cnf.t -> int list
-(** All variables sorted by decreasing VSIDS activity after a short probe
-    run of at most [conflicts] conflicts (default 200).  Deterministic; the
-    cube-and-conquer splitter in [Fixpointlib.Solve] branches on the top of
-    this order. *)
+    conflicts and [time_budget] is a wall-clock allowance in seconds.
+    Exhaustion yields a structured [Unknown] — this entry point never
+    raises on resource limits. *)
 
 val solve_with_units : Cnf.t -> int list -> result
 (** [solve_with_units cnf units] solves [cnf] with the extra unit clauses
     [units] (a cheap form of assumptions). *)
 
-val is_satisfiable : ?mode:mode -> Cnf.t -> bool
+val is_satisfiable : Cnf.t -> bool
 
 val model_checks : result -> Cnf.t -> bool
 (** [model_checks r cnf] is true when [r] is [Unsat] or when the model
@@ -78,8 +49,7 @@ val model_checks : result -> Cnf.t -> bool
     implied by the formula alone, so they persist and accelerate later
     calls — this is what makes the fixpoint searcher's
     one-SAT-call-per-atom algorithms (Theorem 3's intersection, model
-    enumeration) affordable.  Sessions are sequential: the portfolio pays
-    off for one-shot races, not for many cheap incremental calls. *)
+    enumeration) affordable. *)
 
 type session
 

@@ -153,6 +153,14 @@ let test_solve_with_units () =
   | Solver.Sat m -> check bool "x2 forced" true m.(2)
   | Solver.Unsat -> Alcotest.fail "should be sat"
 
+(* The search is sequential: the one parallelism degree the setter takes
+   is 1. *)
+let test_default_parallelism_only_one () =
+  Solver.set_default_parallelism 1;
+  match Solver.set_default_parallelism 2 with
+  | () -> Alcotest.fail "parallelism 2 must be refused"
+  | exception Invalid_argument _ -> ()
+
 (* --- Enumeration -------------------------------------------------------- *)
 
 let test_enumerate_counts () =
@@ -370,24 +378,11 @@ let test_count_budget_boundary () =
     (Count.count_limited ~budget:1 (Cnf.of_list 2 [ []; [ 1 ] ])
     = Outcome.Exact 0)
 
-let test_outcome_cancelled () =
-  let cnf = Workload.pigeonhole 4 in
-  let stop = Atomic.make true in
-  (match Solver.solve_outcome ~stop cnf with
-  | Outcome.Unknown Outcome.Cancelled -> ()
-  | _ -> Alcotest.fail "a raised stop flag must cancel the search");
-  match Solver.solve_outcome ~mode:(`Portfolio 3) ~stop cnf with
-  | Outcome.Unknown Outcome.Cancelled -> ()
-  | _ -> Alcotest.fail "the portfolio honours the caller's stop flag"
-
 let test_outcome_conflict_budget () =
   let cnf = Workload.pigeonhole 5 in
   (match Solver.solve_outcome ~conflict_budget:3 cnf with
   | Outcome.Unknown Outcome.Conflict_budget -> ()
   | _ -> Alcotest.fail "a tiny conflict budget must report exhaustion");
-  (match Solver.solve_outcome ~mode:(`Portfolio 4) ~conflict_budget:3 cnf with
-  | Outcome.Unknown Outcome.Conflict_budget -> ()
-  | _ -> Alcotest.fail "portfolio-wide budget exhaustion is an Unknown");
   match Solver.solve_outcome ~conflict_budget:1_000_000 cnf with
   | Outcome.Unsat -> ()
   | _ -> Alcotest.fail "a generous budget decides pigeonhole 5"
@@ -407,22 +402,6 @@ let test_session_budget_resume () =
   match Solver.solve_assuming s [] with
   | Solver.Unsat -> ()
   | Solver.Sat _ -> Alcotest.fail "pigeonhole 5 is unsat"
-
-let test_portfolio_decides () =
-  (* Satisfiable and unsatisfiable instances through every worker count,
-     including n > the profile table. *)
-  List.iter
-    (fun n ->
-      check bool
-        (Printf.sprintf "forced sat, n=%d" n)
-        true
-        (Solver.is_satisfiable ~mode:(`Portfolio n)
-           (Workload.forced_sat ~seed:n ~vars:30 ~clauses:100 ~k:3));
-      check bool
-        (Printf.sprintf "pigeonhole unsat, n=%d" n)
-        false
-        (Solver.is_satisfiable ~mode:(`Portfolio n) (Workload.pigeonhole 4)))
-    [ 2; 3; 4; 6 ]
 
 (* --- Properties --------------------------------------------------------- *)
 
@@ -473,24 +452,17 @@ let prop_dimacs_roundtrip =
       let cnf' = Dimacs.parse_exn (Dimacs.to_string cnf) in
       Cnf.clauses cnf = Cnf.clauses cnf' && Cnf.num_vars cnf = Cnf.num_vars cnf')
 
-(* Differential battery: every solving mode against the exhaustive
-   baseline, on the same random CNF distribution.  The portfolio must be
-   an observationally pure speedup — identical sat status, and any model
-   it returns must actually satisfy the formula. *)
-let prop_mode_vs_brute label mode =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "differential: %s = brute force" label)
-    ~count:500 arbitrary_cnf
-    (fun (vars, cs) ->
+(* Differential battery: the solver against the exhaustive baseline —
+   identical sat status, and any model it returns must actually satisfy
+   the formula. *)
+let prop_sequential_vs_brute =
+  QCheck.Test.make ~name:"differential: sequential = brute force" ~count:500
+    arbitrary_cnf (fun (vars, cs) ->
       let cnf = Cnf.of_list vars cs in
-      match Solver.solve ~mode cnf with
+      match Solver.solve cnf with
       | Solver.Sat _ as r ->
         Brute.is_satisfiable cnf && Solver.model_checks r cnf
       | Solver.Unsat -> not (Brute.is_satisfiable cnf))
-
-let prop_sequential_vs_brute = prop_mode_vs_brute "sequential" `Sequential
-let prop_portfolio2_vs_brute = prop_mode_vs_brute "portfolio n=2" (`Portfolio 2)
-let prop_portfolio4_vs_brute = prop_mode_vs_brute "portfolio n=4" (`Portfolio 4)
 
 let arbitrary_budgeted_cnf =
   QCheck.make
@@ -518,8 +490,6 @@ let qcheck_tests =
       prop_session_matches_units;
       prop_dimacs_roundtrip;
       prop_sequential_vs_brute;
-      prop_portfolio2_vs_brute;
-      prop_portfolio4_vs_brute;
       prop_count_budget_sound;
     ]
 
@@ -550,6 +520,8 @@ let () =
           Alcotest.test_case "pigeonhole" `Quick test_solver_pigeonhole;
           Alcotest.test_case "vs brute" `Quick test_solver_vs_brute;
           Alcotest.test_case "units" `Quick test_solve_with_units;
+          Alcotest.test_case "default parallelism is 1 only" `Quick
+            test_default_parallelism_only_one;
         ] );
       ( "enumerate",
         [
@@ -579,13 +551,11 @@ let () =
         ] );
       ( "outcomes",
         [
-          Alcotest.test_case "cancelled" `Quick test_outcome_cancelled;
           Alcotest.test_case "conflict budget" `Quick
             test_outcome_conflict_budget;
           Alcotest.test_case "time budget" `Quick test_outcome_time_budget;
           Alcotest.test_case "session budget + resume" `Quick
             test_session_budget_resume;
-          Alcotest.test_case "portfolio decides" `Quick test_portfolio_decides;
         ] );
       ("properties", qcheck_tests);
     ]
