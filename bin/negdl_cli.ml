@@ -292,7 +292,8 @@ let fixpoints_cmd =
           ~doc:
             "Also run the exact #SAT census with a budget of $(docv) \
              counting nodes; prints \"exact census: N\", or a lower bound \
-             when the budget runs out.")
+             when the budget runs out or the count does not fit in an \
+             integer.")
   in
   let snapshot_arg =
     Arg.(

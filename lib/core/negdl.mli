@@ -198,7 +198,8 @@ type fixpoint_report = {
   fixpoint_count : int option;  (** Counted up to [count_limit]. *)
   exact_count : Satlib.Outcome.count option;
       (** #SAT census (requested via [count_budget]); a [Lower_bound] when
-          the node budget ran out. *)
+          the node budget ran out, or when the count does not fit in an
+          [int] ([Count_overflow], bound [max_int]). *)
   count_limit : int;
   unique : bool;
   least : Idb.t option;

@@ -53,7 +53,29 @@ let find_outcome ?conflict_budget ?time_budget t =
    the instance auxiliaries), so components are recombined by overlaying
    their projected values. *)
 
-let pow2 n = 1 lsl n
+(* One pool job per component, results in component order: [f] gets the
+   component's atom variables (the projection it is enumerated on) and
+   its own CNF over all the variables. *)
+let on_components t comps f =
+  let atom_vars = Encode.atom_variables t.encoding in
+  let nvars = Cnf.num_vars (Encode.cnf t.encoding) in
+  Domain_pool.run (Domain_pool.default ())
+    (List.map
+       (fun (cs, vs) () ->
+         Sat_stats.component_counted ();
+         f
+           (List.filter (fun v -> ISet.mem v vs) atom_vars)
+           (Cnf.of_list nvars cs))
+       comps)
+
+(* Atom variables no clause constrains: each doubles the census. *)
+let free_atoms t comps =
+  let constrained =
+    List.fold_left (fun acc (_, vs) -> ISet.union acc vs) ISet.empty comps
+  in
+  List.filter
+    (fun v -> not (ISet.mem v constrained))
+    (Encode.atom_variables t.encoding)
 
 let flat_enumerate ?limit t =
   Enumerate.models
@@ -73,32 +95,16 @@ let take limit l =
 
 let enumerate ?limit t =
   let cnf = Encode.cnf t.encoding in
-  let comps = Count.components (Cnf.clauses cnf) in
-  match comps with
+  match Count.components (Cnf.clauses cnf) with
   | [] | [ _ ] ->
     (* Nothing to decompose (plus: keeps the flat enumeration order for
        single-component instances). *)
     flat_enumerate ?limit t
   | comps ->
-    let atom_vars = Encode.atom_variables t.encoding in
     let nvars = Cnf.num_vars cnf in
-    let jobs =
-      List.map
-        (fun (cs, vs) ->
-          let projection = List.filter (fun v -> ISet.mem v vs) atom_vars in
-          fun () ->
-            Sat_stats.component_counted ();
-            (projection,
-             Enumerate.models ~projection ?limit (Cnf.of_list nvars cs)))
-        comps
-    in
-    let per_component = Domain_pool.run (Domain_pool.default ()) jobs in
-    (* Unconstrained atom variables are free: each doubles the census. *)
-    let constrained =
-      List.fold_left (fun acc (_, vs) -> ISet.union acc vs) ISet.empty comps
-    in
-    let free_atoms =
-      List.filter (fun v -> not (ISet.mem v constrained)) atom_vars
+    let per_component =
+      on_components t comps (fun projection sub ->
+          (projection, Enumerate.models ~projection ?limit sub))
     in
     let free_choices =
       List.map
@@ -106,7 +112,7 @@ let enumerate ?limit t =
           let tt = Array.make (nvars + 1) false in
           tt.(v) <- true;
           ([ v ], [ Array.make (nvars + 1) false; tt ]))
-        free_atoms
+        (free_atoms t comps)
     in
     let overlay base (projection, m) =
       let merged = Array.copy base in
@@ -126,7 +132,25 @@ let enumerate ?limit t =
     in
     List.map (Encode.idb_of_model t.encoding) combos
 
-let count ?limit t = List.length (enumerate ?limit t)
+(* The same census as [List.length (enumerate ?limit t)], without the
+   cross-product: min(limit, product of the component counts), each count
+   itself capped at [limit], and the running product capped after every
+   step so that it cannot overflow. *)
+let count ?limit t =
+  let cnf = Encode.cnf t.encoding in
+  match Count.components (Cnf.clauses cnf) with
+  | [] | [ _ ] ->
+    Enumerate.count ~projection:(Encode.atom_variables t.encoding) ?limit cnf
+  | comps ->
+    let cap = Option.value limit ~default:max_int in
+    let counts =
+      on_components t comps (fun projection sub ->
+          Enumerate.count ~projection ?limit sub)
+    in
+    let free = Count.pow2 (List.length (free_atoms t comps)) in
+    List.fold_left
+      (fun acc c -> min cap (Count.mul acc c))
+      (min cap free) counts
 
 let count_exact ?(budget = 2_000_000) t =
   let cnf = Encode.cnf t.encoding in
@@ -134,7 +158,7 @@ let count_exact ?(budget = 2_000_000) t =
   let all_vars = ISet.of_list (List.init nvars (fun i -> i + 1)) in
   let comps = Count.components (Cnf.clauses cnf) in
   match comps with
-  | [] -> Outcome.Exact (pow2 nvars)
+  | [] -> Count.to_outcome { value = Count.pow2 nvars; exact = true }
   | [ _ ] -> Count.count_limited ~budget cnf
   | comps ->
     let constrained =
@@ -156,14 +180,13 @@ let count_exact ?(budget = 2_000_000) t =
       List.exists (fun (p : Count.partial) -> p.value = 0 && p.exact) parts
     in
     let value =
-      List.fold_left (fun a (p : Count.partial) -> a * p.value) 1 parts
+      List.fold_left (fun a (p : Count.partial) -> Count.mul a p.value) 1 parts
     in
     let exact =
       exact_zero || List.for_all (fun (p : Count.partial) -> p.exact) parts
     in
-    let value = if exact_zero then 0 else value * pow2 free in
-    if exact then Outcome.Exact value
-    else Outcome.Lower_bound (value, Outcome.Node_budget)
+    let value = if exact_zero then 0 else Count.mul value (Count.pow2 free) in
+    Count.to_outcome { value; exact }
 
 let has_unique t =
   Enumerate.is_unique
@@ -171,14 +194,9 @@ let has_unique t =
     (Encode.cnf t.encoding)
 
 let intersection t =
-  let cnf = Encode.cnf t.encoding in
-  match Solver.solve cnf with
-  | Solver.Unsat -> None
-  | Solver.Sat _ ->
-    let forced =
-      Enumerate.forced_true cnf (Encode.atom_variables t.encoding)
-    in
-    Some (Encode.idb_of_true_vars t.encoding forced)
+  Enumerate.forced_true (Encode.cnf t.encoding)
+    (Encode.atom_variables t.encoding)
+  |> Option.map (Encode.idb_of_true_vars t.encoding)
 
 let least t =
   match intersection t with

@@ -15,11 +15,11 @@
       2{^ n} incomparable fixpoints of the Section 2 example).
 
     Every SAT call goes to the one sequential CDCL search of
-    {!Satlib.Solver}.  The census decomposes by connected CNF components,
-    counted or enumerated on the shared domain pool and product-combined in
-    job order, so its answer does not depend on scheduling.  Budgets
-    degrade into structured {!Satlib.Outcome} values instead of
-    exceptions. *)
+    {!Satlib.Solver}.  The census decomposes by connected CNF components
+    ({!Satlib.Count.components}), counted or enumerated on the shared
+    domain pool and combined in job order, so its answer does not depend
+    on scheduling.  Counts saturate instead of wrapping.  Budgets degrade
+    into structured {!Satlib.Outcome} values instead of exceptions. *)
 
 type t
 
@@ -66,8 +66,12 @@ val enumerate : ?limit:int -> t -> Evallib.Idb.t list
     encodings keep the flat blocking-clause enumeration order. *)
 
 val count : ?limit:int -> t -> int
-(** Census by SAT enumeration with blocking clauses (one solver call per
-    fixpoint within each component). *)
+(** The number of fixpoints, capped at [limit]: the length of
+    [enumerate ?limit t], without building it.  Each component's models
+    are counted by SAT enumeration with blocking clauses (one solver call
+    per projected model, at most [limit] of them), and the counts are
+    multiplied, capped at [limit] after every step: min(limit, the
+    product).  Without [limit] the product saturates at [max_int]. *)
 
 val count_exact : ?budget:int -> t -> Satlib.Outcome.count
 (** Census by exact model counting (#SAT with component decomposition) —
@@ -77,13 +81,16 @@ val count_exact : ?budget:int -> t -> Satlib.Outcome.count
     enumerating them.  Components are counted concurrently on the domain
     pool, each with an equal share of the budget.  When the [budget] of
     counting nodes (default two million) runs out, the completed work is
-    kept and reported as [Lower_bound] — this function never raises. *)
+    kept and reported as [Lower_bound] — this function never raises.  A
+    census that reaches [max_int] is
+    [Lower_bound (max_int, Count_overflow)]. *)
 
 val has_unique : t -> bool
 
 val intersection : t -> Evallib.Idb.t option
 (** Pointwise intersection of {e all} fixpoints ([None] when there is no
-    fixpoint); one SAT call per ground atom. *)
+    fixpoint), from {!Satlib.Enumerate.forced_true}: one solver session,
+    one SAT call to find a fixpoint and one per atom it contains. *)
 
 val least : t -> Evallib.Idb.t option
 (** The least fixpoint, if one exists. *)

@@ -17,10 +17,16 @@ let check_literal cnf l =
   if l = 0 || v > cnf.num_vars then
     invalid_arg (Printf.sprintf "Cnf: literal %d out of range 1..%d" l cnf.num_vars)
 
+(* [sorted] holds each literal once, so ordered by variable a
+   complementary pair is adjacent. *)
+let rec has_complementary_neighbours = function
+  | a :: (b :: _ as rest) -> a = -b || has_complementary_neighbours rest
+  | [] | [ _ ] -> false
+
 let normalise_clause lits =
   let sorted = List.sort_uniq Int.compare lits in
-  let tautology = List.exists (fun l -> List.mem (-l) sorted) sorted in
-  if tautology then None else Some sorted
+  let by_var = List.sort (fun a b -> Int.compare (abs a) (abs b)) sorted in
+  if has_complementary_neighbours by_var then None else Some sorted
 
 let add_clause cnf lits =
   List.iter (check_literal cnf) lits;

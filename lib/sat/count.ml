@@ -22,37 +22,118 @@ let rec propagate clauses forced =
   | Some [ l ] -> propagate (assign l clauses) (ISet.add (abs l) forced)
   | Some _ -> assert false
 
-let clause_vars c = ISet.of_list (List.map abs c)
+(* A component's clauses, as the merges built it: the clause that made
+   the component, then the components it merged, latest first. *)
+type merge = Merge of int list * merge list
 
-(* Partition clauses into connected components of the variable-sharing
-   graph; returns (clauses, vars) per component. *)
+let preorder tree =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | Merge (c, merged) :: rest -> go (c :: acc) (merged @ rest)
+  in
+  go [] [ tree ]
+
+(* Union-find over variable ids (union by size, path halving).  Each
+   clause merges the components its variables touch into one, whose merge
+   tree lists them latest first; the tree's preorder is the component's
+   clause list.  Sorting the touched components costs O(k log k) for a
+   clause that touches k of them; the rest is near-linear in the
+   literals. *)
 let components clauses =
-  let groups : (int list list * ISet.t) list ref = ref [] in
-  List.iter
-    (fun clause ->
-      let cv = clause_vars clause in
-      let touching, rest =
-        List.partition
-          (fun (_, vars) -> not (ISet.is_empty (ISet.inter cv vars)))
-          !groups
-      in
-      let merged_clauses =
-        clause :: List.concat_map fst touching
-      in
-      let merged_vars =
-        List.fold_left (fun acc (_, vs) -> ISet.union acc vs) cv touching
-      in
-      groups := (merged_clauses, merged_vars) :: rest)
+  let clauses = Array.of_list clauses in
+  let top =
+    Array.fold_left (List.fold_left (fun m l -> max m (abs l))) 0 clauses
+  in
+  let parent = Array.init (top + 1) Fun.id in
+  let size = Array.make (top + 1) 1 in
+  let rec find v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      let g = parent.(p) in
+      parent.(v) <- g;
+      find g
+    end
+  in
+  let union a b =
+    let a = find a and b = find b in
+    if a <> b then begin
+      let a, b = if size.(a) < size.(b) then (b, a) else (a, b) in
+      parent.(b) <- a;
+      size.(a) <- size.(a) + size.(b)
+    end
+  in
+  (* The component of a root: the index of its last clause and its merge
+     tree.  Entries of roots that later lost a union go stale. *)
+  let group = Array.make (top + 1) None in
+  let seen = Array.make (top + 1) (-1) in
+  let empties = ref [] in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | [] -> empties := (i, [ [] ], ISet.empty) :: !empties
+      | l :: _ ->
+        let touched =
+          List.fold_left
+            (fun acc l ->
+              let r = find (abs l) in
+              if seen.(r) = i then acc
+              else begin
+                seen.(r) <- i;
+                match group.(r) with
+                | Some g -> g :: acc
+                | None -> acc
+              end)
+            [] c
+        in
+        let latest_first =
+          List.sort (fun (a, _) (b, _) -> Int.compare b a) touched
+        in
+        List.iter (fun l' -> union (abs l) (abs l')) c;
+        group.(find (abs l)) <- Some (i, Merge (c, List.map snd latest_first)))
     clauses;
-  !groups
+  (* A variable is its own root when it first occurs, so [seen] marks
+     exactly the variables that occur. *)
+  let vars = Array.make (top + 1) [] in
+  for v = top downto 1 do
+    if seen.(v) >= 0 then begin
+      let r = find v in
+      vars.(r) <- v :: vars.(r)
+    end
+  done;
+  let live = ref !empties in
+  for r = 1 to top do
+    match group.(r) with
+    | Some (last, tree) when parent.(r) = r ->
+      live := (last, preorder tree, ISet.of_list vars.(r)) :: !live
+    | _ -> ()
+  done;
+  List.map
+    (fun (_, cs, vs) -> (cs, vs))
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare b a) !live)
+
+(* Counts saturate: [max_int] stands for "[max_int] or more" and absorbs
+   every sum and product it enters, except a product with 0. *)
+let add a b = if a > max_int - b then max_int else a + b
+
+let mul a b =
+  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
 
 let pow2 n =
-  if n < 0 then invalid_arg "Count.pow2" else 1 lsl n
+  if n < 0 then invalid_arg "Count.pow2"
+  else if n >= Sys.int_size - 1 then max_int
+  else 1 lsl n
 
 type partial = {
   value : int;
   exact : bool;
 }
+
+let to_outcome = function
+  | { value; _ } when value = max_int ->
+    Outcome.Lower_bound (max_int, Outcome.Count_overflow)
+  | { value; exact = true } -> Outcome.Exact value
+  | { value; exact = false } -> Outcome.Lower_bound (value, Outcome.Node_budget)
 
 (* Budgeted DPLL count.  Exhaustion never discards completed work: a
    subtree the budget cannot afford contributes 0 (a sound lower bound)
@@ -107,14 +188,14 @@ let count_nonempty ~budget clauses vars =
                       | cs' -> go cs' vs'
                     in
                     {
-                      value = acc.value * (pos.value + neg.value);
+                      value = mul acc.value (add pos.value neg.value);
                       exact = acc.exact && pos.exact && neg.exact;
                     }
                   end)
                 { value = 1; exact = true }
                 comps
             in
-            { product with value = product.value * pow2 free }
+            { product with value = mul product.value (pow2 free) }
           end
     end
   in
@@ -131,11 +212,11 @@ let count_clauses ~budget clauses vars =
 let count_limited ~budget cnf =
   let clauses = Cnf.clauses cnf in
   let vars = ISet.of_list (List.init (Cnf.num_vars cnf) (fun i -> i + 1)) in
-  match count_clauses ~budget clauses vars with
-  | { value; exact = true } -> Outcome.Exact value
-  | { value; exact = false } -> Outcome.Lower_bound (value, Outcome.Node_budget)
+  to_outcome (count_clauses ~budget clauses vars)
 
 let count cnf =
   match count_limited ~budget:max_int cnf with
   | Outcome.Exact n -> n
-  | Outcome.Lower_bound _ -> assert false
+  | Outcome.Lower_bound _ ->
+    (* No node budget: only a saturated count gets here. *)
+    invalid_arg "Count.count: the count exceeds the integer range"

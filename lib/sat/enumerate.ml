@@ -1,7 +1,10 @@
 let blocking_clause projection model =
   List.map (fun v -> if model.(v) then -v else v) projection
 
-let models ?projection ?limit cnf =
+(* Solve, hand the model to [f], block it on [projection], repeat: until
+   UNSAT or [limit] models.  An empty projection blocks everything with
+   its one (empty) clause, so the first model is also the last. *)
+let fold_models ?projection ?limit cnf f init =
   let projection =
     match projection with
     | Some vs -> vs
@@ -19,17 +22,21 @@ let models ?projection ?limit cnf =
       match Solver.solve_assuming session [] with
       | Solver.Unsat -> acc
       | Solver.Sat model ->
+        let acc = f acc model in
         let block = blocking_clause projection model in
-        if block = [] then model :: acc
+        if block = [] then acc
         else begin
           Solver.add_clause session block;
-          loop (model :: acc) (found + 1)
+          loop acc (found + 1)
         end
   in
-  List.rev (loop [] 0)
+  loop init 0
+
+let models ?projection ?limit cnf =
+  List.rev (fold_models ?projection ?limit cnf (fun acc m -> m :: acc) [])
 
 let count ?projection ?limit cnf =
-  List.length (models ?projection ?limit cnf)
+  fold_models ?projection ?limit cnf (fun n _ -> n + 1) 0
 
 let is_unique ?projection cnf =
   count ?projection ~limit:2 cnf = 1
@@ -37,15 +44,16 @@ let is_unique ?projection cnf =
 let forced_true cnf vars =
   let session = Solver.session cnf in
   match Solver.solve_assuming session [] with
-  | Solver.Unsat -> []
+  | Solver.Unsat -> None
   | Solver.Sat first ->
     (* v is forced iff cnf /\ -v is unsatisfiable; skip the assumption call
        when the current model already witnesses v = false. *)
-    List.filter
-      (fun v ->
-        first.(v)
-        &&
-        match Solver.solve_assuming session [ -v ] with
-        | Solver.Unsat -> true
-        | Solver.Sat _ -> false)
-      vars
+    Some
+      (List.filter
+         (fun v ->
+           first.(v)
+           &&
+           match Solver.solve_assuming session [ -v ] with
+           | Solver.Unsat -> true
+           | Solver.Sat _ -> false)
+         vars)

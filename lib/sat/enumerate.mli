@@ -13,14 +13,16 @@ val models :
     once.  [limit] caps the number of models returned (default: no cap). *)
 
 val count : ?projection:int list -> ?limit:int -> Cnf.t -> int
-(** Number of (projected) models, capped at [limit] when given. *)
+(** Number of (projected) models, capped at [limit] when given.  Runs the
+    same solver calls as {!models} but keeps no model. *)
 
 val is_unique : ?projection:int list -> Cnf.t -> bool
 (** Exactly one (projected) model?  Costs at most two solver calls. *)
 
-val forced_true : Cnf.t -> int list -> int list
-(** [forced_true cnf vars] returns the subset of [vars] that are true in
-    {e every} model of [cnf] (empty if the CNF is unsatisfiable).  One
-    solver call per candidate variable: v is forced iff [cnf /\ -v] is
-    unsatisfiable.  This is the NP-oracle loop used to compute the
-    intersection of all fixpoints (Theorem 3). *)
+val forced_true : Cnf.t -> int list -> int list option
+(** [forced_true cnf vars] is [None] when [cnf] is unsatisfiable, and
+    otherwise [Some] of the subset of [vars] that are true in {e every}
+    model of [cnf].  One solver session: a first call finds a model, then
+    one call per candidate that model sets true — v is forced iff
+    [cnf /\ -v] is unsatisfiable.  This is the NP-oracle loop used to
+    compute the intersection of all fixpoints (Theorem 3). *)

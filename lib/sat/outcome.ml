@@ -2,6 +2,7 @@ type reason =
   | Conflict_budget
   | Node_budget
   | Time_budget
+  | Count_overflow
 
 type t =
   | Sat of bool array
@@ -16,6 +17,7 @@ let reason_to_string = function
   | Conflict_budget -> "conflict budget exhausted"
   | Node_budget -> "node budget exhausted"
   | Time_budget -> "time budget exhausted"
+  | Count_overflow -> "count exceeds the integer range"
 
 let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 

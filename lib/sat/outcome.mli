@@ -7,10 +7,16 @@
     carries the partial work done before the budget ran out, never losing
     completed sub-counts. *)
 
+(** Why a search gave up, or why a count is only a lower bound.  The three
+    budgets stop a search; [Count_overflow] stops no search, it marks a
+    count that saturated at [max_int]. *)
 type reason =
   | Conflict_budget  (** The CDCL conflict budget ran out. *)
   | Node_budget  (** The #SAT DPLL node budget ran out. *)
   | Time_budget  (** The wall-clock deadline passed. *)
+  | Count_overflow
+      (** The count does not fit in an OCaml [int]: the bound is
+          [max_int], and the true count is at least that. *)
 
 type t =
   | Sat of bool array

@@ -178,3 +178,30 @@ let kripke_kleene p d =
     if Facts.equal t t' && Facts.equal q q' then (t, q) else iterate t' q'
   in
   iterate Facts.empty (herbrand_base p d)
+
+(* --- The CNF component split ----------------------------------------------- *)
+
+module Vars = Set.Make (Int)
+
+let clause_vars c = Vars.of_list (List.map abs c)
+
+(* Each clause is checked against every existing group, and the groups it
+   touches are merged by re-concatenating their clause lists: quadratic,
+   and the order-defining original. *)
+let components clauses =
+  let groups : (int list list * Vars.t) list ref = ref [] in
+  List.iter
+    (fun clause ->
+      let cv = clause_vars clause in
+      let touching, rest =
+        List.partition
+          (fun (_, vars) -> not (Vars.is_empty (Vars.inter cv vars)))
+          !groups
+      in
+      let merged_clauses = clause :: List.concat_map fst touching in
+      let merged_vars =
+        List.fold_left (fun acc (_, vs) -> Vars.union acc vs) cv touching
+      in
+      groups := (merged_clauses, merged_vars) :: rest)
+    clauses;
+  List.map (fun (cs, vs) -> (cs, Vars.elements vs)) !groups

@@ -58,3 +58,12 @@ val kripke_kleene : Datalog.Ast.program -> db -> Facts.t * Facts.t
     positive atoms true and no negated atom possible, and possible when
     some instance has all positive atoms possible and no negated atom
     true. *)
+
+val components : int list list -> (int list list * int list) list
+(** The connected components of a clause list's variable-sharing graph,
+    each with its variables in increasing order: the quadratic split that
+    [Satlib.Count.components] replaced, kept as its order reference.  Each
+    clause is checked against every group so far, and the groups it
+    touches merge into one that lists the clause, then their clauses,
+    latest group first.  Groups are listed latest first, and an empty
+    clause is a group of its own. *)

@@ -120,6 +120,19 @@ let test_exact_census_scales_to_big_gn () =
   | Satlib.Outcome.Exact n -> check int "2^10" 1024 n
   | Satlib.Outcome.Lower_bound _ -> Alcotest.fail "components keep this cheap"
 
+(* 2^61 fits in an OCaml int, 2^62 does not: the census product saturates
+   into a lower bound instead of wrapping to a negative or zero "exact"
+   count. *)
+let test_exact_census_overflow () =
+  let census k =
+    Solve.count_exact (solve_of (Generate.disjoint_copies k (Generate.cycle 4)))
+  in
+  check bool "61 x C_4 exact" true
+    (census 61 = Satlib.Outcome.Exact (1 lsl 61));
+  check bool "62 x C_4 saturates" true
+    (census 62
+    = Satlib.Outcome.Lower_bound (max_int, Satlib.Outcome.Count_overflow))
+
 (* --- Brute force vs SAT -------------------------------------------------- *)
 
 let test_sat_agrees_with_brute_on_census () =
@@ -333,6 +346,8 @@ let () =
             test_exact_census_matches_enumeration;
           Alcotest.test_case "exact census scales" `Quick
             test_exact_census_scales_to_big_gn;
+          Alcotest.test_case "exact census overflow" `Quick
+            test_exact_census_overflow;
         ] );
       ( "sat-vs-brute",
         [

@@ -41,6 +41,15 @@ let test_pi_sat_existence () =
       check bool name expected (Solve.exists (Sat_db.solver cnf)))
     sample_cnfs
 
+(* The instances of EXPERIMENTS' E2 table. *)
+let e2_cnfs =
+  ("forced-sat 6v 20c", Satlib.Workload.forced_sat ~seed:3 ~vars:6 ~clauses:20 ~k:3)
+  :: ("pigeonhole 2", Satlib.Workload.pigeonhole 2)
+  :: List.init 6 (fun i ->
+         let seed = i + 1 in
+         ( Printf.sprintf "random 3cnf seed %d" seed,
+           Satlib.Workload.random_3cnf ~seed ~vars:5 ~clauses:(10 + (2 * seed)) ))
+
 let test_pi_sat_bijection () =
   (* Satisfying assignments and fixpoints correspond one to one. *)
   List.iter
@@ -48,7 +57,9 @@ let test_pi_sat_bijection () =
       let models = SatBrute.count_models cnf in
       let fixpoints = Solve.count (Sat_db.solver cnf) in
       check int (name ^ ": counts equal") models fixpoints)
-    sample_cnfs
+    (sample_cnfs @ e2_cnfs);
+  check int "forced-sat 6v 20c has 11 models" 11
+    (SatBrute.count_models (List.assoc "forced-sat 6v 20c" e2_cnfs))
 
 let test_pi_sat_assignment_extraction () =
   let cnf = Cnf.of_list 3 [ [ -1; 2 ]; [ -2; 3 ]; [ 1 ] ] in

@@ -19,7 +19,10 @@ let test_cnf_basic () =
 
 let test_cnf_tautology_dropped () =
   let cnf = Cnf.of_list 2 [ [ 1; -1 ]; [ 2 ] ] in
-  check int "tautology dropped" 1 (Cnf.num_clauses cnf)
+  check int "tautology dropped" 1 (Cnf.num_clauses cnf);
+  (* In Int.compare order, -2 and 2 are not neighbours. *)
+  check int "non-adjacent pair dropped" 0
+    (Cnf.num_clauses (Cnf.of_list 2 [ [ 2; -1; -2 ] ]))
 
 let test_cnf_duplicate_literals () =
   let cnf = Cnf.of_list 2 [ [ 1; 1; 2 ] ] in
@@ -200,11 +203,11 @@ let test_unique () =
 
 let test_forced_true () =
   let cnf = Cnf.of_list 3 [ [ 1 ]; [ -1; 2 ] ] in
-  Alcotest.(check (list int))
-    "forced" [ 1; 2 ]
+  Alcotest.(check (option (list int)))
+    "forced" (Some [ 1; 2 ])
     (Enumerate.forced_true cnf [ 1; 2; 3 ]);
-  Alcotest.(check (list int))
-    "unsat forces nothing" []
+  Alcotest.(check (option (list int)))
+    "unsat has no models" None
     (Enumerate.forced_true (Cnf.of_list 1 [ [ 1 ]; [ -1 ] ]) [ 1 ])
 
 (* --- Exact counting (#SAT) ----------------------------------------------- *)
@@ -258,6 +261,67 @@ let test_count_budget () =
   match Count.count_limited ~budget:10_000_000 cnf with
   | Outcome.Exact n -> check bool "real budget counts" true (n >= 0)
   | Outcome.Lower_bound _ -> Alcotest.fail "expected a count"
+
+(* OCaml ints are 63-bit: 2^61 fits, 2^62 does not.  A count that does not
+   fit is a saturated lower bound, never a wrapped "exact" one. *)
+let test_count_overflow () =
+  let saturated = Outcome.Lower_bound (max_int, Outcome.Count_overflow) in
+  let expect name expected got = check bool name true (got = expected) in
+  expect "2^61 exact" (Outcome.Exact (1 lsl 61))
+    (Count.count_limited ~budget:10 (Cnf.create 61));
+  expect "2^62 saturates" saturated
+    (Count.count_limited ~budget:10 (Cnf.create 62));
+  expect "2^64 saturates" saturated
+    (Count.count_limited ~budget:10 (Cnf.create 64));
+  (* 62 independent xor pairs: the product of the component counts
+     overflows, not a single shift. *)
+  let pairs k =
+    Cnf.of_list (2 * k)
+      (List.concat
+         (List.init k (fun i ->
+              let a = (2 * i) + 1 and b = (2 * i) + 2 in
+              [ [ a; b ]; [ -a; -b ] ])))
+  in
+  expect "61 xor pairs" (Outcome.Exact (1 lsl 61))
+    (Count.count_limited ~budget:1000 (pairs 61));
+  expect "62 xor pairs" saturated (Count.count_limited ~budget:1000 (pairs 62));
+  check int "count below the range" (1 lsl 61) (Count.count (Cnf.create 61));
+  List.iter
+    (fun n ->
+      match Count.count (Cnf.create n) with
+      | _ -> Alcotest.failf "Count.count on %d free variables must raise" n
+      | exception Invalid_argument _ -> ())
+    [ 62; 63 ]
+
+(* The union-find split against the quadratic one it replaced: the same
+   components, in the same order, each with the same clauses in the same
+   order and the same variables. *)
+let prop_components_match_reference =
+  let clauses_gen =
+    let open QCheck.Gen in
+    let* vars = int_range 1 12 in
+    let clause =
+      let* len = int_range 0 3 in
+      list_size (return len)
+        (let* v = int_range 1 vars in
+         let* sign = bool in
+         return (if sign then v else -v))
+    in
+    (* Clauses drawn with replacement from a small pool, so duplicates are
+       common, and empty clauses too. *)
+    let* pool = map Array.of_list (list_size (int_range 1 10) clause) in
+    list_size (int_range 0 20)
+      (map (fun i -> pool.(i)) (int_range 0 (Array.length pool - 1)))
+  in
+  QCheck.Test.make ~name:"component split = quadratic reference" ~count:1000
+    (QCheck.make clauses_gen ~print:(fun cs ->
+         String.concat ";"
+           (List.map
+              (fun c -> "[" ^ String.concat "," (List.map string_of_int c) ^ "]")
+              cs)))
+    (fun cs ->
+      List.map (fun (cs, vs) -> (cs, Count.ISet.elements vs)) (Count.components cs)
+      = Testsupport.Reference.components cs)
 
 (* --- Incremental sessions ------------------------------------------------ *)
 
@@ -491,6 +555,7 @@ let qcheck_tests =
       prop_dimacs_roundtrip;
       prop_sequential_vs_brute;
       prop_count_budget_sound;
+      prop_components_match_reference;
     ]
 
 let () =
@@ -541,6 +606,7 @@ let () =
           Alcotest.test_case "budget" `Quick test_count_budget;
           Alcotest.test_case "budget boundary" `Quick
             test_count_budget_boundary;
+          Alcotest.test_case "overflow saturates" `Quick test_count_overflow;
         ] );
       ( "session",
         [
