@@ -27,7 +27,14 @@
 
     No grounding and no full per-rule application happens on the usual
     path: work per batch is proportional to the delta (the
-    ["dred ..."] counters in {!Stats.field-extra} prove it).  The result
+    ["dred ..."] counters in {!Stats.field-extra} prove it).  That covers
+    index upkeep too: the relations of the model keep their column indexes
+    through the removals ({!Relalg.Relation.diff},
+    {!Relalg.Relation.remove}), the old and new valuations share all but
+    the changed paths ({!Relalg.Idset}), and the put-back rule's existence
+    check probes a bound column instead of scanning — so after its first
+    batches a server builds no index at all (the plan counters'
+    [index_builds]).  The result
     equals recomputation on the new database — the test suite checks this
     against from-scratch saturation on random instances and update
     sequences. *)

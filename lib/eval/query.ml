@@ -29,7 +29,17 @@ let select rel ~query =
       (Printf.sprintf
          "query atom %s/%d does not match the stored relation %s/%d"
          query.Datalog.Ast.pred want query.Datalog.Ast.pred got)
-  else Ok (Relation.filter (matches_query query) rel)
+  else
+    (* A point read costs its answer: the first constant argument narrows
+       the relation through its column index before the full match. *)
+    let rec first_const i = function
+      | [] -> rel
+      | Datalog.Ast.Const c :: _ -> Relation.select_eq i c rel
+      | Datalog.Ast.Var _ :: rest -> first_const (i + 1) rest
+    in
+    Ok
+      (Relation.filter (matches_query query)
+         (first_const 0 query.Datalog.Ast.args))
 
 let answer ?engine ?stats p db ~query =
   match Datalog.Magic.rewrite p ~query with

@@ -171,20 +171,23 @@ let update t ~additions ~removals =
   with
   | exception Invalid_argument msg -> Error msg
   | delta ->
+    (* Counted over distinct facts: DRed collapses a fact repeated in one
+       batch, and so must the report. *)
+    let count_distinct keep facts =
+      List.length (List.filter keep (List.sort_uniq compare facts))
+    in
     let inserted =
-      List.length
-        (List.filter
-           (fun (pred, tuple) ->
-             Database.mem_fact pred tuple delta.Dred.new_db
-             && not (Database.mem_fact pred tuple t.db))
-           additions)
+      count_distinct
+        (fun (pred, tuple) ->
+          Database.mem_fact pred tuple delta.Dred.new_db
+          && not (Database.mem_fact pred tuple t.db))
+        additions
     in
     let deleted =
-      List.length
-        (List.filter
-           (fun (pred, tuple) ->
-             not (Database.mem_fact pred tuple delta.Dred.new_db))
-           removals)
+      count_distinct
+        (fun (pred, tuple) ->
+          not (Database.mem_fact pred tuple delta.Dred.new_db))
+        removals
     in
     t.db <- delta.Dred.new_db;
     t.idb <- delta.Dred.new_idb;
@@ -501,7 +504,11 @@ let handle_batch t lines =
      instead of one per line.  The run's first line answers with the
      combined report (the exact format [handle_line] gives a single line —
      a run of one is byte-identical), the remaining lines acknowledge
-     their fate; any other line flushes the run and is handled alone. *)
+     their fate; any other line flushes the run and is handled alone.  The
+     report counts distinct facts, so a line that repeats an earlier
+     line's fact adds nothing to it and still answers [ok coalesced] —
+     where, sent alone after the first, a repeated delete would be an
+     error and a repeated insert would report [inserted=0]. *)
   let flush run acc =
     match run with
     | None -> acc

@@ -49,8 +49,13 @@ type op =
   | Scan of { access : access; pat : pat array }
   | Const_filter of { access : access; args : term array }
   | Neg_check of { access : access; args : term array }
-  | Exists of { access : access; pat : pat array }
-  | Neg_exists of { access : access; pat : pat array; free : int }
+  | Exists of { access : access; probe : (int * term) option; pat : pat array }
+  | Neg_exists of {
+      access : access;
+      probe : (int * term) option;
+      pat : pat array;
+      free : int;
+    }
   | Compare of { negated : bool; left : term; right : term }
   | Assign of { slot : int; value : term }
   | Enumerate of { slot : int }
@@ -319,11 +324,22 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     in
     (pat, !free)
   in
+  (* The first argument bound before an atom's step: the column whose index
+     bucket a join or an existence check reads, and its key. *)
+  let first_bound args =
+    let rec go i =
+      if i = Array.length args then None
+      else if is_bound args.(i) then Some (i, args.(i))
+      else go (i + 1)
+    in
+    go 0
+  in
   let emit_exists polarity occ pred args =
     let arity = Array.length args in
     let card = size polarity occ pred arity in
     let checks = check_positions args in
     let access = { occ; pred; arity } in
+    let probe = first_bound args in
     let pat, free = exists_pattern args in
     match polarity with
     | `Pos ->
@@ -333,7 +349,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
         Float.min 1.0 (float_of_int card /. (u ** float_of_int checks))
       in
       rows := !rows *. p;
-      push (Exists { access; pat }) !rows
+      push (Exists { access; probe; pat }) !rows
     | `Neg ->
       (* Succeeds unless every instantiation of the free columns is
          present — fail only when the relation covers all [u^free] of
@@ -341,29 +357,25 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
       let p_inst = membership_prob card (checks + free) in
       let all_present = p_inst ** (u ** float_of_int free) in
       rows := !rows *. (1.0 -. all_present);
-      push (Neg_exists { access; pat; free }) !rows
+      push (Neg_exists { access; probe; pat; free }) !rows
   in
   let emit_join occ pred args =
     let arity = Array.length args in
     let card = size `Pos occ pred arity in
     let checks = check_positions args in
     let access = { occ; pred; arity } in
-    (* Probe through the first bound column when one exists; otherwise
-       scan. *)
-    let col = ref (-1) in
-    Array.iteri
-      (fun i t -> if !col < 0 && is_bound t then col := i)
-      args;
     let est =
       !rows *. float_of_int card /. (u ** float_of_int checks)
     in
     rows := est;
-    if !col >= 0 then
-      let key = args.(!col) in
+    (* Probe through the first bound column when one exists; otherwise
+       scan. *)
+    match first_bound args with
+    | Some (col, key) ->
       (* [pattern] binds the fresh slots; the probed column stays a
          (redundant) check in the pattern. *)
-      push (Index_probe { access; col = !col; key; pat = pattern args }) est
-    else push (Scan { access; pat = pattern args }) est
+      push (Index_probe { access; col; key; pat = pattern args }) est
+    | None -> push (Scan { access; pat = pattern args }) est
   in
   (* Cost-based ordering: repeatedly
      1. emit every decided literal (comparisons, then half-bound equality
@@ -759,28 +771,55 @@ let probe prep i args =
   (* Probed, never retained. *)
   Relation.mem (Tuple.unsafe_make scr) prep.p_rels.(i)
 
+(* Walks an existence step's candidate tuples until [f] answers true.  With
+   a bound argument the candidates are that column's index bucket for the
+   bound value; without one, the whole relation.  [counted] bumps the
+   access counters as [Index_probe] and [Scan] do — the bucket entries
+   visited count as probes. *)
+let exists_in ~counted prep i probe f =
+  let rel = prep.p_rels.(i) in
+  match probe with
+  | None ->
+    if counted then bump_scan prep;
+    Relation.exists f rel
+  | Some (col, key) ->
+    if counted then bump_index prep (Relation.has_index rel col);
+    let bucket = Relation.matching col (value prep.p_env key) rel in
+    if not counted then List.exists f bucket
+    else
+      let rec walk n = function
+        | [] ->
+          bump_probes prep n;
+          false
+        | t :: rest ->
+          if f t then begin
+            bump_probes prep (n + 1);
+            true
+          end
+          else walk (n + 1) rest
+      in
+      walk 0 bucket
+
 (* First-witness check of a positive atom: stop at the first tuple
    matching the bound prefix instead of materializing the bindings. *)
-let exists_holds prep i pat =
-  Relation.exists (fun t -> match_pat prep.p_env pat t) prep.p_rels.(i)
+let exists_holds ~counted prep i probe pat =
+  exists_in ~counted prep i probe (fun t -> match_pat prep.p_env pat t)
 
 (* Negated atom whose free columns are dead: succeeds iff some
    instantiation of them is absent, i.e. the bound prefix matches fewer
-   than [u^free] tuples.  [Relation.exists] short-circuits the moment the
-   count saturates the bound, so densely-covered prefixes exit early. *)
-let neg_exists_fails prep i pat free =
+   than [u^free] tuples.  The walk short-circuits the moment the count
+   saturates the bound, so densely-covered prefixes exit early. *)
+let neg_exists_fails ~counted prep i probe pat free =
   let limit = ipow_sat prep.p_usize free in
   limit = 0
   ||
   let count = ref 0 in
-  Relation.exists
-    (fun t ->
+  exists_in ~counted prep i probe (fun t ->
       match_pat prep.p_env pat t
       && begin
            incr count;
            !count >= limit
          end)
-    prep.p_rels.(i)
 
 let agg_better (kind : Ast.limit_kind) a b =
   let c = Symbol.compare_value a b in
@@ -838,9 +877,10 @@ let driving_rows prep =
            true
          | Const_filter { args; _ } -> probe prep i args
          | Neg_check { args; _ } -> not (probe prep i args)
-         | Exists { pat; _ } -> exists_holds prep i pat
-         | Neg_exists { pat; free; _ } ->
-           not (neg_exists_fails prep i pat free)
+         | Exists { probe; pat; _ } ->
+           exists_holds ~counted:false prep i probe pat
+         | Neg_exists { probe; pat; free; _ } ->
+           not (neg_exists_fails ~counted:false prep i probe pat free)
          | Le_check { left; right } ->
            Symbol.compare_value (value env left) (value env right) <= 0
          | Plus_bind { a; b; slot } -> (
@@ -942,15 +982,13 @@ let exec_range prep ~lo ~hi ~on_row =
           rows.(i) <- rows.(i) + 1;
           exec (i + 1)
         end
-      | Exists { pat; _ } ->
-        bump_scan prep;
-        if exists_holds prep i pat then begin
+      | Exists { probe; pat; _ } ->
+        if exists_holds ~counted:true prep i probe pat then begin
           rows.(i) <- rows.(i) + 1;
           exec (i + 1)
         end
-      | Neg_exists { pat; free; _ } ->
-        bump_scan prep;
-        if not (neg_exists_fails prep i pat free) then begin
+      | Neg_exists { probe; pat; free; _ } ->
+        if not (neg_exists_fails ~counted:true prep i probe pat free) then begin
           rows.(i) <- rows.(i) + 1;
           exec (i + 1)
         end
@@ -1185,6 +1223,11 @@ let pp_pat names ppf pat =
   in
   pp_args names ppf (Array.map term_of pat)
 
+let pp_probe names ppf = function
+  | None -> ()
+  | Some (col, key) ->
+    Format.fprintf ppf " via column %d = %a" col (pp_term names) key
+
 let pp_op names ppf = function
   | Index_probe { access; col; key; pat } ->
     Format.fprintf ppf "probe %s%a via column %d = %a" access.pred
@@ -1195,11 +1238,12 @@ let pp_op names ppf = function
     Format.fprintf ppf "filter %s%a" access.pred (pp_args names) args
   | Neg_check { access; args } ->
     Format.fprintf ppf "check !%s%a" access.pred (pp_args names) args
-  | Exists { access; pat } ->
-    Format.fprintf ppf "exists %s%a" access.pred (pp_pat names) pat
-  | Neg_exists { access; pat; free } ->
-    Format.fprintf ppf "exists-missing %s%a (%d free)" access.pred
-      (pp_pat names) pat free
+  | Exists { access; probe; pat } ->
+    Format.fprintf ppf "exists %s%a%a" access.pred (pp_pat names) pat
+      (pp_probe names) probe
+  | Neg_exists { access; probe; pat; free } ->
+    Format.fprintf ppf "exists-missing %s%a%a (%d free)" access.pred
+      (pp_pat names) pat (pp_probe names) probe free
   | Compare { negated; left; right } ->
     Format.fprintf ppf "compare %a %s %a" (pp_term names) left
       (if negated then "!=" else "=")

@@ -30,7 +30,11 @@
     negated one becomes [Neg_exists] (succeed unless the relation covers
     all [u^free] instantiations of the free columns, counted with early
     exit), replacing the enumerate-then-check cascade that cost [u]
-    iterations per free variable.
+    iterations per free variable.  Either check reads the index bucket of
+    its first bound argument, as an [Index_probe] does, and scans only
+    when no argument is bound: DRed's put-back rule
+    [reached(Y) :- reached(Y), r(X, Y)] asks for one witness per
+    overdeleted fact, and a scan per fact would cost the whole of [r].
 
     {b Observed rows.} Plans are immutable apart from a per-plan
     {!feedback} record of observed cardinalities: per-step rows produced
@@ -92,15 +96,25 @@ type op =
   | Scan of { access : access; pat : pat array }
   | Const_filter of { access : access; args : term array }
   | Neg_check of { access : access; args : term array }
-  | Exists of { access : access; pat : pat array }
+  | Exists of { access : access; probe : (int * term) option; pat : pat array }
       (** First-witness membership of a partially bound positive atom
           whose unbound columns are dead: succeeds iff any tuple matches
-          the bound prefix, stopping at the first. *)
-  | Neg_exists of { access : access; pat : pat array; free : int }
+          the bound prefix, stopping at the first.  [probe] is the first
+          argument bound before the step, [(column, key)], as for
+          [Index_probe]: the witnesses are sought in that column's index
+          bucket ({!Relalg.Relation.matching}).  [None] (no bound
+          argument) scans the relation. *)
+  | Neg_exists of {
+      access : access;
+      probe : (int * term) option;
+      pat : pat array;
+      free : int;
+    }
       (** Negated atom with [free] distinct dead columns: succeeds iff
           some instantiation of them is {e absent}, i.e. the bound prefix
           matches fewer than [universe^free] tuples (early exit once the
-          bound is reached). *)
+          bound is reached).  [probe] narrows the count to one index
+          bucket, as for [Exists]. *)
   | Compare of { negated : bool; left : term; right : term }
   | Assign of { slot : int; value : term }
   | Enumerate of { slot : int }

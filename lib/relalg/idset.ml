@@ -82,56 +82,79 @@ let remove k t =
   in
   rmv t
 
+(* The merges below return at once on physically equal operands: two
+   versions of one set that share all but a few paths — a valuation and its
+   successor — merge in time proportional to the paths that differ.  [diff]
+   also gives back its left operand (not a copy) wherever nothing is
+   removed from it, so its result keeps sharing structure with the
+   operand; doing the same in [inter] cost a fifth of its time on
+   unrelated sets. *)
+
 let rec union s t =
-  match (s, t) with
-  | Empty, t | t, Empty -> t
-  | Leaf k, t -> add k t
-  | s, Leaf k -> add k s
-  | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
-    if m = n && p = q then
-      let l = union s0 t0 and r = union s1 t1 in
-      if l == s0 && r == s1 then s else Branch (p, m, l, r)
-    else if m > n && match_prefix q p m then
-      if zero_bit q m then Branch (p, m, union s0 t, s1)
-      else Branch (p, m, s0, union s1 t)
-    else if m < n && match_prefix p q n then
-      if zero_bit p n then Branch (q, n, union s t0, t1)
-      else Branch (q, n, t0, union s t1)
-    else join p s q t
+  if s == t then s
+  else
+    match (s, t) with
+    | Empty, t | t, Empty -> t
+    | Leaf k, t -> add k t
+    | s, Leaf k -> add k s
+    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+      if m = n && p = q then
+        let l = union s0 t0 and r = union s1 t1 in
+        if l == s0 && r == s1 then s else Branch (p, m, l, r)
+      else if m > n && match_prefix q p m then
+        if zero_bit q m then Branch (p, m, union s0 t, s1)
+        else Branch (p, m, s0, union s1 t)
+      else if m < n && match_prefix p q n then
+        if zero_bit p n then Branch (q, n, union s t0, t1)
+        else Branch (q, n, t0, union s t1)
+      else join p s q t
 
 let rec inter s t =
-  match (s, t) with
-  | Empty, _ | _, Empty -> Empty
-  | Leaf k, t -> if mem k t then s else Empty
-  | s, Leaf k -> if mem k s then t else Empty
-  | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
-    if m = n then
-      if p = q then branch p m (inter s0 t0) (inter s1 t1) else Empty
-    else if m > n then
-      if match_prefix q p m then inter (if zero_bit q m then s0 else s1) t
+  if s == t then s
+  else
+    match (s, t) with
+    | Empty, _ | _, Empty -> Empty
+    | Leaf k, t -> if mem k t then s else Empty
+    | s, Leaf k -> if mem k s then t else Empty
+    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+      if m = n then
+        if p = q then branch p m (inter s0 t0) (inter s1 t1) else Empty
+      else if m > n then
+        if match_prefix q p m then inter (if zero_bit q m then s0 else s1) t
+        else Empty
+      else if match_prefix p q n then
+        inter s (if zero_bit p n then t0 else t1)
       else Empty
-    else if match_prefix p q n then
-      inter s (if zero_bit p n then t0 else t1)
-    else Empty
 
 let rec diff s t =
-  match (s, t) with
-  | Empty, _ -> Empty
-  | s, Empty -> s
-  | Leaf k, t -> if mem k t then Empty else s
-  | s, Leaf k -> remove k s
-  | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
-    if m = n then
-      if p = q then branch p m (diff s0 t0) (diff s1 t1) else s
-    else if m > n then
-      if match_prefix q p m then
-        if zero_bit q m then branch p m (diff s0 t) s1
-        else branch p m s0 (diff s1 t)
+  if s == t then Empty
+  else
+    match (s, t) with
+    | Empty, _ -> Empty
+    | s, Empty -> s
+    | Leaf k, t -> if mem k t then Empty else s
+    | s, Leaf k -> remove k s
+    | Branch (p, m, s0, s1), Branch (q, n, t0, t1) ->
+      if m = n then
+        if p = q then
+          let l = diff s0 t0 and r = diff s1 t1 in
+          if l == s0 && r == s1 then s else branch p m l r
+        else s
+      else if m > n then
+        if match_prefix q p m then
+          if zero_bit q m then
+            let l = diff s0 t in
+            if l == s0 then s else branch p m l s1
+          else
+            let r = diff s1 t in
+            if r == s1 then s else branch p m s0 r
+        else s
+      else if match_prefix p q n then diff s (if zero_bit p n then t0 else t1)
       else s
-    else if match_prefix p q n then diff s (if zero_bit p n then t0 else t1)
-    else s
 
 let rec subset s t =
+  s == t
+  ||
   match (s, t) with
   | Empty, _ -> true
   | _, Empty -> false

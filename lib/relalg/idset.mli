@@ -28,6 +28,12 @@ val add : int -> t -> t
 
 val remove : int -> t -> t
 
+(** The merges below return at once on physically equal operands (or
+    subtrees): two versions of one set that share all but a few paths
+    merge in time proportional to the paths that differ.  [diff s t]
+    returns [s] itself when nothing is removed, and otherwise shares every
+    untouched subtree of [s]. *)
+
 val union : t -> t -> t
 
 val inter : t -> t -> t

@@ -87,6 +87,46 @@ let extend_indexes parent fresh =
       Option.map (fun idx -> List.fold_left (index_add pos) idx fresh) o)
     parent.indexes
 
+(* [parent]'s built indexes without the tuples of [gone] (ids, all members
+   of [parent]).  Each touched bucket is filtered once, testing its entries
+   against [gone]: the cost is the removed tuples plus the entries of the
+   buckets they sit in, never removed tuples times bucket size. *)
+let shrink_indexes parent gone =
+  let stays t =
+    match Store.find t with Some id -> not (Idset.mem id gone) | None -> true
+  in
+  Array.mapi
+    (fun pos o ->
+      Option.map
+        (fun idx ->
+          let keys =
+            List.sort_uniq Symbol.compare
+              (Idset.fold (fun id acc -> Store.get id pos :: acc) gone [])
+          in
+          List.fold_left
+            (fun idx key ->
+              SMap.update key
+                (function
+                  | None -> None
+                  | Some bucket -> (
+                    match List.filter stays bucket with
+                    | [] -> None
+                    | kept -> Some kept))
+                idx)
+            idx keys)
+        o)
+    parent.indexes
+
+(* [r] without the [n] tuples [gone] (ids, all members of [r]), leaving the
+   ids [ids].  The built indexes follow the removal when fewer tuples leave
+   than stay; otherwise a lazy rebuild costs no more than the removal, and
+   the indexes start over. *)
+let shrink r ids ~n gone =
+  let card = r.card - n in
+  if n < card then
+    { arity = r.arity; ids; card; indexes = shrink_indexes r gone }
+  else make_t r.arity ids card
+
 (* --- construction ------------------------------------------------------- *)
 
 let add t r =
@@ -102,10 +142,9 @@ let add t r =
 
 let remove t r =
   match Store.find t with
-  | None -> r
-  | Some id ->
-    if Idset.mem id r.ids then make_t r.arity (Idset.remove id r.ids) (r.card - 1)
-    else r
+  | Some id when Idset.mem id r.ids ->
+    shrink r (Idset.remove id r.ids) ~n:1 (Idset.singleton id)
+  | _ -> r
 
 let singleton t = add t (empty (Tuple.arity t))
 
@@ -297,12 +336,30 @@ let inter r1 r2 =
     let ids = Idset.inter r1.ids r2.ids in
     make_t r1.arity ids (Idset.cardinal ids)
 
+(* The count comes from whichever side of the split is known small.  When
+   [r2] is at most half of [r1], the removed tuples are [r2]'s members in
+   [r1] (an intersection that follows [r2]'s paths) and their count is
+   subtracted, so taking a small deletion out of a large valuation never
+   walks what stays.  Otherwise the result is counted: it is no larger
+   than [r1] and, on two versions of one valuation (DRed's old and new
+   models), it is the small delta between them — which the [Idset] merges
+   reach along the changed paths only. *)
 let diff r1 r2 =
   same_arity "diff" r1 r2;
   if is_empty r1 || is_empty r2 then r1
+  else if 2 * r2.card <= r1.card then
+    let gone = Idset.inter r2.ids r1.ids in
+    if Idset.is_empty gone then r1
+    else
+      shrink r1 (Idset.diff r1.ids gone) ~n:(Idset.cardinal gone) gone
   else
     let ids = Idset.diff r1.ids r2.ids in
-    make_t r1.arity ids (Idset.cardinal ids)
+    if ids == r1.ids then r1
+    else
+      let n = r1.card - Idset.cardinal ids in
+      if n < r1.card - n && Array.exists Option.is_some r1.indexes then
+        shrink r1 ids ~n (Idset.diff r1.ids ids)
+      else make_t r1.arity ids (r1.card - n)
 
 let subset r1 r2 =
   same_arity "subset" r1 r2;
@@ -457,7 +514,12 @@ let project positions r =
 
 let select = filter
 
-let select_eq i c r = filter (fun t -> Symbol.equal (Tuple.get t i) c) r
+let select_eq i c r =
+  (* The bucket's tuples are interned already: look their ids up instead of
+     interning them again. *)
+  of_ids r.arity
+    (Array.of_list
+       (List.map (fun t -> Option.get (Store.find t)) (matching i c r)))
 
 let join_positions eqs r1 r2 =
   let rows =

@@ -12,12 +12,21 @@
 
     Every relation additionally carries memoized per-column hash indexes
     (see {!matching}): a column's index is built at most once per value of
-    the relation, and {!add}, {!add_all} and {!union} maintain
-    already-built indexes incrementally — unioning a delta into an indexed
-    relation costs O(|delta|) per built column instead of a full rebuild.
-    Indexes are held in persistent maps, so sharing them across derived
-    relations is safe, including across domains (a racy lazy build at worst
-    duplicates work, never corrupts).
+    the relation, and a relation derived from an indexed one inherits its
+    built indexes, kept up to date with the change:
+    - {!add}, {!add_all} and {!union} add the fresh tuples — unioning a
+      delta into an indexed relation costs O(|delta|) per built column
+      instead of a full rebuild;
+    - {!remove} and {!diff} take the removed tuples out, filtering each
+      touched bucket once, whenever fewer tuples leave than stay (when
+      more leave, the indexes start over lazily: a rebuild then costs no
+      more than the removal);
+    - {!inter}, {!filter}, {!map} and the bulk constructors start lazy.
+    So a served model keeps its indexes through every update batch, and
+    a batch pays for the tuples it changes, not for the relations it
+    touches.  Indexes are held in persistent maps, so sharing them across
+    derived relations is safe, including across domains (a racy lazy
+    build at worst duplicates work, never corrupts).
 
     Iteration order ({!iter}, {!fold}) is intern order: deterministic, but
     not tuple order.  {!to_list} (and hence {!pp}) sorts. *)
@@ -56,6 +65,9 @@ val add : Tuple.t -> t -> t
     relation's. *)
 
 val remove : Tuple.t -> t -> t
+(** [remove t r] is [r] without [t] ([r] itself when [t] is absent).  The
+    built column indexes lose [t] too, unless [r] held two tuples or fewer
+    (see the module preamble). *)
 
 val singleton : Tuple.t -> t
 
@@ -112,6 +124,13 @@ val union : t -> t -> t
 val inter : t -> t -> t
 
 val diff : t -> t -> t
+(** [diff r1 r2] is [r1] without the tuples of [r2].  The cost follows the
+    change, not the result: when [r2] is at most half of [r1], the removed
+    tuples are found among [r2]'s and their count subtracted; otherwise
+    the result is counted, which on two versions of one relation (sharing
+    all but a few paths) is the small delta between them.  [r1]'s built
+    indexes lose the removed tuples when fewer leave than stay, and are
+    rebuilt lazily otherwise.  [r1] itself when nothing is removed. *)
 
 val subset : t -> t -> bool
 (** [subset r1 r2] is true when every tuple of [r1] is in [r2]. *)
@@ -175,12 +194,18 @@ val select : (Tuple.t -> bool) -> t -> t
 (** Synonym of {!filter}, relational-algebra flavour. *)
 
 val select_eq : int -> Symbol.t -> t -> t
-(** [select_eq i c r] keeps tuples whose [i]-th component is [c]. *)
+(** [select_eq i c r] keeps tuples whose [i]-th component is [c]: the
+    column-[i] bucket of [c] ({!matching}), turned into a relation through
+    the tuples' store ids ({!Store.find}) without interning anything.  The
+    cost is the answer's size once the index is built.
+    @raise Invalid_argument if [i] is outside the arity. *)
 
 val matching : int -> Symbol.t -> t -> Tuple.t list
 (** [matching pos c r] is the list of tuples of [r] whose component [pos]
     equals [c], served from the memoized column index (built on first use,
-    then reused and extended incrementally by {!add}/{!add_all}/{!union}).
+    then reused, and carried to the relations derived from [r] by
+    {!add}/{!add_all}/{!union}/{!remove}/{!diff} — see the module
+    preamble).  The list is in no particular order and has no duplicates.
     @raise Invalid_argument if [pos] is outside the arity. *)
 
 val has_index : t -> int -> bool

@@ -408,6 +408,31 @@ let test_relation_index_incremental () =
     (List.length (Relation.matching 0 (sym "a") u));
   check int "matching c after union" 1
     (List.length (Relation.matching 0 (sym "c") u));
+  (* Removal takes the tuple out of the built index when fewer tuples
+     leave than stay, instead of dropping the index. *)
+  let shrunk = Relation.remove (tup "a" "b") u in
+  check bool "index kept through remove" true (Relation.has_index shrunk 0);
+  check int "matching a after remove" 3
+    (List.length (Relation.matching 0 (sym "a") shrunk));
+  check int "union unchanged by remove" 4
+    (List.length (Relation.matching 0 (sym "a") u));
+  (* So does a difference, whose emptied buckets disappear. *)
+  let d =
+    Relation.diff shrunk
+      (Relation.of_list 2 [ tup "c" "a"; tup "a" "c"; tup "z" "z" ])
+  in
+  check bool "index kept through diff" true (Relation.has_index d 0);
+  check int "cardinal after diff" 3 (Relation.cardinal d);
+  check int "matching a after diff" 2
+    (List.length (Relation.matching 0 (sym "a") d));
+  check int "matching c after diff" 0
+    (List.length (Relation.matching 0 (sym "c") d));
+  (* When more tuples leave than stay, the index starts over lazily. *)
+  let gutted = Relation.diff u (Relation.remove (tup "b" "c") u) in
+  check bool "index dropped when most tuples leave" false
+    (Relation.has_index gutted 0);
+  check int "what is left" 1
+    (List.length (Relation.matching 0 (sym "b") gutted));
   (* A derived relation with different tuples must not share stale
      indexes. *)
   let filtered = Relation.filter (fun t -> Tuple.get t 0 = sym "a") u in

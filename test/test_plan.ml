@@ -295,6 +295,58 @@ let test_pp_mentions_estimates () =
   Alcotest.(check bool) "pp shows estimates" true (contains text "est");
   Alcotest.(check bool) "pp shows the projection" true (contains text "project")
 
+(* --- existence checks probe a bound column ------------------------------- *)
+
+(* DRed's put-back rule for [reached] asks for one witness per overdeleted
+   fact.  The check reads the index bucket of its bound column, counted as
+   an index probe (a build, then hits) with the bucket entries it visits,
+   never as a full scan; only a check with no bound argument scans. *)
+let test_exists_probes () =
+  let rule src = List.hd (Parser.parse_program_exn src).Ast.rules in
+  let compile r = Plan.compile ~sizes:(fun _ _ -> 8) ~universe_size:8 r in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let putback = compile (rule "reached(Y) :- reached(Y), r(X, Y).") in
+  Alcotest.(check bool) "explain names the probed column" true
+    (contains (Plan.to_string putback) "exists r(X, Y) via column 1 = Y");
+  Alcotest.(check bool) "a negated check probes too" true
+    (contains
+       (Plan.to_string (compile (rule "u(X) :- v(X), !r(X, Y).")))
+       "exists-missing r(X, Y) via column 0 = X (1 free)");
+  Alcotest.(check bool) "no bound argument: a scan" true
+    (contains
+       (Plan.to_string (compile (rule "t(Z) :- !q(U), !t(W).")))
+       "exists-missing q(U) (1 free)");
+  let sym = Relalg.Symbol.intern in
+  let rel k rows = Relalg.Relation.of_list k (List.map Tuple.of_strings rows) in
+  let rels =
+    [
+      ("reached", rel 1 [ [ "b" ]; [ "d" ] ]);
+      ("r", rel 2 [ [ "a"; "b" ]; [ "c"; "b" ]; [ "a"; "c" ] ]);
+    ]
+  in
+  let resolver _ = { Plan.find = (fun p _ -> List.assoc p rels) } in
+  let counters = Plan.counters () in
+  let found = ref [] in
+  Plan.run ~counters ~resolver
+    ~universe:(List.map sym [ "a"; "b"; "c"; "d" ])
+    putback
+    ~on_row:(fun env -> found := Plan.head_tuple putback env :: !found);
+  Alcotest.(check (list string)) "one witness found" [ "(b)" ]
+    (List.map Tuple.to_string !found);
+  Alcotest.(check int) "only the driving step scans" 1
+    counters.Plan.full_scans;
+  Alcotest.(check int) "the first probe builds the index" 1
+    counters.Plan.index_builds;
+  Alcotest.(check int) "the second hits it" 1 counters.Plan.index_hits;
+  Alcotest.(check int) "one bucket entry visited" 1
+    counters.Plan.bucket_probes
+
 let () =
   Alcotest.run "plan"
     [
@@ -310,6 +362,8 @@ let () =
           Alcotest.test_case "plan shapes (neg check, enumerate, probes)"
             `Quick test_plan_shapes;
           Alcotest.test_case "pp output" `Quick test_pp_mentions_estimates;
+          Alcotest.test_case "existence checks probe" `Quick
+            test_exists_probes;
         ] );
       ( "theta-orbits",
         [

@@ -204,18 +204,38 @@ let arb_id_lists =
         (list_size (int_range 0 40) (int_range 0 200))
         (list_size (int_range 0 40) (int_range 0 200)))
 
+(* Two independent sets, plus edits (add when [true], remove otherwise)
+   that derive a version of the first sharing all its untouched paths. *)
+let arb_id_lists_edits =
+  QCheck.make
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 0 40) (int_range 0 200))
+        (list_size (int_range 0 40) (int_range 0 200))
+        (list_size (int_range 0 6) (pair bool (int_range 0 200))))
+
 let prop_idset_model =
   QCheck.Test.make ~name:"Idset ops agree with Set.Make(Int)" ~count:300
-    arb_id_lists (fun (l1, l2) ->
+    arb_id_lists_edits (fun (l1, l2, edits) ->
       let module IS = Set.Make (Int) in
-      let s1 = Idset.of_list l1 and s2 = Idset.of_list l2 in
-      let m1 = IS.of_list l1 and m2 = IS.of_list l2 in
-      let same s m = Idset.elements s = IS.elements m in
-      same (Idset.union s1 s2) (IS.union m1 m2)
-      && same (Idset.inter s1 s2) (IS.inter m1 m2)
-      && same (Idset.diff s1 s2) (IS.diff m1 m2)
-      && Idset.subset s1 s2 = IS.subset m1 m2
-      && Idset.equal s1 s2 = IS.equal m1 m2)
+      let agree (s1, m1) (s2, m2) =
+        let same s m = Idset.elements s = IS.elements m in
+        same (Idset.union s1 s2) (IS.union m1 m2)
+        && same (Idset.inter s1 s2) (IS.inter m1 m2)
+        && same (Idset.diff s1 s2) (IS.diff m1 m2)
+        && Idset.subset s1 s2 = IS.subset m1 m2
+        && Idset.equal s1 s2 = IS.equal m1 m2
+      in
+      let edit (s, m) (add, k) =
+        if add then (Idset.add k s, IS.add k m)
+        else (Idset.remove k s, IS.remove k m)
+      in
+      let a = (Idset.of_list l1, IS.of_list l1) in
+      let b = (Idset.of_list l2, IS.of_list l2) in
+      let a' = List.fold_left edit a edits in
+      (* Independent operands, a set and a version of it (both ways
+         round), and a set paired with itself. *)
+      agree a b && agree a a' && agree a' a && agree a a)
 
 let prop_idset_compare =
   QCheck.Test.make ~name:"Idset compare is consistent with equal" ~count:300
@@ -651,6 +671,146 @@ let prop_tuple_compare_total =
       let c12 = Tuple.compare t1 t2 and c21 = Tuple.compare t2 t1 in
       (c12 = 0 && c21 = 0 && Tuple.equal t1 t2) || c12 * c21 < 0)
 
+(* Column indexes maintained through a run of operations equal indexes
+   built fresh: every step starts from a relation indexed on every column
+   (the previous check built them all), so [add]/[union] extend them and
+   [remove]/[diff]/[tighten] take tuples out of them.  After a removal that
+   leaves more tuples than it takes, the indexes must still be built — a
+   silent fall-back to lazy rebuilds fails the property. *)
+type rel_step =
+  | Add of Tuple.t
+  | Add_all of Tuple.t list
+  | Remove of Tuple.t
+  | Remove_nth of int
+  | Union of Tuple.t list
+  | Diff of Tuple.t list
+  | Diff_version of int * Tuple.t list
+      (** Diff with a version of the relation itself: its [n]th tuple
+          removed, the list added. *)
+  | Inter of Tuple.t list
+  | Filter of int
+  | Tighten of bool * int * Tuple.t list
+
+let index_universe = 4
+
+let pp_rel_step =
+  let tl ts = String.concat " " (List.map Tuple.to_string ts) in
+  function
+  | Add t -> "add " ^ Tuple.to_string t
+  | Add_all ts -> "add_all " ^ tl ts
+  | Remove t -> "remove " ^ Tuple.to_string t
+  | Remove_nth n -> Printf.sprintf "remove #%d" n
+  | Union ts -> "union " ^ tl ts
+  | Diff ts -> "diff " ^ tl ts
+  | Diff_version (n, ts) -> Printf.sprintf "diff version -#%d +%s" n (tl ts)
+  | Inter ts -> "inter " ^ tl ts
+  | Filter k -> Printf.sprintf "filter col0 <> %d" k
+  | Tighten (min, col, ts) ->
+    Printf.sprintf "tighten %s@%d %s" (if min then "min" else "max") col (tl ts)
+
+let arb_index_run =
+  let open QCheck.Gen in
+  let gen =
+    let* arity = int_range 1 3 in
+    let tuple =
+      list_size (return arity) (int_range 0 (index_universe - 1))
+      >|= Tuple.of_ints
+    in
+    let tuples = list_size (int_range 0 12) tuple in
+    let step =
+      frequency
+        [
+          (2, map (fun t -> Add t) tuple);
+          (2, map (fun ts -> Add_all ts) tuples);
+          (2, map (fun t -> Remove t) tuple);
+          (3, map (fun n -> Remove_nth n) (int_range 0 100));
+          (2, map (fun ts -> Union ts) tuples);
+          (3, map (fun ts -> Diff ts) tuples);
+          ( 3,
+            map2
+              (fun n ts -> Diff_version (n, ts))
+              (int_range 0 100)
+              (list_size (int_range 0 3) tuple) );
+          (1, map (fun ts -> Inter ts) tuples);
+          (1, map (fun k -> Filter k) (int_range 0 (index_universe - 1)));
+          ( 2,
+            map3
+              (fun min col ts -> Tighten (min, col, ts))
+              bool
+              (int_range 0 (arity - 1))
+              tuples );
+        ]
+    in
+    let* init = list_size (int_range 0 30) tuple in
+    let* steps = list_size (int_range 1 12) step in
+    return (arity, init, steps)
+  in
+  QCheck.make gen ~print:(fun (arity, init, steps) ->
+      Printf.sprintf "arity %d, %d initial tuples: %s" arity (List.length init)
+        (String.concat "; " (List.map pp_rel_step steps)))
+
+let prop_maintained_indexes =
+  QCheck.Test.make ~name:"maintained indexes equal fresh ones" ~count:300
+    arb_index_run (fun (arity, init, steps) ->
+      let syms = List.init index_universe Symbol.of_int in
+      let columns = List.init arity Fun.id in
+      let consistent r =
+        let all = Relation.to_list r in
+        Relation.cardinal r = List.length all
+        && List.for_all
+             (fun col ->
+               List.for_all
+                 (fun c ->
+                   List.equal Tuple.equal
+                     (List.sort Tuple.compare (Relation.matching col c r))
+                     (List.filter
+                        (fun t -> Symbol.equal (Tuple.get t col) c)
+                        all))
+                 syms)
+             columns
+      in
+      let of_list ts = Relation.of_list arity ts in
+      let remove_nth n r =
+        match Relation.to_list r with
+        | [] -> r
+        | all -> Relation.remove (List.nth all (n mod List.length all)) r
+      in
+      let step r = function
+        | Add t -> Relation.add t r
+        | Add_all ts -> Relation.add_all ts r
+        | Remove t -> Relation.remove t r
+        | Remove_nth n -> remove_nth n r
+        | Union ts -> Relation.union r (of_list ts)
+        | Diff ts -> Relation.diff r (of_list ts)
+        | Diff_version (n, ts) ->
+          Relation.diff r (Relation.add_all ts (remove_nth n r))
+        | Inter ts -> Relation.inter r (of_list ts)
+        | Filter k ->
+          let c = Symbol.of_int k in
+          Relation.filter (fun t -> not (Symbol.equal (Tuple.get t 0) c)) r
+        | Tighten (min, col, ts) ->
+          let kind = if min then `Min else `Max in
+          fst (Relation.tighten ~kind ~col r (of_list ts))
+      in
+      let removes = function
+        | Remove _ | Remove_nth _ | Diff _ | Diff_version _ -> true
+        | Add _ | Add_all _ | Union _ | Inter _ | Filter _ | Tighten _ -> false
+      in
+      let r0 = of_list init in
+      consistent r0
+      && snd
+           (List.fold_left
+              (fun (r, ok) st ->
+                let r' = step r st in
+                let left = Relation.cardinal r - Relation.cardinal r' in
+                let kept_indexes =
+                  (not (removes st))
+                  || left >= Relation.cardinal r'
+                  || List.for_all (Relation.has_index r') columns
+                in
+                (r', ok && kept_indexes && consistent r'))
+              (r0, true) steps))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -660,6 +820,7 @@ let qcheck_tests =
       prop_idset_model;
       prop_idset_compare;
       prop_set_algebra_model;
+      prop_maintained_indexes;
     ]
 
 let () =

@@ -306,6 +306,59 @@ let test_batch_coalescing () =
       (contains ~needle:"coalesced" del2)
   | _ -> Alcotest.fail "quit must end the batch before the query"
 
+(* --- delta-proportional upkeep -------------------------------------------- *)
+
+(* 256 disjoint 8-vertex components, the served benchmark's shape: each a
+   cycle with one chord, so the model holds 16,384 [r] facts and a delete
+   over-deletes and re-derives within its component.  Once warm-up writes
+   have compiled every plan and built every index those plans read, a
+   one-fact delete in another component and its re-insert build no index:
+   the column indexes follow DRed's removals instead of being rebuilt over
+   the whole relation.  (A counter, not a timing.) *)
+let test_delta_builds_no_index () =
+  let components = 256 and size = 8 in
+  let component = Digraph.add_edge (Generate.cycle size) 0 (size / 2) in
+  let n = components * size in
+  let db =
+    with_vertices
+      (Digraph.to_database (Generate.disjoint_copies components component))
+      n
+  in
+  let t = ok_or_fail (Serve.create reach db) in
+  check bool "a model of at least 10k tuples" true
+    (Idb.total_cardinal (Serve.snapshot t) >= 10_000);
+  let builds () =
+    (Serve.stats t).Evallib.Stats.plan.Planlib.Plan.index_builds
+  in
+  let cycle_edge c = edge ((c * size) + 5) ((c * size) + 6) in
+  List.iter
+    (fun c ->
+      ignore (ok_or_fail (Serve.delete t [ cycle_edge c ]));
+      ignore (ok_or_fail (Serve.insert t [ cycle_edge c ])))
+    [ 0; 1 ];
+  let before = builds () in
+  let r = ok_or_fail (Serve.delete t [ cycle_edge 9 ]) in
+  check bool "the delete over-deleted" true (r.Serve.overdeleted > 0);
+  check int "a one-fact delete builds no index" before (builds ());
+  let cut = (9 * size) + 6 in
+  let answer =
+    ok_or_fail (Serve.query t (goal (Printf.sprintf "r(v%d, Y)" cut)))
+  in
+  let plain =
+    Relation.filter
+      (fun tu -> Relalg.Symbol.equal (Tuple.get tu 0) (vsym cut))
+      (Idb.get (Serve.snapshot t) "r")
+  in
+  check bool "a point query = a filter of the model" true
+    (Relation.equal answer plain);
+  check int "the cut's head still reaches the other seven vertices"
+    (size - 1) (Relation.cardinal answer);
+  ignore (ok_or_fail (Serve.insert t [ cycle_edge 9 ]));
+  check int "its re-insert builds none" before (builds ());
+  check bool "the model is recomputation's" true
+    (Idb.equal (Serve.snapshot t)
+       (Stratified.eval_exn reach (Serve.database t)))
+
 (* --- differential oracle ---------------------------------------------------
    Random op sequences through the incremental path vs from-scratch
    stratified saturation: after every batch the fingerprints must agree. *)
@@ -417,6 +470,8 @@ let () =
             test_snapshot_isolation;
           Alcotest.test_case "protocol" `Quick test_protocol;
           Alcotest.test_case "batch coalescing" `Quick test_batch_coalescing;
+          Alcotest.test_case "a delta builds no index" `Quick
+            test_delta_builds_no_index;
         ] );
       ("oracle", List.map QCheck_alcotest.to_alcotest differential_props);
     ]
