@@ -777,7 +777,8 @@ let executor_words_per_row () =
   let universe = Database.universe db in
   let rule = List.nth tc_program.Ast.rules 1 in
   let plan =
-    Engine.plan_rule ~universe_size:(List.length universe) ~resolver rule
+    Engine.plan_rule ~universe_size:(fun () -> List.length universe)
+      ~resolver rule
   in
   let rows = ref 0 in
   let run () =

@@ -254,11 +254,11 @@ let apply ?engine ?cache ?stats ?pool ?(who = "Dred.apply") p db
            (not (Database.mem_fact pred tuple db)) || FactSet.mem f removed)
   in
   (* --- the new database ------------------------------------------------ *)
+  (* Each removal costs its own fact: the facts that stay are not
+     re-checked against the universe. *)
   let new_db =
     List.fold_left
-      (fun d (pred, tuple) ->
-        let r = Database.relation_or_empty ~arity:(Tuple.arity tuple) pred d in
-        Database.set_relation pred (Relation.remove tuple r) d)
+      (fun d (pred, tuple) -> Database.remove_fact pred tuple d)
       db removals
   in
   let new_db =
@@ -267,9 +267,19 @@ let apply ?engine ?cache ?stats ?pool ?(who = "Dred.apply") p db
         Database.add_fact pred tuple (Database.add_universe (Tuple.to_list tuple) d))
       new_db additions
   in
+  (* Removals never shrink the universe, so it grew exactly when an added
+     fact brought a constant from outside it — read off the batch, not by
+     listing both universes. *)
+  let universe_grew =
+    List.exists
+      (fun (_, tuple) ->
+        List.exists
+          (fun c -> not (Database.in_universe c db))
+          (Tuple.to_list tuple))
+      additions
+  in
   let old_u = Database.universe db in
-  let new_u = Database.universe new_db in
-  let universe_grew = List.length new_u > List.length old_u in
+  let new_u = if universe_grew then Database.universe new_db else old_u in
   let cache = match cache with Some c -> c | None -> Planlib.Cache.create () in
   let opts = { cache; stats } in
   let full_schema = Idb.schema current in

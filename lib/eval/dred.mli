@@ -34,10 +34,17 @@
     the changed paths ({!Relalg.Idset}), and the put-back rule's existence
     check probes a bound column instead of scanning — so after its first
     batches a server builds no index at all (the plan counters'
-    [index_builds]).  The result
+    [index_builds]).  The bookkeeping around the phases is the batch's
+    too: a removal takes its fact out with {!Relalg.Database.remove_fact},
+    without re-checking the facts that stay; whether the universe grew is
+    read off the added facts' constants; the universe is listed once per
+    batch (twice when it grew); and a rule application counts the
+    universe only when its plan compiles or enumerates it
+    ({!Planlib.Cache.find}, {!Planlib.Plan.run}).  The result
     equals recomputation on the new database — the test suite checks this
     against from-scratch saturation on random instances and update
-    sequences. *)
+    sequences, and checks [new_db] against a database built afresh from
+    the final facts. *)
 
 type delta = {
   new_db : Relalg.Database.t;

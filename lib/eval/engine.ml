@@ -36,7 +36,8 @@ let plan_rule ?cache ?variant ?label ?(limits = []) ?stats
     (match counters with
     | Some c -> c.Plan.plan_compiles <- c.Plan.plan_compiles + 1
     | None -> ());
-    Plan.compile ?variant ?label ~limits ~sizes ~universe_size rule
+    Plan.compile ?variant ?label ~limits ~sizes
+      ~universe_size:(universe_size ()) rule
 
 let run_plan ?stats ~universe ~resolver plan =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
@@ -128,7 +129,8 @@ let run_plan_sharded ?stats ~pool ~universe ~resolver plan =
 let eval_rule ?cache ?variant ?stats ~universe ~resolver rule =
   let plan =
     plan_rule ?cache ?variant ?stats
-      ~universe_size:(List.length universe) ~resolver rule
+      ~universe_size:(fun () -> List.length universe)
+      ~resolver rule
   in
   run_plan ?stats ~universe ~resolver plan
 

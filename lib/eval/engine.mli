@@ -52,12 +52,14 @@ val plan_rule :
   ?label:string ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?stats:Stats.t ->
-  universe_size:int ->
+  universe_size:(unit -> int) ->
   resolver:resolver ->
   Datalog.Ast.rule ->
   Planlib.Plan.t
 (** The rule's plan, fetched from [cache] when given (compiled otherwise),
-    with cardinalities for the cost model read through [resolver].  Fetch
+    with cardinalities for the cost model read through [resolver] and the
+    universe's size from [universe_size], which is called only to compile
+    ({!Planlib.Cache.find}).  Fetch
     plans {e before} fanning applications across domains — the cache is not
     synchronised (see {!Saturate}).  [limits] (the program's limit
     declarations) makes plans for limit-head rules close with the

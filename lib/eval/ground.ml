@@ -108,7 +108,9 @@ let ground ?(keep = []) ?cache (p : Datalog.Ast.program) db =
     let plan =
       match cache with
       | Some cache ->
-        Planlib.Cache.find ~label cache ~sizes ~universe_size pseudo
+        Planlib.Cache.find ~label cache ~sizes
+          ~universe_size:(fun () -> universe_size)
+          pseudo
       | None ->
         Planlib.Plan.compile ~label ~sizes ~universe_size pseudo
     in

@@ -59,7 +59,7 @@ type task = {
 }
 
 let rule_tasks ~cache ~limits ~stats ~universe spec =
-  let universe_size = List.length universe in
+  let universe_size () = List.length universe in
   List.map
     (fun ((rule : Datalog.Ast.rule), variant, resolver) ->
       let shard = Option.map (fun _ -> Stats.create ()) stats in

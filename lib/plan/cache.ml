@@ -60,7 +60,10 @@ let find ?counters ?(variant = Plan.Full) ?label ?(limits = []) cache ~sizes
     plan
   | _ ->
     bump_compile counters;
-    let plan = Plan.compile ~variant ?label ~limits ~sizes ~universe_size rule in
+    let plan =
+      Plan.compile ~variant ?label ~limits ~sizes
+        ~universe_size:(universe_size ()) rule
+    in
     H.replace cache key plan;
     plan
 

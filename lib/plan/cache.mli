@@ -27,11 +27,13 @@ val find :
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   t ->
   sizes:(Plan.occurrence -> int -> int) ->
-  universe_size:int ->
+  universe_size:(unit -> int) ->
   Datalog.Ast.rule ->
   Plan.t
 (** The cached plan, recompiled (and re-cached) as the policy above
-    dictates.  [counters], when given, accumulates compiles and hits.
+    dictates.  [universe_size] is called only to compile, so a hit does
+    not count the universe.  [counters], when given, accumulates compiles
+    and hits.
     [limits] is forwarded to {!Plan.compile}; the head predicate's limit
     (when any) is part of the cache key, so plans with and without
     tightening steps for the same rule coexist. *)

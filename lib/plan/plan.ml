@@ -647,7 +647,7 @@ type prepared = {
   p_plan : t;
   p_counters : counters option;
   p_universe : Symbol.t list;
-  p_usize : int;
+  p_usize : int;  (** 0 unless a step reads it (see {!prepare}). *)
   p_env : Symbol.t array;
   p_rels : Relation.t array;
   p_scratch : Symbol.t array array;
@@ -666,6 +666,9 @@ let prepare ?counters ~resolver ~universe plan =
   let env = Array.make (max plan.nslots 1) dummy in
   let rels = Array.make (max nsteps 1) (Relation.empty 0) in
   let scratch = Array.make (max nsteps 1) [||] in
+  (* Only [Enumerate] and a [Neg_exists] with free columns read the
+     universe's size; other plans do not walk the list to count it. *)
+  let reads_usize = ref false in
   Array.iteri
     (fun i st ->
       match st.op with
@@ -684,7 +687,8 @@ let prepare ?counters ~resolver ~universe plan =
           (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
             .find access.pred access.arity;
         scratch.(i) <- Array.make access.arity dummy
-      | Neg_exists { access; _ } ->
+      | Neg_exists { access; free; _ } ->
+        if free > 0 then reads_usize := true;
         rels.(i) <-
           (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
             .find access.pred access.arity
@@ -695,8 +699,9 @@ let prepare ?counters ~resolver ~universe plan =
         rels.(i) <-
           (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
             .find access.pred access.arity
-      | Compare _ | Assign _ | Enumerate _ | Le_check _ | Plus_bind _
-      | Plus_check _ | Tighten_emit _ ->
+      | Enumerate _ -> reads_usize := true
+      | Compare _ | Assign _ | Le_check _ | Plus_bind _ | Plus_check _
+      | Tighten_emit _ ->
         ())
     steps;
   let driving = ref (-1) in
@@ -714,7 +719,7 @@ let prepare ?counters ~resolver ~universe plan =
     p_plan = plan;
     p_counters = counters;
     p_universe = universe;
-    p_usize = List.length universe;
+    p_usize = (if !reads_usize then List.length universe else 0);
     p_env = env;
     p_rels = rels;
     p_scratch = scratch;

@@ -55,6 +55,14 @@ let add_fact name t db =
   let r = relation_or_empty ~arity:(Tuple.arity t) name db in
   { db with relations = SMap.add name (Relation.add t r) db.relations }
 
+(* Removal checks nothing: taking a tuple away cannot bring in a constant
+   outside the universe. *)
+let remove_fact name t db =
+  match relation name db with
+  | Some r ->
+    { db with relations = SMap.add name (Relation.remove t r) db.relations }
+  | None -> db
+
 let relations db = SMap.bindings db.relations
 
 let schema db =
@@ -136,10 +144,20 @@ let is_ident_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-'
 
-let split_statements s =
-  String.split_on_char '.' s
-  |> List.map String.trim
-  |> List.filter (fun stmt -> stmt <> "")
+let count_newlines s i j =
+  let n = ref 0 in
+  for k = i to j - 1 do
+    if s.[k] = '\n' then incr n
+  done;
+  !n
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* The index of the first character from [i] on that [String.trim]
+   keeps, or the length when it keeps none. *)
+let rec first_nonblank s i =
+  if i < String.length s && is_blank s.[i] then first_nonblank s (i + 1)
+  else i
 
 let parse_args inside =
   String.split_on_char ',' inside
@@ -149,6 +167,18 @@ let valid_constant name =
   name <> "" && String.for_all is_ident_char name
 
 exception Parse_error of string
+
+(* A predicate keeps the arity of its first fact. *)
+let add_parsed_fact name t db =
+  (match SMap.find name db.relations with
+  | r when Relation.arity r <> Tuple.arity t ->
+    raise
+      (Parse_error
+         (Printf.sprintf
+            "arity mismatch: %s%s has %d argument(s) but %s has arity %d" name
+            (Tuple.to_string t) (Tuple.arity t) name (Relation.arity r)))
+  | _ | (exception Not_found) -> ());
+  add_fact name t db
 
 let parse_statement db stmt =
   if String.length stmt >= 9 && String.sub stmt 0 9 = "#universe" then begin
@@ -171,7 +201,7 @@ let parse_statement db stmt =
     match String.index_opt stmt '(' with
     | None ->
       (* A 0-ary fact: just a predicate name. *)
-      if valid_constant stmt then add_fact stmt Tuple.empty db
+      if valid_constant stmt then add_parsed_fact stmt Tuple.empty db
       else raise (Parse_error (Printf.sprintf "malformed statement %S" stmt))
     | Some lp ->
       let name = String.trim (String.sub stmt 0 lp) in
@@ -188,18 +218,31 @@ let parse_statement db stmt =
               (Parse_error (Printf.sprintf "bad constant %S in %S" a stmt)))
         args;
       let db = add_universe (List.map Symbol.intern args) db in
-      add_fact name (Tuple.of_strings args) db
+      add_parsed_fact name (Tuple.of_strings args) db
 
+(* Statements are the '.'-separated pieces, each parsed as it comes.
+   [line] is the 1-based line on which [piece] begins; its statement
+   starts on [line] plus the newlines before its first non-blank
+   character.  Comments were stripped up to their newlines, so the lines
+   are the source's. *)
 let parse text =
-  let text = strip_comments text in
-  let statements = split_statements text in
-  try
-    Ok
-      (List.fold_left
-         (fun db stmt -> parse_statement db stmt)
-         (create ~universe:[])
-         statements)
-  with Parse_error msg -> Error msg
+  let rec go db line = function
+    | [] -> Ok db
+    | piece :: rest -> (
+      let n = String.length piece in
+      let first = first_nonblank piece 0 in
+      let next = line + count_newlines piece 0 n in
+      if first = n then go db next rest
+      else
+        match parse_statement db (String.trim piece) with
+        | db -> go db next rest
+        | exception Parse_error msg ->
+          Error
+            (Printf.sprintf "line %d: %s"
+               (line + count_newlines piece 0 first)
+               msg))
+  in
+  go (create ~universe:[]) 1 (String.split_on_char '.' (strip_comments text))
 
 let parse_exn text =
   match parse text with

@@ -30,13 +30,22 @@ val add_universe : Symbol.t list -> t -> t
 
 val set_relation : string -> Relation.t -> t -> t
 (** [set_relation name r db] binds [name] to [r], replacing any previous
-    binding.
+    binding.  It checks every tuple of [r] against the universe, one
+    lookup per component: the cost of the whole relation, however little
+    changed.  To take one fact out use {!remove_fact}, which checks
+    nothing.
     @raise Invalid_argument if some tuple of [r] uses a constant outside the
     universe. *)
 
 val add_fact : string -> Tuple.t -> t -> t
 (** Inserts one tuple, creating the relation if absent (arity taken from the
     tuple).  Constants outside the universe are rejected. *)
+
+val remove_fact : string -> Tuple.t -> t -> t
+(** Takes one tuple out of the named relation ({!Relation.remove}), at the
+    cost of that removal alone: a removal cannot bring in a constant, so
+    nothing is checked.  The relation stays bound when it empties; an
+    unbound name or an absent tuple leaves the database as it is. *)
 
 val relation : string -> t -> Relation.t option
 
@@ -82,8 +91,10 @@ val parse : string -> (t, string) result
     edge(a, b).             (a fact)
     v}
 
-    Constants are identifiers or integers.  Returns [Error msg] with a
-    1-based line number on malformed input. *)
+    Constants are identifiers or integers, and a predicate keeps the
+    arity of its first fact.  On malformed input returns [Error msg], where
+    [msg] starts with [line N: ] and [N] is the 1-based line on which the
+    offending statement starts. *)
 
 val parse_exn : string -> t
 (** @raise Failure on malformed input. *)

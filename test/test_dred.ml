@@ -346,6 +346,103 @@ let prop_dred_equals_recompute =
       let delta = maintain tc db removals in
       Idb.equal delta.Dred.new_idb (Naive.least_fixpoint tc delta.Dred.new_db))
 
+(* Random update sequences against an independent oracle: each batch
+   deletes present edges, re-inserts edges an earlier batch deleted, and
+   may add an edge (and a vertex fact) with a fresh constant.  [new_db]
+   must equal a database built afresh from the final fact list, [new_idb]
+   the stratified model of that database, and the full re-application of
+   the enumerating [loopfree] rule must run exactly when the batch brought
+   a constant from outside the universe. *)
+let reach_loopfree =
+  Parser.parse_program_exn
+    "r(X, Y) :- e(X, Y). r(X, Y) :- e(X, Z), r(Z, Y). reached(Y) :- r(X, \
+     Y). unreached(X) :- v(X), !reached(X). loopfree(X) :- !e(X, X)."
+
+let prop_batches_equal_fresh_database =
+  QCheck.Test.make ~name:"DRed batches = a database built afresh" ~count:60
+    (QCheck.make
+       QCheck.Gen.(
+         let* n = int_range 2 5 in
+         let* seed = int_range 0 10000 in
+         let* batches = int_range 1 4 in
+         return (n, seed, batches))
+       ~print:(fun (n, seed, b) ->
+         Printf.sprintf "n=%d seed=%d batches=%d" n seed b))
+    (fun (n, seed, batches) ->
+      let g = Generate.random ~seed ~n ~p:0.4 in
+      QCheck.assume (Digraph.edge_count g > 0);
+      let rng = Negdl_util.Prng.create seed in
+      let name i = "v" ^ string_of_int i in
+      let facts0 =
+        List.init n (fun i -> ("v", [ name i ]))
+        @ List.map (fun (u, v) -> ("e", [ name u; name v ])) (Digraph.edges g)
+      in
+      let universe0 = List.init n name in
+      (* DRed keeps [e] bound when its last edge goes; so does the oracle. *)
+      let fresh_db universe facts =
+        let db = Database.of_facts ~universe facts in
+        if Database.relation "e" db = None then
+          Database.set_relation "e" (Relalg.Relation.empty 2) db
+        else db
+      in
+      let tuples = List.map (fun (p, args) -> (p, Tuple.of_strings args)) in
+      let stats = Evallib.Stats.create () in
+      let full_apps () =
+        Option.value ~default:0
+          (List.assoc_opt "dred full applications" stats.Evallib.Stats.extra)
+      in
+      let rec go k ~facts ~universe ~deleted ~db ~current =
+        k = 0
+        ||
+        let removals =
+          List.filter
+            (fun (p, _) -> p = "e" && Negdl_util.Prng.int rng 3 = 0)
+            facts
+        in
+        let reinserts =
+          List.filter (fun _ -> Negdl_util.Prng.bool rng) deleted
+        in
+        let fresh =
+          if Negdl_util.Prng.bool rng then
+            [ Printf.sprintf "w%d_%d" batches k ]
+          else []
+        in
+        let fresh_facts =
+          List.concat_map
+            (fun w ->
+              let u = Negdl_util.Prng.pick rng universe in
+              let edge =
+                Negdl_util.Prng.pick rng [ [ u; w ]; [ w; u ]; [ w; w ] ]
+              in
+              ("e", edge)
+              :: (if Negdl_util.Prng.bool rng then [ ("v", [ w ]) ] else []))
+            fresh
+        in
+        let additions = reinserts @ fresh_facts in
+        let before = full_apps () in
+        let delta =
+          Dred.apply ~stats reach_loopfree db ~current
+            ~additions:(tuples additions) ~removals:(tuples removals) ()
+        in
+        let facts =
+          List.filter (fun f -> not (List.mem f removals)) facts @ additions
+        in
+        let universe = universe @ fresh in
+        let expected = fresh_db universe facts in
+        Database.equal delta.Dred.new_db expected
+        && Idb.equal delta.Dred.new_idb
+             (Evallib.Stratified.eval_exn reach_loopfree expected)
+        && full_apps () > before = (fresh <> [])
+        && go (k - 1) ~facts ~universe
+             ~deleted:
+               (List.filter (fun f -> not (List.mem f reinserts)) deleted
+               @ removals)
+             ~db:delta.Dred.new_db ~current:delta.Dred.new_idb
+      in
+      let db = fresh_db universe0 facts0 in
+      go batches ~facts:facts0 ~universe:universe0 ~deleted:[] ~db
+        ~current:(Evallib.Stratified.eval_exn reach_loopfree db))
+
 let () =
   Alcotest.run "dred"
     [
@@ -375,5 +472,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_dred_equals_recompute; prop_insert_equals_recompute ] );
+          [
+            prop_dred_equals_recompute;
+            prop_insert_equals_recompute;
+            prop_batches_equal_fresh_database;
+          ] );
     ]

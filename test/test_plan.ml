@@ -86,7 +86,8 @@ let prop_sharded_equals_run =
       let resolver = Evallib.Engine.uniform (Evallib.Engine.layered db s) in
       let universe = Database.universe db in
       let compile rule =
-        Evallib.Engine.plan_rule ~universe_size:(List.length universe)
+        Evallib.Engine.plan_rule
+          ~universe_size:(fun () -> List.length universe)
           ~resolver rule
       in
       List.for_all
@@ -168,9 +169,13 @@ let test_cache_policy () =
   let counters = Plan.counters () in
   let size = ref 16 in
   let sizes _ _ = !size in
-  let find () =
-    Cache.find ~counters cache ~sizes ~universe_size:16 tc_rec_rule
+  (* The universe is counted for compiles only, never for a hit. *)
+  let counted = ref 0 in
+  let universe_size () =
+    incr counted;
+    16
   in
+  let find () = Cache.find ~counters cache ~sizes ~universe_size tc_rec_rule in
   let p1 = find () in
   let p2 = find () in
   Alcotest.(check bool) "static plan is reused" true (p1 == p2);
@@ -183,7 +188,8 @@ let test_cache_policy () =
   let p4 = find () in
   Alcotest.(check bool) "drifted sizes force a replan" true (p1 != p4);
   Alcotest.(check int) "compiles counted" 2 counters.Plan.plan_compiles;
-  Alcotest.(check int) "hits counted" 2 counters.Plan.plan_cache_hits
+  Alcotest.(check int) "hits counted" 2 counters.Plan.plan_cache_hits;
+  Alcotest.(check int) "universe counted per compile" 2 !counted
 
 (* --- plan shape on the paper's rules -------------------------------------- *)
 

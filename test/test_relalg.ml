@@ -599,9 +599,46 @@ let test_database_parse_errors () =
   (match Database.parse "edge(a, b" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing paren accepted");
-  match Database.parse "bad stuff(a)." with
+  (match Database.parse "bad stuff(a)." with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "junk accepted"
+  | Ok _ -> Alcotest.fail "junk accepted");
+  (* An error names the line on which the offending statement starts,
+     past comments and blank lines, even when the statement runs on. *)
+  match Database.parse "% header\ne(a, b). e(b, c).\n\ne(c,\n  ,d)." with
+  | Error msg ->
+    check Alcotest.string "statement start"
+      {|line 4: bad constant "" in "e(c,\n  ,d)"|} msg
+  | Ok _ -> Alcotest.fail "empty constant accepted"
+
+let test_database_parse_mixed_arity () =
+  (* A predicate keeps the arity of its first fact; the reader used to
+     raise from [Relation.add] instead. *)
+  (match Database.parse "e(a, b).\ne(c)." with
+  | Error msg ->
+    check Alcotest.string "names the predicate and both arities"
+      "line 2: arity mismatch: e(c) has 1 argument(s) but e has arity 2" msg
+  | Ok _ -> Alcotest.fail "mixed arities accepted");
+  match Database.parse "flag. flag(a)." with
+  | Error msg ->
+    check Alcotest.string "zero-ary first"
+      "line 1: arity mismatch: flag(a) has 1 argument(s) but flag has arity 0"
+      msg
+  | Ok _ -> Alcotest.fail "mixed arities accepted"
+
+let test_database_remove_fact () =
+  let db = Database.of_facts ~universe:[] [ ("p", [ "a" ]); ("p", [ "b" ]) ] in
+  let a = Tuple.of_strings [ "a" ] and b = Tuple.of_strings [ "b" ] in
+  let db' = Database.remove_fact "p" a db in
+  check bool "removed" false (Database.mem_fact "p" a db');
+  check bool "other kept" true (Database.mem_fact "p" b db');
+  check int "universe kept" 2 (Database.universe_size db');
+  let empty = Database.remove_fact "p" b db' in
+  check bool "emptied relation stays bound" true
+    (Database.relation "p" empty <> None);
+  check bool "absent tuple: same database" true
+    (Database.equal db' (Database.remove_fact "p" a db'));
+  check bool "unbound name: same database" true
+    (Database.equal db (Database.remove_fact "q" a db))
 
 let test_database_equal () =
   let d1 = Database.of_facts ~universe:[ "a" ] [ ("p", [ "a" ]) ] in
@@ -896,6 +933,9 @@ let () =
           Alcotest.test_case "parse" `Quick test_database_parse;
           Alcotest.test_case "parse zero-ary" `Quick test_database_parse_zero_ary;
           Alcotest.test_case "parse errors" `Quick test_database_parse_errors;
+          Alcotest.test_case "parse mixed arity" `Quick
+            test_database_parse_mixed_arity;
+          Alcotest.test_case "remove fact" `Quick test_database_remove_fact;
           Alcotest.test_case "equal" `Quick test_database_equal;
         ] );
       ("properties", qcheck_tests);
