@@ -47,6 +47,19 @@ let or_die = function
     Format.eprintf "negdl: %s@." msg;
     exit 1
 
+(* A program runs only on a database that agrees with it on the arity of
+   every EDB predicate it reads; [source] names where the database came
+   from. *)
+let check_database ~source program db =
+  match Negdl.Check.validate_database program db with
+  | Ok () -> db
+  | Error e ->
+    or_die
+      (Error (Printf.sprintf "%s: %s" source (Negdl.Check.error_to_string e)))
+
+let load_database_for program path =
+  check_database ~source:path program (or_die (load_database path))
+
 let print_idb ?(header = "") idb =
   if header <> "" then Format.printf "%s@." header;
   List.iter
@@ -172,7 +185,7 @@ let eval_cmd =
   let run program_path db_path semantics engine explain stats pred
       snapshot_file =
     let program = or_die (load_program program_path) in
-    let db = or_die (load_database db_path) in
+    let db = load_database_for program db_path in
     let stats = if stats then Some (Negdl.Stats.create ()) else None in
     let plan_cache =
       if explain then Some (Negdl.Plan_cache.create ()) else None
@@ -312,7 +325,7 @@ let fixpoints_cmd =
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
     let load_and_save () =
-      let db = or_die (load_database db_path) in
+      let db = load_database_for program db_path in
       (match snapshot_file with
       | None -> ()
       | Some file ->
@@ -337,7 +350,8 @@ let fixpoints_cmd =
             (Negdl.Snapshot.error_to_string e);
           load_and_save ()
         | Ok () ->
-          (snap_die (Negdl.Snapshot.restore image)).Negdl.Snapshot.r_db)
+          check_database ~source:file program
+            (snap_die (Negdl.Snapshot.restore image)).Negdl.Snapshot.r_db)
       | _ -> load_and_save ()
     in
     let plan_cache =
@@ -414,7 +428,7 @@ let explain_cmd =
   in
   let run program_path db_path =
     let program = or_die (load_program program_path) in
-    let db = Option.map (fun p -> or_die (load_database p)) db_path in
+    let db = Option.map (load_database_for program) db_path in
     let schema =
       match Negdl.Ast.idb_schema program with
       | Ok s -> s
@@ -485,7 +499,7 @@ let query_cmd =
   in
   let run program_path db_path goal engine =
     let program = or_die (load_program program_path) in
-    let db = or_die (load_database db_path) in
+    let db = load_database_for program db_path in
     let goal_atom =
       match Negdl.Parser.parse_rule (goal ^ ".") with
       | Ok rule when rule.Negdl.Ast.body = [] -> rule.Negdl.Ast.head
@@ -533,7 +547,7 @@ let serve_cmd =
     let program = or_die (load_program program_path) in
     let stats_rec = Negdl.Stats.create () in
     let cold_start () =
-      let db = or_die (load_database db_path) in
+      let db = load_database_for program db_path in
       let state =
         or_die
           (Negdl.Serve.create ~engine ~stats:stats_rec program db)
@@ -714,7 +728,7 @@ let snapshot_cmd =
   in
   let run program_path db_path file semantics engine =
     let program = or_die (load_program program_path) in
-    let db = or_die (load_database db_path) in
+    let db = load_database_for program db_path in
     let result = or_die (Negdl.run ~engine semantics program db) in
     let bytes =
       save_snapshot ~program
@@ -818,7 +832,7 @@ let why_cmd =
   in
   let run program_path db_path fact =
     let program = or_die (load_program program_path) in
-    let db = or_die (load_database db_path) in
+    let db = load_database_for program db_path in
     let atom =
       match Negdl.Parser.parse_rule (fact ^ ".") with
       | Ok rule when rule.Negdl.Ast.body = [] -> rule.Negdl.Ast.head
@@ -858,7 +872,7 @@ let stable_cmd =
   in
   let run program_path db_path limit =
     let program = or_die (load_program program_path) in
-    let db = or_die (load_database db_path) in
+    let db = load_database_for program db_path in
     let solver = Negdl.Fixpoints.prepare program db in
     let stable = Negdl.Stable.stable_models ~limit solver in
     Format.printf "stable models: %d%s@." (List.length stable)
@@ -1020,7 +1034,7 @@ let check_cmd =
 let ground_cmd =
   let run program_path db_path =
     let program = or_die (load_program program_path) in
-    let db = or_die (load_database db_path) in
+    let db = load_database_for program db_path in
     let g = Negdl.Ground.ground program db in
     Format.printf "%a@." Negdl.Ground.pp g;
     Format.printf "%% %d atoms, %d instances@." (Negdl.Ground.atom_count g)

@@ -124,6 +124,9 @@ let run ?engine ?planner:(_ : Plan.planner option) ?plan_cache
     ?storage:(_ : Relation.storage option) ?stats semantics program db =
   let cache = plan_cache in
   try
+    (match Check.validate_database program db with
+    | Error e -> invalid_arg (Check.error_to_string e)
+    | Ok () -> ());
     (match semantics with
     | Semantics_stratified -> ()
     | _ -> reject_limits (semantics_to_string semantics) program);
@@ -178,6 +181,9 @@ type fixpoint_report = {
 let analyze_fixpoints ?planner:(_ : Plan.planner option) ?plan_cache
     ?(count_limit = 256) ?sat_budget ?count_budget program db =
   reject_limits "fixpoint analysis" program;
+  (match Check.validate_database program db with
+  | Error e -> invalid_arg ("fixpoint analysis: " ^ Check.error_to_string e)
+  | Ok () -> ());
   let solver = Fixpoints.prepare ?plan_cache program db in
   let ground = Fixpoints.ground solver in
   let example, existence_unknown =

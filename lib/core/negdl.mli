@@ -172,7 +172,9 @@ val run :
   (run_result, string) result
 (** Evaluates a program under the chosen semantics; errors are returned as
     human-readable strings (not stratifiable, negation under least-fixpoint
-    semantics, inconsistent arities, ...).  Programs with limit
+    semantics, inconsistent arities, a database that disagrees with the
+    program on an EDB predicate's arity ({!Check.validate_database}),
+    ...).  Programs with limit
     declarations are only defined under [Semantics_stratified] (the
     tighten-union fixpoint); every other semantics returns an error for
     them.  [engine] selects the saturation
@@ -220,7 +222,10 @@ val analyze_fixpoints :
     existence search in CDCL conflicts (unbounded by default); exhaustion
     is reported through [existence_unknown], never raised.  [count_budget]
     additionally runs the exact #SAT census with that node budget and
-    fills [exact_count].  [planner] is ignored, as in {!run}. *)
+    fills [exact_count].  [planner] is ignored, as in {!run}.
+    @raise Invalid_argument for a program with limit declarations, or a
+    database that disagrees with the program on an EDB predicate's arity
+    ({!Check.validate_database}). *)
 
 val parse_program : string -> (Ast.program, string) result
 (** Alias of {!Parser.parse_program}. *)

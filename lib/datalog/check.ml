@@ -4,6 +4,11 @@ type error =
   | Limit_column_out_of_range of { pred : string; column : int; arity : int }
   | Duplicate_limit of { pred : string }
   | Limit_on_edb of { pred : string }
+  | Database_arity of {
+      pred : string;
+      program_arity : int;
+      database_arity : int;
+    }
 
 type info = {
   idb : string list;
@@ -34,6 +39,11 @@ let error_to_string = function
       "limit declaration for %s, which no rule defines: limit predicates \
        must be IDB"
       pred
+  | Database_arity { pred; program_arity; database_arity } ->
+    Printf.sprintf
+      "arity mismatch: the program reads %s with %d argument(s) but the \
+       database holds %s with arity %d"
+      pred program_arity pred database_arity
 
 let arity_errors (p : Ast.program) =
   let table : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -133,6 +143,36 @@ let validate p =
         unrestricted_rules = unrestricted;
         limit_count = List.length p.Ast.limits;
       }
+
+(* Evaluation reads a database relation at the arity the program gives
+   it, so the two must agree on every EDB predicate the program reads;
+   IDB predicates never read the database. *)
+let validate_database (p : Ast.program) db =
+  let edb = Ast.edb_predicates p in
+  let mismatch (a : Ast.atom) =
+    if not (List.mem a.pred edb) then None
+    else
+      match Relalg.Database.relation a.pred db with
+      | Some r when Relalg.Relation.arity r <> List.length a.args ->
+        Some
+          (Database_arity
+             {
+               pred = a.pred;
+               program_arity = List.length a.args;
+               database_arity = Relalg.Relation.arity r;
+             })
+      | Some _ | None -> None
+  in
+  match
+    List.find_map
+      (fun (r : Ast.rule) ->
+        List.find_map
+          (fun l -> List.find_map mismatch (Ast.atoms_of_literal l))
+          r.body)
+      p.rules
+  with
+  | Some e -> Error e
+  | None -> Ok ()
 
 let validate_exn p =
   match validate p with

@@ -16,6 +16,14 @@ type error =
   | Limit_on_edb of { pred : string }
       (** Limit declarations only make sense for derived (IDB)
           predicates: EDB facts are given, not tightened. *)
+  | Database_arity of {
+      pred : string;
+      program_arity : int;
+      database_arity : int;
+    }
+      (** The program reads the EDB predicate [pred] with [program_arity]
+          arguments, but the database binds it to a relation of
+          [database_arity] (see {!validate_database}). *)
 
 type info = {
   idb : string list;
@@ -33,6 +41,17 @@ type info = {
 val error_to_string : error -> string
 
 val validate : Ast.program -> (info, error list) result
+
+val validate_database : Ast.program -> Relalg.Database.t -> (unit, error) result
+(** Where a program meets a database: every EDB predicate the program
+    reads (one no rule defines) that the database binds must have the
+    arity the program uses.  [Error (Database_arity _)] names the first
+    body atom, in program order, that disagrees.  An EDB predicate the
+    database does not bind reads as empty, and IDB predicates never read
+    the database, so neither is checked.  The evaluators do not check
+    arities themselves ({!Relalg.Database.relation_or_empty}):
+    [Negdl.run], [Negdl.analyze_fixpoints], [Serve.create] and every CLI
+    subcommand that takes a program and a database call this first. *)
 
 val validate_exn : Ast.program -> info
 (** @raise Invalid_argument listing the errors. *)

@@ -61,22 +61,25 @@ let create ?engine ?planner:(_ : Plan.planner option)
     ?grain:(_ : Engine.grain option) ?stats program db =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let cache = Planlib.Cache.create () in
-  match Stratified.eval ?engine ~cache ~stats ?pool program db with
-  | Error e -> Error (Stratified.error_to_string e)
-  | Ok idb ->
-    Ok
-      {
-        program;
-        engine;
-        pool;
-        stats;
-        cache;
-        db;
-        idb;
-        version = 0;
-        query_cache = Hashtbl.create 64;
-        c = zero_counters;
-      }
+  match Datalog.Check.validate_database program db with
+  | Error e -> Error (Datalog.Check.error_to_string e)
+  | Ok () -> (
+    match Stratified.eval ?engine ~cache ~stats ?pool program db with
+    | Error e -> Error (Stratified.error_to_string e)
+    | Ok idb ->
+      Ok
+        {
+          program;
+          engine;
+          pool;
+          stats;
+          cache;
+          db;
+          idb;
+          version = 0;
+          query_cache = Hashtbl.create 64;
+          c = zero_counters;
+        })
 
 let database t = t.db
 let snapshot t = t.idb

@@ -57,7 +57,10 @@ val create :
   Relalg.Database.t ->
   (t, string) result
 (** Materialises once (stratum by stratum) and returns the serving state;
-    [Error] if the program is not stratifiable.  One plan cache is created
+    [Error] if the program is not stratifiable, or if the database
+    disagrees with it on an EDB predicate's arity
+    ({!Datalog.Check.validate_database}; update lines check their facts
+    against the arities in use).  One plan cache is created
     here and shared by the initial materialisation and every later batch,
     so each (rule, variant) pair compiles once for the server's lifetime.
     [planner], [indexing], [storage] and [grain] are ignored; they remain

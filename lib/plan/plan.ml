@@ -107,6 +107,19 @@ type feedback = {
   mutable fb_driving : int;
 }
 
+(* The invariant suffix of a plan: steps [h_at, h_end) read no slot bound
+   before [h_at], so they yield the same rows for every prefix row.  They
+   run once per execution context into a buffer of [h_keep] slots, which
+   every prefix row then replays.  [h_key] is [Some live] when a slot bound
+   before the boundary is read by nothing after it: prefix rows equal on
+   the [live] slots would replay identical rows, so only the first goes. *)
+type hoist = {
+  h_at : int;
+  h_end : int;
+  h_keep : int array;
+  h_key : int array option;
+}
+
 type t = {
   rule : Ast.rule;
   label : string;
@@ -118,6 +131,7 @@ type t = {
   head_args : term array;
   est_out : float;
   sizes_at_plan : (occurrence * int * int) list;
+  hoist : hoist option;
   fb : feedback;
 }
 
@@ -168,6 +182,126 @@ type blit =
   | BPlus of { a : term; b : term; res : term }
 
 let dummy = Symbol.unsafe_of_id 0
+
+(* --- the invariant suffix ----------------------------------------------- *)
+
+let term_slots acc = function Slot s -> s :: acc | Const _ -> acc
+
+let checked_slots acc pat =
+  Array.fold_left
+    (fun acc -> function Check_slot s -> s :: acc | Check_const _ | Bind _ -> acc)
+    acc pat
+
+(* The slots a step reads from the environment.  An existence check's
+   [Check_slot] may name a wildcard its own pattern binds; no other step
+   binds a wildcard, so counting it as read changes no answer below. *)
+let reads = function
+  | Index_probe { key; pat; _ } -> checked_slots (term_slots [] key) pat
+  | Scan { pat; _ } -> checked_slots [] pat
+  | Const_filter { args; _ } | Neg_check { args; _ } ->
+    Array.fold_left term_slots [] args
+  | Exists { probe; pat; _ } | Neg_exists { probe; pat; _ } ->
+    checked_slots
+      (match probe with Some (_, key) -> term_slots [] key | None -> [])
+      pat
+  | Compare { left; right; _ } | Le_check { left; right } ->
+    term_slots (term_slots [] left) right
+  | Assign { value; _ } -> term_slots [] value
+  | Enumerate _ -> []
+  | Plus_bind { a; b; _ } -> term_slots (term_slots [] a) b
+  | Plus_check { a; b; result } ->
+    term_slots (term_slots (term_slots [] a) b) result
+  | Aggregate_probe { group; bound; _ } | Tighten_emit { group; bound; _ } ->
+    Array.fold_left term_slots (term_slots [] bound) group
+
+(* The slots a step binds for later steps.  Existence wildcards are not
+   among them: nothing after the check reads them. *)
+let binds = function
+  | Index_probe { pat; _ } | Scan { pat; _ } ->
+    Array.fold_left
+      (fun acc -> function Bind s -> s :: acc | Check_const _ | Check_slot _ -> acc)
+      [] pat
+  | Assign { slot; _ } | Enumerate { slot } | Plus_bind { slot; _ } -> [ slot ]
+  | Const_filter _ | Neg_check _ | Exists _ | Neg_exists _ | Compare _
+  | Le_check _ | Plus_check _ | Aggregate_probe _ | Tighten_emit _ ->
+    []
+
+let is_loop = function
+  | Scan _ | Index_probe _ | Enumerate _ -> true
+  | Const_filter _ | Neg_check _ | Exists _ | Neg_exists _ | Compare _
+  | Assign _ | Le_check _ | Plus_bind _ | Plus_check _ | Aggregate_probe _
+  | Tighten_emit _ ->
+    false
+
+let reads_relation = function
+  | Index_probe _ | Scan _ | Const_filter _ | Neg_check _ | Exists _
+  | Neg_exists _ ->
+    true
+  | Compare _ | Assign _ | Enumerate _ | Le_check _ | Plus_bind _
+  | Plus_check _ | Aggregate_probe _ | Tighten_emit _ ->
+    false
+
+(* The earliest boundary [k] such that the steps from [k] up to the limit
+   steps read no slot bound before [k], some step before [k] loops, and
+   some step from [k] reads a relation.  A suffix of pure enumerations has
+   nothing to save and keeps streaming.  The steps stay in the order the
+   cost model chose: an independent component it interleaves with the
+   driving one is not moved, only a trailing one is hoisted. *)
+let find_hoist ~nslots ~head_args (ops : op array) =
+  let n = Array.length ops in
+  let h_end =
+    let rec go i =
+      if i = n then n
+      else
+        match ops.(i) with
+        | Aggregate_probe _ | Tighten_emit _ -> i
+        | _ -> go (i + 1)
+    in
+    go 0
+  in
+  let bound_before = Array.make (max nslots 1) false in
+  let invariant k =
+    let ok = ref true and access = ref false in
+    for j = k to h_end - 1 do
+      if List.exists (fun s -> bound_before.(s)) (reads ops.(j)) then
+        ok := false;
+      if reads_relation ops.(j) then access := true
+    done;
+    !ok && !access
+  in
+  let rec search k looped =
+    if k >= h_end then None
+    else if looped && invariant k then Some k
+    else begin
+      List.iter (fun s -> bound_before.(s) <- true) (binds ops.(k));
+      search (k + 1) (looped || is_loop ops.(k))
+    end
+  in
+  match search 0 false with
+  | None -> None
+  | Some h_at ->
+    (* [bound_before] now marks exactly the slots the prefix binds. *)
+    let mark marks = List.iter (fun s -> marks.(s) <- true) in
+    let live = Array.make (max nslots 1) false in
+    Array.iter (fun t -> mark live (term_slots [] t)) head_args;
+    for j = h_end to n - 1 do
+      mark live (reads ops.(j))
+    done;
+    let suffix_bound = Array.make (max nslots 1) false in
+    for j = h_at to h_end - 1 do
+      mark suffix_bound (binds ops.(j))
+    done;
+    let slots p = Array.of_list (List.filter p (List.init nslots Fun.id)) in
+    let dead = slots (fun s -> bound_before.(s) && not live.(s)) in
+    Some
+      {
+        h_at;
+        h_end;
+        h_keep = slots (fun s -> suffix_bound.(s) && live.(s));
+        h_key =
+          (if dead = [||] then None
+           else Some (slots (fun s -> bound_before.(s) && live.(s))));
+      }
 
 let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     (r : Ast.rule) =
@@ -241,8 +375,14 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     (function Ast.Var x -> head_slot.(slot_of x) <- true | Ast.Const _ -> ())
     r.head.args;
   let rows = ref 1.0 in
+  (* Each step scales the estimated row stream by a factor; the factors
+     alone give a hoisted suffix its estimates per application. *)
   let steps = ref [] in
-  let push op est = steps := { op; est } :: !steps in
+  let push op ~factor = steps := ({ op; est = !rows }, factor) :: !steps in
+  let scale factor op =
+    rows := !rows *. factor;
+    push op ~factor
+  in
   let mark_bound s = bound.(s) <- true in
   (* Pattern for an atom access: constants and already-bound slots are
      checked, fresh slots bind (first occurrence binds, repeats check). *)
@@ -269,37 +409,30 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     let card = size polarity occ pred arity in
     let p = membership_prob card arity in
     let access = { occ; pred; arity } in
-    (match polarity with
-    | `Pos ->
-      rows := !rows *. p;
-      push (Const_filter { access; args }) !rows
-    | `Neg ->
-      rows := !rows *. (1.0 -. p);
-      push (Neg_check { access; args }) !rows)
+    match polarity with
+    | `Pos -> scale p (Const_filter { access; args })
+    | `Neg -> scale (1.0 -. p) (Neg_check { access; args })
   in
   let emit_compare negated left right =
-    rows := !rows *. (if negated then (u -. 1.0) /. u else 1.0 /. u);
-    push (Compare { negated; left; right }) !rows
+    scale
+      (if negated then (u -. 1.0) /. u else 1.0 /. u)
+      (Compare { negated; left; right })
   in
   let emit_enumerate s =
     mark_bound s;
-    rows := !rows *. u;
-    push (Enumerate { slot = s }) !rows
+    scale u (Enumerate { slot = s })
   in
   (* Order checks halve the stream on average; an addition either binds
      its result (no filtering) or checks one value in [u]. *)
   let emit_le left right =
-    rows := !rows *. 0.5;
-    push (Le_check { left; right }) !rows
+    scale 0.5 (Le_check { left; right })
   in
   let emit_plus a b res =
     match res with
     | Slot s when not bound.(s) ->
       mark_bound s;
-      push (Plus_bind { a; b; slot = s }) !rows
-    | _ ->
-      rows := !rows *. (1.0 /. u);
-      push (Plus_check { a; b; result = res }) !rows
+      push (Plus_bind { a; b; slot = s }) ~factor:1.0
+    | _ -> scale (1.0 /. u) (Plus_check { a; b; result = res })
   in
   (* Existence pattern: constants and bound slots check, dead slots bind on
      first occurrence (repeats check) but are {e not} marked bound — the
@@ -348,34 +481,32 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
       let p =
         Float.min 1.0 (float_of_int card /. (u ** float_of_int checks))
       in
-      rows := !rows *. p;
-      push (Exists { access; probe; pat }) !rows
+      scale p (Exists { access; probe; pat })
     | `Neg ->
       (* Succeeds unless every instantiation of the free columns is
          present — fail only when the relation covers all [u^free] of
          them. *)
       let p_inst = membership_prob card (checks + free) in
       let all_present = p_inst ** (u ** float_of_int free) in
-      rows := !rows *. (1.0 -. all_present);
-      push (Neg_exists { access; probe; pat; free }) !rows
+      scale (1.0 -. all_present) (Neg_exists { access; probe; pat; free })
   in
   let emit_join occ pred args =
     let arity = Array.length args in
     let card = size `Pos occ pred arity in
     let checks = check_positions args in
     let access = { occ; pred; arity } in
-    let est =
-      !rows *. float_of_int card /. (u ** float_of_int checks)
-    in
-    rows := est;
+    let factor = float_of_int card /. (u ** float_of_int checks) in
+    (* Not [!rows *. factor]: the product keeps its association, so the
+       estimates print as they always have. *)
+    rows := !rows *. float_of_int card /. (u ** float_of_int checks);
     (* Probe through the first bound column when one exists; otherwise
        scan. *)
     match first_bound args with
     | Some (col, key) ->
       (* [pattern] binds the fresh slots; the probed column stays a
          (redundant) check in the pattern. *)
-      push (Index_probe { access; col; key; pat = pattern args }) est
-    | None -> push (Scan { access; pat = pattern args }) est
+      push (Index_probe { access; col; key; pat = pattern args }) ~factor
+    | None -> push (Scan { access; pat = pattern args }) ~factor
   in
   (* Cost-based ordering: repeatedly
      1. emit every decided literal (comparisons, then half-bound equality
@@ -471,7 +602,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
       | Some (l, s, v) ->
         remove l;
         mark_bound s;
-        push (Assign { slot = s; value = v }) !rows;
+        push (Assign { slot = s; value = v }) ~factor:1.0;
         settle ()
       | None -> (
         match List.find_opt existence_candidate !pending with
@@ -560,8 +691,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
           head_args.(if j < col then j else j + 1))
     in
     let bound_t = head_args.(col) in
-    rows := !rows *. 0.5;
-    push
+    scale 0.5
       (Aggregate_probe
          {
            access = { occ = -1; pred = r.head.pred; arity };
@@ -569,15 +699,25 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
            col;
            group;
            bound = bound_t;
-         })
-      !rows;
-    rows := !rows *. 0.5;
-    push
-      (Tighten_emit
-         { pred = r.head.pred; kind; col; group; bound = bound_t })
-      !rows
+         });
+    scale 0.5
+      (Tighten_emit { pred = r.head.pred; kind; col; group; bound = bound_t })
   | _ -> ());
-  let steps = Array.of_list (List.rev !steps) in
+  let steps, factors = List.split (List.rev !steps) in
+  let steps = Array.of_list steps and factors = Array.of_list factors in
+  let hoist =
+    find_hoist ~nslots ~head_args (Array.map (fun st -> st.op) steps)
+  in
+  (* A hoisted step runs once per application: its estimate starts from
+     one row at the boundary instead of the prefix's rows. *)
+  (match hoist with
+  | Some h ->
+    let est = ref 1.0 in
+    for i = h.h_at to h.h_end - 1 do
+      est := !est *. factors.(i);
+      steps.(i) <- { (steps.(i)) with est = !est }
+    done
+  | None -> ());
   {
     rule = r;
     label;
@@ -592,6 +732,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
       Hashtbl.fold (fun _ entry acc -> entry :: acc) sizes_seen []
       |> List.sort (fun ((a : occurrence), _, _) ((b : occurrence), _, _) ->
              Int.compare a.index b.index);
+    hoist;
     fb =
       {
         fb_runs = 0;
@@ -658,6 +799,27 @@ type prepared = {
          are per run (and per shard), so the table never outlives the
          stage whose current valuation the probes read. *)
   mutable p_din : int;
+  mutable p_stop : int;
+      (* Where [exec_range] leaves the steps: the step count, or for a
+         plan with a hoist its boundary, which {!replay} moves while it
+         fills and replays the buffer. *)
+  p_hoist : (hoist * buffer) option;
+      (* The plan's invariant suffix with its rows and the prefix keys met
+         at its boundary; [None] for a plan without a hoist.  The buffer
+         lives exactly as long as the context, for the same reason as
+         [p_best]: the relations the suffix reads change between runs. *)
+}
+
+(* One context's run of a plan's invariant suffix: [b_len] rows of
+   [h_keep] slots each, flat in [b_rows] in the order the suffix produced
+   them.  [b_filling] is set while the suffix runs into the buffer. *)
+and buffer = {
+  mutable b_filled : bool;
+  mutable b_filling : bool;
+  mutable b_rows : Symbol.t array;
+  mutable b_len : int;
+  b_seen : (Symbol.t array, unit) Hashtbl.t;
+  b_key : Symbol.t array;
 }
 
 let prepare ?counters ~resolver ~universe plan =
@@ -727,7 +889,27 @@ let prepare ?counters ~resolver ~universe plan =
     p_rows = Array.make (max nsteps 1) 0;
     p_best = Hashtbl.create 16;
     p_din = 0;
+    p_stop = (match plan.hoist with Some h -> h.h_at | None -> nsteps);
+    p_hoist =
+      Option.map
+        (fun h ->
+          ( h,
+            {
+              b_filled = false;
+              b_filling = false;
+              b_rows = [||];
+              b_len = 0;
+              b_seen = Hashtbl.create (if h.h_key = None then 1 else 64);
+              b_key =
+                Array.make
+                  (match h.h_key with Some k -> Array.length k | None -> 0)
+                  dummy;
+            } ))
+        plan.hoist;
   }
+
+let hoisted plan i =
+  match plan.hoist with Some h -> i >= h.h_at && i < h.h_end | None -> false
 
 (* Folds one or more execution contexts (participant order on the sharded
    path) into the plan's feedback record, closing one run: per-step row
@@ -739,10 +921,21 @@ let harvest plan ctxs =
   List.iter
     (fun c ->
       Array.iteri
-        (fun i n -> if n > 0 then fb.fb_rows.(i) <- fb.fb_rows.(i) + n)
+        (fun i n ->
+          if n > 0 && not (hoisted plan i) then
+            fb.fb_rows.(i) <- fb.fb_rows.(i) + n)
         c.p_rows;
       fb.fb_driving <- fb.fb_driving + c.p_din)
     ctxs;
+  (* Every context that reached the boundary ran the same suffix over the
+     same relations: one application's rows are any one context's. *)
+  (match plan.hoist with
+  | Some h ->
+    for i = h.h_at to h.h_end - 1 do
+      fb.fb_rows.(i) <-
+        fb.fb_rows.(i) + List.fold_left (fun m c -> max m c.p_rows.(i)) 0 ctxs
+    done
+  | None -> ());
   fb.fb_runs <- fb.fb_runs + 1
 
 let bump_scan prep =
@@ -923,6 +1116,62 @@ let driving_rows prep =
         assert false
   end
 
+(* The hoist's side of execution, reached only where [exec] meets
+   [p_stop].  [buffer_row] keeps the hoisted slots of one suffix row;
+   [replay] handles a prefix row at the boundary: unless its live slots
+   were met before, it fills the buffer on first use (running the
+   hoisted steps with [p_stop] at their end), then runs the steps after
+   them, and the projection, once per buffered row in build order (with
+   [p_stop] at the step count). *)
+let buffer_row h b env =
+  let w = Array.length h.h_keep in
+  let need = (b.b_len + 1) * w in
+  if need > Array.length b.b_rows then begin
+    let grown = Array.make (max need (2 * Array.length b.b_rows)) dummy in
+    Array.blit b.b_rows 0 grown 0 (b.b_len * w);
+    b.b_rows <- grown
+  end;
+  for j = 0 to w - 1 do
+    b.b_rows.((b.b_len * w) + j) <- env.(h.h_keep.(j))
+  done;
+  b.b_len <- b.b_len + 1
+
+let replay prep h b ~exec =
+  let env = prep.p_env in
+  let fresh =
+    match h.h_key with
+    | None -> true
+    | Some key ->
+      for j = 0 to Array.length key - 1 do
+        b.b_key.(j) <- env.(key.(j))
+      done;
+      (not (Hashtbl.mem b.b_seen b.b_key))
+      && begin
+           Hashtbl.add b.b_seen (Array.copy b.b_key) ();
+           true
+         end
+  in
+  if fresh then begin
+    if not b.b_filled then begin
+      (* The first prefix row to arrive runs the suffix; its own slots
+         are left alone, as the suffix reads none of them. *)
+      b.b_filling <- true;
+      prep.p_stop <- h.h_end;
+      exec h.h_at;
+      b.b_filling <- false;
+      b.b_filled <- true
+    end;
+    prep.p_stop <- Array.length prep.p_plan.steps;
+    let w = Array.length h.h_keep in
+    for r = 0 to b.b_len - 1 do
+      for j = 0 to w - 1 do
+        env.(h.h_keep.(j)) <- b.b_rows.((r * w) + j)
+      done;
+      exec h.h_end
+    done;
+    prep.p_stop <- h.h_at
+  end
+
 (* The execution core.  [lo, hi) restricts the {e driving} step to the
    given slice of its input positions; [0, max_int) is an unrestricted
    execution (and behaves — counters included — exactly like one, since
@@ -931,17 +1180,21 @@ let driving_rows prep =
    single position cursor suffices.  The driving step also counts the
    input positions it visits into [p_din] — summed over a run's contexts,
    that is exactly the driving input size the next sharded run partitions
-   without re-counting. *)
+   without re-counting.  [exec] leaves the steps at [p_stop]: the step
+   count, where it projects, or a hoist's boundary (see {!replay}). *)
 let exec_range prep ~lo ~hi ~on_row =
   let plan = prep.p_plan in
   let steps = plan.steps in
-  let nsteps = Array.length steps in
   let rows = prep.p_rows in
   let env = prep.p_env in
   let universe = prep.p_universe in
   let d = prep.p_driving in
   let rec exec i =
-    if i = nsteps then on_row env
+    if i = prep.p_stop then
+      match prep.p_hoist with
+      | Some (h, b) when b.b_filling -> buffer_row h b env
+      | Some (h, b) when i = h.h_at -> replay prep h b ~exec
+      | Some _ | None -> on_row env
     else
       let st = Array.unsafe_get steps i in
       match st.op with
@@ -1277,15 +1530,36 @@ let pp_op names ppf = function
       (Datalog.Ast.limit_kind_to_string kind)
       col
 
-let pp_step names ppf st =
-  Format.fprintf ppf "%a  [est %.1f rows]" (pp_op names) st.op st.est
+let pp_step names ~per_application ppf st =
+  Format.fprintf ppf "%a  [est %.1f rows%s]" (pp_op names) st.op st.est
+    (if per_application then " per application" else "")
+
+(* The line that marks a hoist's boundary: the hoisted steps, the slots a
+   buffered row holds, and the key prefix rows are deduplicated on. *)
+let pp_hoist names ppf h =
+  let slots ppf a = pp_args names ppf (Array.map (fun s -> Slot s) a) in
+  Format.fprintf ppf "hoist: %s once per application, buffering %a; %a"
+    (if h.h_end = h.h_at + 1 then Printf.sprintf "step %d" (h.h_at + 1)
+     else Printf.sprintf "steps %d-%d" (h.h_at + 1) h.h_end)
+    slots h.h_keep
+    (fun ppf -> function
+      | Some [||] -> Format.pp_print_string ppf "replayed once"
+      | Some key -> Format.fprintf ppf "replayed per distinct %a" slots key
+      | None -> Format.pp_print_string ppf "replayed per row")
+    h.h_key
 
 let pp ppf plan =
   Format.fprintf ppf "@[<v2>%s  {%s}" plan.label
     (variant_to_string plan.variant);
   Array.iteri
     (fun i st ->
-      Format.fprintf ppf "@,%d. %a" (i + 1) (pp_step plan.slot_names) st;
+      (match plan.hoist with
+      | Some h when i = h.h_at ->
+        Format.fprintf ppf "@,%a" (pp_hoist plan.slot_names) h
+      | _ -> ());
+      Format.fprintf ppf "@,%d. %a" (i + 1)
+        (pp_step plan.slot_names ~per_application:(hoisted plan i))
+        st;
       if plan.fb.fb_runs > 0 then
         Format.fprintf ppf "  [actual %d]" plan.fb.fb_rows.(i))
     plan.steps;

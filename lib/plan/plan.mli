@@ -36,6 +36,24 @@
     [reached(Y) :- reached(Y), r(X, Y)] asks for one witness per
     overdeleted fact, and a scan per fact would cost the whole of [r].
 
+    {b The invariant suffix.}  After ordering, [compile] looks for a
+    {!hoist}: the earliest boundary from which the steps (up to any limit
+    steps) read no slot bound before it, when some earlier step loops and
+    some later one reads a relation.  Proposition 2's
+    [s3(X, Y, Xs, Ys) :- e(X, Z), s1(Z, Y), !s2(Xs, Ys)] is the case in
+    point: [enumerate Xs, enumerate Ys, check !s2(Xs, Ys)] do not vary
+    with the join before them.  Execution runs such a suffix once per
+    {!prepared} context into a buffer of the slots the head and the limit
+    steps read, and every prefix row replays the buffer in the order it
+    was built, which is the nested loop's order.  When the prefix binds a
+    slot nothing after the boundary reads ([Z]), prefix rows are
+    deduplicated on the live slots, so each [(X, Y)] meets the buffer
+    once; no other row is dropped.  The buffer belongs to the context,
+    never to the cached plan: the relations the suffix reads, [s2] under
+    the inflationary semantics for one, change between applications.
+    The steps keep the cost model's order; a suffix of enumerations alone
+    has nothing to save and keeps streaming.
+
     {b Observed rows.} Plans are immutable apart from a per-plan
     {!feedback} record of observed cardinalities: per-step rows produced
     and the driving step's input size.  Per-run counts accumulate in the
@@ -163,7 +181,9 @@ type feedback = {
   mutable fb_runs : int;  (** Completed runs folded into this record. *)
   fb_rows : int array;
       (** Per step, rows that survived it, summed across runs — the
-          observed counterpart of [step.est] is [fb_rows.(i) / fb_runs]. *)
+          observed counterpart of [step.est] is [fb_rows.(i) / fb_runs].
+          A hoisted step adds one application's rows per run, however
+          many participants ran it. *)
   mutable fb_driving : int;
       (** Driving-step input rows, summed across runs — what
           {!run_sharded} partitions, cached here so only a plan's first
@@ -172,6 +192,25 @@ type feedback = {
 (** Observed cardinalities, harvested from per-context counters once per
     run (the stage barrier on the sharded path).  Reset by recompilation —
     a fresh plan starts observing from scratch. *)
+
+type hoist = {
+  h_at : int;  (** The boundary: index of the first hoisted step. *)
+  h_end : int;
+      (** One past the last hoisted step: the first limit step
+          ({!Aggregate_probe}), or the step count. *)
+  h_keep : int array;
+      (** The slots a buffered row holds: those the hoisted steps bind and
+          the head or a limit step reads, in slot order. *)
+  h_key : int array option;
+      (** [Some live] when some slot bound before the boundary is read by
+          nothing after it (a dead join variable): prefix rows are then
+          deduplicated on the [live] slots, in slot order.  [None] when
+          every prefix slot is live, so prefix rows are already distinct. *)
+}
+(** The invariant suffix of a plan.  Steps [h_at] to [h_end - 1] read no
+    slot bound before [h_at], at least one step before [h_at] loops
+    ([Scan], [Index_probe] or [Enumerate]), and at least one hoisted step
+    reads a relation.  [h_at] is the earliest such boundary. *)
 
 type t = {
   rule : Datalog.Ast.rule;
@@ -186,6 +225,11 @@ type t = {
   sizes_at_plan : (occurrence * int * int) list;
       (** (occurrence, arity, cardinality) snapshot the cost model saw —
           {!Cache} compares against it to decide when to replan. *)
+  hoist : hoist option;
+      (** The invariant suffix, when the plan has one.  The [est] of a
+          hoisted step counts rows per application, from one row at the
+          boundary; every other estimate, [est_out] included, counts rows
+          of the whole nested loop. *)
   fb : feedback;
 }
 
@@ -234,7 +278,15 @@ val run :
   unit
 (** Executes the plan: [on_row] is called once per complete binding with
     the slot environment (valid only for the duration of the call — copy
-    what you keep, or use {!head_tuple}).  An [Index_probe] reads the
+    what you keep, or use {!head_tuple}).  With a {!hoist} whose [h_key]
+    is [Some live], a binding that agrees with an earlier one on the
+    [live] slots is skipped, and the slots nothing after the boundary
+    reads hold the earlier binding's values: read only the head's slots
+    (every slot is one when the head lists every variable, as grounding's
+    pseudo-rules do).  The hoisted steps run once per call, so their
+    observed rows and their counters (enumerations, scans, index probes)
+    count once per application, not once per prefix row.  An
+    [Index_probe] reads the
     relation's memoized column index ({!Relalg.Relation.matching}), built
     once per relation value and maintained incrementally as deltas are
     unioned in.  Matching is return-value based (no exceptions on the hot
@@ -256,9 +308,10 @@ val run :
 
 type prepared
 (** A per-domain execution context: resolved sources, slot registers,
-    scratch probe tuples, the driving-step index, and the context's share
-    of the run's observed row counts.  Cheap relative to execution; one
-    per (plan, run, domain). *)
+    scratch probe tuples, the driving-step index, the context's share of
+    the run's observed row counts and, for a plan with a {!hoist}, the
+    buffer of the invariant suffix's rows and the dedup keys met at its
+    boundary.  Cheap relative to execution; one per (plan, run, domain). *)
 
 val prepare :
   ?counters:counters ->
@@ -268,7 +321,13 @@ val prepare :
   prepared
 (** Resolves the plan's sources and allocates the per-run state {!run}
     otherwise builds internally.  Does not count as an execution (the
-    feedback record is untouched until a run completes). *)
+    feedback record is untouched until a run completes).  A plan with a
+    {!hoist} gets an empty buffer, filled when the first prefix row
+    reaches the boundary and kept for every later execution on this
+    context (each morsel of one participant on the sharded path): use a
+    context for one application only, since the buffer holds the rows of
+    the relations resolved here.  A plan without a hoist allocates
+    nothing for it. *)
 
 val driving_rows : prepared -> int
 (** How many input rows the driving step would iterate: the driven
@@ -332,6 +391,9 @@ val head_tuple : t -> Relalg.Symbol.t array -> Relalg.Tuple.t
 
 val pp : Format.formatter -> t -> unit
 (** Renders the plan with estimated and (when the plan has run) observed
-    per-step cardinalities — the [negdl explain] output. *)
+    per-step cardinalities — the [negdl explain] output.  A {!hoist} adds
+    a line before its first step naming the hoisted steps, the buffered
+    slots and the dedup key; its steps print their estimates and observed
+    rows per application. *)
 
 val to_string : t -> string

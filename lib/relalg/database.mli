@@ -51,7 +51,10 @@ val relation : string -> t -> Relation.t option
 
 val relation_or_empty : arity:int -> string -> t -> Relation.t
 (** The named relation, or the empty relation of the given arity when the
-    name is unbound. *)
+    name is unbound.  [arity] is only what the caller expects: a bound
+    relation is returned as it is, whatever its arity.  An evaluator that
+    reads a relation at a program's arity relies on
+    [Datalog.Check.validate_database] having compared the two first. *)
 
 val relations : t -> (string * Relation.t) list
 (** Sorted by name. *)

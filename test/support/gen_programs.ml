@@ -42,9 +42,11 @@ let gen_program =
     let* rules = list_size (return n) gen_rule in
     return (Ast.program rules))
 
-let gen_database =
+(* A random digraph on [lo] to [hi] vertices, each vertex marked [u] or
+   not at random. *)
+let gen_marked_graph lo hi =
   QCheck.Gen.(
-    let* n = int_range 2 4 in
+    let* n = int_range lo hi in
     let* seed = int_range 0 10000 in
     let g = Graphlib.Generate.random ~seed ~n ~p:0.35 in
     let db = Graphlib.Digraph.to_database g in
@@ -62,6 +64,8 @@ let gen_database =
     in
     return db)
 
+let gen_database = gen_marked_graph 2 4
+
 let print_case (p, db) =
   Printf.sprintf "program:\n%s\ndatabase:\n%s"
     (Datalog.Pretty.program_to_string p)
@@ -69,6 +73,46 @@ let print_case (p, db) =
 
 let arb_case =
   QCheck.make (QCheck.Gen.pair gen_program gen_database) ~print:print_case
+
+(* --- random two-component bodies ----------------------------------------- *)
+
+(* A test rule whose body splits into two variable-disjoint components: a
+   driving chain over X, Z, Y, where Z is dead (absent from the head), and
+   a component over A, B that reads the transitive closure r, positive or
+   negated.  r grows at every inflationary stage, so a buffer of that
+   component's rows is right for one rule application only; the head keeps
+   both X and Y, so prefix rows deduplicated on fewer slots lose tuples.
+   Sometimes the component also reads !w(B), where w reads !h: the program
+   is then unstratifiable. *)
+let gen_hoist_case =
+  QCheck.Gen.(
+    let* p1 = oneofl [ "e"; "r" ] in
+    let* p2 = oneofl [ "e"; "r" ] in
+    let* guard = oneofl [ ""; ", u(X)"; ", !u(Y)" ] in
+    let* hoisted =
+      oneofl
+        [
+          "!r(A, B)";
+          "r(A, B)";
+          "!r(B, A), u(A)";
+          "r(A, B), !e(A, B)";
+          "!r(A, B), !r(B, A)";
+        ]
+    in
+    let* head = oneofl [ "h(X, Y, A, B)"; "h(Y, B, X, A)"; "h(X, B, Y, B)" ] in
+    let* toggle = bool in
+    let text =
+      Printf.sprintf
+        "r(X, Y) :- e(X, Y).\n\
+         r(X, Y) :- e(X, Z), r(Z, Y).\n\
+         %s :- %s(X, Z), %s(Z, Y)%s, %s%s."
+        head p1 p2 guard hoisted
+        (if toggle then ", !w(B).\nw(X) :- u(X), !h(X, X, X, X)" else "")
+    in
+    let* db = gen_marked_graph 3 6 in
+    return (Datalog.Parser.parse_program_exn text, db))
+
+let arb_hoist_case = QCheck.make gen_hoist_case ~print:print_case
 
 (* --- random limit programs ---------------------------------------------- *)
 

@@ -12,6 +12,18 @@ val gen_database : Relalg.Database.t QCheck.Gen.t
 val arb_case : (Datalog.Ast.program * Relalg.Database.t) QCheck.arbitrary
 (** A program and a database, printed readably on failure. *)
 
+val arb_hoist_case :
+  (Datalog.Ast.program * Relalg.Database.t) QCheck.arbitrary
+(** A program whose test rule [h] has a body of two variable-disjoint
+    components, the shape whose second component a plan runs once per
+    application: a driving chain [e|r(X, Z), e|r(Z, Y)] with the dead
+    variable [Z], and a component over [A, B] that reads the transitive
+    closure [r] of [e], positive or negated, which grows at every
+    inflationary stage.  The head keeps [X] and [Y].  Sometimes the
+    second component also reads [!w(B)], where [w] reads [!h]: the program
+    is then unstratifiable.  Databases are random digraphs on 3 to 6
+    vertices with random [u] marks. *)
+
 val arb_limit_case :
   (Datalog.Ast.program * Datalog.Ast.program * Relalg.Database.t)
   QCheck.arbitrary

@@ -550,6 +550,48 @@ let test_constant_in_rule () =
   check bool "successors of v0" true
     (Relation.equal (Idb.get result "r") (unary_of_vertices [ 1 ]))
 
+(* --- A program meets a database ------------------------------------------ *)
+
+(* A database relation is read at the arity the program gives it, so a
+   disagreement must be refused up front: read as a pair, e(a, b, c)
+   answered p(a); read as a triple, e(a, b) died on Tuple.get. *)
+let test_database_arity () =
+  let narrow = Relalg.Database.of_facts ~universe:[] [ ("e", [ "a"; "b" ]) ] in
+  let wide =
+    Relalg.Database.of_facts ~universe:[] [ ("e", [ "a"; "b"; "c" ]) ]
+  in
+  let pair = Parser.parse_program_exn "p(X) :- e(X, Y)." in
+  let pair_neg = Parser.parse_program_exn "p(X) :- !e(X, X)." in
+  let triple = Parser.parse_program_exn "p(X) :- e(X, Y, Z)." in
+  let refused program db ~expect:(program_arity, database_arity) =
+    match Datalog.Check.validate_database program db with
+    | Error (Datalog.Check.Database_arity e) ->
+      check Alcotest.string "predicate" "e" e.pred;
+      check int "program arity" program_arity e.program_arity;
+      check int "database arity" database_arity e.database_arity;
+      check bool "serve refuses" true
+        (Result.is_error (Serve.create program db))
+    | Error e -> Alcotest.fail (Datalog.Check.error_to_string e)
+    | Ok () -> Alcotest.fail "arity mismatch accepted"
+  in
+  refused pair wide ~expect:(2, 3);
+  refused pair_neg wide ~expect:(2, 3);
+  refused triple narrow ~expect:(3, 2);
+  check bool "matching arities pass" true
+    (Datalog.Check.validate_database pair narrow = Ok ());
+  (* An unbound EDB predicate reads as empty, at any arity; an IDB
+     predicate never reads the database. *)
+  check bool "unbound EDB passes" true
+    (Datalog.Check.validate_database
+       (Parser.parse_program_exn "p(X) :- q(X, Y, Z).")
+       narrow
+    = Ok ());
+  check bool "IDB names are not checked" true
+    (Datalog.Check.validate_database
+       (Parser.parse_program_exn "e(X) :- q(X). q(a).")
+       narrow
+    = Ok ())
+
 let () =
   Alcotest.run "eval"
     [
@@ -634,5 +676,6 @@ let () =
           Alcotest.test_case "equality propagation" `Quick test_equality_propagation;
           Alcotest.test_case "inequality filter" `Quick test_inequality_filter;
           Alcotest.test_case "constant in rule" `Quick test_constant_in_rule;
+          Alcotest.test_case "database arity" `Quick test_database_arity;
         ] );
     ]

@@ -60,6 +60,55 @@ let prop_kripke_kleene_reference =
       Reference.Facts.equal true_facts (facts m.Evallib.Fitting.true_facts)
       && Reference.Facts.equal possible (facts m.Evallib.Fitting.possible))
 
+(* --- hoisted invariant suffixes against the definitions ------------------- *)
+
+let engines = [ `Naive; `Seminaive; `Parallel ]
+
+let facts_of_idb s = Reference.facts_of_bindings (Idb.bindings s)
+
+(* Bodies of two variable-disjoint components, the second reading the
+   growing closure r: every engine's inflationary model, and its stratified
+   and well-founded models when the program is stratifiable, must be the
+   reference's.  A buffer kept past its rule application replays rows of
+   an older r; a boundary key missing a live slot drops prefix rows whose
+   heads differ.  Either gives a wrong model here.  Unstratifiable programs
+   still pin the well-founded model between the reference Kripke-Kleene
+   bounds, which it refines. *)
+let prop_hoist_reference =
+  QCheck.Test.make
+    ~name:"two-component bodies = reference (every semantics and engine)"
+    ~count:120 Testsupport.Gen_programs.arb_hoist_case (fun (p, db) ->
+      let rdb = Reference.of_database db in
+      let agrees reference eval =
+        List.for_all
+          (fun engine ->
+            Reference.Facts.equal reference (facts_of_idb (eval ~engine)))
+          engines
+      in
+      let wellfounded check =
+        List.for_all
+          (fun engine ->
+            let m = Evallib.Wellfounded.eval ~engine p db in
+            check
+              (facts_of_idb m.Evallib.Wellfounded.true_facts)
+              (facts_of_idb m.Evallib.Wellfounded.possible))
+          engines
+      in
+      agrees (Reference.inflationary p rdb) (fun ~engine ->
+          Evallib.Inflationary.eval ~engine p db)
+      &&
+      match Reference.stratified p rdb with
+      | Some model ->
+        agrees model (fun ~engine -> Evallib.Stratified.eval_exn ~engine p db)
+        && wellfounded (fun t u ->
+               Reference.Facts.equal model t && Reference.Facts.equal model u)
+      | None ->
+        let kk_true, kk_possible = Reference.kripke_kleene p rdb in
+        wellfounded (fun t u ->
+            Reference.Facts.subset kk_true t
+            && Reference.Facts.subset t u
+            && Reference.Facts.subset u kk_possible))
+
 (* --- morsel scheduling -------------------------------------------------------- *)
 
 module Tuples = Set.Make (Tuple)
@@ -234,6 +283,124 @@ let test_plan_shapes () =
        (function Plan.Index_probe _ -> true | _ -> false)
        (ops p))
 
+(* --- the hoist on the paper's distance program ----------------------------- *)
+
+(* Both s3 rules end in a component that shares no variable with the
+   join before it: enumerate Xs, enumerate Ys, check !s2(Xs, Ys).  It runs
+   once per rule application, and each distinct (X, Y) replays its rows,
+   where every (X, Z, Y) binding used to enumerate the universe twice.  The
+   benchmark's graph pins the counters: enumerations fall from 16,044 per
+   evaluation to at most 200, duplicate derivations of the dead Z go, and
+   the tuples kept and the model stay as they were. *)
+let test_distance_hoist () =
+  let module Distance = Reductions.Distance in
+  let g = Generate.random ~seed:1 ~n:20 ~p:0.1 in
+  let db = db_of g in
+  let slot_name (plan : Plan.t) = function
+    | Plan.Enumerate { slot } -> Some plan.Plan.slot_names.(slot)
+    | _ -> None
+  in
+  List.iter
+    (fun (name, eval, reference, derived_before, allocated) ->
+      let cache = Cache.create () in
+      let stats = Evallib.Stats.create () in
+      let carrier = Idb.get (eval ~cache ~stats) "s3" in
+      let c = stats.Evallib.Stats.plan in
+      Alcotest.(check bool)
+        (name ^ ": enumerations at most 200 (16,044 before)")
+        true
+        (c.Plan.enumerations <= 200);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: tuples derived below %d" name derived_before)
+        true
+        (stats.Evallib.Stats.tuples_derived < derived_before);
+      Alcotest.(check int) (name ^ ": tuples allocated") allocated
+        stats.Evallib.Stats.tuples_allocated;
+      Alcotest.(check bool) (name ^ ": the model") true
+        (Relalg.Relation.equal carrier (reference g));
+      List.iter
+        (fun (plan : Plan.t) ->
+          let label = plan.Plan.label ^ " " ^ Plan.variant_to_string plan.variant in
+          match (plan.Plan.head_pred, plan.Plan.hoist) with
+          | "s3", Some h ->
+            Alcotest.(check (option string))
+              (label ^ ": boundary at enumerate Xs")
+              (Some "Xs")
+              (slot_name plan plan.Plan.steps.(h.Plan.h_at).Plan.op)
+          | "s3", None -> Alcotest.failf "%s: no hoist" label
+          | _, Some _ -> Alcotest.failf "%s: a tc rule hoists" label
+          | _, None -> ())
+        (Cache.plans cache))
+    [
+      ( "inflationary",
+        (fun ~cache ~stats ->
+          Evallib.Inflationary.eval ~cache ~stats Distance.program db),
+        Distance.reference,
+        161_240,
+        140_204 );
+      ( "stratified",
+        (fun ~cache ~stats ->
+          Evallib.Stratified.eval_exn ~cache ~stats Distance.program db),
+        Distance.reference_stratified,
+        45_840,
+        23_714 );
+    ];
+  (* The toggle rule's grounding pseudo-rule [$instances(Z, U1, W) :- .]
+     only enumerates: buffering it would save nothing. *)
+  let toggle = Parser.parse_program_exn "t(Z) :- !q(U1), !t(W)." in
+  let cache = Cache.create () in
+  ignore
+    (Evallib.Ground.ground ~cache toggle
+       (Database.create_strings [ "a"; "b"; "c" ]));
+  Alcotest.(check int) "the toggle rule grounds through one plan" 1
+    (Cache.cardinal cache);
+  List.iter
+    (fun (plan : Plan.t) ->
+      Alcotest.(check bool) (plan.Plan.label ^ ": no hoist") true
+        (plan.Plan.hoist = None))
+    (Cache.plans cache)
+
+(* A limit rule's closing steps read the head's group and bound, so the
+   hoist ends before them and they run per replayed row: the cheapest
+   allowed cost per node, with its dedup key the live node slot. *)
+let test_hoist_before_limit_steps () =
+  let p =
+    Parser.parse_program_exn
+      "best min 2.\n\
+       best(X, C) :- e(X, Z), cost(C), !bad(C, C)."
+  in
+  let limits =
+    List.map
+      (fun (l : Ast.limit) -> (l.Ast.limit_pred, (l.Ast.kind, l.Ast.column)))
+      p.Ast.limits
+  in
+  let plan =
+    Plan.compile ~limits ~sizes:(fun _ _ -> 8) ~universe_size:8
+      (List.hd p.Ast.rules)
+  in
+  (match plan.Plan.hoist with
+  | Some h ->
+    Alcotest.(check bool) "the hoist ends at the aggregate probe" true
+      (match plan.Plan.steps.(h.Plan.h_end).Plan.op with
+      | Plan.Aggregate_probe _ -> true
+      | _ -> false);
+    Alcotest.(check (option (array string))) "dedup key" (Some [| "X" |])
+      (Option.map (Array.map (fun s -> plan.Plan.slot_names.(s))) h.Plan.h_key)
+  | None -> Alcotest.fail "no hoist");
+  let db =
+    Database.merge
+      (db_of (Generate.path 3))
+      (Relalg.Database.of_facts ~universe:[]
+         [
+           ("cost", [ "1" ]); ("cost", [ "2" ]); ("cost", [ "3" ]);
+           ("bad", [ "1"; "1" ]);
+         ])
+  in
+  let best = Idb.get (Evallib.Stratified.eval_exn p db) "best" in
+  Alcotest.(check (list string)) "min allowed cost per node with an edge"
+    [ "(v0, 2)"; "(v1, 2)" ]
+    (List.map Tuple.to_string (Relalg.Relation.to_list best))
+
 (* --- Theta.iterate orbit detection ----------------------------------------- *)
 
 (* A shift register: one atom circulating through k unary predicates.
@@ -358,7 +525,11 @@ let () =
     [
       ( "matrix",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_kripke_kleene_reference; prop_sharded_equals_run ] );
+          [
+            prop_kripke_kleene_reference;
+            prop_sharded_equals_run;
+            prop_hoist_reference;
+          ] );
       ( "regressions",
         [
           Alcotest.test_case "delta plans = full plans (E-workloads)" `Quick
@@ -370,6 +541,10 @@ let () =
           Alcotest.test_case "pp output" `Quick test_pp_mentions_estimates;
           Alcotest.test_case "existence checks probe" `Quick
             test_exists_probes;
+          Alcotest.test_case "distance: the s3 rules hoist" `Quick
+            test_distance_hoist;
+          Alcotest.test_case "the hoist stops at limit steps" `Quick
+            test_hoist_before_limit_steps;
         ] );
       ( "theta-orbits",
         [
