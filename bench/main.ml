@@ -4,12 +4,11 @@
    so the objects to regenerate are its concrete checkable claims.  Part 1
    reruns every experiment E1-E10 from EXPERIMENTS.md and prints a
    paper-expectation vs measured table.  Part 2 runs Bechamel
-   micro-benchmarks — one Test.make per experiment family plus the ablation
-   comparisons (naive vs semi-naive, brute-force vs SAT search).
+   micro-benchmarks — one Test.make per experiment family plus the
+   brute-force vs SAT search comparison.
 
-   Parts 3 to 5 are retired: there is one relation store, one indexing
-   mode and one SAT search, and the parallel-vs-sequential rows are Part
-   7's.
+   Parts 3 to 5 and 7 are retired: there is one relation store, one
+   indexing mode, one SAT search and one sequential evaluator.
 
    Part 6 ("plan") is the plan-layer benchmark: compile-once static plans
    timed on the Theta-application loop and on iteration-heavy and
@@ -18,25 +17,9 @@
    loop.  Writes BENCH_plan.json and exits nonzero if compiles grow with
    iterations or the executor reaches 8 minor words per row.
 
-   Part 7 ("par") is the intra-rule parallelism benchmark: morsel-sharded
-   plan execution vs the sequential engine on a single-heavy-rule
-   transitive closure (where whole-rule fan-out reduces to sequential
-   execution), the par=1 sharding-tax bound, a domain-scaling curve (one
-   row per pool size in {1,2,4,8}, capped by NEGDL_DOMAINS or the host's
-   core count, with store-contention counters per row), a merge
-   microbench pitting the partitioned builder barrier against the seed's
-   set-union merge, parallel-vs-sequential model parity for every
-   saturation semantics, and fingerprint parity across store partition
-   counts (fresh subprocesses under NEGDL_PARTITIONS in {1,2,4,8}).
-   Writes BENCH_par.json (with the host's domain count in the header —
-   the >= 2x morsel speedup check is skipped below 4 domains, unreachable
-   curve points are marked skipped) and exits nonzero on any divergence,
-   if the partitioned merge is not faster than the seed path, or if a
-   multi-domain curve row shows flat contention counters.
-
    Part 8 ("serve") is the incremental-serving benchmark: a long-lived
    server absorbing single-fact and batched update streams (delete +
-   re-derive, insert, mixed read/write with concurrent cached queries)
+   re-derive, insert, mixed read/write with batched cached queries)
    against the cost of re-saturating from scratch on every batch, with
    sustained updates/sec and p50/p99 query latency.  Writes
    BENCH_serve.json and exits nonzero if the maintained model ever
@@ -55,7 +38,7 @@
    and critical-path (max) bounds over seeded weighted graphs, limit-aware
    tightening vs the pair-materializing Datalog-not encoding of the same
    query, with dominant-filter parity, limit-model fingerprint parity
-   across engines, E1-E8 fingerprint invariance, and
+   across evaluations, E1-E8 fingerprint invariance, and
    an incremental serve session under mixed
    insert/delete that must keep dred full applications at 0.  Writes
    BENCH_agg.json and exits nonzero on any divergence or if tightening is
@@ -67,7 +50,6 @@
               dune exec bench/main.exe -- tables          (part 1 only)
               dune exec bench/main.exe -- micro           (part 2 only)
               dune exec bench/main.exe -- plan [quick]    (part 6 only)
-              dune exec bench/main.exe -- par [quick]     (part 7 only)
               dune exec bench/main.exe -- serve [quick]   (part 8 only)
               dune exec bench/main.exe -- snap [quick]    (part 9 only)
               dune exec bench/main.exe -- agg [quick]     (part 10 only) *)
@@ -289,23 +271,19 @@ let time f =
 
 let e7 () =
   section "E7  Inflationary evaluation: polynomial scaling, stage bound";
-  row "  %-14s %-8s %-8s %-12s %-12s@." "workload" "tuples" "stages"
-    "seminaive(s)" "naive(s)";
+  row "  %-14s %-8s %-8s %-12s@." "workload" "tuples" "stages"
+    "seminaive(s)";
   List.iter
     (fun n ->
       let g = Generate.random ~seed:31 ~n ~p:(4.0 /. float_of_int n) in
       let db = db_of g in
       let trace, t_semi =
-        time (fun () -> Inflationary.eval_trace ~engine:`Seminaive tc_program db)
-      in
-      let _, t_naive =
-        time (fun () -> Inflationary.eval_trace ~engine:`Naive tc_program db)
+        time (fun () -> Inflationary.eval_trace tc_program db)
       in
       let stages = List.length trace.Saturate.deltas in
       let tuples = Idb.total_cardinal trace.Saturate.result in
       let bound = n * n in
-      row "  tc n=%-9d %-8d %-8d %-12.4f %-12.4f %s@." n tuples stages t_semi
-        t_naive
+      row "  tc n=%-9d %-8d %-8d %-12.4f %s@." n tuples stages t_semi
         (ok (stages <= bound)))
     [ 10; 20; 40; 80 ];
   let g = Generate.random ~seed:33 ~n:12 ~p:0.25 in
@@ -532,11 +510,9 @@ let micro_tests () =
     Test.make_grouped ~name:"e7_eval"
       [
         Test.make ~name:"tc_seminaive_n30"
-          (stage (fun () -> Inflationary.eval ~engine:`Seminaive tc_program rnd30));
-        Test.make ~name:"tc_naive_n30"
-          (stage (fun () -> Inflationary.eval ~engine:`Naive tc_program rnd30));
+          (stage (fun () -> Inflationary.eval tc_program rnd30));
         Test.make ~name:"tc_seminaive_n60"
-          (stage (fun () -> Inflationary.eval ~engine:`Seminaive tc_program rnd60));
+          (stage (fun () -> Inflationary.eval tc_program rnd60));
         Test.make ~name:"pi1_inflationary_n60"
           (stage (fun () -> Inflationary.eval pi1 rnd60));
       ]
@@ -687,8 +663,8 @@ let best_of repeats f =
 (* --- E1-E8 parity fingerprint ------------------------------------------------ *)
 
 (* A fingerprint of the E1-E8 experiment drivers: every count an evaluation
-   configuration could corrupt, as (name, integer) pairs.  The plan, par
-   and agg parts compute it under each configuration they vary and exit
+   configuration could corrupt, as (name, integer) pairs.  The plan and
+   agg parts compute it under each configuration they vary and exit
    nonzero if any entry disagrees. *)
 let parity_fingerprint () =
   let entries = ref [] in
@@ -850,9 +826,9 @@ let plan_bench ~quick () =
   let tc_cell () =
     let run () =
       for _ = 2 to multi_reps do
-        ignore (Inflationary.eval ~engine:`Seminaive multi_program multi_db)
+        ignore (Inflationary.eval multi_program multi_db)
       done;
-      Inflationary.eval ~engine:`Seminaive multi_program multi_db
+      Inflationary.eval multi_program multi_db
     in
     let r, t = best_of best_reps run in
     (Idb.total_cardinal r, t /. float_of_int multi_reps)
@@ -881,7 +857,7 @@ let plan_bench ~quick () =
     db_of (Generate.random ~seed:79 ~n:dense_n ~p:(4.0 /. float_of_int dense_n))
   in
   let dense_cell () =
-    let run () = Inflationary.eval ~engine:`Seminaive tc_program dense_db in
+    let run () = Inflationary.eval tc_program dense_db in
     let r, t = best_of best_reps run in
     (Idb.total_cardinal r, t)
   in
@@ -911,7 +887,7 @@ let plan_bench ~quick () =
      with iterations. *)
   let compiles, cache_hits =
     let stats = Stats.create () in
-    ignore (Inflationary.eval ~engine:`Seminaive ~stats multi_program multi_db);
+    ignore (Inflationary.eval ~stats multi_program multi_db);
     (stats.Stats.plan.Plan.plan_compiles, stats.Stats.plan.Plan.plan_cache_hits)
   in
   let compile_once_ok = compiles <= 3 * multi_copies in
@@ -947,501 +923,6 @@ let plan_bench ~quick () =
   close_out oc;
   if not (alloc_ok && compile_once_ok) then begin
     Format.printf "  plan executor allocates per row or recompiles — failing@.";
-    exit 1
-  end
-
-(* --- Part 7: intra-rule parallelism benchmark (BENCH_par.json) ---------------- *)
-
-(* Model-level parity for the [`Parallel] engine: every semantics built on
-   saturation, evaluated under an explicit pool, reduced to (name, count)
-   entries.  Compared against the sequential engine — the morsel schedule
-   must never change a model. *)
-let par_model_fingerprint ~engine ?pool () =
-  let entries = ref [] in
-  let add name v = entries := (name, v) :: !entries in
-  (* pi_1 (recursion through negation) on cycles and paths. *)
-  List.iter
-    (fun (name, g) ->
-      add ("infl_pi1_" ^ name)
-        (Idb.total_cardinal
-           (Inflationary.eval ~engine ?pool pi1 (db_of g))))
-    [ ("C8", Generate.cycle 8); ("L9", Generate.path 9) ];
-  (* E7-style transitive closure: tuples and stage counts. *)
-  let tr =
-    Inflationary.eval_trace ~engine ?pool tc_program
-      (db_of (Generate.random ~seed:31 ~n:30 ~p:0.13))
-  in
-  add "tc30_tuples" (Idb.total_cardinal tr.Saturate.result);
-  add "tc30_stages" (List.length tr.Saturate.deltas);
-  (* A stratified program with negation over the closure. *)
-  let neg_p =
-    Parser.parse_program_exn
-      "s(X, Y) :- e(X, Y). s(X, Y) :- e(X, Z), s(Z, Y). un(X, Y) :- !s(X, Y)."
-  in
-  let neg_db = db_of (Generate.random ~seed:57 ~n:12 ~p:0.2) in
-  add "strat_unreach_tuples"
-    (Idb.total_cardinal (Stratified.eval_exn ~engine ?pool neg_p neg_db));
-  (* The three-valued side: the alternating fixpoint re-saturates many
-     times, so a scheduling bug would surface here first. *)
-  let m =
-    Wellfounded.eval ~engine ?pool pi1 (db_of (Generate.cycle 6))
-  in
-  add "wf_pi1_c6_true" (Idb.total_cardinal m.Wellfounded.true_facts);
-  add "wf_pi1_c6_possible" (Idb.total_cardinal m.Wellfounded.possible);
-  List.rev !entries
-
-(* Hidden mode backing the cross-partition parity gate: print the full
-   model + E1-E8 fingerprint, one "name value" line per entry.  The store's
-   stripe count is fixed once at module initialisation, so the only honest
-   way to compare partition layouts is to re-exec this binary under
-   different NEGDL_PARTITIONS settings and diff what each process prints. *)
-let par_fingerprint_print () =
-  List.iter
-    (fun (name, v) -> Printf.printf "%s %d\n" name v)
-    (par_model_fingerprint ~engine:`Seminaive () @ parity_fingerprint ())
-
-let par_partition_parity ~quick () =
-  let counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let saved = Sys.getenv_opt "NEGDL_PARTITIONS" in
-  let run p =
-    Unix.putenv "NEGDL_PARTITIONS" (string_of_int p);
-    let ic =
-      Unix.open_process_in
-        (Filename.quote Sys.executable_name ^ " par-fingerprint")
-    in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 -> List.rev !lines
-    | _ -> []
-  in
-  let outs = List.map (fun p -> (p, run p)) counts in
-  (match saved with
-  | Some v -> Unix.putenv "NEGDL_PARTITIONS" v
-  | None ->
-      (* No way to unset from here; pin the parent's resolved value so any
-         further child sees the layout this process actually ran. *)
-      Unix.putenv "NEGDL_PARTITIONS" (string_of_int (Relalg.Store.partitions ())));
-  match outs with
-  | [] | [ _ ] -> (counts, true)
-  | (p0, ref_lines) :: rest ->
-      let parity =
-        ref_lines <> []
-        && List.for_all
-             (fun (p, lines) ->
-               let same = lines = ref_lines in
-               if not same then
-                 Format.printf
-                   "  DIVERGENCE: fingerprints differ between \
-                    NEGDL_PARTITIONS=%d and NEGDL_PARTITIONS=%d@."
-                   p0 p;
-               same)
-             rest
-      in
-      (counts, parity)
-
-(* One point of the domain-scaling curve: morsel-auto TC wall time under a
-   pool of [d] participants, plus the scheduling and store-contention
-   counters of one instrumented run.  The contention deltas are taken
-   around a database this row has never seen — re-interning tuples that
-   are already present rides the lock-free probe path, so only fresh rows
-   prove the stripes (and the per-domain caches) were really exercised. *)
-type curve_row = {
-  cr_domains : int;
-  cr_seconds : float;
-  cr_tuples : int;
-  cr_morsels : int;
-  cr_steals : int;
-  cr_shard_skew : int;
-  cr_stripe_locks : int;
-  cr_cache_hits : int;
-  cr_cache_misses : int;
-  cr_partition_skew : int;
-}
-
-let par_bench ~quick () =
-  let host_domains = Domain.recommended_domain_count () in
-  let avail =
-    (* NEGDL_DOMAINS drives how far the scaling curve may go; without it
-       the host's core count is the ceiling.  Points past the ceiling are
-       reported as skipped, never silently measured oversubscribed. *)
-    match Sys.getenv_opt "NEGDL_DOMAINS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some d when d >= 1 -> d
-        | _ -> host_domains)
-    | None -> host_domains
-  in
-  Format.printf
-    "Intra-rule parallelism benchmark (morsel sharding%s, host domains %d, \
-     %d store partitions) -> BENCH_par.json@."
-    (if quick then ", quick mode" else "")
-    host_domains
-    (Relalg.Store.partitions ());
-  let pool = Domain_pool.create ~size:3 () in
-  let pool1 = Domain_pool.create ~size:0 () in
-  let best_reps = if quick then 3 else 5 in
-  (* The single-heavy-rule regime: after stage 1 every semi-naive stage of
-     TC has exactly one runnable delta application, so whole-rule fan-out
-     reduces to sequential execution no matter how many domains the pool
-     holds.  Morsel sharding splits that one application's driving input
-     across the pool instead. *)
-  let n = if quick then 160 else 220 in
-  let heavy_db =
-    db_of (Generate.random ~seed:97 ~n ~p:(3.2 /. float_of_int n))
-  in
-  let results = ref [] in
-  let record name tuples seconds =
-    results := (name, tuples, seconds) :: !results;
-    Format.printf "  %-36s %10.2f ms %10d tuples@." name (seconds *. 1e3)
-      tuples
-  in
-  let measure name f =
-    let r, t = best_of best_reps f in
-    record name (Idb.total_cardinal r) t;
-    (r, t)
-  in
-  (* Order matters on small hosts: the single-domain configurations
-     (sequential reference and par=1) are timed {e before} anything runs
-     on [pool] — worker domains spawn lazily on first use and, once
-     alive, every minor collection has to rendezvous them, which dilates
-     unrelated single-domain wall clock by tens of percent on a one-core
-     box.  One untimed warm-up run of each keeps cold-start effects out
-     of the best-of window. *)
-  let seq () = Inflationary.eval ~engine:`Seminaive tc_program heavy_db in
-  let par1 () =
-    Inflationary.eval ~engine:`Parallel ~pool:pool1 tc_program heavy_db
-  in
-  ignore (seq ());
-  ignore (par1 ());
-  (* The par=1 tax is a ratio of these two, so their reps are interleaved:
-     background load drifting between two separate best-of windows would
-     land straight in the ratio, and the 1.05 bound is tight. *)
-  let r_seq = ref None and r_par1 = ref None in
-  let t_seq = ref infinity and t_par1 = ref infinity in
-  for _ = 1 to 2 * best_reps do
-    let r, t = wall seq in
-    if t < !t_seq then t_seq := t;
-    r_seq := Some r;
-    let r, t = wall par1 in
-    if t < !t_par1 then t_par1 := t;
-    r_par1 := Some r
-  done;
-  let r_seq = Option.get !r_seq and t_seq = !t_seq in
-  let r_par1 = Option.get !r_par1 and t_par1 = !t_par1 in
-  record "tc_heavy_seminaive" (Idb.total_cardinal r_seq) t_seq;
-  record "tc_heavy_par1_morsel_auto" (Idb.total_cardinal r_par1) t_par1;
-  let r_auto, t_auto =
-    measure "tc_heavy_par4_morsel_auto" (fun () ->
-        Inflationary.eval ~engine:`Parallel ~pool tc_program heavy_db)
-  in
-  let models_agree = Idb.equal r_seq r_auto && Idb.equal r_seq r_par1 in
-  (* Scheduling counters, from a stats run of the morsel configuration. *)
-  let sched = Stats.create () in
-  ignore
-    (Inflationary.eval ~engine:`Parallel ~pool ~stats:sched tc_program
-       heavy_db);
-  Format.printf
-    "  scheduling: %d morsels, %d steals, max shard skew %d@."
-    sched.Stats.morsels sched.Stats.steals sched.Stats.max_shard_skew;
-  (* --- The domain-scaling curve ------------------------------------- *)
-  let curve_points = [ 1; 2; 4; 8 ] in
-  Format.printf "  scaling curve (available domains %d):@." avail;
-  let curve =
-    List.map
-      (fun d ->
-        if d > avail then begin
-          Format.printf "    d=%d: skipped (%d domains available)@." d avail;
-          (d, None)
-        end
-        else begin
-          let pool_d = Domain_pool.create ~size:(d - 1) () in
-          let run db () =
-            Inflationary.eval ~engine:`Parallel ~pool:pool_d tc_program db
-          in
-          ignore (run heavy_db ());
-          let r, t = best_of best_reps (run heavy_db) in
-          let fresh_db =
-            db_of
-              (Generate.random ~seed:(4000 + d) ~n
-                 ~p:(3.2 /. float_of_int n))
-          in
-          let before = Relalg.Store.contention () in
-          let s = Stats.create () in
-          ignore
-            (Inflationary.eval ~engine:`Parallel ~pool:pool_d ~stats:s
-               tc_program fresh_db);
-          let after = Relalg.Store.contention () in
-          Domain_pool.shutdown pool_d;
-          let row =
-            {
-              cr_domains = d;
-              cr_seconds = t;
-              cr_tuples = Idb.total_cardinal r;
-              cr_morsels = s.Stats.morsels;
-              cr_steals = s.Stats.steals;
-              cr_shard_skew = s.Stats.max_shard_skew;
-              cr_stripe_locks =
-                after.Relalg.Store.stripe_locks
-                - before.Relalg.Store.stripe_locks;
-              cr_cache_hits =
-                after.Relalg.Store.cache_hits
-                - before.Relalg.Store.cache_hits;
-              cr_cache_misses =
-                after.Relalg.Store.cache_misses
-                - before.Relalg.Store.cache_misses;
-              cr_partition_skew = after.Relalg.Store.partition_skew;
-            }
-          in
-          Format.printf
-            "    d=%d: %8.2f ms  morsels %d steals %d skew %d  locks %d \
-             cache %d/%d pskew %d@."
-            d (t *. 1e3) row.cr_morsels row.cr_steals row.cr_shard_skew
-            row.cr_stripe_locks row.cr_cache_hits
-            (row.cr_cache_hits + row.cr_cache_misses) row.cr_partition_skew;
-          (d, Some row)
-        end)
-      curve_points
-  in
-  let curve_rows = List.filter_map snd curve in
-  let t_d1 =
-    match List.find_opt (fun r -> r.cr_domains = 1) curve_rows with
-    | Some r -> r.cr_seconds
-    | None -> nan
-  in
-  (* Any multi-domain row must show the stripes and caches actually being
-     touched: a partitioned store whose counters stay flat under a
-     parallel run over fresh tuples means the instrumentation (or the
-     partitioning itself) is wired to nothing. *)
-  let contention_check =
-    match List.filter (fun r -> r.cr_domains >= 2) curve_rows with
-    | [] -> `Skipped
-    | multi ->
-        if
-          List.for_all
-            (fun r ->
-              r.cr_stripe_locks + r.cr_cache_hits + r.cr_cache_misses > 0)
-            multi
-        then `Pass
-        else `Fail
-  in
-  (* --- Merge microbench: set-union barrier vs partition concat ------- *)
-  (* The seed's hashed builder_merge walked the smaller participant's
-     Patricia set (a membership probe per id to keep the cardinal exact)
-     and unioned the trees.  The partitioned builder appends per-stripe
-     int vectors and defers dedup to build.  Same input — the TC closure
-     rows split round-robin across 4 shard builders — timed head to head:
-     the seed path is simulated on pre-built Idsets, the partitioned path
-     times builder_merge folding plus the final build. *)
-  let merge_n = if quick then 130 else 190 in
-  let merge_db =
-    db_of (Generate.random ~seed:77 ~n:merge_n ~p:(3.0 /. float_of_int merge_n))
-  in
-  let closure =
-    Inflationary.eval ~engine:`Seminaive tc_program merge_db
-  in
-  let closure_ids = Relation.ids (Idb.get closure "s") in
-  let rows =
-    Array.of_list
-      (List.rev (Relalg.Idset.fold (fun id acc -> id :: acc) closure_ids []))
-  in
-  let shards = 4 in
-  let shard_lists = Array.make shards [] in
-  Array.iteri
-    (fun i id -> shard_lists.(i mod shards) <- id :: shard_lists.(i mod shards))
-    rows;
-  let shard_arrays =
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort compare a;
-        a)
-      shard_lists
-  in
-  let shard_sets = Array.map Relalg.Idset.of_sorted_array shard_arrays in
-  let merge_reps = if quick then 30 else 100 in
-  let seed_merge () =
-    let acc = ref shard_sets.(0) in
-    let card = ref (Relalg.Idset.cardinal shard_sets.(0)) in
-    for i = 1 to shards - 1 do
-      let small = shard_sets.(i) in
-      let fresh =
-        Relalg.Idset.fold
-          (fun id c -> if Relalg.Idset.mem id !acc then c else c + 1)
-          small 0
-      in
-      card := !card + fresh;
-      acc := Relalg.Idset.union !acc small
-    done;
-    (!acc, !card)
-  in
-  let (_, seed_card), t_seed_merge = best_of merge_reps seed_merge in
-  let shard_tuples =
-    Array.map (fun a -> Array.map Relalg.Store.tuple a) shard_arrays
-  in
-  let fresh_builders () =
-    Array.map
-      (fun tuples ->
-        let b = Relation.builder 2 in
-        Array.iter (fun t -> ignore (Relation.builder_add b t)) tuples;
-        b)
-      shard_tuples
-  in
-  let t_part_merge = ref infinity in
-  let part_card = ref 0 in
-  for _ = 1 to merge_reps do
-    (* Builder population is untimed: the merge tax being measured starts
-       at the barrier, when full per-participant accumulators meet. *)
-    let bs = fresh_builders () in
-    let t0 = Unix.gettimeofday () in
-    let merged = ref bs.(0) in
-    for i = 1 to shards - 1 do
-      merged := Relation.builder_merge !merged bs.(i)
-    done;
-    let built = Relation.build !merged in
-    let t = Unix.gettimeofday () -. t0 in
-    part_card := Relation.cardinal built;
-    if t < !t_part_merge then t_part_merge := t
-  done;
-  let t_part_merge = !t_part_merge in
-  let merge_parity = seed_card = Array.length rows && !part_card = seed_card in
-  let merge_below_seed = t_part_merge < t_seed_merge in
-  Format.printf
-    "  merge microbench (%d rows, %d shards): seed %.1f us, partitioned \
-     %.1f us (%.2fx) %s@."
-    (Array.length rows) shards (t_seed_merge *. 1e6) (t_part_merge *. 1e6)
-    (t_seed_merge /. t_part_merge)
-    (ok (merge_below_seed && merge_parity));
-  let speedup_morsel = t_seq /. t_auto in
-  let par1_tax = t_par1 /. t_seq in
-  Format.printf "  morsel auto vs seminaive:    %.2fx@." speedup_morsel;
-  Format.printf "  par=1 sharding tax:          %.3fx (bound 1.05)@." par1_tax;
-  (* Parallel-vs-sequential model parity, all saturation semantics. *)
-  let reference = par_model_fingerprint ~engine:`Seminaive () in
-  let divergences =
-    List.filter_map
-      (fun ((name, s), (name', v)) ->
-        assert (name = name');
-        if s = v then None else Some (name, s, v))
-      (List.combine reference
-         (par_model_fingerprint ~engine:`Parallel ~pool ()))
-  in
-  List.iter
-    (fun (name, s, v) ->
-      Format.printf "  DIVERGENCE %s under the parallel engine: seq=%d got=%d@."
-        name s v)
-    divergences;
-  let parallel_parity = divergences = [] in
-  Format.printf "  parity: parallel models (%d entries) %s@."
-    (List.length reference) (ok parallel_parity);
-  (* Cross-partition parity: the same fingerprints must come out of fresh
-     processes running the store at 1, 2, 4 and 8 stripes. *)
-  let partition_counts, partition_parity = par_partition_parity ~quick () in
-  Format.printf "  parity: fingerprints across NEGDL_PARTITIONS in {%s} %s@."
-    (String.concat ", " (List.map string_of_int partition_counts))
-    (ok partition_parity);
-  let par1_ok = par1_tax <= 1.05 in
-  (* The >= 2x morsel-over-sequential check needs real parallel hardware:
-     with fewer than 4 domains the pool's workers time-slice the cores and
-     the wall-clock gain is physically unobtainable, so the check is
-     recorded as skipped rather than silently passed or unfairly failed. *)
-  let morsel_check =
-    if host_domains < 4 then `Skipped
-    else if speedup_morsel >= 2.0 then `Pass
-    else `Fail
-  in
-  let check_name = function
-    | `Skipped -> "skipped"
-    | `Pass -> "pass"
-    | `Fail -> "fail"
-  in
-  Format.printf "  morsel >= 2x over seminaive: %s@." (check_name morsel_check);
-  Format.printf "  contention counters non-zero (d >= 2): %s@."
-    (check_name contention_check);
-  let oc = open_out "BENCH_par.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"quick\": %b,\n" quick;
-  out "  \"host_domains\": %d,\n" host_domains;
-  out "  \"available_domains\": %d,\n" avail;
-  out "  \"store_partitions\": %d,\n" (Relalg.Store.partitions ());
-  out "  \"pool_participants\": %d,\n" (Domain_pool.size pool + 1);
-  out "  \"benchmarks\": [\n";
-  let entries = List.rev !results in
-  List.iteri
-    (fun i (name, tuples, seconds) ->
-      out "    {\"name\": %S, \"ns_per_op\": %.0f, \"tuples\": %d}%s\n" name
-        (seconds *. 1e9) tuples
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  out "  ],\n";
-  out "  \"scaling\": [\n";
-  List.iteri
-    (fun i (d, row) ->
-      (match row with
-      | None ->
-          out
-            "    {\"domains\": %d, \"skipped\": true, \"reason\": \
-             \"only %d domains available\"}"
-            d avail
-      | Some r ->
-          out
-            "    {\"domains\": %d, \"ns_per_op\": %.0f, \
-             \"speedup_vs_1\": %.3f, \"tuples\": %d, \"morsels\": %d, \
-             \"steals\": %d, \"max_shard_skew\": %d, \
-             \"stripe_locks\": %d, \"cache_hits\": %d, \
-             \"cache_misses\": %d, \"partition_skew\": %d}"
-            r.cr_domains
-            (r.cr_seconds *. 1e9)
-            (t_d1 /. r.cr_seconds)
-            r.cr_tuples r.cr_morsels r.cr_steals r.cr_shard_skew
-            r.cr_stripe_locks r.cr_cache_hits r.cr_cache_misses
-            r.cr_partition_skew);
-      out "%s\n" (if i = List.length curve - 1 then "" else ","))
-    curve;
-  out "  ],\n";
-  out "  \"merge\": {\n";
-  out "    \"rows\": %d,\n" (Array.length rows);
-  out "    \"shards\": %d,\n" shards;
-  out "    \"seed_ns\": %.0f,\n" (t_seed_merge *. 1e9);
-  out "    \"partitioned_ns\": %.0f\n" (t_part_merge *. 1e9);
-  out "  },\n";
-  out "  \"scheduling\": {\n";
-  out "    \"morsels\": %d,\n" sched.Stats.morsels;
-  out "    \"steals\": %d,\n" sched.Stats.steals;
-  out "    \"max_shard_skew\": %d\n" sched.Stats.max_shard_skew;
-  out "  },\n";
-  out "  \"speedups\": {\n";
-  out "    \"morsel_vs_seminaive\": %.3f,\n" speedup_morsel;
-  out "    \"par1_vs_seminaive_tax\": %.3f\n" par1_tax;
-  out "  },\n";
-  out "  \"checks\": {\n";
-  out "    \"models_agree\": %b,\n" models_agree;
-  out "    \"parallel_model_parity\": %b,\n" parallel_parity;
-  out "    \"partition_parity\": %b,\n" partition_parity;
-  out "    \"merge_parity\": %b,\n" merge_parity;
-  out "    \"merge_below_seed\": %b,\n" merge_below_seed;
-  out "    \"par1_within_5pct\": %b,\n" par1_ok;
-  out "    \"contention_counters_nonzero\": %S,\n"
-    (check_name contention_check);
-  out "    \"morsel_speedup_2x\": %S\n" (check_name morsel_check);
-  out "  }\n";
-  out "}\n";
-  close_out oc;
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool1;
-  if
-    not
-      (models_agree && parallel_parity && partition_parity
-     && merge_parity && merge_below_seed && par1_ok
-     && morsel_check <> `Fail
-      && contention_check <> `Fail)
-  then begin
-    Format.printf "  intra-rule parallelism check failed — failing@.";
     exit 1
   end
 
@@ -1955,16 +1436,12 @@ let agg_bench ~quick () =
       ~limit_pred:"best" ~derived:[ "good"; "modest" ]
   in
   (* Config parity: the limit model's fingerprint must be invariant across
-     engines. *)
-  let model_fp ?engine () =
-    Idb.fingerprint (Stratified.eval_exn ?engine min_limit min_db)
+     evaluations. *)
+  let model_fp () =
+    Idb.fingerprint (Stratified.eval_exn min_limit min_db)
   in
   let reference = model_fp () in
-  let config_fps =
-    List.map
-      (fun (name, engine) -> (name, model_fp ~engine ()))
-      [ ("seminaive", `Seminaive); ("parallel", `Parallel) ]
-  in
+  let config_fps = [ ("seminaive", model_fp ()) ] in
   let config_divergences =
     List.filter (fun (_, fp) -> fp <> reference) config_fps
   in
@@ -2090,8 +1567,6 @@ let () =
   if what = "tables" || what = "all" then tables ();
   if what = "micro" || what = "all" then run_micro ();
   if what = "plan" then plan_bench ~quick ();
-  if what = "par-fingerprint" then par_fingerprint_print ();
-  if what = "par" then par_bench ~quick ();
   if what = "serve" then serve_bench ~quick ();
   if what = "snap" then snap_bench ~quick ();
   if what = "agg" then agg_bench ~quick ()

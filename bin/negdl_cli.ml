@@ -84,20 +84,6 @@ let database_arg =
     & pos 1 (some file) None
     & info [] ~docv:"DATABASE" ~doc:"Database (facts) file.")
 
-let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [ ("seminaive", `Seminaive); ("naive", `Naive); ("parallel", `Parallel) ]
-  in
-  Arg.(
-    value
-    & opt engine_conv `Seminaive
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Iteration engine: $(b,seminaive) (default), $(b,naive), or \
-           $(b,parallel) (semi-naive with rule applications fanned across \
-           domains).")
-
 let explain_arg =
   Arg.(
     value
@@ -182,8 +168,7 @@ let eval_cmd =
              $(docv).  A corrupt or version-skewed file is a hard error \
              (fail closed), a merely stale one is re-evaluated.")
   in
-  let run program_path db_path semantics engine explain stats pred
-      snapshot_file =
+  let run program_path db_path semantics explain stats pred snapshot_file =
     let program = or_die (load_program program_path) in
     let db = load_database_for program db_path in
     let stats = if stats then Some (Negdl.Stats.create ()) else None in
@@ -193,8 +178,7 @@ let eval_cmd =
     let semantics_name = Negdl.semantics_to_string semantics in
     let evaluate_and_save () =
       let result =
-        or_die
-          (Negdl.run ~engine ?plan_cache ?stats semantics program db)
+        or_die (Negdl.run ?plan_cache ?stats semantics program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -269,8 +253,8 @@ let eval_cmd =
   Cmd.v
     (Cmd.info "eval" ~doc)
     Term.(
-      const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
-      $ explain_arg $ stats_arg $ pred_arg $ snapshot_arg)
+      const run $ program_arg $ database_arg $ semantics_arg $ explain_arg
+      $ stats_arg $ pred_arg $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
 
@@ -324,6 +308,7 @@ let fixpoints_cmd =
       count_budget stats snapshot_file =
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
+    or_die (Negdl.refuse_limits "fixpoint analysis" program);
     let load_and_save () =
       let db = load_database_for program db_path in
       (match snapshot_file with
@@ -497,7 +482,7 @@ let query_cmd =
             "Query atom, e.g. 's(v0, Y)' — constants lowercase, variables \
              uppercase.")
   in
-  let run program_path db_path goal engine =
+  let run program_path db_path goal =
     let program = or_die (load_program program_path) in
     let db = load_database_for program db_path in
     let goal_atom =
@@ -506,7 +491,7 @@ let query_cmd =
       | Ok _ -> or_die (Error "the goal must be a single atom")
       | Error msg -> or_die (Error msg)
     in
-    match Negdl.Query.answer ~engine program db ~query:goal_atom with
+    match Negdl.Query.answer program db ~query:goal_atom with
     | Error msg -> or_die (Error msg)
     | Ok answers ->
       Format.printf "%a@." Negdl.Relation.pp answers;
@@ -515,7 +500,7 @@ let query_cmd =
   let doc = "answer a goal on a positive program via magic sets" in
   Cmd.v
     (Cmd.info "query" ~doc)
-    Term.(const run $ program_arg $ database_arg $ goal_arg $ engine_arg)
+    Term.(const run $ program_arg $ database_arg $ goal_arg)
 
 (* --- serve ------------------------------------------------------------------ *)
 
@@ -543,15 +528,12 @@ let serve_cmd =
              program — is a hard error.  When $(docv) does not exist, \
              materialise normally and checkpoint to it before serving.")
   in
-  let run program_path db_path engine stats socket snapshot_file =
+  let run program_path db_path stats socket snapshot_file =
     let program = or_die (load_program program_path) in
     let stats_rec = Negdl.Stats.create () in
     let cold_start () =
       let db = load_database_for program db_path in
-      let state =
-        or_die
-          (Negdl.Serve.create ~engine ~stats:stats_rec program db)
-      in
+      let state = or_die (Negdl.Serve.create ~stats:stats_rec program db) in
       (match snapshot_file with
       | None -> ()
       | Some file ->
@@ -564,9 +546,7 @@ let serve_cmd =
       match snapshot_file with
       | Some file when Sys.file_exists file ->
         let image = snap_die (Negdl.Snapshot.read_file file) in
-        or_die
-          (Negdl.Serve.create_restored ~engine ~stats:stats_rec program
-             image)
+        or_die (Negdl.Serve.create_restored ~stats:stats_rec program image)
       | _ -> cold_start ()
     in
     (* One client session over a raw file descriptor; returns how it
@@ -699,8 +679,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ program_arg $ database_arg $ engine_arg $ stats_arg
-      $ socket_arg $ snapshot_arg)
+      const run $ program_arg $ database_arg $ stats_arg $ socket_arg
+      $ snapshot_arg)
 
 (* --- snapshot / restore ----------------------------------------------------- *)
 
@@ -726,10 +706,10 @@ let snapshot_cmd =
             "One of $(b,inflationary), $(b,stratified) (default), \
              $(b,well-founded), $(b,kripke-kleene), $(b,least).")
   in
-  let run program_path db_path file semantics engine =
+  let run program_path db_path file semantics =
     let program = or_die (load_program program_path) in
     let db = load_database_for program db_path in
-    let result = or_die (Negdl.run ~engine semantics program db) in
+    let result = or_die (Negdl.run semantics program db) in
     let bytes =
       save_snapshot ~program
         ~semantics:(Negdl.semantics_to_string semantics)
@@ -765,7 +745,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ snapshot_file_arg
-      $ semantics_arg $ engine_arg)
+      $ semantics_arg)
 
 let restore_cmd =
   let file_arg =
@@ -832,6 +812,7 @@ let why_cmd =
   in
   let run program_path db_path fact =
     let program = or_die (load_program program_path) in
+    or_die (Negdl.refuse_limits "inflationary" program);
     let db = load_database_for program db_path in
     let atom =
       match Negdl.Parser.parse_rule (fact ^ ".") with
@@ -872,6 +853,7 @@ let stable_cmd =
   in
   let run program_path db_path limit =
     let program = or_die (load_program program_path) in
+    or_die (Negdl.refuse_limits "stable models" program);
     let db = load_database_for program db_path in
     let solver = Negdl.Fixpoints.prepare program db in
     let stable = Negdl.Stable.stable_models ~limit solver in
@@ -1034,6 +1016,7 @@ let check_cmd =
 let ground_cmd =
   let run program_path db_path =
     let program = or_die (load_program program_path) in
+    or_die (Negdl.refuse_limits "grounding" program);
     let db = load_database_for program db_path in
     let g = Negdl.Ground.ground program db in
     Format.printf "%a@." Negdl.Ground.pp g;

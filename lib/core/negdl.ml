@@ -70,7 +70,6 @@ module Plan = Planlib.Plan
 module Plan_cache = Planlib.Cache
 module Snapshot = Snapshotlib.Snapshot
 module Prng = Negdl_util.Prng
-module Domain_pool = Negdl_util.Domain_pool
 module Stats = Evallib.Stats
 
 type semantics =
@@ -109,17 +108,23 @@ type run_result = {
 (* Limit declarations are defined by the tighten-union fixpoint of the
    stratified evaluator; the other semantics would silently compute the
    pair-materializing reading, so they refuse limit programs instead. *)
-let reject_limits who (program : Ast.program) =
+let refuse_limits who (program : Ast.program) =
   match program.limits with
-  | [] -> ()
+  | [] -> Ok ()
   | l :: _ ->
-    invalid_arg
+    Error
       (Printf.sprintf
          "%s: limit predicates (%s %s) require the stratified semantics" who
          l.limit_pred
          (Ast.limit_kind_to_string l.kind))
 
-let run ?engine ?planner:(_ : Plan.planner option) ?plan_cache
+let reject_limits who program =
+  match refuse_limits who program with
+  | Ok () -> ()
+  | Error msg -> invalid_arg msg
+
+let run ?engine:(_ : [ `Seminaive ] option) ?planner:(_ : Plan.planner option)
+    ?plan_cache
     ?indexing:(_ : Engine.indexing option)
     ?storage:(_ : Relation.storage option) ?stats semantics program db =
   let cache = plan_cache in
@@ -134,21 +139,21 @@ let run ?engine ?planner:(_ : Plan.planner option) ?plan_cache
     | Semantics_inflationary ->
       Ok
         {
-          facts = Inflationary.eval ?engine ?cache ?stats program db;
+          facts = Inflationary.eval ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_least_fixpoint ->
       Ok
         {
-          facts = Naive.least_fixpoint ?engine ?cache ?stats program db;
+          facts = Naive.least_fixpoint ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_stratified -> (
-      match Stratified.eval ?engine ?cache ?stats program db with
+      match Stratified.eval ?cache ?stats program db with
       | Ok facts -> Ok { facts; unknown = None }
       | Error e -> Error (Stratified.error_to_string e))
     | Semantics_well_founded ->
-      let model = Wellfounded.eval ?engine ?cache ?stats program db in
+      let model = Wellfounded.eval ?cache ?stats program db in
       let unknown = Wellfounded.unknown model in
       Ok
         {

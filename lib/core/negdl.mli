@@ -128,7 +128,6 @@ module Plan = Planlib.Plan
 module Plan_cache = Planlib.Cache
 module Snapshot = Snapshotlib.Snapshot
 module Prng = Negdl_util.Prng
-module Domain_pool = Negdl_util.Domain_pool
 module Stats = Evallib.Stats
 
 (** {1 High-level entry points} *)
@@ -160,7 +159,7 @@ type run_result = {
 }
 
 val run :
-  ?engine:Saturate.engine ->
+  ?engine:[ `Seminaive ] ->
   ?planner:Plan.planner ->
   ?plan_cache:Plan_cache.t ->
   ?indexing:Engine.indexing ->
@@ -177,11 +176,10 @@ val run :
     ...).  Programs with limit
     declarations are only defined under [Semantics_stratified] (the
     tighten-union fixpoint); every other semantics returns an error for
-    them.  [engine] selects the saturation
-    strategy ([`Seminaive] default, [`Naive], or [`Parallel] which fans the
-    rule applications of each iteration across domains); [indexing] and
-    [storage] are ignored (they remain for the same reason as
-    {!Relation.storage}), and so is [planner] (see {!Plan.planner});
+    them.  Evaluation is semi-naive and sequential ({!Saturate}).
+    [engine], [indexing] and [storage] are ignored (they remain for the
+    same reason as {!Relation.storage}: the frozen [bench/e2e] harness
+    still passes them), and so is [planner] (see {!Plan.planner});
     [plan_cache], when given, retains the compiled plans — the CLI's
     [--explain] prints them back with estimated and actual cardinalities;
     [stats], when given, accumulates evaluation counters and stage timings
@@ -207,6 +205,15 @@ type fixpoint_report = {
   least : Idb.t option;
   example : Idb.t option;
 }
+
+val refuse_limits : string -> Ast.program -> (unit, string) result
+(** [refuse_limits who program] is [Error] when [program] declares limit
+    predicates, naming [who] and the first declaration.  Limit predicates
+    are defined by the stratified semantics' tighten-union fixpoint alone;
+    anything else would compute the reading that keeps every candidate.
+    {!run} (under the other semantics) and {!analyze_fixpoints} refuse
+    them through this check, and so do the CLI's [fixpoints], [stable],
+    [ground] and [why]. *)
 
 val analyze_fixpoints :
   ?planner:Plan.planner ->

@@ -190,7 +190,7 @@ let extend_deltas m idb =
           m)
     m (Idb.bindings idb)
 
-let apply ?engine ?cache ?stats ?pool ?(who = "Dred.apply") p db
+let apply ?cache ?stats ?(who = "Dred.apply") p db
     ~current ~additions ~removals () =
   (* --- validation (string sets, not List.mem: O(batch log program)) --- *)
   let idb_preds = SSet.of_list (Ast.idb_predicates p) in
@@ -405,8 +405,8 @@ let apply ?engine ?cache ?stats ?pool ?(who = "Dred.apply") p db
                 Idb.total_cardinal init - Idb.total_cardinal survivors )
             else
               let trace =
-                Saturate.run_delta ?engine ~cache:opts.cache ~limits
-                  ?stats:opts.stats ?pool ~rules ~schema:schema_s
+                Saturate.run_delta ~cache:opts.cache ~limits
+                  ?stats:opts.stats ~rules ~schema:schema_s
                   ~universe:new_u ~base:new_base ~neg:`Current ~init
                   ~delta:fresh ()
               in
@@ -449,8 +449,8 @@ let apply ?engine ?cache ?stats ?pool ?(who = "Dred.apply") p db
         if Idb.is_empty fresh then (after_del, 0)
         else
           let trace =
-            Saturate.run_delta ?engine ~cache:opts.cache
-              ~limits ?stats:opts.stats ?pool ~rules ~schema:schema_s
+            Saturate.run_delta ~cache:opts.cache ~limits ?stats:opts.stats
+              ~rules ~schema:schema_s
               ~universe:new_u ~base:new_base ~neg:`Current ~init:init3
               ~delta:fresh ()
           in

@@ -56,10 +56,8 @@ type delta = {
 }
 
 val apply :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   ?who:string ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
@@ -73,9 +71,8 @@ val apply :
     batch.  Removals are applied before additions; a fact both removed and
     re-added survives.  Duplicate facts in a batch are collapsed; an
     addition already present is a no-op.  [cache], when given, shares
-    compiled plans across batches (a long-lived server passes one);
-    [engine]/[pool] select the engine for the semi-naive
-    continuations.  [who] prefixes error messages (defaults to
+    compiled plans across batches (a long-lived server passes one).
+    [who] prefixes error messages (defaults to
     ["Dred.apply"]).
     @raise Invalid_argument if the program is not stratifiable, or a fact
     names an IDB predicate, disagrees with the known arity, or (for a

@@ -60,72 +60,6 @@ let run_plan ?stats ~universe ~resolver plan =
   | None -> ());
   Relation.build acc
 
-(* Morsel-driven variant of {!run_plan}: the plan's driving input is
-   sharded over [pool] and each participant streams rows into its own
-   accumulator (and plan-counter shard), so the hot loop stays lock-free;
-   the builders are merged in participant order at the barrier, which
-   makes the result deterministic whatever the steal schedule did. *)
-let run_plan_sharded ?stats ~pool ~universe ~resolver plan =
-  let arity = Array.length plan.Plan.head_args in
-  let workers = Negdl_util.Domain_pool.size pool + 1 in
-  let builders = Array.init workers (fun _ -> Relation.builder arity) in
-  let emitted = Array.make workers 0 in
-  let shards =
-    Array.init workers (fun _ -> Option.map (fun _ -> Plan.counters ()) stats)
-  in
-  let report =
-    Plan.run_sharded
-      ~counters:(fun p -> shards.(p))
-      ~pool ~resolver ~universe plan
-      ~on_row:(fun p env ->
-        emitted.(p) <- emitted.(p) + 1;
-        ignore (Relation.builder_add builders.(p) (Plan.head_tuple plan env)))
-  in
-  (* Deterministic merge: participant order, never steal order.  The merge
-     is a partition-wise id-run concatenation and dedup is deferred to
-     [build], so the whole barrier is timed as one "merge" cost. *)
-  let merge_t0 = Unix.gettimeofday () in
-  let merged = ref builders.(0) in
-  for p = 1 to workers - 1 do
-    merged := Relation.builder_merge !merged builders.(p)
-  done;
-  let built = Relation.build !merged in
-  let merge_ns =
-    int_of_float ((Unix.gettimeofday () -. merge_t0) *. 1e9)
-  in
-  (match stats with
-  | Some s ->
-    s.Stats.rule_applications <- s.Stats.rule_applications + 1;
-    s.Stats.tuples_derived <-
-      s.Stats.tuples_derived + Array.fold_left ( + ) 0 emitted;
-    (* Fresh tuples after the barrier build — cross-shard duplicates
-       collapse in [build], exactly as within-run duplicates do
-       sequentially. *)
-    s.Stats.tuples_allocated <-
-      s.Stats.tuples_allocated + Relation.cardinal built;
-    s.Stats.bulk_builds <- s.Stats.bulk_builds + 1;
-    s.Stats.merge_ns <- s.Stats.merge_ns + merge_ns;
-    Array.iter
-      (function
-        | Some c -> Plan.merge_counters s.Stats.plan ~src:c
-        | None -> ())
-      shards;
-    s.Stats.morsels <- s.Stats.morsels + report.Plan.sh_morsels;
-    s.Stats.steals <- s.Stats.steals + report.Plan.sh_steals;
-    let participants = Array.length report.Plan.sh_executed in
-    if participants > 1 then begin
-      let mx = ref report.Plan.sh_executed.(0) in
-      let mn = ref report.Plan.sh_executed.(0) in
-      Array.iter
-        (fun n ->
-          if n > !mx then mx := n;
-          if n < !mn then mn := n)
-        report.Plan.sh_executed;
-      s.Stats.max_shard_skew <- max s.Stats.max_shard_skew (!mx - !mn)
-    end
-  | None -> ());
-  built
-
 let eval_rule ?cache ?variant ?stats ~universe ~resolver rule =
   let plan =
     plan_rule ?cache ?variant ?stats

@@ -38,10 +38,10 @@ type indexing = [ `Cached ]
     argument. *)
 
 type grain = [ `Auto ]
-(** The one morsel size: the [`Parallel] engine always sizes morsels by
-    {!Planlib.Plan.auto_grain}.  The type and {!set_default_grain} exist
-    only for the same reason as {!indexing}; both go when the frozen
-    [bench/e2e] harness drops the call. *)
+(** Sizes nothing: evaluation is sequential, so there are no morsels to
+    size.  The type and {!set_default_grain} exist only for the same
+    reason as {!indexing}; both go when the frozen [bench/e2e] harness
+    drops the call. *)
 
 val set_default_grain : grain -> unit
 (** Does nothing; see {!grain}. *)
@@ -59,9 +59,8 @@ val plan_rule :
 (** The rule's plan, fetched from [cache] when given (compiled otherwise),
     with cardinalities for the cost model read through [resolver] and the
     universe's size from [universe_size], which is called only to compile
-    ({!Planlib.Cache.find}).  Fetch
-    plans {e before} fanning applications across domains — the cache is not
-    synchronised (see {!Saturate}).  [limits] (the program's limit
+    ({!Planlib.Cache.find}).  The cache is not synchronised: fetch plans
+    from one domain at a time.  [limits] (the program's limit
     declarations) makes plans for limit-head rules close with the
     aggregation steps — see {!Planlib.Plan.compile}. *)
 
@@ -75,22 +74,6 @@ val run_plan :
     ({!Relalg.Relation.builder}); the derived relation is built once.
     [stats], when given, accumulates
     rule-application, derivation, accumulator and plan counters. *)
-
-val run_plan_sharded :
-  ?stats:Stats.t ->
-  pool:Negdl_util.Domain_pool.t ->
-  universe:Relalg.Symbol.t list ->
-  resolver:resolver ->
-  Planlib.Plan.t ->
-  Relalg.Relation.t
-(** Morsel-driven {!run_plan}: the plan's driving input is sharded over
-    [pool] ({!Planlib.Plan.run_sharded}), each participant streams head
-    tuples into its own accumulator, and the accumulators are merged in
-    participant order ({!Relalg.Relation.builder_merge}) at the barrier —
-    so the derived relation equals {!run_plan}'s whatever the steal
-    schedule.  [stats] additionally collects the morsel / steal /
-    shard-skew scheduling counters; per-shard plan counters are merged
-    exactly at the barrier. *)
 
 val eval_rule :
   ?cache:Planlib.Cache.t ->

@@ -3,19 +3,18 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Inflationary: " ^ msg)
 
-let eval_trace ?engine ?cache ?stats ?pool p db =
+let eval_trace ?cache ?stats p db =
   let schema = idb_schema_exn p in
-  Saturate.run ?engine ?cache ?stats ?pool ~label:"inflationary"
+  Saturate.run ?cache ?stats ~label:"inflationary"
     ~rules:p.Datalog.Ast.rules ~schema
     ~universe:(Relalg.Database.universe db)
     ~base:(Engine.database_source db) ~neg:`Current ~init:(Idb.empty schema)
     ()
 
-let eval ?engine ?cache ?stats ?pool p db =
-  (eval_trace ?engine ?cache ?stats ?pool p db).result
+let eval ?cache ?stats p db = (eval_trace ?cache ?stats p db).result
 
-let carrier ?engine p ~carrier db =
-  let result = eval ?engine p db in
+let carrier p ~carrier db =
+  let result = eval p db in
   if not (Idb.mem result carrier) then
     invalid_arg
       (Printf.sprintf "Inflationary.carrier: %s is not an IDB predicate"

@@ -8,23 +8,18 @@
     coincides with the least-fixpoint semantics. *)
 
 val eval :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t
-(** Theta-infinity for all IDB predicates.  Default engine: [`Seminaive]
-    (see {!Saturate} for why the differential cut remains sound under
-    negation, and for the [`Parallel] fan-out; [pool] only matters
-    there). *)
+(** Theta-infinity for all IDB predicates, by semi-naive iteration (see
+    {!Saturate} for why the differential cut remains sound under
+    negation). *)
 
 val eval_trace :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Saturate.trace
@@ -32,7 +27,6 @@ val eval_trace :
     key to the distance-query argument of Proposition 2. *)
 
 val carrier :
-  ?engine:Saturate.engine ->
   Datalog.Ast.program ->
   carrier:string ->
   Relalg.Database.t ->

@@ -9,14 +9,14 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Naive: " ^ msg)
 
-let least_fixpoint_trace ?engine ?cache ?stats ?pool p db =
+let least_fixpoint_trace ?cache ?stats p db =
   check_positive p;
   let schema = idb_schema_exn p in
-  Saturate.run ?engine ?cache ?stats ?pool ~label:"least-fixpoint"
+  Saturate.run ?cache ?stats ~label:"least-fixpoint"
     ~rules:p.Datalog.Ast.rules ~schema
     ~universe:(Relalg.Database.universe db)
     ~base:(Engine.database_source db) ~neg:`Current ~init:(Idb.empty schema)
     ()
 
-let least_fixpoint ?engine ?cache ?stats ?pool p db =
-  (least_fixpoint_trace ?engine ?cache ?stats ?pool p db).result
+let least_fixpoint ?cache ?stats p db =
+  (least_fixpoint_trace ?cache ?stats p db).result

@@ -8,22 +8,18 @@
     checks extensively. *)
 
 val least_fixpoint :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t
-(** @raise Invalid_argument if the program uses negation or inequality, or
-    has inconsistent arities.  Default engine: [`Seminaive]; [pool] only
-    matters under [`Parallel]. *)
+(** Semi-naive iteration from the empty valuation ({!Saturate.run}).
+    @raise Invalid_argument if the program uses negation or inequality, or
+    has inconsistent arities. *)
 
 val least_fixpoint_trace :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Saturate.trace

@@ -41,13 +41,12 @@ let select rel ~query =
       (Relation.filter (matches_query query)
          (first_const 0 query.Datalog.Ast.args))
 
-let answer ?engine ?stats p db ~query =
+let answer ?stats p db ~query =
   match Datalog.Magic.rewrite p ~query with
   | Error _ as e -> e
   | Ok rewritten ->
     let result =
-      Naive.least_fixpoint ?engine ?stats
-        rewritten.Datalog.Magic.program db
+      Naive.least_fixpoint ?stats rewritten.Datalog.Magic.program db
     in
     let full =
       if Idb.mem result rewritten.Datalog.Magic.answer_pred then
@@ -60,8 +59,8 @@ let answer ?engine ?stats p db ~query =
        query surfaces as [Error] instead of a [List.for_all2] crash. *)
     select full ~query
 
-let answer_exn ?engine ?stats p db ~query =
-  match answer ?engine ?stats p db ~query with
+let answer_exn ?stats p db ~query =
+  match answer ?stats p db ~query with
   | Ok r -> r
   | Error msg -> invalid_arg ("Query.answer: " ^ msg)
 

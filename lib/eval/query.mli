@@ -20,7 +20,6 @@ val select :
     magic-sets answer relation. *)
 
 val answer :
-  ?engine:Saturate.engine ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
@@ -31,7 +30,6 @@ val answer :
     programs and malformed queries (see [Datalog.Magic.rewrite]). *)
 
 val answer_exn :
-  ?engine:Saturate.engine ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->

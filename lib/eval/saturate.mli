@@ -6,28 +6,19 @@
     and bounded by |A|{^ k} per k-ary predicate, the iteration terminates in
     polynomially many stages (Section 4).
 
-    Three engines compute the same limit:
-    - [`Naive] re-derives everything each stage;
-    - [`Seminaive] only explores derivations that touch a tuple added in
-      the previous stage.  With negation this differential cut is still
-      sound {e for inflationary iteration}: negated literals only lose
-      truth as S grows, so a body newly satisfiable at stage n+1 must bind
-      some positive evolving literal to a stage-n tuple;
-    - [`Parallel] is semi-naive with each stage parallelised across OCaml 5
-      domains (a shared {!Negdl_util.Domain_pool}) along whichever axis has
-      the work: stages with at least as many runnable rule applications as
-      pool participants fan whole applications out (one per domain), while
-      stages with fewer — one heavy recursive rule is the common case —
-      shard each application's driving input into morsels instead
-      ({!Engine.run_plan_sharded}).  Both merge deterministically at the
-      stage barrier, so the computed limit is identical.
+    The iteration is semi-naive: stage 1 applies every rule in full, and
+    each later stage only explores derivations that touch a tuple added in
+    the previous stage.  With negation this differential cut is still
+    sound {e for inflationary iteration}: negated literals only lose truth
+    as S grows, so a body newly satisfiable at stage n+1 must bind some
+    positive evolving literal to a stage-n tuple.  The stages run
+    sequentially on the calling domain; {!Theta.inflate} iterated to its
+    fixpoint is the naive reading, which the tests compare against.
 
     The [neg] parameter selects where {e negated} occurrences of evolving
     predicates read: the current valuation (inflationary semantics) or a
     fixed valuation (the reduct step of the well-founded alternating
     fixpoint). *)
-
-type engine = [ `Naive | `Seminaive | `Parallel ]
 
 type trace = {
   result : Idb.t;
@@ -49,11 +40,9 @@ val delta_positions :
     per position); [negdl explain] uses this to show them. *)
 
 val run :
-  ?engine:engine ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   ?label:string ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
@@ -63,15 +52,11 @@ val run :
   init:Idb.t ->
   unit ->
   trace
-(** Default engine: [`Seminaive].  Each rule is compiled once per
-    variant — the full application and one delta-specialized variant per
-    positive evolving body position — into a {!Planlib.Plan.t} and reused
-    across iterations; [cache], when given, additionally shares plans
-    across saturations (the well-founded alternating fixpoint and the
-    stratified layers pass one).  Plans are fetched in the coordinator
-    before any parallel fan-out.  [pool] (default
-    {!Negdl_util.Domain_pool.default}) only matters under [`Parallel]: it
-    picks the domains for rule fan-out and intra-rule sharding.  [stats], when
+(** Each rule is compiled once per variant — the full application and one
+    delta-specialized variant per positive evolving body position — into a
+    {!Planlib.Plan.t} and reused across iterations; [cache], when given,
+    additionally shares plans across saturations (the well-founded
+    alternating fixpoint and the stratified layers pass one).  [stats], when
     given, accumulates iteration/rule/index counters; if [label] is also
     given, the run's wall time is recorded as a stage under that name (the
     stratified evaluator labels each stratum, the inflationary evaluator
@@ -81,32 +66,10 @@ val run :
     group's bound, the stage delta is the changed-group delta, and plans
     for limit-head rules close with the aggregation steps. *)
 
-val apply_once :
-  ?parallel:bool ->
-  ?pool:Negdl_util.Domain_pool.t ->
-  ?cache:Planlib.Cache.t ->
-  ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?stats:Stats.t ->
-  rules:Datalog.Ast.rule list ->
-  schema:Relalg.Schema.t ->
-  universe:Relalg.Symbol.t list ->
-  base:Engine.source ->
-  neg:[ `Current | `Frozen of Engine.source ] ->
-  current:Idb.t ->
-  unit ->
-  Idb.t
-(** A single full Theta application (no iteration): every rule applied once
-    against [current], with evolving predicates resolved there and
-    everything else in [base] — the building block {!Theta.apply} uses for
-    its [~parallel] mode.  Under [parallel] the stage parallelises exactly
-    like one {!run} stage (rule fan-out or intra-rule sharding). *)
-
 val run_delta :
-  ?engine:engine ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   ?label:string ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
@@ -126,7 +89,5 @@ val run_delta :
     every derivation of a missing fact binds at least one positive
     evolving literal to a tuple outside [init] minus [delta] — in
     particular for continuing any inflationary iteration from a subset of
-    its limit that contains all its non-delta consequences.  [`Naive]
-    falls back to the same delta chase (there is no naive specialisation);
-    an empty [delta] returns [init] unchanged without touching the pool or
-    cache. *)
+    its limit that contains all its non-delta consequences.  An empty
+    [delta] returns [init] unchanged without touching the cache. *)

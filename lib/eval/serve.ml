@@ -30,8 +30,6 @@ type counters = {
 
 type t = {
   program : Ast.program;
-  engine : Saturate.engine option;
-  pool : Negdl_util.Domain_pool.t option;
   stats : Stats.t;
   cache : Planlib.Cache.t;  (** Compiled plans shared across all batches. *)
   mutable db : Database.t;
@@ -55,23 +53,21 @@ let zero_counters =
     cache_misses = 0;
   }
 
-let create ?engine ?planner:(_ : Plan.planner option)
-    ?indexing:(_ : Engine.indexing option)
-    ?storage:(_ : Relation.storage option) ?pool
-    ?grain:(_ : Engine.grain option) ?stats program db =
+let create ?engine:(_ : [ `Seminaive ] option)
+    ?planner:(_ : Plan.planner option) ?indexing:(_ : Engine.indexing option)
+    ?storage:(_ : Relation.storage option) ?grain:(_ : Engine.grain option)
+    ?stats program db =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let cache = Planlib.Cache.create () in
   match Datalog.Check.validate_database program db with
   | Error e -> Error (Datalog.Check.error_to_string e)
   | Ok () -> (
-    match Stratified.eval ?engine ~cache ~stats ?pool program db with
+    match Stratified.eval ~cache ~stats program db with
     | Error e -> Error (Stratified.error_to_string e)
     | Ok idb ->
       Ok
         {
           program;
-          engine;
-          pool;
           stats;
           cache;
           db;
@@ -139,7 +135,7 @@ let restore_from t path =
       t.version <- 0;
       Ok ())
 
-let create_restored ?engine ?pool ?stats program image =
+let create_restored ?stats program image =
   match Datalog.Stratify.stratify program with
   | Datalog.Stratify.Not_stratifiable { offending } ->
     Error (Stratified.error_to_string (Not_stratifiable { offending }))
@@ -153,8 +149,6 @@ let create_restored ?engine ?pool ?stats program image =
       Ok
         {
           program;
-          engine;
-          pool;
           stats;
           cache = Planlib.Cache.create ();
           db;
@@ -168,9 +162,8 @@ let create_restored ?engine ?pool ?stats program image =
 
 let update t ~additions ~removals =
   match
-    Dred.apply ?engine:t.engine ~cache:t.cache
-      ~stats:t.stats ?pool:t.pool ~who:"update" t.program t.db ~current:t.idb
-      ~additions ~removals ()
+    Dred.apply ~cache:t.cache ~stats:t.stats ~who:"update" t.program t.db
+      ~current:t.idb ~additions ~removals ()
   with
   | exception Invalid_argument msg -> Error msg
   | delta ->
@@ -194,9 +187,9 @@ let update t ~additions ~removals =
     in
     t.db <- delta.Dred.new_db;
     t.idb <- delta.Dred.new_idb;
-    (* Readers race only against this bump: the published [db]/[idb]
-       values are immutable, so a query computed against the previous
-       snapshot is simply served from (or cached for) the old version. *)
+    (* The published [db]/[idb] values are immutable, so a reader that
+       pinned the previous pair keeps a consistent snapshot; the version
+       bump makes its cache entries miss. *)
     t.version <- t.version + 1;
     t.c <-
       {
@@ -223,8 +216,7 @@ let delete t removals = update t ~additions:[] ~removals
 let canonical atom = Format.asprintf "%a" Datalog.Pretty.pp_atom atom
 
 (* Pure snapshot read: IDB predicates from the materialised model, EDB
-   from the database.  Safe to run on any domain — both structures are
-   immutable values. *)
+   from the database. *)
 let eval_query ~db ~idb (atom : Ast.atom) =
   let rel =
     if Idb.mem idb atom.Ast.pred then Some (Idb.get idb atom.Ast.pred)
@@ -265,7 +257,7 @@ let query_all t atoms =
   | _ ->
     bump_queries t (List.length atoms);
     (* Pin the snapshot once: every query of the batch reads the same
-       immutable db/idb pair, fanned across the domain pool. *)
+       immutable db/idb pair. *)
     let db = t.db and idb = t.idb and v = t.version in
     let keyed = List.map (fun a -> (a, canonical a)) atoms in
     let misses =
@@ -285,21 +277,12 @@ let query_all t atoms =
         cache_misses = t.c.cache_misses + List.length misses;
         cache_hits = t.c.cache_hits + List.length atoms - List.length misses;
       };
-    let pool =
-      match t.pool with
-      | Some p -> p
-      | None -> Negdl_util.Domain_pool.default ()
-    in
-    let computed =
-      Negdl_util.Domain_pool.run pool
-        (List.map (fun (_, a) () -> eval_query ~db ~idb a) misses)
-    in
-    List.iter2
-      (fun (k, _) result ->
-        match result with
+    List.iter
+      (fun (k, a) ->
+        match eval_query ~db ~idb a with
         | Ok rel -> Hashtbl.replace t.query_cache k (v, rel)
         | Error _ -> ())
-      misses computed;
+      misses;
     List.map
       (fun (a, k) ->
         match cached t k with
@@ -417,6 +400,13 @@ let write_reply ~cmd (r : update_report) =
     Printf.sprintf "ok deleted=%d overdeleted=%d rederived=%d" r.deleted
       r.overdeleted r.rederived
 
+let apply_write t ~cmd facts =
+  if cmd = "insert" then insert t facts else delete t facts
+
+let reply_write ~cmd = function
+  | Ok r -> Reply [ write_reply ~cmd r ]
+  | Error e -> Reply [ "error: " ^ e ]
+
 let handle_line t line =
   let line = String.trim line in
   if line = "" || line.[0] = '%' then Reply []
@@ -429,17 +419,10 @@ let handle_line t line =
     | "insert" | "delete" -> (
       match parse_facts rest with
       | Error e -> Reply [ "error: " ^ e ]
-      | Ok facts -> (
-        let result =
-          if cmd = "insert" then insert t facts else delete t facts
-        in
-        match result with
-        | Error e -> Reply [ "error: " ^ e ]
-        | Ok r -> Reply [ write_reply ~cmd r ]))
+      | Ok facts -> reply_write ~cmd (apply_write t ~cmd facts))
     | "query" ->
-      (* Multiple atoms separated by ';' are answered as one batch —
-         cache misses fan concurrently over the pool against one pinned
-         snapshot. *)
+      (* Multiple atoms separated by ';' are answered as one batch against
+         one pinned snapshot. *)
       let goals = List.map parse_goal (String.split_on_char ';' rest) in
       let atoms =
         List.filter_map (function Ok a -> Some a | Error _ -> None) goals
@@ -511,20 +494,27 @@ let handle_batch t lines =
      report counts distinct facts, so a line that repeats an earlier
      line's fact adds nothing to it and still answers [ok coalesced] —
      where, sent alone after the first, a repeated delete would be an
-     error and a repeated insert would report [inserted=0]. *)
+     error and a repeated insert would report [inserted=0].  When the
+     combined update is refused, which leaves [t] unchanged, the run's
+     lines are applied one at a time instead, each answering as it would
+     alone: one bad line must not take the valid lines read with it. *)
   let flush run acc =
     match run with
     | None -> acc
-    | Some (cmd, rev_fact_lists) ->
-      let k = List.length rev_fact_lists in
-      let facts = List.concat (List.rev rev_fact_lists) in
-      let first, later =
-        match if cmd = "insert" then insert t facts else delete t facts with
-        | Ok r -> (Reply [ write_reply ~cmd r ], Reply [ "ok coalesced" ])
-        | Error e -> (Reply [ "error: " ^ e ], Reply [ "error: coalesced" ])
-      in
-      let rec push n acc = if n = 0 then acc else push (n - 1) (later :: acc) in
-      push (k - 1) (first :: acc)
+    | Some (cmd, [ facts ]) ->
+      reply_write ~cmd (apply_write t ~cmd facts) :: acc
+    | Some (cmd, rev_fact_lists) -> (
+      match apply_write t ~cmd (List.concat (List.rev rev_fact_lists)) with
+      | Ok r ->
+        let rec push n acc =
+          if n = 0 then acc else push (n - 1) (Reply [ "ok coalesced" ] :: acc)
+        in
+        push (List.length rev_fact_lists - 1) (reply_write ~cmd (Ok r) :: acc)
+      | Error _ ->
+        List.fold_left
+          (fun acc facts -> reply_write ~cmd (apply_write t ~cmd facts) :: acc)
+          acc
+          (List.rev rev_fact_lists))
   in
   let rec go run acc = function
     | [] -> List.rev (flush run acc)

@@ -5,13 +5,11 @@
     applied with delta-driven DRed ({!Dred.apply}), never by
     re-saturation — and answers queries against the current snapshot.
 
-    {b Reader/writer protocol.}  The database, the materialised model and
-    the packed tuple store all publish immutable snapshots: an update
-    installs new [db]/[idb] values and bumps the version, it never mutates
-    what a concurrent reader holds.  Queries therefore run lock-free on
-    whatever snapshot they pinned — {!query_all} fans one batch's cache
-    misses across the domain pool while the (single) writer prepares the
-    next batch.
+    {b Snapshots.}  The database and the materialised model are immutable
+    values: an update installs new [db]/[idb] values and bumps the
+    version, it never mutates what a reader holds, so a query answers
+    against the snapshot it pinned.  Updates and queries run in order, on
+    the calling domain.
 
     {b Query cache.}  Results are cached per canonical query atom, tagged
     with the version they were computed at; any applied update bumps the
@@ -46,11 +44,10 @@ type counters = {
 (** Cumulative since {!create}. *)
 
 val create :
-  ?engine:Saturate.engine ->
+  ?engine:[ `Seminaive ] ->
   ?planner:Planlib.Plan.planner ->
   ?indexing:Engine.indexing ->
   ?storage:Relalg.Relation.storage ->
-  ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
@@ -63,12 +60,11 @@ val create :
     against the arities in use).  One plan cache is created
     here and shared by the initial materialisation and every later batch,
     so each (rule, variant) pair compiles once for the server's lifetime.
-    [planner], [indexing], [storage] and [grain] are ignored; they remain
-    for the same reason as {!Relalg.Relation.storage}. *)
+    [engine], [planner], [indexing], [storage] and [grain] are ignored;
+    they remain for the same reason as {!Relalg.Relation.storage}: the
+    frozen [bench/e2e] harness still passes them. *)
 
 val create_restored :
-  ?engine:Saturate.engine ->
-  ?pool:Negdl_util.Domain_pool.t ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Snapshotlib.Snapshot.image ->
@@ -83,8 +79,7 @@ val database : t -> Relalg.Database.t
 (** The current EDB snapshot (immutable). *)
 
 val snapshot : t -> Idb.t
-(** The current materialised model (immutable) — pin it before reading
-    concurrently with updates. *)
+(** The current materialised model (immutable). *)
 
 val version : t -> int
 
@@ -118,16 +113,15 @@ val query : t -> Datalog.Ast.atom -> (Relalg.Relation.t, string) result
 val query_all :
   t -> Datalog.Ast.atom list -> (Relalg.Relation.t, string) result list
 (** One batch: cache hits are served directly, the distinct misses are
-    evaluated concurrently on the domain pool against one pinned snapshot,
-    then cached.  Results are in argument order.  Each distinct atom not
+    evaluated in order against one pinned snapshot, then cached.  Results
+    are in argument order.  Each distinct atom not
     cached before the batch counts as one cache miss and every other atom
     as a hit, so the batch adds its length to [cache_hits + cache_misses]. *)
 
 val snapshot_to : t -> string -> (int, string) result
 (** [snapshot_to t file] checkpoints the current model to [file],
     atomically; returns the bytes written.  The writer works against the
-    pinned immutable snapshot, so checkpointing never blocks the update
-    loop. *)
+    pinned immutable snapshot. *)
 
 val restore_from : t -> string -> (unit, string) result
 (** [restore_from t file] replaces the database and materialised model
@@ -147,10 +141,13 @@ val handle_batch : t -> string list -> response list
     consecutive [insert] (resp. [delete]) lines whose facts all parse is
     applied as {e one} DRed update — one overdeletion/rederivation pass
     for the whole run.  The run's first line answers with the combined
-    report in {!handle_line}'s format, the later lines answer
-    ["ok coalesced"] (["error: coalesced"] when the merged update fails);
-    every other line behaves exactly as under {!handle_line}, and a run
-    of one is byte-identical to it.  Processing stops at the first [quit]
+    report in {!handle_line}'s format and the later lines answer
+    ["ok coalesced"].  When the combined update is refused (a fact at the
+    wrong arity, say), the run's lines are applied one at a time instead
+    and each answers exactly as under {!handle_line}, so a valid write's
+    fate never depends on which lines arrived with it.  Every other line
+    behaves exactly as under {!handle_line}, and a run of one is
+    byte-identical to it.  Processing stops at the first [quit]
     or [shutdown], whose response is the last element. *)
 
 val stats_lines : t -> string list

@@ -7,10 +7,6 @@ type t = {
   mutable tuples_allocated : int;
   mutable bulk_builds : int;
   plan : Plan.counters;
-  mutable morsels : int;
-  mutable steals : int;
-  mutable max_shard_skew : int;
-  mutable merge_ns : int;
   mutable stripe_locks : int;
   mutable intern_hits : int;
   mutable intern_misses : int;
@@ -28,10 +24,6 @@ let create () =
     tuples_allocated = 0;
     bulk_builds = 0;
     plan = Plan.counters ();
-    morsels = 0;
-    steals = 0;
-    max_shard_skew = 0;
-    merge_ns = 0;
     stripe_locks = 0;
     intern_hits = 0;
     intern_misses = 0;
@@ -40,28 +32,6 @@ let create () =
     wall = 0.0;
     extra = [];
   }
-
-let merge_into dst ~src =
-  dst.iterations <- dst.iterations + src.iterations;
-  dst.rule_applications <- dst.rule_applications + src.rule_applications;
-  dst.tuples_derived <- dst.tuples_derived + src.tuples_derived;
-  dst.tuples_allocated <- dst.tuples_allocated + src.tuples_allocated;
-  dst.bulk_builds <- dst.bulk_builds + src.bulk_builds;
-  Plan.merge_counters dst.plan ~src:src.plan;
-  dst.morsels <- dst.morsels + src.morsels;
-  dst.steals <- dst.steals + src.steals;
-  dst.max_shard_skew <- max dst.max_shard_skew src.max_shard_skew;
-  dst.merge_ns <- dst.merge_ns + src.merge_ns;
-  (* The contention block is harvested from process-cumulative counters at
-     print sites, not accumulated per task — max keeps a merge of a
-     harvested record with un-harvested shards from double-counting. *)
-  dst.stripe_locks <- max dst.stripe_locks src.stripe_locks;
-  dst.intern_hits <- max dst.intern_hits src.intern_hits;
-  dst.intern_misses <- max dst.intern_misses src.intern_misses;
-  dst.partition_skew <- max dst.partition_skew src.partition_skew;
-  dst.stages <- src.stages @ dst.stages;
-  dst.wall <- dst.wall +. src.wall;
-  dst.extra <- src.extra @ dst.extra
 
 (* [pp] renders [List.rev extra], so prepending a fresh counter keeps the
    report in first-use order. *)
@@ -112,20 +82,13 @@ let pp ppf t =
   Format.fprintf ppf "full scans:        %d@," t.plan.Plan.full_scans;
   Format.fprintf ppf "bucket probes:     %d@," t.plan.Plan.bucket_probes;
   Format.fprintf ppf "enumerations:      %d@," t.plan.Plan.enumerations;
-  Format.fprintf ppf "morsels executed:  %d@," t.morsels;
-  Format.fprintf ppf "morsel steals:     %d@," t.steals;
-  Format.fprintf ppf "max shard skew:    %d@," t.max_shard_skew;
   (* The store-contention block appears only when something was measured. *)
-  if
-    t.stripe_locks + t.intern_hits + t.intern_misses + t.partition_skew
-    + t.merge_ns
-    > 0
+  if t.stripe_locks + t.intern_hits + t.intern_misses + t.partition_skew > 0
   then begin
     Format.fprintf ppf "stripe locks:      %d@," t.stripe_locks;
     Format.fprintf ppf "intern cache hits: %d@," t.intern_hits;
     Format.fprintf ppf "intern cache miss: %d@," t.intern_misses;
-    Format.fprintf ppf "partition skew:    %d@," t.partition_skew;
-    Format.fprintf ppf "parallel merge ns: %d@," t.merge_ns
+    Format.fprintf ppf "partition skew:    %d@," t.partition_skew
   end;
   List.iter
     (fun (name, v) -> Format.fprintf ppf "%-18s %d@," (name ^ ":") v)

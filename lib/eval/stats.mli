@@ -3,10 +3,8 @@
     A mutable record threaded (optionally) through the engine and every
     semantics: one value accumulates counters across a whole evaluation —
     fixpoint iterations, rule applications, tuples derived, plan-cache and
-    join-index behaviour, and wall-clock time per named stage.  Parallel
-    rule applications accumulate into per-task records that are merged at
-    the iteration barrier, so counters stay exact under the [`Parallel]
-    engine. *)
+    join-index behaviour, and wall-clock time per named stage.  Every
+    rule application counts straight into the caller's record. *)
 
 type t = {
   mutable iterations : int;
@@ -27,20 +25,6 @@ type t = {
       (** The plan layer's counter block: plan compiles and cache hits,
           index hits/builds, full scans, bucket probes and universe
           enumerations — see {!Planlib.Plan.counters}. *)
-  mutable morsels : int;
-      (** Morsels executed by sharded (intra-rule parallel) plan runs —
-          0 whenever evaluation never took the sharded path. *)
-  mutable steals : int;
-      (** Steal-half operations between shard participants (0 with a
-          single participant: nobody to steal from). *)
-  mutable max_shard_skew : int;
-      (** Worst per-barrier imbalance seen: max - min morsels executed
-          across the participants of one sharded run (0 with a single
-          participant).  Merged with [max], not [+]. *)
-  mutable merge_ns : int;
-      (** Nanoseconds spent in sharded barrier merges (per-shard
-          accumulator concatenation + the final relation build), summed
-          over every sharded rule application. *)
   mutable stripe_locks : int;
       (** Store stripe-lock acquisitions, harvested process-cumulative
           from {!Relalg.Store.contention} by {!harvest_contention}. *)
@@ -63,10 +47,6 @@ type t = {
 val create : unit -> t
 (** All counters zero. *)
 
-val merge_into : t -> src:t -> unit
-(** Adds [src]'s counters into the first argument (used at parallel
-    barriers). *)
-
 val bump_extra : t -> string -> int -> unit
 (** [bump_extra s name n] adds [n] to the free-form counter [name] in
     {!field-extra}, creating it at [n] on first use (insertion order is
@@ -78,8 +58,7 @@ val harvest_contention : t -> unit
 (** Copies the packed store's process-cumulative contention counters
     (stripe locks, per-domain intern-cache hits/misses, partition skew)
     into the record.  Called once at report sites; {!pp} prints the
-    contention block only when something non-zero was harvested (or
-    {!field-merge_ns} accumulated). *)
+    contention block only when something non-zero was harvested. *)
 
 val record_stage : t -> string -> float -> unit
 (** [record_stage s name dt] logs [dt] seconds against [name] and adds it

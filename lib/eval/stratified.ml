@@ -18,7 +18,7 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Stratified: " ^ msg)
 
-let eval ?engine ?cache ?stats ?pool p db =
+let eval ?cache ?stats p db =
   match Datalog.Stratify.stratify p with
   | Datalog.Stratify.Not_stratifiable { offending } ->
     Error (Not_stratifiable { offending })
@@ -52,7 +52,7 @@ let eval ?engine ?cache ?stats ?pool p db =
         (* Lower strata are frozen into the base source. *)
         let base = Engine.layered db accumulated in
         let trace =
-          Saturate.run ?engine ~cache ~limits ?stats ?pool
+          Saturate.run ~cache ~limits ?stats
             ~label:(Printf.sprintf "stratum %d" s)
             ~rules ~schema ~universe ~base ~neg:`Current
             ~init:(Idb.empty schema) ()
@@ -67,9 +67,7 @@ let eval ?engine ?cache ?stats ?pool p db =
     in
     Ok (layer 0 (Idb.empty full_schema))
 
-let eval_exn ?engine ?cache ?stats ?pool p db =
-  match
-    eval ?engine ?cache ?stats ?pool p db
-  with
+let eval_exn ?cache ?stats p db =
+  match eval ?cache ?stats p db with
   | Ok idb -> idb
   | Error e -> invalid_arg ("Stratified.eval: " ^ error_to_string e)

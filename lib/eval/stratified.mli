@@ -15,21 +15,16 @@ type error =
 val error_to_string : error -> string
 
 val eval :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   (Idb.t, error) result
-(** [stats], when given, records one wall-time stage per stratum.  [pool] is
-    passed through to {!Saturate.run} and only matters under [`Parallel]. *)
+(** [stats], when given, records one wall-time stage per stratum. *)
 
 val eval_exn :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t

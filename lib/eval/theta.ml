@@ -3,25 +3,12 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Theta: " ^ msg)
 
-let apply ?(parallel = false) ?pool ?cache ?stats p db s =
+let apply ?cache ?stats p db s =
   let schema = idb_schema_exn p in
-  if parallel then
-    (* Same semantics as the sequential path below — evolving predicates
-       read [s], everything else the database — expressed through
-       {!Saturate.apply_once} so the stage can fan across rules or shard
-       within them.  Union with the empty valuation first so a caller
-       valuation missing some IDB predicate still resolves (the layered
-       source's database fallback, made explicit). *)
-    let s = Idb.union (Idb.empty schema) s in
-    Saturate.apply_once ~parallel:true ?pool ?cache ?stats
-      ~rules:p.Datalog.Ast.rules ~schema
-      ~universe:(Relalg.Database.universe db)
-      ~base:(Engine.database_source db) ~neg:`Current ~current:s ()
-  else
-    let resolver = Engine.uniform (Engine.layered db s) in
-    Engine.eval_rules ?cache ?stats
-      ~universe:(Relalg.Database.universe db) ~resolver ~schema
-      p.Datalog.Ast.rules
+  let resolver = Engine.uniform (Engine.layered db s) in
+  Engine.eval_rules ?cache ?stats
+    ~universe:(Relalg.Database.universe db) ~resolver ~schema
+    p.Datalog.Ast.rules
 
 let is_fixpoint p db s = Idb.equal (apply p db s) s
 
@@ -32,7 +19,7 @@ type iteration_outcome =
   | Entered_cycle of { entry : int; period : int; states : Idb.t list }
   | Gave_up of { steps : int }
 
-let iterate ?(max_steps = 10000) ?parallel ?pool p db start =
+let iterate ?(max_steps = 10000) p db start =
   (* The orbit of a deterministic map on a finite space is a rho: store the
      states seen with their step index and stop at the first repeat.  The
      repeat test hashes each state's canonical fingerprint into buckets of
@@ -58,7 +45,7 @@ let iterate ?(max_steps = 10000) ?parallel ?pool p db start =
   let rec loop history current step =
     if step > max_steps then Gave_up { steps = step - 1 }
     else
-      let next = apply ?parallel ?pool ~cache p db current in
+      let next = apply ~cache p db current in
       if Idb.equal next current then
         Reached_fixpoint { fixpoint = current; steps = step - 1 }
       else

@@ -9,20 +9,13 @@
     equals [s]. *)
 
 val apply :
-  ?parallel:bool ->
-  ?pool:Negdl_util.Domain_pool.t ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t ->
   Idb.t
-(** One application of Theta.  With [~parallel:true] the application runs
-    across [pool] (default {!Negdl_util.Domain_pool.default}) exactly like
-    one [`Parallel] saturation stage: whole-rule fan-out when there are at
-    least as many rules as pool participants, morsel-sharded plan
-    execution within each rule otherwise.  The result is identical either
-    way.
+(** One application of Theta, every rule through its full plan.
     @raise Invalid_argument if the program has inconsistent arities. *)
 
 val is_fixpoint : Datalog.Ast.program -> Relalg.Database.t -> Idb.t -> bool
@@ -44,8 +37,6 @@ type iteration_outcome =
 
 val iterate :
   ?max_steps:int ->
-  ?parallel:bool ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t ->

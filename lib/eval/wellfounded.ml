@@ -12,28 +12,25 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Wellfounded: " ^ msg)
 
-let reduct_fixpoint ?engine ?cache ?stats ?pool p db s =
+let reduct_fixpoint ?cache ?stats p db s =
   let schema = idb_schema_exn p in
   let fixed = { Engine.find = (fun pred _arity -> Idb.get s pred) } in
   let trace =
-    Saturate.run ?engine ?cache ?stats ?pool
-      ~rules:p.Datalog.Ast.rules ~schema
+    Saturate.run ?cache ?stats ~rules:p.Datalog.Ast.rules ~schema
       ~universe:(Relalg.Database.universe db)
       ~base:(Engine.database_source db) ~neg:(`Frozen fixed)
       ~init:(Idb.empty schema) ()
   in
   trace.Saturate.result
 
-let eval ?engine ?cache ?stats ?pool p db =
+let eval ?cache ?stats p db =
   Stats.timed stats "well-founded" @@ fun () ->
   (* One cache across every application of A: the alternating fixpoint
      re-saturates the same rules many times, and the plans carry over. *)
   let cache =
     match cache with Some c -> c | None -> Planlib.Cache.create ()
   in
-  let a =
-    reduct_fixpoint ?engine ~cache ?stats ?pool p db
-  in
+  let a = reduct_fixpoint ~cache ?stats p db in
   let rec alternate under over =
     let under' = a over in
     let over' = a under' in

@@ -26,19 +26,15 @@ val is_total : model -> bool
 (** No unknown facts. *)
 
 val eval :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   model
 
 val reduct_fixpoint :
-  ?engine:Saturate.engine ->
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
-  ?pool:Negdl_util.Domain_pool.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t ->

@@ -6,7 +6,6 @@ module Count = Satlib.Count
 module Enumerate = Satlib.Enumerate
 module Outcome = Satlib.Outcome
 module Sat_stats = Satlib.Sat_stats
-module Domain_pool = Negdl_util.Domain_pool
 module ISet = Satlib.Count.ISet
 
 type t = {
@@ -43,7 +42,7 @@ let find_outcome ?conflict_budget ?time_budget t =
   | Outcome.Unsat -> `No_fixpoint
   | Outcome.Unknown r -> `Unknown r
 
-(* --- component-parallel census ------------------------------------------- *)
+(* --- component census ---------------------------------------------------- *)
 
 (* The encoding's CNF falls apart into connected components exactly when
    the ground program does (the paper's G_n: one component per cycle).
@@ -53,20 +52,17 @@ let find_outcome ?conflict_budget ?time_budget t =
    the instance auxiliaries), so components are recombined by overlaying
    their projected values. *)
 
-(* One pool job per component, results in component order: [f] gets the
-   component's atom variables (the projection it is enumerated on) and
-   its own CNF over all the variables. *)
+(* [f] on every component, in component order: it gets the component's
+   atom variables (the projection it is enumerated on) and its own CNF
+   over all the variables. *)
 let on_components t comps f =
   let atom_vars = Encode.atom_variables t.encoding in
   let nvars = Cnf.num_vars (Encode.cnf t.encoding) in
-  Domain_pool.run (Domain_pool.default ())
-    (List.map
-       (fun (cs, vs) () ->
-         Sat_stats.component_counted ();
-         f
-           (List.filter (fun v -> ISet.mem v vs) atom_vars)
-           (Cnf.of_list nvars cs))
-       comps)
+  List.map
+    (fun (cs, vs) ->
+      Sat_stats.component_counted ();
+      f (List.filter (fun v -> ISet.mem v vs) atom_vars) (Cnf.of_list nvars cs))
+    comps
 
 (* Atom variables no clause constrains: each doubles the census. *)
 let free_atoms t comps =
@@ -166,14 +162,13 @@ let count_exact ?(budget = 2_000_000) t =
     in
     let free = ISet.cardinal (ISet.diff all_vars constrained) in
     let per_comp_budget = max 1 (budget / List.length comps) in
-    let jobs =
+    let parts =
       List.map
-        (fun (cs, vs) () ->
+        (fun (cs, vs) ->
           Sat_stats.component_counted ();
           Count.count_clauses ~budget:per_comp_budget cs vs)
         comps
     in
-    let parts = Domain_pool.run (Domain_pool.default ()) jobs in
     (* An exact zero absorbs the product no matter what the unexplored
        parts would have said. *)
     let exact_zero =

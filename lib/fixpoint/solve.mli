@@ -16,10 +16,10 @@
 
     Every SAT call goes to the one sequential CDCL search of
     {!Satlib.Solver}.  The census decomposes by connected CNF components
-    ({!Satlib.Count.components}), counted or enumerated on the shared
-    domain pool and combined in job order, so its answer does not depend
-    on scheduling.  Counts saturate instead of wrapping.  Budgets degrade
-    into structured {!Satlib.Outcome} values instead of exceptions. *)
+    ({!Satlib.Count.components}), counted or enumerated one component at a
+    time and combined in component order.  Counts saturate instead of
+    wrapping.  Budgets degrade into structured {!Satlib.Outcome} values
+    instead of exceptions. *)
 
 type t
 

@@ -9,12 +9,11 @@
     cardinality its cost model saw (the plan's [sizes_at_plan]) has drifted
     by more than 4x plus a slack of 16 tuples, in either direction —
     estimates refresh as the fixpoint grows relations, without paying a
-    replan per application.  Because plans are fetched at stage barriers
-    (see {!Evallib.Saturate}), recompiles happen between fixpoint stages,
-    never mid-run.
+    replan per application.  Because each stage fetches its plans before
+    running them (see {!Evallib.Saturate}), recompiles happen between
+    fixpoint stages, never mid-run.
 
-    A cache is {e not} synchronised: fetch the plans you need before fanning
-    rule applications across domains (see {!Evallib.Saturate}). *)
+    A cache is {e not} synchronised: use it from one domain at a time. *)
 
 type t
 

@@ -3,12 +3,6 @@ module Tuple = Relalg.Tuple
 module Symbol = Relalg.Symbol
 module Ast = Datalog.Ast
 
-(* Every pool worker primes its domain-local store intern cache at spawn:
-   sharded executions then never pay cache initialisation (or its registry
-   lock) inside a morsel.  Registered here because [Domain_pool] cannot
-   depend on [relalg]. *)
-let () = Negdl_util.Domain_pool.set_worker_init Relalg.Store.prime_local_cache
-
 type source = { find : string -> int -> Relation.t }
 
 type occurrence = {
@@ -86,25 +80,21 @@ type op =
       bound : term;
     }
       (* Per-application dominance filter: keeps only rows that improve on
-         the best candidate this execution context has already emitted for
-         the group, so one application emits at most one surviving
-         candidate per group per improvement chain.  Cross-context (and
-         cross-rule) candidates are resolved by the tighten-union at the
-         fixpoint layer, which is what makes sharded emission order
-         irrelevant to the result. *)
+         the best candidate this application has already emitted for the
+         group, so one application emits at most one surviving candidate
+         per group per improvement chain.  Cross-rule candidates are
+         resolved by the tighten-union at the fixpoint layer. *)
 
 type step = {
   op : op;
   est : float;
 }
 
-(* Per-plan observed cardinalities, harvested from per-context counters at
-   the end of every run (the fixpoint-stage barrier on the sharded path) —
-   never written from inside the row loop of more than one domain. *)
+(* Per-plan observed cardinalities, harvested from the run's context at
+   the end of every run — never written from inside the row loop. *)
 type feedback = {
   mutable fb_runs : int;
   fb_rows : int array;
-  mutable fb_driving : int;
 }
 
 (* The invariant suffix of a plan: steps [h_at, h_end) read no slot bound
@@ -157,15 +147,6 @@ let counters () =
     bucket_probes = 0;
     enumerations = 0;
   }
-
-let merge_counters dst ~src =
-  dst.plan_compiles <- dst.plan_compiles + src.plan_compiles;
-  dst.plan_cache_hits <- dst.plan_cache_hits + src.plan_cache_hits;
-  dst.index_hits <- dst.index_hits + src.index_hits;
-  dst.index_builds <- dst.index_builds + src.index_builds;
-  dst.full_scans <- dst.full_scans + src.full_scans;
-  dst.bucket_probes <- dst.bucket_probes + src.bucket_probes;
-  dst.enumerations <- dst.enumerations + src.enumerations
 
 (* --- compilation -------------------------------------------------------- *)
 
@@ -734,11 +715,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
              Int.compare a.index b.index);
     hoist;
     fb =
-      {
-        fb_runs = 0;
-        fb_rows = Array.make (max (Array.length steps) 1) 0;
-        fb_driving = 0;
-      };
+      { fb_runs = 0; fb_rows = Array.make (max (Array.length steps) 1) 0 };
   }
 
 (* --- execution ---------------------------------------------------------- *)
@@ -778,12 +755,10 @@ let ipow_sat base e =
   go 1 e
 
 (* A prepared execution context: the per-run state — resolved sources,
-   slot environment, scratch probe tuples — plus the index of the plan's
-   {e driving} step (the first [Scan]/[Index_probe]/[Enumerate], whose
-   input rows the sharded executor partitions into morsels).  One context
-   belongs to one domain; the shared compiled plan is immutable — per-step
-   row counts accumulate in the context's [p_rows] and are folded into the
-   plan's feedback record at the run barrier ({!harvest}). *)
+   slot environment, scratch probe tuples.  The compiled plan is
+   immutable: per-step row counts accumulate in the context's [p_rows]
+   and are folded into the plan's feedback record when the run ends
+   ({!harvest}). *)
 type prepared = {
   p_plan : t;
   p_counters : counters option;
@@ -792,17 +767,15 @@ type prepared = {
   p_env : Symbol.t array;
   p_rels : Relation.t array;
   p_scratch : Symbol.t array array;
-  p_driving : int;
   p_rows : int array;
   p_best : (Tuple.t, Symbol.t) Hashtbl.t;
-      (* [Tighten_emit]'s per-context best candidate per group.  Contexts
-         are per run (and per shard), so the table never outlives the
-         stage whose current valuation the probes read. *)
-  mutable p_din : int;
+      (* [Tighten_emit]'s best candidate per group.  Contexts are per run,
+         so the table never outlives the stage whose current valuation
+         the probes read. *)
   mutable p_stop : int;
-      (* Where [exec_range] leaves the steps: the step count, or for a
-         plan with a hoist its boundary, which {!replay} moves while it
-         fills and replays the buffer. *)
+      (* Where [exec] leaves the steps: the step count, or for a plan
+         with a hoist its boundary, which {!replay} moves while it fills
+         and replays the buffer. *)
   p_hoist : (hoist * buffer) option;
       (* The plan's invariant suffix with its rows and the prefix keys met
          at its boundary; [None] for a plan without a hoist.  The buffer
@@ -866,17 +839,6 @@ let prepare ?counters ~resolver ~universe plan =
       | Tighten_emit _ ->
         ())
     steps;
-  let driving = ref (-1) in
-  Array.iteri
-    (fun i st ->
-      if !driving < 0 then
-        match st.op with
-        | Scan _ | Index_probe _ | Enumerate _ -> driving := i
-        | Compare _ | Assign _ | Const_filter _ | Neg_check _ | Exists _
-        | Neg_exists _ | Le_check _ | Plus_bind _ | Plus_check _
-        | Aggregate_probe _ | Tighten_emit _ ->
-          ())
-    steps;
   {
     p_plan = plan;
     p_counters = counters;
@@ -885,10 +847,8 @@ let prepare ?counters ~resolver ~universe plan =
     p_env = env;
     p_rels = rels;
     p_scratch = scratch;
-    p_driving = !driving;
     p_rows = Array.make (max nsteps 1) 0;
     p_best = Hashtbl.create 16;
-    p_din = 0;
     p_stop = (match plan.hoist with Some h -> h.h_at | None -> nsteps);
     p_hoist =
       Option.map
@@ -911,31 +871,12 @@ let prepare ?counters ~resolver ~universe plan =
 let hoisted plan i =
   match plan.hoist with Some h -> i >= h.h_at && i < h.h_end | None -> false
 
-(* Folds one or more execution contexts (participant order on the sharded
-   path) into the plan's feedback record, closing one run: per-step row
-   counts and the driving step's input size.  Called once per {!run} /
-   {!run_sharded} — the stage barrier — so the plan itself is never
-   written concurrently. *)
-let harvest plan ctxs =
+(* Folds a run's context into the plan's feedback record, closing the
+   run.  A hoisted step's rows are already one application's: the suffix
+   ran once into the context's buffer. *)
+let harvest plan prep =
   let fb = plan.fb in
-  List.iter
-    (fun c ->
-      Array.iteri
-        (fun i n ->
-          if n > 0 && not (hoisted plan i) then
-            fb.fb_rows.(i) <- fb.fb_rows.(i) + n)
-        c.p_rows;
-      fb.fb_driving <- fb.fb_driving + c.p_din)
-    ctxs;
-  (* Every context that reached the boundary ran the same suffix over the
-     same relations: one application's rows are any one context's. *)
-  (match plan.hoist with
-  | Some h ->
-    for i = h.h_at to h.h_end - 1 do
-      fb.fb_rows.(i) <-
-        fb.fb_rows.(i) + List.fold_left (fun m c -> max m c.p_rows.(i)) 0 ctxs
-    done
-  | None -> ());
+  Array.iteri (fun i n -> fb.fb_rows.(i) <- fb.fb_rows.(i) + n) prep.p_rows;
   fb.fb_runs <- fb.fb_runs + 1
 
 let bump_scan prep =
@@ -971,48 +912,46 @@ let probe prep i args =
 
 (* Walks an existence step's candidate tuples until [f] answers true.  With
    a bound argument the candidates are that column's index bucket for the
-   bound value; without one, the whole relation.  [counted] bumps the
-   access counters as [Index_probe] and [Scan] do — the bucket entries
-   visited count as probes. *)
-let exists_in ~counted prep i probe f =
+   bound value; without one, the whole relation.  The access counters
+   move as for [Index_probe] and [Scan]: the bucket entries visited count
+   as probes. *)
+let exists_in prep i probe f =
   let rel = prep.p_rels.(i) in
   match probe with
   | None ->
-    if counted then bump_scan prep;
+    bump_scan prep;
     Relation.exists f rel
   | Some (col, key) ->
-    if counted then bump_index prep (Relation.has_index rel col);
+    bump_index prep (Relation.has_index rel col);
     let bucket = Relation.matching col (value prep.p_env key) rel in
-    if not counted then List.exists f bucket
-    else
-      let rec walk n = function
-        | [] ->
-          bump_probes prep n;
-          false
-        | t :: rest ->
-          if f t then begin
-            bump_probes prep (n + 1);
-            true
-          end
-          else walk (n + 1) rest
-      in
-      walk 0 bucket
+    let rec walk n = function
+      | [] ->
+        bump_probes prep n;
+        false
+      | t :: rest ->
+        if f t then begin
+          bump_probes prep (n + 1);
+          true
+        end
+        else walk (n + 1) rest
+    in
+    walk 0 bucket
 
 (* First-witness check of a positive atom: stop at the first tuple
    matching the bound prefix instead of materializing the bindings. *)
-let exists_holds ~counted prep i probe pat =
-  exists_in ~counted prep i probe (fun t -> match_pat prep.p_env pat t)
+let exists_holds prep i probe pat =
+  exists_in prep i probe (fun t -> match_pat prep.p_env pat t)
 
 (* Negated atom whose free columns are dead: succeeds iff some
    instantiation of them is absent, i.e. the bound prefix matches fewer
    than [u^free] tuples.  The walk short-circuits the moment the count
    saturates the bound, so densely-covered prefixes exit early. *)
-let neg_exists_fails ~counted prep i probe pat free =
+let neg_exists_fails prep i probe pat free =
   let limit = ipow_sat prep.p_usize free in
   limit = 0
   ||
   let count = ref 0 in
-  exists_in ~counted prep i probe (fun t ->
+  exists_in prep i probe (fun t ->
       match_pat prep.p_env pat t
       && begin
            incr count;
@@ -1047,73 +986,6 @@ let current_group_bound prep i col group =
     Relation.matching (pos 0) (value env group.(0)) rel
     |> List.find_opt matches
     |> Option.map (fun t -> Tuple.get t col)
-  end
-
-(* Rows of the driving step's input — the quantity the sharded executor
-   partitions.  Positions are stable per relation value: backend iteration
-   order for scans, bucket order for probes, universe order for
-   enumerations.  The constant prefix before the driving step (compares,
-   assigns, membership filters, existence checks) is evaluated here so a
-   probe key bound by an earlier [Assign] resolves, and so a failed prefix
-   reports 0 rows; no row or probe counters are bumped (this is a counting
-   pass — execution re-runs the prefix).  {!run_sharded} only pays it on a
-   plan's first run: afterwards the feedback record's observed
-   driving-input average sizes the morsels. *)
-let driving_rows prep =
-  let steps = prep.p_plan.steps in
-  let env = prep.p_env in
-  let d = prep.p_driving in
-  if d < 0 then 1
-  else begin
-    let rec prefix i =
-      i = d
-      || (match steps.(i).op with
-         | Compare { negated; left; right } ->
-           Symbol.equal (value env left) (value env right) <> negated
-         | Assign { slot; value = v } ->
-           env.(slot) <- value env v;
-           true
-         | Const_filter { args; _ } -> probe prep i args
-         | Neg_check { args; _ } -> not (probe prep i args)
-         | Exists { probe; pat; _ } ->
-           exists_holds ~counted:false prep i probe pat
-         | Neg_exists { probe; pat; free; _ } ->
-           not (neg_exists_fails ~counted:false prep i probe pat free)
-         | Le_check { left; right } ->
-           Symbol.compare_value (value env left) (value env right) <= 0
-         | Plus_bind { a; b; slot } -> (
-           match (Symbol.as_int (value env a), Symbol.as_int (value env b))
-           with
-           | Some x, Some y ->
-             env.(slot) <- Symbol.of_int (x + y);
-             true
-           | _ -> false)
-         | Plus_check { a; b; result } -> (
-           match
-             ( Symbol.as_int (value env a),
-               Symbol.as_int (value env b),
-               Symbol.as_int (value env result) )
-           with
-           | Some x, Some y, Some z -> z = x + y
-           | _ -> false)
-         (* The aggregation steps close the plan, after the driving step. *)
-         | Aggregate_probe _ | Tighten_emit _ -> assert false
-         | Scan _ | Index_probe _ | Enumerate _ -> assert false)
-         && prefix (i + 1)
-    in
-    if not (prefix 0) then 0
-    else
-      match steps.(d).op with
-      | Scan _ -> Relation.cardinal prep.p_rels.(d)
-      | Enumerate _ -> prep.p_usize
-      | Index_probe { col; key; _ } ->
-        (* Also warms the relation's memoized index in the coordinator, so
-           shard contexts hit it. *)
-        List.length (Relation.matching col (value env key) prep.p_rels.(d))
-      | Compare _ | Assign _ | Const_filter _ | Neg_check _ | Exists _
-      | Neg_exists _ | Le_check _ | Plus_bind _ | Plus_check _
-      | Aggregate_probe _ | Tighten_emit _ ->
-        assert false
   end
 
 (* The hoist's side of execution, reached only where [exec] meets
@@ -1172,23 +1044,14 @@ let replay prep h b ~exec =
     prep.p_stop <- h.h_at
   end
 
-(* The execution core.  [lo, hi) restricts the {e driving} step to the
-   given slice of its input positions; [0, max_int) is an unrestricted
-   execution (and behaves — counters included — exactly like one, since
-   every position is then in range).  Steps before the driving step are
-   constant-decided, so the driving step runs at most once per call and a
-   single position cursor suffices.  The driving step also counts the
-   input positions it visits into [p_din] — summed over a run's contexts,
-   that is exactly the driving input size the next sharded run partitions
-   without re-counting.  [exec] leaves the steps at [p_stop]: the step
+(* The execution core.  [exec] leaves the steps at [p_stop]: the step
    count, where it projects, or a hoist's boundary (see {!replay}). *)
-let exec_range prep ~lo ~hi ~on_row =
+let exec prep ~on_row =
   let plan = prep.p_plan in
   let steps = plan.steps in
   let rows = prep.p_rows in
   let env = prep.p_env in
   let universe = prep.p_universe in
-  let d = prep.p_driving in
   let rec exec i =
     if i = prep.p_stop then
       match prep.p_hoist with
@@ -1209,27 +1072,12 @@ let exec_range prep ~lo ~hi ~on_row =
         exec (i + 1)
       | Enumerate { slot } ->
         bump_enum prep;
-        if i = d then begin
-          let pos = ref 0 in
-          List.iter
-            (fun c ->
-              let p = !pos in
-              incr pos;
-              if p >= lo && p < hi then begin
-                prep.p_din <- prep.p_din + 1;
-                env.(slot) <- c;
-                rows.(i) <- rows.(i) + 1;
-                exec (i + 1)
-              end)
-            universe
-        end
-        else
-          List.iter
-            (fun c ->
-              env.(slot) <- c;
-              rows.(i) <- rows.(i) + 1;
-              exec (i + 1))
-            universe
+        List.iter
+          (fun c ->
+            env.(slot) <- c;
+            rows.(i) <- rows.(i) + 1;
+            exec (i + 1))
+          universe
       | Const_filter { args; _ } ->
         if probe prep i args then begin
           rows.(i) <- rows.(i) + 1;
@@ -1241,12 +1089,12 @@ let exec_range prep ~lo ~hi ~on_row =
           exec (i + 1)
         end
       | Exists { probe; pat; _ } ->
-        if exists_holds ~counted:true prep i probe pat then begin
+        if exists_holds prep i probe pat then begin
           rows.(i) <- rows.(i) + 1;
           exec (i + 1)
         end
       | Neg_exists { probe; pat; free; _ } ->
-        if not (neg_exists_fails ~counted:true prep i probe pat free) then begin
+        if not (neg_exists_fails prep i probe pat free) then begin
           rows.(i) <- rows.(i) + 1;
           exec (i + 1)
         end
@@ -1295,161 +1143,31 @@ let exec_range prep ~lo ~hi ~on_row =
           exec (i + 1))
       | Scan { pat; _ } ->
         bump_scan prep;
-        scan_rel i pat
+        Relation.iter
+          (fun t ->
+            if match_pat env pat t then begin
+              rows.(i) <- rows.(i) + 1;
+              exec (i + 1)
+            end)
+          prep.p_rels.(i)
       | Index_probe { col; key; pat; _ } ->
         bump_index prep (Relation.has_index prep.p_rels.(i) col);
-        stream i pat (Relation.matching col (value env key) prep.p_rels.(i))
-  and scan_rel i pat =
-    if i = d then begin
-      let pos = ref 0 in
-      Relation.iter
-        (fun t ->
-          let p = !pos in
-          incr pos;
-          if p >= lo && p < hi then begin
-            prep.p_din <- prep.p_din + 1;
+        let bucket = Relation.matching col (value env key) prep.p_rels.(i) in
+        bump_probes prep (List.length bucket);
+        List.iter
+          (fun t ->
             if match_pat env pat t then begin
               rows.(i) <- rows.(i) + 1;
               exec (i + 1)
-            end
-          end)
-        prep.p_rels.(i)
-    end
-    else
-      Relation.iter
-        (fun t ->
-          if match_pat env pat t then begin
-            rows.(i) <- rows.(i) + 1;
-            exec (i + 1)
-          end)
-        prep.p_rels.(i)
-  and stream i pat bucket =
-    if i = d then begin
-      (* Slice of the bucket's positions; probe counters see only the
-         slice, so shard totals add up to the unrestricted count. *)
-      let pos = ref 0 in
-      let visited = ref 0 in
-      List.iter
-        (fun t ->
-          let p = !pos in
-          incr pos;
-          if p >= lo && p < hi then begin
-            incr visited;
-            if match_pat env pat t then begin
-              rows.(i) <- rows.(i) + 1;
-              exec (i + 1)
-            end
-          end)
-        bucket;
-      prep.p_din <- prep.p_din + !visited;
-      bump_probes prep !visited
-    end
-    else begin
-      bump_probes prep (List.length bucket);
-      List.iter
-        (fun t ->
-          if match_pat env pat t then begin
-            rows.(i) <- rows.(i) + 1;
-            exec (i + 1)
-          end)
-        bucket
-    end
+            end)
+          bucket
   in
   exec 0
-
-let exec prep ~on_row = exec_range prep ~lo:0 ~hi:max_int ~on_row
 
 let run ?counters ~resolver ~universe plan ~on_row =
   let prep = prepare ?counters ~resolver ~universe plan in
   exec prep ~on_row;
-  harvest plan [ prep ]
-
-(* --- sharded execution -------------------------------------------------- *)
-
-type shard_report = {
-  sh_morsels : int;
-  sh_steals : int;
-  sh_executed : int array;
-}
-
-(* Target: ~8 morsels per participant so stealing can rebalance, floored
-   at 16 driving rows per morsel so tiny inputs don't drown in scheduling
-   overhead.  A lone worker gets the whole input as one morsel: with no
-   one to steal, splitting only pays per-morsel setup for nothing. *)
-let auto_grain ~rows ~workers =
-  let w = max 1 workers in
-  if w = 1 then max 16 rows else max 16 ((rows + (8 * w) - 1) / (8 * w))
-
-let run_sharded ?(counters = fun _ -> None) ~pool ?grain ~resolver ~universe
-    plan ~on_row =
-  (* The counting context doubles as participant 0's execution context. *)
-  let count_ctx = prepare ~resolver ~universe plan in
-  let fb = plan.fb in
-  (* The driving-input count is only walked on a plan's first run; after
-     that the feedback record's observed average sizes the morsels and the
-     last morsel is left open-ended to absorb the estimation error. *)
-  let counted = fb.fb_runs = 0 in
-  let rows =
-    if counted then driving_rows count_ctx
-    else max 0 (fb.fb_driving / fb.fb_runs)
-  in
-  let workers = Negdl_util.Domain_pool.size pool + 1 in
-  let g =
-    match grain with
-    | Some g -> max 1 g
-    | None -> auto_grain ~rows ~workers
-  in
-  let morsels =
-    if counted then (if rows = 0 then 0 else (rows + g - 1) / g)
-    else max 1 ((rows + g - 1) / g)
-  in
-  if morsels <= 1 then begin
-    (* One morsel (or a constant-decided plan, [p_driving < 0]): run
-       unrestricted on the calling domain. *)
-    if morsels = 1 then begin
-      let c0 = { count_ctx with p_counters = counters 0 } in
-      exec c0 ~on_row:(on_row 0);
-      harvest plan [ c0 ]
-    end
-    else harvest plan [ count_ctx ];
-    { sh_morsels = morsels; sh_steals = 0; sh_executed = [| morsels |] }
-  end
-  else begin
-    let np = max 1 (min workers morsels) in
-    (* Per-participant contexts, created lazily on the participant's own
-       domain (slot [p] is only touched by participant [p]). *)
-    let preps = Array.make np None in
-    let ctx p =
-      match preps.(p) with
-      | Some prep -> prep
-      | None ->
-        let prep =
-          if p = 0 then { count_ctx with p_counters = counters 0 }
-          else prepare ?counters:(counters p) ~resolver ~universe plan
-        in
-        preps.(p) <- Some prep;
-        prep
-    in
-    let last = morsels - 1 in
-    let hi i =
-      if counted then min rows ((i + 1) * g)
-      else if i = last then max_int
-      else (i + 1) * g
-    in
-    let _, report =
-      Negdl_util.Domain_pool.run_morsels pool ~morsels (fun p i ->
-          exec_range (ctx p) ~lo:(i * g) ~hi:(hi i) ~on_row:(on_row p))
-    in
-    (* Barrier: fold the participants' counts into the feedback record in
-       participant order (the counts are sums, so the order only matters
-       for reproducibility of the code path, not the totals). *)
-    harvest plan (List.filter_map Fun.id (Array.to_list preps));
-    {
-      sh_morsels = morsels;
-      sh_steals = report.Negdl_util.Domain_pool.steals;
-      sh_executed = report.Negdl_util.Domain_pool.executed;
-    }
-  end
+  harvest plan prep
 
 let head_tuple plan env =
   let args = plan.head_args in

@@ -43,28 +43,27 @@
     [s3(X, Y, Xs, Ys) :- e(X, Z), s1(Z, Y), !s2(Xs, Ys)] is the case in
     point: [enumerate Xs, enumerate Ys, check !s2(Xs, Ys)] do not vary
     with the join before them.  Execution runs such a suffix once per
-    {!prepared} context into a buffer of the slots the head and the limit
-    steps read, and every prefix row replays the buffer in the order it
-    was built, which is the nested loop's order.  When the prefix binds a
+    application into a buffer of the slots the head and the limit steps
+    read, and every prefix row replays the buffer in the order it was
+    built, which is the nested loop's order.  When the prefix binds a
     slot nothing after the boundary reads ([Z]), prefix rows are
     deduplicated on the live slots, so each [(X, Y)] meets the buffer
-    once; no other row is dropped.  The buffer belongs to the context,
-    never to the cached plan: the relations the suffix reads, [s2] under
-    the inflationary semantics for one, change between applications.
+    once; no other row is dropped.  The buffer belongs to the run, never
+    to the cached plan: the relations the suffix reads, [s2] under the
+    inflationary semantics for one, change between applications.
     The steps keep the cost model's order; a suffix of enumerations alone
     has nothing to save and keeps streaming.
 
     {b Observed rows.} Plans are immutable apart from a per-plan
-    {!feedback} record of observed cardinalities: per-step rows produced
-    and the driving step's input size.  Per-run counts accumulate in the
-    {!prepared} execution context — one per domain — and are folded into
-    the plan's record once per run, at the fixpoint-stage barrier on the
-    sharded path, so the record is never written from two domains.  The
-    record feeds [explain]'s actual row counts and sizes later sharded
-    runs' morsels; planning never reads it.  Where each atom occurrence
-    reads its relation is decided at {e run} time by a resolver, which is
-    what lets one plan serve both the full and the delta-specialized
-    applications of semi-naive evaluation. *)
+    {!feedback} record of observed cardinalities: per-step rows produced.
+    Per-run counts accumulate in the run's execution context and are
+    folded into the plan's record once per run.  The record feeds
+    [explain]'s actual row counts; planning never reads it.  The record
+    is written without synchronisation, so run a plan from one domain at
+    a time.  Where each atom occurrence reads its relation is decided at
+    {e run} time by a resolver, which is what lets one plan serve both the
+    full and the delta-specialized applications of semi-naive
+    evaluation. *)
 
 type source = { find : string -> int -> Relalg.Relation.t }
 
@@ -167,10 +166,9 @@ type op =
       bound : term;
     }
       (** Per-application dominance filter after {!Aggregate_probe}: keeps
-          only rows improving on the best candidate this execution context
-          has already emitted for the group.  Cross-context and cross-rule
-          candidates are resolved by the tighten-union at the fixpoint
-          layer, which is what keeps sharded emission order irrelevant. *)
+          only rows improving on the best candidate this application has
+          already emitted for the group.  Cross-rule candidates are
+          resolved by the tighten-union at the fixpoint layer. *)
 
 type step = {
   op : op;
@@ -182,16 +180,11 @@ type feedback = {
   fb_rows : int array;
       (** Per step, rows that survived it, summed across runs — the
           observed counterpart of [step.est] is [fb_rows.(i) / fb_runs].
-          A hoisted step adds one application's rows per run, however
-          many participants ran it. *)
-  mutable fb_driving : int;
-      (** Driving-step input rows, summed across runs — what
-          {!run_sharded} partitions, cached here so only a plan's first
-          sharded run pays the counting pass. *)
+          A hoisted step adds one application's rows per run. *)
 }
-(** Observed cardinalities, harvested from per-context counters once per
-    run (the stage barrier on the sharded path).  Reset by recompilation —
-    a fresh plan starts observing from scratch. *)
+(** Observed cardinalities, harvested from the run's counters once per
+    run.  Reset by recompilation — a fresh plan starts observing from
+    scratch. *)
 
 type hoist = {
   h_at : int;  (** The boundary: index of the first hoisted step. *)
@@ -248,7 +241,6 @@ type counters = {
 (** The plan/probe counter block {!Evallib.Stats} embeds. *)
 
 val counters : unit -> counters
-val merge_counters : counters -> src:counters -> unit
 
 val compile :
   ?variant:variant ->
@@ -293,98 +285,6 @@ val run :
     path) and allocation-free apart from index construction and the
     caller's [on_row].  Completes by folding the run's observed
     cardinalities into the plan's feedback record. *)
-
-(** {2 Sharded (morsel-driven) execution}
-
-    Every plan has a {e driving} step — its first [Scan], [Index_probe] or
-    [Enumerate] — whose input rows (relation scan positions, index-bucket
-    positions, or universe positions) are the only unbounded iteration
-    before the first binding.  Sharded execution partitions those rows
-    into fixed-size morsels and fans them over a {!Negdl_util.Domain_pool}
-    with work stealing, executing the same compiled plan in every shard
-    over a per-shard context.  Row positions are stable per relation value,
-    so the set of emitted rows is independent of the schedule; merge
-    per-shard accumulators in participant order for full determinism. *)
-
-type prepared
-(** A per-domain execution context: resolved sources, slot registers,
-    scratch probe tuples, the driving-step index, the context's share of
-    the run's observed row counts and, for a plan with a {!hoist}, the
-    buffer of the invariant suffix's rows and the dedup keys met at its
-    boundary.  Cheap relative to execution; one per (plan, run, domain). *)
-
-val prepare :
-  ?counters:counters ->
-  resolver:resolver ->
-  universe:Relalg.Symbol.t list ->
-  t ->
-  prepared
-(** Resolves the plan's sources and allocates the per-run state {!run}
-    otherwise builds internally.  Does not count as an execution (the
-    feedback record is untouched until a run completes).  A plan with a
-    {!hoist} gets an empty buffer, filled when the first prefix row
-    reaches the boundary and kept for every later execution on this
-    context (each morsel of one participant on the sharded path): use a
-    context for one application only, since the buffer holds the rows of
-    the relations resolved here.  A plan without a hoist allocates
-    nothing for it. *)
-
-val driving_rows : prepared -> int
-(** How many input rows the driving step would iterate: the driven
-    relation's cardinality for scans, the probed bucket's length for index
-    probes, the universe size for enumerations, and 1 for plans with no
-    driving step (fully constant-decided).  Evaluates the constant prefix
-    before the driving step — so a probe key bound by an earlier [Assign]
-    resolves, and a failed prefix filter reports 0 — without bumping any
-    row or probe counters.  {!run_sharded} calls this only on a plan's
-    first run; afterwards the feedback record's observed driving-input
-    average replaces the count. *)
-
-val auto_grain : rows:int -> workers:int -> int
-(** The default morsel size: [rows / (8 * workers)], floored at 16 — about
-    eight morsels per participant so stealing can rebalance uneven shards,
-    but never so fine that scheduling dominates tiny inputs.  With a
-    single worker the whole input is one morsel: there is nobody to steal
-    a share, so splitting would only pay per-morsel overhead. *)
-
-type shard_report = {
-  sh_morsels : int;  (** Morsels executed ([ceil (rows / grain)]). *)
-  sh_steals : int;  (** Steal-half operations between participants. *)
-  sh_executed : int array;
-      (** Morsels per participant; max - min is the shard skew. *)
-}
-
-val run_sharded :
-  ?counters:(int -> counters option) ->
-  pool:Negdl_util.Domain_pool.t ->
-  ?grain:int ->
-  resolver:resolver ->
-  universe:Relalg.Symbol.t list ->
-  t ->
-  on_row:(int -> Relalg.Symbol.t array -> unit) ->
-  shard_report
-(** Executes the plan with its driving step sharded into morsels of
-    {!auto_grain} rows over [pool]; [grain] overrides the morsel size and
-    exists so tests can force many small morsels on small inputs.
-    [on_row p env] and [counters p] are keyed by participant — [on_row]
-    must be thread-safe across {e distinct} participants but is never
-    called concurrently for one participant, so per-participant
-    accumulators need no locking.
-    Participant indices are dense in [0, pool size + 1).  With one morsel
-    (or a pool of size 0 and a single participant) everything runs inline
-    on the calling domain and emits exactly what {!run} would (the only
-    counter drift: the row-counting pass may warm a cached index, turning
-    {!run}'s one index build into a hit).  The emitted row {e set} is
-    schedule-independent; per-participant attribution is not (merge in
-    participant order for determinism).
-
-    The driving input is counted ({!driving_rows}) only on the plan's
-    first run; subsequent runs size morsels from the feedback record's
-    observed average, with the last morsel open-ended so underestimates
-    cannot drop rows (overestimated trailing morsels just find an empty
-    slice).  Each run ends at a barrier that folds the participants'
-    observed counts into the plan's feedback record in participant
-    order. *)
 
 val head_tuple : t -> Relalg.Symbol.t array -> Relalg.Tuple.t
 (** The head tuple under the given environment (freshly allocated). *)

@@ -72,8 +72,8 @@ let index r pos =
         (fun id idx -> index_add pos idx (Store.tuple id))
         r.ids SMap.empty
     in
-    (* Benign race under parallel evaluation: two domains may both build
-       the index; either result is correct. *)
+    (* Benign race when two domains read one relation: both may build the
+       index; either result is correct. *)
     r.indexes.(pos) <- Some idx;
     idx
 
@@ -399,28 +399,18 @@ module Ivec = struct
     v.a.(v.n) <- x;
     v.n <- v.n + 1
 
-  let append dst src =
-    ensure dst src.n;
-    Array.blit src.a 0 dst.a dst.n src.n;
-    dst.n <- dst.n + src.n
 end
 
 (* The builder accumulates interned ids bucketed by store stripe, deduped
-   against an open-addressed id set.  [builder_merge] is then a
-   partition-wise concatenation — O(smaller's rows) array blits, no
-   Patricia re-union, no per-row hashing — and [build] finishes each
-   stripe's run (sort or dense sweep, as in [of_ids]) and assembles the
-   relation with one [Idset.of_sorted_array] over the globally sorted
-   stripe-major concatenation.  Cross-builder duplicates (the same tuple
-   derived by two participants) survive until [build], so after a merge
-   [b_card] is an upper bound and [builder_add] is refused (the dedup set
-   is stale); [build] re-establishes the exact count. *)
+   against an open-addressed id set.  [build] finishes each stripe's run
+   (sort or dense sweep, as in [of_ids]) and assembles the relation with
+   one [Idset.of_sorted_array] over the globally sorted stripe-major
+   concatenation. *)
 type builder = {
   b_arity : int;
   mutable b_tab : int array;  (* open-addressed id set; -1 = empty slot *)
-  mutable b_card : int;  (* exact until merged, then an upper bound *)
+  mutable b_card : int;
   b_parts : Ivec.t array;  (* per-stripe ids, insertion order *)
-  mutable b_merged : bool;
 }
 
 let builder k =
@@ -430,7 +420,6 @@ let builder k =
     b_tab = Array.make 64 (-1);
     b_card = 0;
     b_parts = Array.init (Store.partitions ()) (fun _ -> Ivec.create ());
-    b_merged = false;
   }
 
 (* Fibonacci mix: ids carry the stripe in their high bits, so low bits
@@ -451,10 +440,8 @@ let btab_insert tab id =
   probe (bslot_hash id land mask)
 
 let builder_add b t =
-  if b.b_merged then invalid_arg "Relation.builder_add: builder was merged";
   let id = Store.intern t in
-  (* Keep the load factor at most 1/2: [b_card] is exact occupancy here
-     because adds are refused after a merge. *)
+  (* Keep the load factor at most 1/2: [b_card] is the occupancy. *)
   if 2 * (b.b_card + 1) > Array.length b.b_tab then begin
     let old = b.b_tab in
     b.b_tab <- Array.make (2 * Array.length old) (-1);
@@ -468,19 +455,6 @@ let builder_add b t =
   else false
 
 let builder_cardinal b = b.b_card
-
-let builder_arity b = b.b_arity
-
-let builder_merge b1 b2 =
-  if b1.b_arity <> b2.b_arity then
-    invalid_arg
-      (Printf.sprintf "Relation.builder_merge: arities %d and %d differ"
-         b1.b_arity b2.b_arity);
-  let big, small = if b1.b_card >= b2.b_card then (b1, b2) else (b2, b1) in
-  Array.iteri (fun p v -> Ivec.append big.b_parts.(p) v) small.b_parts;
-  big.b_card <- big.b_card + small.b_card;
-  big.b_merged <- true;
-  big
 
 let build b =
   let total =

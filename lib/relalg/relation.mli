@@ -157,25 +157,10 @@ val builder : int -> builder
 (** [builder k]: an empty accumulator for an arity-[k] relation. *)
 
 val builder_add : builder -> Tuple.t -> bool
-(** Adds a tuple; [true] iff it was not already accumulated.  Must not be
-    called after the builder has been through {!builder_merge}. *)
+(** Adds a tuple; [true] iff it was not already accumulated. *)
 
 val builder_cardinal : builder -> int
-(** Exact until {!builder_merge}; after a merge it may be an upper bound
-    (cross-builder duplicates collapse in {!build}, not in the merge). *)
-
-val builder_arity : builder -> int
-
-val builder_merge : builder -> builder -> builder
-(** Destructive union: merges the smaller builder into the larger one in
-    O(smaller) work and returns the combined accumulator.  Neither argument
-    may be used afterwards, and the result accepts only further merges and
-    {!build}.  The sharded plan executor merges per-shard accumulators with
-    this at the barrier — the merge is a per-stripe id-run concatenation
-    (no re-hashing), so the barrier cost is O(rows moved) and
-    deduplication happens once in {!build}.
-    @raise Invalid_argument on an arity mismatch (shard accumulators of
-    one execution always share one arity). *)
+(** The number of distinct tuples accumulated. *)
 
 val build : builder -> t
 (** Finalise.  The builder must not be reused afterwards; the relation's

@@ -12,8 +12,8 @@
    the high bits ([id = (p lsl part_shift) lor local]).  Lookups by id
    ([tuple], [hash], [arity], [get]) decode the stripe from the id and
    read that stripe's published snapshot — still lock-free array reads.
-   Writers contend only with writers hitting the same stripe, so parallel
-   participants interning disjoint morsels mostly take disjoint locks.
+   Writers contend only with writers hitting the same stripe; evaluation
+   is sequential, but a library caller may intern from several domains.
    Putting the partition in the high bits keeps each stripe's local ids
    dense from 0 and makes the concatenation of per-stripe sorted id runs
    (stripe-ascending) a globally sorted array — the property the
@@ -273,8 +273,6 @@ let cache_key : dcache Domain.DLS.key =
       Mutex.protect cache_registry_lock (fun () ->
           cache_registry := c :: !cache_registry);
       c)
-
-let prime_local_cache () = ignore (Domain.DLS.get cache_key : dcache)
 
 (* Validate a cached id against [t]: published counts only grow, so any id
    ever returned by an intern is readable in the current snapshot. *)

@@ -80,11 +80,6 @@ val part_counts : unit -> int array
 (** Per-stripe tuple counts, indexed by stripe.  Local ids
     [0 .. part_counts ().(p) - 1] are valid in stripe [p]. *)
 
-val prime_local_cache : unit -> unit
-(** Force-initialise the calling domain's intern cache (and register it
-    with the contention counters).  Pool workers call this once at spawn so
-    the first morsel doesn't pay the initialisation. *)
-
 type contention = {
   stripe_locks : int;  (** Stripe lock acquisitions since process start. *)
   cache_hits : int;  (** Per-domain intern-cache hits, all domains. *)

@@ -1,11 +1,12 @@
 type t = int
 
-(* The intern table is shared by every domain (the parallel engine fans rule
-   applications across a pool), so mutation is serialised by [lock] and the
-   read side works on immutable snapshots published through [state]: the
-   [names] array is append-only — a slot is written before the count that
-   covers it is published, and growth swaps in a fresh array — so a reader
-   that obtained an id through any synchronising edge sees its name.
+(* The intern table is shared by every domain (evaluation is sequential,
+   but a library caller may intern from several), so mutation is
+   serialised by [lock] and the read side works on immutable snapshots
+   published through [state]: the [names] array is append-only — a slot
+   is written before the count that covers it is published, and growth
+   swaps in a fresh array — so a reader that obtained an id through any
+   synchronising edge sees its name.
 
    The string -> id direction lives in [buckets], an id-list hash table kept
    inside the published snapshot so [intern] can probe it without the lock

@@ -8,9 +8,9 @@
 
     The table is domain-safe: both directions are published through
     immutable snapshots, so {!intern} probes lock-free and serialises on a
-    mutex only to add a genuinely new name ({!fresh} always locks), the
-    parallel engine's worker domains may intern concurrently, and
-    {!name}/{!count} never lock. *)
+    mutex only to add a genuinely new name ({!fresh} always locks),
+    several domains may intern concurrently, and {!name}/{!count} never
+    lock. *)
 
 type t = private int
 (** An interned constant.  The integer representation is exposed read-only so

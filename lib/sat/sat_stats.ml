@@ -1,5 +1,5 @@
-(* Process-global counters for the SAT search layer.  The component census
-   bumps them from pool domains, so every cell is an [Atomic.t]. *)
+(* Process-global counters for the SAT search layer.  A library caller may
+   bump them from several domains, so every cell is an [Atomic.t]. *)
 
 let budget_exhaustions = Atomic.make 0
 

@@ -1,7 +1,7 @@
 (** Counters for the SAT search layer.
 
-    Process-global and atomic: the component census counts components on
-    the shared domain pool, so they may be bumped concurrently.  The CLI
+    Process-global and atomic, so a library caller may bump them from
+    several domains.  The CLI
     surfaces a {!snapshot} through the [--stats] flag; the benchmark
     harness reads components counted and budget exhaustions. *)
 

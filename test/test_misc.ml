@@ -253,135 +253,6 @@ let test_prng_no_modulo_bias () =
     (fraction > 0.309 &&
      fraction < 0.357)
 
-(* --- Domain_pool ------------------------------------------------------------------ *)
-
-let test_domain_pool_run () =
-  let pool = Negdl_util.Domain_pool.create ~size:2 () in
-  let jobs = List.init 20 (fun i -> fun () -> i * i) in
-  check (Alcotest.list int) "order-preserving barrier"
-    (List.init 20 (fun i -> i * i))
-    (Negdl_util.Domain_pool.run pool jobs);
-  (* Reusable after a run, and after an explicit shutdown. *)
-  check (Alcotest.list int) "reusable" [ 1; 2 ]
-    (Negdl_util.Domain_pool.run pool [ (fun () -> 1); (fun () -> 2) ]);
-  Negdl_util.Domain_pool.shutdown pool;
-  check (Alcotest.list int) "respawns after shutdown" [ 7; 8; 9 ]
-    (Negdl_util.Domain_pool.run pool
-       [ (fun () -> 7); (fun () -> 8); (fun () -> 9) ]);
-  Negdl_util.Domain_pool.shutdown pool
-
-let test_domain_pool_exception () =
-  let pool = Negdl_util.Domain_pool.create ~size:1 () in
-  Alcotest.check_raises "first exception re-raised" (Failure "job 1")
-    (fun () ->
-      ignore
-        (Negdl_util.Domain_pool.run pool
-           [ (fun () -> 0); (fun () -> failwith "job 1"); (fun () -> 2) ]));
-  (* The pool survives a failing batch. *)
-  check (Alcotest.list int) "still works" [ 5 ]
-    (Negdl_util.Domain_pool.run pool [ (fun () -> 5) ]);
-  Negdl_util.Domain_pool.shutdown pool
-
-let test_domain_pool_inline () =
-  (* Size 0: everything runs on the calling domain, no spawn. *)
-  let pool = Negdl_util.Domain_pool.create ~size:0 () in
-  check int "size" 0 (Negdl_util.Domain_pool.size pool);
-  check (Alcotest.list int) "inline execution" [ 2; 4; 6 ]
-    (Negdl_util.Domain_pool.run pool
-       [ (fun () -> 2); (fun () -> 4); (fun () -> 6) ])
-
-let test_domain_pool_order_under_skew () =
-  (* Regression: results must come back in job order even when later jobs
-     finish first.  Make the first job the slowest so any
-     completion-ordered implementation would scramble the list. *)
-  let pool = Negdl_util.Domain_pool.create ~size:3 () in
-  let jobs =
-    List.init 8 (fun i ->
-        fun () ->
-          Unix.sleepf (float_of_int (8 - i) *. 0.002);
-          i)
-  in
-  check (Alcotest.list int) "job order, not completion order"
-    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-    (Negdl_util.Domain_pool.run pool jobs);
-  Negdl_util.Domain_pool.shutdown pool
-
-let test_domain_pool_run_morsels () =
-  let pool = Negdl_util.Domain_pool.create ~size:2 () in
-  let morsels = 37 in
-  let results, report =
-    Negdl_util.Domain_pool.run_morsels pool ~morsels (fun _p i -> i)
-  in
-  (* Every morsel index executed exactly once, results in morsel order. *)
-  check (Alcotest.array int) "all indices, in order"
-    (Array.init morsels Fun.id) results;
-  check int "participants" 3 report.Negdl_util.Domain_pool.participants;
-  check int "executed sums to morsels" morsels
-    (Array.fold_left ( + ) 0 report.Negdl_util.Domain_pool.executed);
-  check bool "steals non-negative" true
-    (report.Negdl_util.Domain_pool.steals >= 0);
-  (* Edge cases: zero morsels, one morsel, and more participants than
-     morsels. *)
-  let empty, r0 = Negdl_util.Domain_pool.run_morsels pool ~morsels:0 (fun _ i -> i) in
-  check int "zero morsels" 0 (Array.length empty);
-  check int "zero morsels executed" 0
-    (Array.fold_left ( + ) 0 r0.Negdl_util.Domain_pool.executed);
-  let one, r1 = Negdl_util.Domain_pool.run_morsels pool ~morsels:1 (fun _ i -> i * 10) in
-  check (Alcotest.array int) "one morsel" [| 0 |] one;
-  check int "one participant for one morsel" 1
-    r1.Negdl_util.Domain_pool.participants;
-  Negdl_util.Domain_pool.shutdown pool
-
-let test_domain_pool_run_morsels_inline () =
-  (* Pool of size 0: the inline path must behave identically. *)
-  let pool = Negdl_util.Domain_pool.create ~size:0 () in
-  let results, report =
-    Negdl_util.Domain_pool.run_morsels pool ~morsels:5 (fun p i ->
-        check int "single participant" 0 p;
-        i + 1)
-  in
-  check (Alcotest.array int) "inline results" [| 1; 2; 3; 4; 5 |] results;
-  check int "inline participants" 1 report.Negdl_util.Domain_pool.participants;
-  check int "inline steals" 0 report.Negdl_util.Domain_pool.steals
-
-let test_domain_pool_run_morsels_exception () =
-  let pool = Negdl_util.Domain_pool.create ~size:1 () in
-  Alcotest.check_raises "first failing morsel re-raised" (Failure "morsel 3")
-    (fun () ->
-      ignore
-        (Negdl_util.Domain_pool.run_morsels pool ~morsels:6 (fun _ i ->
-             if i = 3 then failwith "morsel 3" else i)));
-  (* The pool survives a failing batch. *)
-  let ok, _ = Negdl_util.Domain_pool.run_morsels pool ~morsels:2 (fun _ i -> i) in
-  check (Alcotest.array int) "still works" [| 0; 1 |] ok;
-  Negdl_util.Domain_pool.shutdown pool
-
-let test_domain_pool_concurrent_first_run () =
-  (* Regression: [ensure_started] used to check [t.workers = []] outside
-     the mutex, so two domains hitting a fresh pool simultaneously could
-     both observe the empty list and both spawn a full worker set —
-     leaking domains that [shutdown] never joins.  Race several first
-     callers against a fresh pool and count what actually got spawned. *)
-  for _round = 1 to 5 do
-    let pool = Negdl_util.Domain_pool.create ~size:3 () in
-    let callers =
-      List.init 4 (fun c ->
-          Domain.spawn (fun () ->
-              Negdl_util.Domain_pool.run pool
-                (List.init 8 (fun i -> fun () -> (c * 100) + i))))
-    in
-    let results = List.map Domain.join callers in
-    List.iteri
-      (fun c r ->
-        check (Alcotest.list int) "each caller gets its own results in order"
-          (List.init 8 (fun i -> (c * 100) + i))
-          r)
-      results;
-    check int "exactly one worker set spawned" 3
-      (Negdl_util.Domain_pool.worker_count pool);
-    Negdl_util.Domain_pool.shutdown pool
-  done
-
 (* --- Relation: persistent column indexes ----------------------------------------- *)
 
 let test_relation_index_incremental () =
@@ -483,21 +354,6 @@ let () =
           Alcotest.test_case "bounds and determinism" `Quick
             test_prng_bounds_and_determinism;
           Alcotest.test_case "no modulo bias" `Quick test_prng_no_modulo_bias;
-        ] );
-      ( "domain-pool",
-        [
-          Alcotest.test_case "run" `Quick test_domain_pool_run;
-          Alcotest.test_case "exception" `Quick test_domain_pool_exception;
-          Alcotest.test_case "inline" `Quick test_domain_pool_inline;
-          Alcotest.test_case "order under skew" `Quick
-            test_domain_pool_order_under_skew;
-          Alcotest.test_case "run_morsels" `Quick test_domain_pool_run_morsels;
-          Alcotest.test_case "run_morsels inline" `Quick
-            test_domain_pool_run_morsels_inline;
-          Alcotest.test_case "run_morsels exception" `Quick
-            test_domain_pool_run_morsels_exception;
-          Alcotest.test_case "concurrent first run" `Quick
-            test_domain_pool_concurrent_first_run;
         ] );
       ( "relation-index",
         [

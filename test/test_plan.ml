@@ -8,12 +8,11 @@
      instantiation plans, is the one the plain-set reference
      (test/support/reference.ml) computes from Fitting's definition on
      random programs (the other semantics are checked against the same
-     reference under every engine in test_props.ml);
-   - morsel scheduling is invisible: every plan run sharded into morsels of
-     1 or 7 driving rows, inline or on a pool, emits what [Plan.run] emits;
+     reference in test_props.ml);
    - delta-specialized plans derive exactly what full plans derive: the
-     semi-naive engine (which runs the [Delta j] variants) agrees with the
-     naive engine (full plans only) on the experiment workloads;
+     semi-naive evaluation (which runs the [Delta j] variants) agrees with
+     Theta-hat iterated by its definition (full plans only) on the
+     experiment workloads;
    - the plan cache's policy: static plans are reused until relation sizes
      drift;
    - compiled plans are well-formed on the paper's programs (negation
@@ -62,13 +61,11 @@ let prop_kripke_kleene_reference =
 
 (* --- hoisted invariant suffixes against the definitions ------------------- *)
 
-let engines = [ `Naive; `Seminaive; `Parallel ]
-
 let facts_of_idb s = Reference.facts_of_bindings (Idb.bindings s)
 
 (* Bodies of two variable-disjoint components, the second reading the
-   growing closure r: every engine's inflationary model, and its stratified
-   and well-founded models when the program is stratifiable, must be the
+   growing closure r: the inflationary model, and the stratified and
+   well-founded models when the program is stratifiable, must be the
    reference's.  A buffer kept past its rule application replays rows of
    an older r; a boundary key missing a live slot drops prefix rows whose
    heads differ.  Either gives a wrong model here.  Unstratifiable programs
@@ -79,27 +76,20 @@ let prop_hoist_reference =
     ~name:"two-component bodies = reference (every semantics and engine)"
     ~count:120 Testsupport.Gen_programs.arb_hoist_case (fun (p, db) ->
       let rdb = Reference.of_database db in
-      let agrees reference eval =
-        List.for_all
-          (fun engine ->
-            Reference.Facts.equal reference (facts_of_idb (eval ~engine)))
-          engines
+      let agrees reference idb =
+        Reference.Facts.equal reference (facts_of_idb idb)
       in
       let wellfounded check =
-        List.for_all
-          (fun engine ->
-            let m = Evallib.Wellfounded.eval ~engine p db in
-            check
-              (facts_of_idb m.Evallib.Wellfounded.true_facts)
-              (facts_of_idb m.Evallib.Wellfounded.possible))
-          engines
+        let m = Evallib.Wellfounded.eval p db in
+        check
+          (facts_of_idb m.Evallib.Wellfounded.true_facts)
+          (facts_of_idb m.Evallib.Wellfounded.possible)
       in
-      agrees (Reference.inflationary p rdb) (fun ~engine ->
-          Evallib.Inflationary.eval ~engine p db)
+      agrees (Reference.inflationary p rdb) (Evallib.Inflationary.eval p db)
       &&
       match Reference.stratified p rdb with
       | Some model ->
-        agrees model (fun ~engine -> Evallib.Stratified.eval_exn ~engine p db)
+        agrees model (Evallib.Stratified.eval_exn p db)
         && wellfounded (fun t u ->
                Reference.Facts.equal model t && Reference.Facts.equal model u)
       | None ->
@@ -108,67 +98,6 @@ let prop_hoist_reference =
             Reference.Facts.subset kk_true t
             && Reference.Facts.subset t u
             && Reference.Facts.subset u kk_possible))
-
-(* --- morsel scheduling -------------------------------------------------------- *)
-
-module Tuples = Set.Make (Tuple)
-
-(* Pools of 1 and 3 participants, shared across cases: spawning domains per
-   case would dominate the property's runtime. *)
-let pools =
-  lazy
-    [
-      Negdl_util.Domain_pool.create ~size:0 ();
-      Negdl_util.Domain_pool.create ~size:2 ();
-    ]
-
-(* Small inputs only split into many morsels under a forced grain: one
-   driving row per morsel, and a prime that straddles morsel boundaries.
-   Each configuration compiles a fresh plan and runs it twice, covering the
-   first run (which counts the driving input) and a later one (which sizes
-   morsels from the feedback record and leaves the last one open-ended). *)
-let prop_sharded_equals_run =
-  QCheck.Test.make
-    ~name:"sharded plans emit Plan.run's rows (grains 1, 7; pools 0, 2)"
-    ~count:60 arb_case (fun (p, db) ->
-      let s = Evallib.Inflationary.eval p db in
-      let resolver = Evallib.Engine.uniform (Evallib.Engine.layered db s) in
-      let universe = Database.universe db in
-      let compile rule =
-        Evallib.Engine.plan_rule
-          ~universe_size:(fun () -> List.length universe)
-          ~resolver rule
-      in
-      List.for_all
-        (fun rule ->
-          let plan = compile rule in
-          let expected = ref Tuples.empty in
-          Plan.run ~resolver ~universe plan ~on_row:(fun env ->
-              expected := Tuples.add (Plan.head_tuple plan env) !expected);
-          List.for_all
-            (fun pool ->
-              List.for_all
-                (fun grain ->
-                  let plan = compile rule in
-                  let sharded () =
-                    let rows =
-                      Array.make
-                        (Negdl_util.Domain_pool.size pool + 1)
-                        Tuples.empty
-                    in
-                    ignore
-                      (Plan.run_sharded ~pool ~grain ~resolver ~universe plan
-                         ~on_row:(fun part env ->
-                           rows.(part) <-
-                             Tuples.add (Plan.head_tuple plan env) rows.(part)));
-                    Array.fold_left Tuples.union Tuples.empty rows
-                  in
-                  let first = sharded () in
-                  let later = sharded () in
-                  Tuples.equal first !expected && Tuples.equal later !expected)
-                [ 1; 7 ])
-            (Lazy.force pools))
-        p.Ast.rules)
 
 (* --- delta-specialized plans = full plans on the experiment workloads ----- *)
 
@@ -191,18 +120,23 @@ let workload_graphs =
     ("star5", Generate.star 5);
   ]
 
+(* Theta-hat by its definition: S := S union Theta(S) from the empty
+   valuation until nothing changes, every rule through its full plan. *)
+let naive_inflationary p db =
+  let rec go s =
+    let s' = Theta.inflate p db s in
+    if Idb.equal s' s then s else go s'
+  in
+  go (Idb.of_program p)
+
 let test_delta_equals_full () =
   List.iter
     (fun (gname, g) ->
       let db = db_of g in
       List.iter
         (fun (pname, p) ->
-          let full =
-            Evallib.Inflationary.eval ~engine:`Naive p db
-          in
-          let delta =
-            Evallib.Inflationary.eval ~engine:`Seminaive p db
-          in
+          let full = naive_inflationary p db in
+          let delta = Evallib.Inflationary.eval p db in
           Alcotest.(check bool)
             (Printf.sprintf "delta plans = full plans: %s on %s" pname gname)
             true (Idb.equal full delta))
@@ -527,7 +461,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_kripke_kleene_reference;
-            prop_sharded_equals_run;
             prop_hoist_reference;
           ] );
       ( "regressions",

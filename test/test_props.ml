@@ -3,7 +3,8 @@
 
    These are the strongest correctness checks in the repository: for
    arbitrary small programs and databases,
-     - the naive and semi-naive inflationary engines agree;
+     - the semi-naive inflationary evaluation agrees with Theta-hat
+       iterated by its definition;
      - the inflationary limit is a fixpoint of the inflationary operator
        (Theta(S) subset of S) and its stage deltas partition the result;
      - the grounding's immediate consequence operator tracks Theta along
@@ -48,28 +49,30 @@ let stratified_reference p db =
 
 (* --- properties ------------------------------------------------------------ *)
 
+(* Theta-hat by its definition: S := S union Theta(S) from the empty
+   valuation until nothing changes, every rule through its full plan —
+   the naive iteration the semi-naive chase must agree with. *)
+let naive_inflationary p db =
+  let rec go s =
+    let s' = Theta.inflate p db s in
+    if Idb.equal s' s then s else go s'
+  in
+  go (Idb.of_program p)
+
 let prop_engines_agree =
   QCheck.Test.make ~name:"naive and seminaive inflationary engines agree"
     ~count:150 arb_case (fun (p, db) ->
-      Idb.equal
-        (Evallib.Inflationary.eval ~engine:`Naive p db)
-        (Evallib.Inflationary.eval ~engine:`Seminaive p db))
+      Idb.equal (naive_inflationary p db) (Evallib.Inflationary.eval p db))
 
-(* Every engine must compute the model the reference computes from the
+(* The evaluator must compute the model the reference computes from the
    definitions — the fixpoint is a semantic object, not an artefact of
-   evaluation order or domain scheduling. *)
-let engines = [ `Naive; `Seminaive; `Parallel ]
-
-let all_modes_agree eval equal reference =
-  List.for_all (fun engine -> equal reference (eval ~engine)) engines
-
+   evaluation order. *)
 let prop_engine_matrix_inflationary =
   QCheck.Test.make ~name:"all engines = reference (inflationary fixpoint)"
     ~count:60 arb_case (fun (p, db) ->
-      let reference = Reference.inflationary p (Reference.of_database db) in
-      all_modes_agree
-        (fun ~engine -> Evallib.Inflationary.eval ~engine p db)
-        matches_reference reference)
+      matches_reference
+        (Reference.inflationary p (Reference.of_database db))
+        (Evallib.Inflationary.eval p db))
 
 let prop_engine_matrix_positive =
   QCheck.Test.make ~name:"all engines = reference (positive lfp)" ~count:60
@@ -77,10 +80,9 @@ let prop_engine_matrix_positive =
       let p = positivise p in
       (* A positive program is one stratum: the reference's stratified
          model is the least fixpoint of Theta. *)
-      let reference = stratified_reference p db in
-      all_modes_agree
-        (fun ~engine -> Evallib.Naive.least_fixpoint ~engine p db)
-        matches_reference reference)
+      matches_reference
+        (stratified_reference p db)
+        (Evallib.Naive.least_fixpoint p db))
 
 let prop_engine_matrix_semantics =
   QCheck.Test.make
@@ -94,33 +96,21 @@ let prop_engine_matrix_semantics =
         matches_reference reference m.Evallib.Wellfounded.true_facts
         && matches_reference reference m.Evallib.Wellfounded.possible
       in
-      all_modes_agree
-        (fun ~engine -> Evallib.Stratified.eval_exn ~engine p db)
-        matches_reference strat_ref
-      && all_modes_agree
-           (fun ~engine -> Evallib.Wellfounded.eval ~engine p db)
-           wf_matches strat_ref)
-
-(* One pool shared across all iterations: spawning domains per case would
-   dominate the property's runtime. *)
-let shared_pool = lazy (Negdl_util.Domain_pool.create ~size:2 ())
+      matches_reference strat_ref (Evallib.Stratified.eval_exn p db)
+      && wf_matches strat_ref (Evallib.Wellfounded.eval p db))
 
 (* The partitioned packed store must be observationally identical to the
    plain-set semantics: the reference's stratified model is compared
-   against the store under both the sequential engine and the parallel
-   engine on a three-participant pool. *)
+   against the store's. *)
 let prop_partitioned_store_oracle =
   QCheck.Test.make
     ~name:"partitioned hashed store matches the plain-set reference"
     ~count:40 arb_case (fun (p, db) ->
       if not (Datalog.Stratify.is_stratified p) then true
       else
-        let pool = Lazy.force shared_pool in
-        let reference = stratified_reference p db in
-        matches_reference reference
-          (Evallib.Stratified.eval_exn ~engine:`Seminaive p db)
-        && matches_reference reference
-             (Evallib.Stratified.eval_exn ~engine:`Parallel ~pool p db))
+        matches_reference
+          (stratified_reference p db)
+          (Evallib.Stratified.eval_exn p db))
 
 (* Theta itself, not just its limits: one application at every stage of
    the inflationary iteration matches the reference operator. *)
@@ -262,8 +252,8 @@ let prop_kripke_kleene_within_wellfounded =
    no limit declarations) and then keeps only the dominant tuple of each
    group.  Because the generator's guards match the limit kind's polarity
    (min with <=, max with >=), the strata above the limit predicate are
-   insensitive to the dominant filter, so the whole models must coincide —
-   under both the sequential and the parallel engine. *)
+   insensitive to the dominant filter, so the whole models must
+   coincide. *)
 let prop_limit_differential =
   QCheck.Test.make ~name:"limit tightening = dominant filter of pair model"
     ~count:60 Testsupport.Gen_programs.arb_limit_case
@@ -280,10 +270,7 @@ let prop_limit_differential =
                  (Idb.get pairs l.Ast.limit_pred)))
           pairs limit_p.Ast.limits
       in
-      List.for_all
-        (fun engine ->
-          Idb.equal reference (Evallib.Stratified.eval_exn ~engine limit_p db))
-        [ `Seminaive; `Parallel ])
+      Idb.equal reference (Evallib.Stratified.eval_exn limit_p db))
 
 let prop_pretty_roundtrip =
   QCheck.Test.make ~name:"pretty-printed programs re-parse identically"

@@ -314,42 +314,6 @@ let test_store_builder () =
   let r = Relation.build b in
   check int "built cardinal" 2 (Relation.cardinal r)
 
-let test_store_builder_merge () =
-  (* Disjoint accumulators: the union has both sides' tuples. *)
-  let fill tuples =
-    let b = Relation.builder 2 in
-    List.iter (fun t -> ignore (Relation.builder_add b t)) tuples;
-    b
-  in
-  let a = fill [ t2 "a" "b"; t2 "a" "c" ] in
-  let b = fill [ t2 "b" "c" ] in
-  let m = Relation.builder_merge a b in
-  check int "disjoint merge cardinal" 3 (Relation.builder_cardinal m);
-  check int "merged arity" 2 (Relation.builder_arity m);
-  (* Overlapping accumulators: cross-builder duplicates collapse in
-     [build] (the merge defers dedup there, so the post-merge builder
-     cardinal is only an upper bound). *)
-  let c = fill [ t2 "a" "b"; t2 "d" "e" ] in
-  let d = fill [ t2 "d" "e"; t2 "a" "b"; t2 "f" "g" ] in
-  let m2 = Relation.builder_merge c d in
-  check bool "overlapping merge cardinal is an upper bound" true
-    (Relation.builder_cardinal m2 >= 3);
-  let built2 = Relation.build m2 in
-  check int "overlapping built cardinal" 3 (Relation.cardinal built2);
-  check bool "merge equals set union" true
-    (Relation.equal built2
-       (Relation.of_list 2 [ t2 "a" "b"; t2 "d" "e"; t2 "f" "g" ]));
-  (* Merging with an empty accumulator is the identity on contents. *)
-  let e = fill [ t2 "x" "y" ] in
-  let m3 = Relation.builder_merge e (fill []) in
-  check int "empty right" 1 (Relation.builder_cardinal m3);
-  (* Arity mismatch is rejected. *)
-  let b1 = Relation.builder 1 in
-  let b2 = Relation.builder 2 in
-  Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Relation.builder_merge: arities 1 and 2 differ")
-    (fun () -> ignore (Relation.builder_merge b1 b2))
-
 let test_store_full () =
   let u = List.map Symbol.intern [ "a"; "b"; "c" ] in
   let full = Relation.full u 2 in
@@ -370,176 +334,133 @@ let test_default_storage () =
 
 (* --- Concurrent interning ----------------------------------------------------- *)
 
-(* Satellite 1: hammer the global Symbol and Store intern tables from
-   several domains at once.  Every job interns an overlapping window of
-   names and tuples; domain-safety means all jobs observe identical ids
-   and every name/tuple round-trips afterwards. *)
+(* Evaluation is sequential, but the Symbol and Store intern tables keep
+   their locks for library callers that intern from several domains; these
+   tests hammer them from concurrently running domains.  Every job interns
+   an overlapping window of names and tuples; domain-safety means all jobs
+   observe identical ids and every name/tuple round-trips afterwards. *)
+
+(* Runs every job on a domain of its own; results in job order. *)
+let in_domains jobs = List.map Domain.join (List.map Domain.spawn jobs)
 
 let test_concurrent_interning () =
-  let pool = Negdl_util.Domain_pool.create ~size:3 () in
-  Fun.protect
-    ~finally:(fun () -> Negdl_util.Domain_pool.shutdown pool)
-    (fun () ->
-      let jobs = 8 and names = 200 in
-      let name k = Printf.sprintf "conc_sym_%d" k in
-      let job j () =
-        (* Each job walks the shared window from a different offset so the
-           domains race on first-intern of each name. *)
-        List.init names (fun i ->
-            let k = (i + (j * 17)) mod names in
-            let sym = Symbol.intern (name k) in
-            let id = Store.intern (Tuple.make [| sym; sym |]) in
-            (k, (sym :> int), id))
-      in
-      let results =
-        Negdl_util.Domain_pool.run pool (List.init jobs job)
-        |> List.map (List.sort compare)
-      in
-      (match results with
-      | [] -> Alcotest.fail "no results"
-      | first :: rest ->
-        List.iteri
-          (fun j r ->
-            check bool
-              (Printf.sprintf "job %d observed the same ids as job 0" (j + 1))
-              true (r = first))
-          rest);
-      for k = 0 to names - 1 do
-        check (Alcotest.string) "name round trip after the race" (name k)
-          (Symbol.name (Symbol.intern (name k)))
-      done)
+  let jobs = 8 and names = 200 in
+  let name k = Printf.sprintf "conc_sym_%d" k in
+  let job j () =
+    (* Each job walks the shared window from a different offset so the
+       domains race on first-intern of each name. *)
+    List.init names (fun i ->
+        let k = (i + (j * 17)) mod names in
+        let sym = Symbol.intern (name k) in
+        let id = Store.intern (Tuple.make [| sym; sym |]) in
+        (k, (sym :> int), id))
+  in
+  let results =
+    in_domains (List.init jobs job) |> List.map (List.sort compare)
+  in
+  (match results with
+  | [] -> Alcotest.fail "no results"
+  | first :: rest ->
+    List.iteri
+      (fun j r ->
+        check bool
+          (Printf.sprintf "job %d observed the same ids as job 0" (j + 1))
+          true (r = first))
+      rest);
+  for k = 0 to names - 1 do
+    check (Alcotest.string) "name round trip after the race" (name k)
+      (Symbol.name (Symbol.intern (name k)))
+  done
 
 let test_concurrent_fresh () =
-  let pool = Negdl_util.Domain_pool.create ~size:3 () in
-  Fun.protect
-    ~finally:(fun () -> Negdl_util.Domain_pool.shutdown pool)
-    (fun () ->
-      let per_job = 50 in
-      let job () = List.init per_job (fun _ -> Symbol.fresh "conc_fresh") in
-      let all =
-        Negdl_util.Domain_pool.run pool (List.init 6 (fun _ -> job))
-        |> List.concat
-        |> List.map (fun s -> (s : Symbol.t :> int))
-      in
-      let distinct = List.sort_uniq compare all in
-      check int "fresh symbols are globally distinct across domains"
-        (List.length all) (List.length distinct))
+  let per_job = 50 in
+  let job () = List.init per_job (fun _ -> Symbol.fresh "conc_fresh") in
+  let all =
+    in_domains (List.init 6 (fun _ -> job))
+    |> List.concat
+    |> List.map (fun s -> (s : Symbol.t :> int))
+  in
+  let distinct = List.sort_uniq compare all in
+  check int "fresh symbols are globally distinct across domains"
+    (List.length all) (List.length distinct)
 
 (* Regression for Symbol.intern's lock-free fast path: names interned
    before the race must resolve to their existing ids from every domain
    without ever taking the lock's append path (the symbol count must not
    move). *)
 let test_symbol_reintern_race () =
-  let pool = Negdl_util.Domain_pool.create ~size:3 () in
-  Fun.protect
-    ~finally:(fun () -> Negdl_util.Domain_pool.shutdown pool)
-    (fun () ->
-      let names = 300 in
-      let name k = Printf.sprintf "reintern_%d" k in
-      let expected =
-        Array.init names (fun k -> (Symbol.intern (name k) :> int))
-      in
-      let count_before = Symbol.count () in
-      let job j () =
-        List.init names (fun i ->
-            let k = (i + (j * 41)) mod names in
-            (k, (Symbol.intern (name k) :> int)))
-      in
-      let results = Negdl_util.Domain_pool.run pool (List.init 8 job) in
-      List.iter
-        (List.iter
-           (fun (k, id) ->
-             check int
-               (Printf.sprintf "racing re-intern of %s kept its id" (name k))
-               expected.(k) id))
-        results;
-      check int "racing re-interns created no symbols" count_before
-        (Symbol.count ()))
-
-(* All pool participants intern overlapping segment batches into the same
-   stripes; every participant must observe identical ids, the store must
-   grow by exactly the distinct rows, and contents must round-trip. *)
-let test_concurrent_intern_seg () =
-  let pool = Negdl_util.Domain_pool.create ~size:3 () in
-  Fun.protect
-    ~finally:(fun () -> Negdl_util.Domain_pool.shutdown pool)
-    (fun () ->
-      let k = 3 and rows = 400 and distinct = 157 in
-      (* Row [r] is determined by [r mod distinct], so the 400-row batch
-         re-interns most rows and the 8 participants collide heavily. *)
-      let flat =
-        Array.init (rows * k) (fun w ->
-            let r = w / k and j = w mod k in
-            let base = r mod distinct in
-            Symbol.intern
-              (Printf.sprintf "seg_%d_%d" j ((base * (j + 3)) mod distinct)))
-      in
-      let count_before = Store.count () in
-      let job j () =
-        List.init rows (fun i ->
-            let r = (i + (j * 53)) mod rows in
-            (r, Store.intern_seg flat ~pos:(r * k) ~len:k))
-        |> List.sort compare
-      in
-      let results = Negdl_util.Domain_pool.run pool (List.init 8 job) in
-      (match results with
-      | [] -> Alcotest.fail "no results"
-      | first :: rest ->
-        List.iteri
-          (fun j r ->
-            check bool
-              (Printf.sprintf "participant %d observed the same ids" (j + 1))
-              true (r = first))
-          rest;
-        let ids =
-          List.sort_uniq compare (List.map snd first)
-        in
-        check int "distinct ids = distinct rows" distinct (List.length ids);
-        check int "store grew by exactly the distinct rows"
-          (count_before + distinct) (Store.count ());
-        (* Striping sanity: 157 hash-scattered rows cannot all land in one
-           of >= 2 stripes. *)
-        if Store.partitions () > 1 then
-          check bool "rows landed in more than one stripe" true
-            (List.length
-               (List.sort_uniq compare (List.map Store.id_part ids))
-            > 1);
-        List.iter
-          (fun (r, id) ->
-            check bool "segment round trip" true
-              (Tuple.equal (Store.tuple id)
-                 (Tuple.make (Array.sub flat (r * k) k))))
-          first))
-
-(* Simulate the sharded barrier: per-participant builders fed round-robin,
-   merged pairwise, built once — the result must be exactly the
-   bulk-constructed relation, with an exact cardinal. *)
-let test_partitioned_builder_barrier () =
-  (* Row [i] is determined by [i mod 50], so the same tuple recurs in
-     different builders (50 mod 4 <> 0): cross-builder duplicates must
-     collapse in the build. *)
-  let tuples =
-    List.init 200 (fun i ->
-        let r = i mod 50 in
-        t2 (Printf.sprintf "pb_%d" r) (string_of_int (r * 7 mod 11)))
+  let names = 300 in
+  let name k = Printf.sprintf "reintern_%d" k in
+  let expected =
+    Array.init names (fun k -> (Symbol.intern (name k) :> int))
   in
-  let builders = Array.init 4 (fun _ -> Relation.builder 2) in
-  List.iteri
-    (fun i t -> ignore (Relation.builder_add builders.(i mod 4) t))
-    tuples;
-  let merged = ref builders.(0) in
-  for p = 1 to 3 do
-    merged := Relation.builder_merge !merged builders.(p)
-  done;
-  let r = Relation.build !merged in
-  check int "exact cardinal after barrier build"
-    (List.length (List.sort_uniq Tuple.compare tuples))
-    (Relation.cardinal r);
-  check bool "barrier build equals bulk construction" true
-    (Relation.equal r (Relation.of_list 2 tuples));
-  Alcotest.check_raises "builder_add after merge is refused"
-    (Invalid_argument "Relation.builder_add: builder was merged")
-    (fun () -> ignore (Relation.builder_add !merged (t2 "pb_x" "pb_y")))
+  let count_before = Symbol.count () in
+  let job j () =
+    List.init names (fun i ->
+        let k = (i + (j * 41)) mod names in
+        (k, (Symbol.intern (name k) :> int)))
+  in
+  let results = in_domains (List.init 8 job) in
+  List.iter
+    (List.iter
+       (fun (k, id) ->
+         check int
+           (Printf.sprintf "racing re-intern of %s kept its id" (name k))
+           expected.(k) id))
+    results;
+  check int "racing re-interns created no symbols" count_before
+    (Symbol.count ())
+
+(* Eight domains intern overlapping segment batches into the same
+   stripes; every domain must observe identical ids, the store must grow
+   by exactly the distinct rows, and contents must round-trip. *)
+let test_concurrent_intern_seg () =
+  let k = 3 and rows = 400 and distinct = 157 in
+  (* Row [r] is determined by [r mod distinct], so the 400-row batch
+     re-interns most rows and the 8 domains collide heavily. *)
+  let flat =
+    Array.init (rows * k) (fun w ->
+        let r = w / k and j = w mod k in
+        let base = r mod distinct in
+        Symbol.intern
+          (Printf.sprintf "seg_%d_%d" j ((base * (j + 3)) mod distinct)))
+  in
+  let count_before = Store.count () in
+  let job j () =
+    List.init rows (fun i ->
+        let r = (i + (j * 53)) mod rows in
+        (r, Store.intern_seg flat ~pos:(r * k) ~len:k))
+    |> List.sort compare
+  in
+  let results = in_domains (List.init 8 job) in
+  (match results with
+  | [] -> Alcotest.fail "no results"
+  | first :: rest ->
+    List.iteri
+      (fun j r ->
+        check bool
+          (Printf.sprintf "domain %d observed the same ids" (j + 1))
+          true (r = first))
+      rest;
+    let ids =
+      List.sort_uniq compare (List.map snd first)
+    in
+    check int "distinct ids = distinct rows" distinct (List.length ids);
+    check int "store grew by exactly the distinct rows"
+      (count_before + distinct) (Store.count ());
+    (* Striping sanity: 157 hash-scattered rows cannot all land in one
+       of >= 2 stripes. *)
+    if Store.partitions () > 1 then
+      check bool "rows landed in more than one stripe" true
+        (List.length
+           (List.sort_uniq compare (List.map Store.id_part ids))
+        > 1);
+    List.iter
+      (fun (r, id) ->
+        check bool "segment round trip" true
+          (Tuple.equal (Store.tuple id)
+             (Tuple.make (Array.sub flat (r * k) k))))
+      first)
 
 (* --- Schema ---------------------------------------------------------------- *)
 
@@ -907,10 +828,6 @@ let () =
           Alcotest.test_case "round trip" `Quick test_store_round_trip;
           Alcotest.test_case "add_all" `Quick test_store_add_all;
           Alcotest.test_case "builder" `Quick test_store_builder;
-          Alcotest.test_case "builder merge" `Quick
-            test_store_builder_merge;
-          Alcotest.test_case "partitioned barrier build" `Quick
-            test_partitioned_builder_barrier;
           Alcotest.test_case "full" `Quick test_store_full;
           Alcotest.test_case "default storage" `Quick test_default_storage;
         ] );

@@ -1,8 +1,8 @@
 (* Tests for the incremental materialization server: the snapshot after any
    sequence of insert/delete batches must fingerprint-identically match
    from-scratch stratified saturation (the differential oracle runs the same
-   random op sequences through both paths, with both engines and at several
-   pool sizes); the query cache must hit per version and miss across
+   random op sequences through both paths); the query cache must hit per
+   version and miss across
    updates; snapshots pinned by a reader must be immune to concurrent
    writes; and the protocol layer must answer errors without dying. *)
 
@@ -112,8 +112,7 @@ let test_query_cache () =
 
 let test_query_batch () =
   let db = Digraph.to_database (Generate.path 4) in
-  let pool = Negdl_util.Domain_pool.create ~size:2 () in
-  let t = ok_or_fail (Serve.create ~pool tc db) in
+  let t = ok_or_fail (Serve.create tc db) in
   let atoms =
     [ goal "s(v0, Y)"; goal "s(v1, Y)"; goal "s(v0, Y)"; goal "nope(X)" ]
   in
@@ -134,8 +133,7 @@ let test_query_batch () =
   let c = Serve.counters t in
   check int "cached-before atom hits" 2 c.Serve.cache_hits;
   check int "hits + misses = served" c.Serve.queries
-    (c.Serve.cache_hits + c.Serve.cache_misses);
-  Negdl_util.Domain_pool.shutdown pool
+    (c.Serve.cache_hits + c.Serve.cache_misses)
 
 (* --- Query.select (regression: arity mismatch was a bare exception) ------- *)
 
@@ -283,8 +281,9 @@ let test_batch_coalescing () =
     (Alcotest.list (Alcotest.list Alcotest.string))
     "singleton run = handle_line" batch_reply
     [ reply t3 "insert e(v2, v3)." ];
-  (* Unparseable write lines are not coalesced; a failing merged run
-     answers error on every line; quit stops the batch. *)
+  (* Unparseable write lines are not coalesced; a refused merged run is
+     applied line by line, each line answering as it would alone; quit
+     stops the batch. *)
   let t4 = ok_or_fail (Serve.create reach db) in
   let replies =
     flatten_batch t4
@@ -296,15 +295,28 @@ let test_batch_coalescing () =
         "query unreached(X)";
       ]
   in
-  match replies with
-  | [ [ bad ]; [ del1 ]; [ del2 ]; [ "<quit>" ] ] ->
+  (match replies with
+  | [ [ bad ]; del1; del2; [ "<quit>" ] ] ->
     check bool "parse error answered alone" true
       (contains ~needle:"error:" bad);
-    check bool "merged delete run fails on its first line" true
-      (contains ~needle:"error:" del1);
-    check bool "later lines of a failed run say coalesced" true
-      (contains ~needle:"coalesced" del2)
-  | _ -> Alcotest.fail "quit must end the batch before the query"
+    let t5 = ok_or_fail (Serve.create reach db) in
+    check
+      (Alcotest.list (Alcotest.list Alcotest.string))
+      "each line of a refused run answers as it would alone"
+      [ reply t5 "delete e(v0, v9)."; reply t5 "delete e(v1, v9)." ]
+      [ del1; del2 ]
+  | _ -> Alcotest.fail "quit must end the batch before the query");
+  (* A valid write read together with a refused one is applied, as if it
+     had arrived alone: one DRed batch, the valid line's own report. *)
+  let t6 = ok_or_fail (Serve.create reach db) in
+  match flatten_batch t6 [ "insert e(v0, v1, v2)."; "insert e(v2, v0)." ] with
+  | [ [ bad ]; [ ok ] ] ->
+    check bool "the wrong arity is refused" true
+      (contains ~needle:"error:" bad);
+    check bool "the valid insert applies" true
+      (contains ~needle:"ok inserted=1" ok);
+    check int "one DRed batch" 1 (Serve.counters t6).Serve.batches
+  | _ -> Alcotest.fail "one reply per line"
 
 (* --- delta-proportional upkeep -------------------------------------------- *)
 
@@ -390,8 +402,8 @@ let current_edges t =
 
 (* Runs one op sequence through a server and checks the oracle after every
    mutation.  Returns true (QCheck property) or raises via Alcotest.fail. *)
-let run_ops ~pool ~engine program db ops =
-  let t = ok_or_fail (Serve.create ~engine ?pool program db) in
+let run_ops program db ops =
+  let t = ok_or_fail (Serve.create program db) in
   List.iter
     (fun op ->
       (match op with
@@ -417,7 +429,7 @@ let run_ops ~pool ~engine program db ops =
     ops;
   true
 
-let prop_differential ~name ~engine ~pool_size =
+let prop_differential ~name =
   QCheck.Test.make ~name ~count:40
     (QCheck.make
        QCheck.Gen.(
@@ -434,23 +446,10 @@ let prop_differential ~name ~engine ~pool_size =
           (Digraph.to_database (Generate.random ~seed ~n ~p:0.35))
           n
       in
-      let pool =
-        if pool_size = 0 then None
-        else Some (Negdl_util.Domain_pool.create ~size:pool_size ())
-      in
-      let r = run_ops ~pool ~engine reach db ops in
-      Option.iter Negdl_util.Domain_pool.shutdown pool;
-      r)
+      run_ops reach db ops)
 
 let differential_props =
-  [
-    prop_differential ~name:"oracle: seminaive, hashed, par=1"
-      ~engine:`Seminaive ~pool_size:0;
-    prop_differential ~name:"oracle: parallel, hashed, par=2"
-      ~engine:`Parallel ~pool_size:1;
-    prop_differential ~name:"oracle: parallel, hashed, par=4"
-      ~engine:`Parallel ~pool_size:3;
-  ]
+  [ prop_differential ~name:"oracle: seminaive, hashed, par=1" ]
 
 let () =
   Alcotest.run "serve"

@@ -2,9 +2,9 @@
 
    The roundtrip oracle: saturate a random program on a random EDB, capture
    a snapshot, restore it, and the restored model must fingerprint-equal the
-   original — under both saturation engines —
-   and snapshotting the restored model must reproduce the file byte for
-   byte (the encoding is canonical: dictionary ids, universal sorting).
+   original, and snapshotting the restored model must reproduce the file
+   byte for byte (the encoding is canonical: dictionary ids, universal
+   sorting).
 
    The corruption battery: every prefix truncation, every single-byte flip,
    seeded multi-byte flips and a trailing-garbage file must each yield a
@@ -50,11 +50,10 @@ let idb_of_bindings program bindings =
     (fun idb (name, rel) -> Idb.set idb name rel)
     (Idb.of_program program) bindings
 
-(* Saturate, capture and encode under one engine. *)
-let encode_of ~engine program db =
+(* Saturate, capture and encode. *)
+let encode_of program db =
   let idb =
-    ok_or_fail Stratified.error_to_string
-      (Stratified.eval ~engine program db)
+    ok_or_fail Stratified.error_to_string (Stratified.eval program db)
   in
   let image =
     snap_ok
@@ -62,8 +61,6 @@ let encode_of ~engine program db =
          (Idb.bindings idb))
   in
   (idb, Snapshot.encode image)
-
-let combos = [ ("seminaive", `Seminaive); ("parallel", `Parallel) ]
 
 (* --- codec primitives ----------------------------------------------------- *)
 
@@ -126,19 +123,11 @@ let test_codec_guards () =
 
 let test_roundtrip_fixed () =
   let db = path_db 6 in
-  let per_combo =
-    List.map
-      (fun (name, engine) -> (name, encode_of ~engine tc db))
-      combos
-  in
-  let _, (idb0, bytes0) = List.hd per_combo in
-  (* Canonical encoding: every engine produces the same bytes for the same
-     model. *)
-  List.iter
-    (fun (name, (_, bytes)) ->
-      check bool (name ^ " encodes identically") true
-        (String.equal bytes0 bytes))
-    per_combo;
+  let idb0, bytes0 = encode_of tc db in
+  (* Canonical encoding: a second evaluation of the same model encodes to
+     the same bytes. *)
+  check bool "re-evaluation encodes identically" true
+    (String.equal bytes0 (snd (encode_of tc db)));
   let image = snap_ok (Snapshot.decode_string bytes0) in
   let restored = snap_ok (Snapshot.restore image) in
   let ridb = idb_of_bindings tc restored.Snapshot.r_idb in
@@ -169,17 +158,9 @@ let prop_roundtrip =
         | Ok _ -> program0
         | Error _ -> Gen_programs.positivise program0
       in
-      let per_combo =
-        List.map
-          (fun (_, engine) -> encode_of ~engine program db)
-          combos
-      in
-      let idb0, bytes0 = List.hd per_combo in
-      List.iter
-        (fun (_, bytes) ->
-          if not (String.equal bytes0 bytes) then
-            QCheck.Test.fail_report "engines disagree on the encoding")
-        per_combo;
+      let idb0, bytes0 = encode_of program db in
+      if not (String.equal bytes0 (snd (encode_of program db))) then
+        QCheck.Test.fail_report "re-evaluation changed the encoding";
       let image = snap_ok (Snapshot.decode_string bytes0) in
       let restored = snap_ok (Snapshot.restore image) in
       let ridb = idb_of_bindings program restored.Snapshot.r_idb in
