@@ -245,7 +245,6 @@ let eval_cmd =
     | Some s ->
       s.Negdl.Stats.extra <-
         List.filter (fun (_, v) -> v <> 0) (Negdl.Sat_stats.snapshot ());
-      Negdl.Stats.harvest_contention s;
       Format.eprintf "%a@." Negdl.Stats.pp s
     | None -> ()
   in
@@ -308,7 +307,7 @@ let fixpoints_cmd =
       count_budget stats snapshot_file =
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
-    or_die (Negdl.refuse_limits "fixpoint analysis" program);
+    or_die (Negdl.Check.refuse_limits "fixpoint analysis" program);
     let load_and_save () =
       let db = load_database_for program db_path in
       (match snapshot_file with
@@ -653,10 +652,7 @@ let serve_cmd =
       accept_loop ();
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ());
-    if stats then begin
-      Negdl.Stats.harvest_contention stats_rec;
-      Format.eprintf "%a@." Negdl.Stats.pp stats_rec
-    end
+    if stats then Format.eprintf "%a@." Negdl.Stats.pp stats_rec
   in
   let doc = "serve a materialised model with incremental updates" in
   let man =
@@ -812,7 +808,7 @@ let why_cmd =
   in
   let run program_path db_path fact =
     let program = or_die (load_program program_path) in
-    or_die (Negdl.refuse_limits "inflationary" program);
+    or_die (Negdl.Check.refuse_limits "inflationary" program);
     let db = load_database_for program db_path in
     let atom =
       match Negdl.Parser.parse_rule (fact ^ ".") with
@@ -853,7 +849,7 @@ let stable_cmd =
   in
   let run program_path db_path limit =
     let program = or_die (load_program program_path) in
-    or_die (Negdl.refuse_limits "stable models" program);
+    or_die (Negdl.Check.refuse_limits "stable models" program);
     let db = load_database_for program db_path in
     let solver = Negdl.Fixpoints.prepare program db in
     let stable = Negdl.Stable.stable_models ~limit solver in
@@ -1016,7 +1012,7 @@ let check_cmd =
 let ground_cmd =
   let run program_path db_path =
     let program = or_die (load_program program_path) in
-    or_die (Negdl.refuse_limits "grounding" program);
+    or_die (Negdl.Check.refuse_limits "grounding" program);
     let db = load_database_for program db_path in
     let g = Negdl.Ground.ground program db in
     Format.printf "%a@." Negdl.Ground.pp g;

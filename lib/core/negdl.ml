@@ -105,21 +105,8 @@ type run_result = {
   unknown : Idb.t option;
 }
 
-(* Limit declarations are defined by the tighten-union fixpoint of the
-   stratified evaluator; the other semantics would silently compute the
-   pair-materializing reading, so they refuse limit programs instead. *)
-let refuse_limits who (program : Ast.program) =
-  match program.limits with
-  | [] -> Ok ()
-  | l :: _ ->
-    Error
-      (Printf.sprintf
-         "%s: limit predicates (%s %s) require the stratified semantics" who
-         l.limit_pred
-         (Ast.limit_kind_to_string l.kind))
-
 let reject_limits who program =
-  match refuse_limits who program with
+  match Check.refuse_limits who program with
   | Ok () -> ()
   | Error msg -> invalid_arg msg
 

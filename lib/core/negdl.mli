@@ -206,15 +206,6 @@ type fixpoint_report = {
   example : Idb.t option;
 }
 
-val refuse_limits : string -> Ast.program -> (unit, string) result
-(** [refuse_limits who program] is [Error] when [program] declares limit
-    predicates, naming [who] and the first declaration.  Limit predicates
-    are defined by the stratified semantics' tighten-union fixpoint alone;
-    anything else would compute the reading that keeps every candidate.
-    {!run} (under the other semantics) and {!analyze_fixpoints} refuse
-    them through this check, and so do the CLI's [fixpoints], [stable],
-    [ground] and [why]. *)
-
 val analyze_fixpoints :
   ?planner:Plan.planner ->
   ?plan_cache:Plan_cache.t ->

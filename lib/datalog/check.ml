@@ -174,6 +174,19 @@ let validate_database (p : Ast.program) db =
   | Some e -> Error e
   | None -> Ok ()
 
+(* Limit declarations are defined by the tighten-union fixpoint of the
+   stratified evaluator; the other semantics would silently compute the
+   pair-materializing reading, so they refuse limit programs instead. *)
+let refuse_limits who (p : Ast.program) =
+  match p.limits with
+  | [] -> Ok ()
+  | l :: _ ->
+    Error
+      (Printf.sprintf
+         "%s: limit predicates (%s %s) require the stratified semantics" who
+         l.limit_pred
+         (Ast.limit_kind_to_string l.kind))
+
 let validate_exn p =
   match validate p with
   | Ok info -> info

@@ -53,6 +53,15 @@ val validate_database : Ast.program -> Relalg.Database.t -> (unit, error) result
     [Negdl.run], [Negdl.analyze_fixpoints], [Serve.create] and every CLI
     subcommand that takes a program and a database call this first. *)
 
+val refuse_limits : string -> Ast.program -> (unit, string) result
+(** [refuse_limits who program] is [Error] when [program] declares limit
+    predicates, naming [who] and the first declaration.  Limit predicates
+    are defined by the stratified semantics' tighten-union fixpoint alone;
+    anything else would compute the reading that keeps every candidate.
+    [Negdl.run] (under the other semantics), [Negdl.analyze_fixpoints]
+    and [Ground.ground] refuse them through this check, and so
+    do the CLI's [fixpoints], [stable], [ground] and [why]. *)
+
 val validate_exn : Ast.program -> info
 (** @raise Invalid_argument listing the errors. *)
 

@@ -39,6 +39,9 @@ type t = {
 let instances_pred = "$instances"
 
 let ground ?(keep = []) ?cache (p : Datalog.Ast.program) db =
+  (match Datalog.Check.refuse_limits "Ground.ground" p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg msg);
   let schema =
     match Datalog.Ast.idb_schema p with
     | Ok s -> s

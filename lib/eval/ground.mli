@@ -35,7 +35,9 @@ val ground :
   Datalog.Ast.program ->
   Relalg.Database.t ->
   t
-(** @raise Invalid_argument on inconsistent arities.
+(** @raise Invalid_argument on inconsistent arities, or on a program with
+    limit declarations ({!Datalog.Check.refuse_limits}): an instance keeps
+    every candidate tuple, which is not the limit reading.
 
     Instantiation runs on the shared plan layer: each rule's decidable
     (non-IDB) literals form one conjunctive pseudo-rule projecting all rule

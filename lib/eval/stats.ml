@@ -7,10 +7,6 @@ type t = {
   mutable tuples_allocated : int;
   mutable bulk_builds : int;
   plan : Plan.counters;
-  mutable stripe_locks : int;
-  mutable intern_hits : int;
-  mutable intern_misses : int;
-  mutable partition_skew : int;
   mutable stages : (string * float) list;
   mutable wall : float;
   mutable extra : (string * int) list;
@@ -24,10 +20,6 @@ let create () =
     tuples_allocated = 0;
     bulk_builds = 0;
     plan = Plan.counters ();
-    stripe_locks = 0;
-    intern_hits = 0;
-    intern_misses = 0;
-    partition_skew = 0;
     stages = [];
     wall = 0.0;
     extra = [];
@@ -42,18 +34,6 @@ let bump_extra t name n =
         (fun (k, v) -> if String.equal k name then (k, v + n) else (k, v))
         t.extra
   else t.extra <- (name, n) :: t.extra
-
-(* The store's contention counters are process-cumulative; copying them
-   wholesale into the record at print time keeps the hot intern path free
-   of any per-run baseline bookkeeping.  One-shot CLI runs dominate their
-   process, so the totals effectively are the run's; the serve loop
-   reports cumulative counters, consistent with its other totals. *)
-let harvest_contention t =
-  let c = Relalg.Store.contention () in
-  t.stripe_locks <- c.Relalg.Store.stripe_locks;
-  t.intern_hits <- c.Relalg.Store.cache_hits;
-  t.intern_misses <- c.Relalg.Store.cache_misses;
-  t.partition_skew <- c.Relalg.Store.partition_skew
 
 let record_stage t name dt =
   t.stages <- (name, dt) :: t.stages;
@@ -82,13 +62,20 @@ let pp ppf t =
   Format.fprintf ppf "full scans:        %d@," t.plan.Plan.full_scans;
   Format.fprintf ppf "bucket probes:     %d@," t.plan.Plan.bucket_probes;
   Format.fprintf ppf "enumerations:      %d@," t.plan.Plan.enumerations;
-  (* The store-contention block appears only when something was measured. *)
-  if t.stripe_locks + t.intern_hits + t.intern_misses + t.partition_skew > 0
+  (* The store's contention counters are process-cumulative: one-shot CLI
+     runs dominate their process, so the totals effectively are the run's,
+     and the serve loop reports cumulative counters, like its other
+     totals.  The block appears only when something was measured. *)
+  let c = Relalg.Store.contention () in
+  if
+    c.Relalg.Store.stripe_locks + c.cache_hits + c.cache_misses
+    + c.partition_skew
+    > 0
   then begin
-    Format.fprintf ppf "stripe locks:      %d@," t.stripe_locks;
-    Format.fprintf ppf "intern cache hits: %d@," t.intern_hits;
-    Format.fprintf ppf "intern cache miss: %d@," t.intern_misses;
-    Format.fprintf ppf "partition skew:    %d@," t.partition_skew
+    Format.fprintf ppf "stripe locks:      %d@," c.stripe_locks;
+    Format.fprintf ppf "intern cache hits: %d@," c.cache_hits;
+    Format.fprintf ppf "intern cache miss: %d@," c.cache_misses;
+    Format.fprintf ppf "partition skew:    %d@," c.partition_skew
   end;
   List.iter
     (fun (name, v) -> Format.fprintf ppf "%-18s %d@," (name ^ ":") v)

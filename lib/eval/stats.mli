@@ -25,16 +25,6 @@ type t = {
       (** The plan layer's counter block: plan compiles and cache hits,
           index hits/builds, full scans, bucket probes and universe
           enumerations — see {!Planlib.Plan.counters}. *)
-  mutable stripe_locks : int;
-      (** Store stripe-lock acquisitions, harvested process-cumulative
-          from {!Relalg.Store.contention} by {!harvest_contention}. *)
-  mutable intern_hits : int;
-      (** Per-domain intern-cache hits (all domains), harvested. *)
-  mutable intern_misses : int;
-      (** Per-domain intern-cache misses (all domains), harvested. *)
-  mutable partition_skew : int;
-      (** Max minus min store stripe cardinality, harvested (0 when the
-          store runs a single stripe). *)
   mutable stages : (string * float) list;
       (** Wall time per named stage, most recent first. *)
   mutable wall : float;  (** Total wall-clock seconds recorded. *)
@@ -54,12 +44,6 @@ val bump_extra : t -> string -> int -> unit
     its delta-scoped work here — the proof that no full re-ground happens
     per update batch — without disturbing the stable core block. *)
 
-val harvest_contention : t -> unit
-(** Copies the packed store's process-cumulative contention counters
-    (stripe locks, per-domain intern-cache hits/misses, partition skew)
-    into the record.  Called once at report sites; {!pp} prints the
-    contention block only when something non-zero was harvested. *)
-
 val record_stage : t -> string -> float -> unit
 (** [record_stage s name dt] logs [dt] seconds against [name] and adds it
     to {!field-wall}. *)
@@ -69,4 +53,8 @@ val timed : t option -> string -> (unit -> 'a) -> 'a
     [timed None name f] is just [f ()]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Multi-line human-readable rendering (the CLI's [--stats] output). *)
+(** Multi-line human-readable rendering (the CLI's [--stats] output).
+    After the record's counters it prints the packed store's
+    process-cumulative contention counters ({!Relalg.Store.contention}:
+    stripe locks, intern-cache hits/misses, partition skew), when any is
+    non-zero. *)

@@ -32,7 +32,9 @@ val prepare :
 (** Grounds the program ({!Evallib.Ground.ground} — [plan_cache] retains
     the instantiation plans for display) and builds the SAT encoding.
     [planner] is ignored; it remains for the same reason as
-    {!Planlib.Plan.planner}. *)
+    {!Planlib.Plan.planner}.
+    @raise Invalid_argument as {!Evallib.Ground.ground} does, so a program
+    with limit declarations is refused. *)
 
 val ground : t -> Evallib.Ground.t
 

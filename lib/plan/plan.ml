@@ -723,20 +723,20 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
 (* Pattern matching against a candidate tuple by return value: constants
    and bound slots check, fresh slots bind in place.  A partial bind left
    behind by a failed match is harmless — a slot written at step [k] is
-   only read by steps after [k], which run only on a full match. *)
-let match_pat env pat t =
-  let n = Array.length pat in
-  let rec go i =
-    i = n
-    || (match pat.(i) with
-       | Bind s ->
-         Array.unsafe_set env s (Tuple.get t i);
-         true
-       | Check_const c -> Symbol.equal (Tuple.get t i) c
-       | Check_slot s -> Symbol.equal (Tuple.get t i) (Array.unsafe_get env s))
-       && go (i + 1)
-  in
-  go 0
+   only read by steps after [k], which run only on a full match.  The
+   loop is a top-level function: a local closure would allocate once per
+   candidate tuple. *)
+let rec match_from env pat t i =
+  i = Array.length pat
+  || (match pat.(i) with
+     | Bind s ->
+       Array.unsafe_set env s (Tuple.get t i);
+       true
+     | Check_const c -> Symbol.equal (Tuple.get t i) c
+     | Check_slot s -> Symbol.equal (Tuple.get t i) (Array.unsafe_get env s))
+     && match_from env pat t (i + 1)
+
+let match_pat env pat t = match_from env pat t 0
 
 let value env = function
   | Const c -> c

@@ -270,6 +270,36 @@ let test_conditional_toggle () =
   check bool "gap in q: no fixpoint" false
     (Solve.exists (Solve.prepare p partial))
 
+(* --- Limit programs ------------------------------------------------------ *)
+
+(* Grounding keeps every candidate tuple, which is not the limit reading
+   (on examples/shortest_path it found one "stable model" with dist =
+   {(a, 0)}), so the fixpoint search and the grounding refuse limit
+   programs. *)
+let test_limits_refused () =
+  let p =
+    Parser.parse_program_exn
+      "dist min 2. dist(X, 0) :- source(X). dist(Y, S) :- dist(X, D), \
+       edge(X, Y, W), S = D + W. near(X) :- dist(X, D), D <= 2. far(X) :- \
+       node(X), !near(X)."
+  in
+  let db =
+    Relalg.Database.parse_exn
+      "source(a). edge(a, b, 1). edge(b, c, 1). edge(c, d, 1). edge(a, c, \
+       5). edge(b, d, 9). node(a). node(b). node(c). node(d)."
+  in
+  let refused name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted a limit program" name
+    | exception Invalid_argument msg ->
+      check bool (name ^ " names the declaration") true
+        (String.ends_with msg
+           ~suffix:
+             "limit predicates (dist min) require the stratified semantics")
+  in
+  refused "Solve.prepare" (fun () -> ignore (Solve.prepare p db));
+  refused "Ground.ground" (fun () -> ignore (Ground.ground p db))
+
 (* --- Minimal fixpoints --------------------------------------------------- *)
 
 let test_minimal_is_fixpoint_and_minimal () =
@@ -376,6 +406,7 @@ let () =
           Alcotest.test_case "no fixpoint" `Quick test_toggle_no_fixpoint;
           Alcotest.test_case "conditional" `Quick test_conditional_toggle;
         ] );
+      ("limits", [ Alcotest.test_case "refused" `Quick test_limits_refused ]);
       ( "minimal",
         [
           Alcotest.test_case "solve minimal" `Quick

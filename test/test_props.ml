@@ -277,6 +277,250 @@ let prop_pretty_roundtrip =
     ~count:150 arb_case (fun (p, _db) ->
       Datalog.Parser.parse_program_exn (Datalog.Pretty.program_to_string p) = p)
 
+(* --- the limit workloads ----------------------------------------------------
+
+   Single-source shortest path (min) over a ring of 48 with 144 weighted
+   chords, and critical path (max) over a 12 x 6 layered DAG, each as a
+   limit program and as the pair-materializing program: the same rules
+   without the declaration, which keeps every (node, cost) pair (the
+   ring's [S <= 48] guard makes it terminate).  Tightening keeps one bound
+   per node, so it derives far fewer tuples (Kaminski et al.), and its
+   model is the dominant filter of the pair model, strata above
+   included. *)
+
+module Prng = Negdl_util.Prng
+module Symbol = Relalg.Symbol
+module Tuple = Relalg.Tuple
+module Database = Relalg.Database
+module Relation = Relalg.Relation
+module Stats = Evallib.Stats
+module Stratified = Evallib.Stratified
+
+let min_text =
+  "dist(X, 0) :- source(X).\n\
+   dist(Y, S) :- dist(X, D), edge(X, Y, W), S = D + W, S <= 48.\n\
+   near(X) :- dist(X, D), D <= 24.\n\
+   far(X) :- node(X), !near(X)."
+
+let max_text =
+  "best(X, 0) :- source(X).\n\
+   best(Y, S) :- best(X, D), edge(X, Y, W), S = D + W.\n\
+   good(X) :- best(X, D), D >= 24.\n\
+   modest(X) :- node(X), !good(X)."
+
+let add_fact pred args db =
+  Database.add_fact pred (Tuple.of_list args) (Database.add_universe args db)
+
+let ring_vertex i = Symbol.intern (Printf.sprintf "n%d" i)
+
+let weight rng = Symbol.of_int (1 + Prng.int rng 9)
+
+let limit_ring () =
+  let n = 48 and rng = Prng.create 20260808 in
+  let db = ref (Database.create ~universe:[]) in
+  let edge a b w =
+    db := add_fact "edge" [ ring_vertex a; ring_vertex b; w ] !db
+  in
+  db := add_fact "source" [ ring_vertex 0 ] !db;
+  for i = 0 to n - 1 do
+    edge i ((i + 1) mod n) (weight rng)
+  done;
+  for _ = 1 to 3 * n do
+    let w = weight rng in
+    let b = Prng.int rng n in
+    let a = Prng.int rng n in
+    edge a b w
+  done;
+  for i = 0 to n - 1 do
+    db := add_fact "node" [ ring_vertex i ] !db
+  done;
+  !db
+
+let limit_dag () =
+  let layers = 12 and width = 6 and rng = Prng.create 424242 in
+  let v l i = Symbol.intern (Printf.sprintf "l%d_%d" l i) in
+  let db = ref (Database.create ~universe:[]) in
+  for i = 0 to width - 1 do
+    db := add_fact "source" [ v 0 i ] !db
+  done;
+  for l = 0 to layers - 2 do
+    for i = 0 to width - 1 do
+      for _ = 1 to 3 do
+        let j = Prng.int rng width in
+        db := add_fact "edge" [ v l i; v (l + 1) j; weight rng ] !db
+      done
+    done
+  done;
+  for l = 0 to layers - 1 do
+    for i = 0 to width - 1 do
+      db := add_fact "node" [ v l i ] !db
+    done
+  done;
+  !db
+
+let check_tightening ~decl ~kind ~pred ~above text db =
+  let limit_p = Datalog.Parser.parse_program_exn (decl ^ "\n" ^ text) in
+  let pairs_p = Datalog.Parser.parse_program_exn text in
+  (match Datalog.Stratify.stratify limit_p with
+  | Datalog.Stratify.Stratified s ->
+    Alcotest.(check bool) "a stratum above the limit predicate" true
+      (List.length s.Datalog.Stratify.strata >= 2)
+  | _ -> Alcotest.fail "the limit program does not stratify");
+  let eval p =
+    let stats = Stats.create () in
+    let m = Stratified.eval_exn ~stats p db in
+    (m, stats.Stats.tuples_derived)
+  in
+  let limit, limit_work = eval limit_p in
+  let pairs, pairs_work = eval pairs_p in
+  if 5 * limit_work > pairs_work then
+    Alcotest.failf "tightening derived %d tuples, pairs %d: under 5x"
+      limit_work pairs_work;
+  Alcotest.(check bool) "bounds = dominant filter of the pairs" true
+    (Relation.equal (Idb.get limit pred)
+       (Relation.dominant ~kind ~col:1 (Idb.get pairs pred)));
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " agrees") true
+        (Relation.equal (Idb.get limit p) (Idb.get pairs p)))
+    above
+
+let test_min_ring () =
+  check_tightening ~decl:"dist min 2." ~kind:`Min ~pred:"dist"
+    ~above:[ "near"; "far" ] min_text (limit_ring ())
+
+let test_max_dag () =
+  check_tightening ~decl:"best max 2." ~kind:`Max ~pred:"best"
+    ~above:[ "good"; "modest" ] max_text (limit_dag ())
+
+(* 24 batches, each inserting a random weighted edge of the ring or
+   deleting it when present: maintenance relaxes a deleted bound to its
+   second-best support on the delta path, never re-applying a rule in
+   full, and tracks recomputation at every quarter. *)
+let test_limit_serve () =
+  let program =
+    Datalog.Parser.parse_program_exn ("dist min 2.\n" ^ min_text)
+  in
+  let stats = Stats.create () in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let t = ok (Evallib.Serve.create ~stats program (limit_ring ())) in
+  let rng = Prng.create 987654321 in
+  for i = 1 to 24 do
+    let a = Prng.int rng 48 in
+    let b = Prng.int rng 48 in
+    let tup = Tuple.of_list [ ring_vertex a; ring_vertex b; weight rng ] in
+    let db = Evallib.Serve.database t in
+    ignore
+      (ok
+         (if Database.mem_fact "edge" tup db then
+            Evallib.Serve.delete t [ ("edge", tup) ]
+          else Evallib.Serve.insert t [ ("edge", tup) ]));
+    if i mod 6 = 0 then
+      Alcotest.(check bool)
+        (Printf.sprintf "model after batch %d = recomputation's" i)
+        true
+        (Idb.equal (Evallib.Serve.snapshot t)
+           (Stratified.eval_exn program (Evallib.Serve.database t)))
+  done;
+  Alcotest.(check int) "no full applications" 0
+    (Option.value ~default:0
+       (List.assoc_opt "dred full applications" stats.Stats.extra))
+
+(* The counts of the experiments E1-E8 that an evaluation could corrupt,
+   taken before and after the limit workloads: running them must leave
+   every entry as it was. *)
+let experiment_fingerprint () =
+  let module Solve = Fixpointlib.Solve in
+  let module Sat_db = Reductions.Sat_db in
+  let module Workload = Satlib.Workload in
+  let db_of = Digraph.to_database in
+  let pi1 = Datalog.Parser.parse_program_exn "t(X) :- e(Y, X), !t(Y)." in
+  let census g = Solve.count (Solve.prepare pi1 (db_of g)) in
+  let bit b = if b then 1 else 0 in
+  let kernel =
+    let open Folog.Fo in
+    match
+      Reductions.Fagin.compile_sentence
+        {
+          Folog.Eso.second_order = [ ("S", 1) ];
+          matrix =
+            forall [ "x" ]
+              (exists [ "y" ]
+                 (Or
+                    ( atom "S" [ var "x" ],
+                      And (atom "e" [ var "x"; var "y" ], atom "S" [ var "y" ])
+                    )));
+        }
+    with
+    | Ok c -> c
+    | Error e -> failwith e
+  in
+  let tc =
+    Datalog.Parser.parse_program_exn
+      "s(X, Y) :- e(X, Y). s(X, Y) :- e(X, Z), s(Z, Y)."
+  in
+  let trace =
+    Evallib.Inflationary.eval_trace tc
+      (db_of (Generate.random ~seed:31 ~n:30 ~p:0.13))
+  in
+  let wf = Evallib.Wellfounded.eval pi1 (db_of (Generate.cycle 5)) in
+  let distance g =
+    [
+      Relation.cardinal (Reductions.Distance.inflationary g);
+      Relation.cardinal (Reductions.Distance.stratified g);
+    ]
+  in
+  List.map census
+    [
+      Generate.cycle 4;
+      Generate.cycle 5;
+      Generate.cycle 6;
+      Generate.path 5;
+      Generate.disjoint_copies 2 (Generate.cycle 4);
+    ]
+  @ List.map
+      (fun seed ->
+        Solve.count
+          (Sat_db.solver
+             (Workload.random_3cnf ~seed ~vars:5 ~clauses:(10 + (2 * seed)))))
+      [ 1; 2; 3 ]
+  @ List.map
+      (fun g -> bit (Reductions.Fagin.has_fixpoint kernel (db_of g)))
+      [ Generate.path 3; Generate.cycle 3; Generate.cycle 4 ]
+  @ List.map
+      (fun k ->
+        bit (Solve.has_unique (Sat_db.solver (Workload.exactly_k_models 3 k))))
+      [ 0; 1; 2 ]
+  @ List.map
+      (fun solver -> bit (Solve.least solver <> None))
+      [
+        Solve.prepare pi1 (db_of (Generate.path 5));
+        Solve.prepare pi1 (db_of (Generate.cycle 4));
+        Sat_db.solver (Satlib.Cnf.of_list 2 [ [ 1; 2 ] ]);
+      ]
+  @ List.map
+      (fun g -> bit (Reductions.Coloring.has_fixpoint g))
+      [ Generate.complete 3; Generate.cycle 5; Generate.grid 2 3 ]
+  @ [
+      Idb.total_cardinal trace.Evallib.Saturate.result;
+      List.length trace.Evallib.Saturate.deltas;
+    ]
+  @ distance (Generate.path 7)
+  @ distance (Generate.random ~seed:41 ~n:6 ~p:0.25)
+  @ [
+      Idb.total_cardinal wf.Evallib.Wellfounded.true_facts;
+      Idb.total_cardinal wf.Evallib.Wellfounded.possible;
+    ]
+
+let test_fingerprints_survive () =
+  let before = experiment_fingerprint () in
+  Alcotest.(check int) "28 entries" 28 (List.length before);
+  test_min_ring ();
+  test_max_dag ();
+  test_limit_serve ();
+  Alcotest.(check (list int)) "E1-E8 counts unchanged" before
+    (experiment_fingerprint ())
+
 let () =
   Alcotest.run "properties"
     [
@@ -305,4 +549,15 @@ let () =
             prop_pretty_roundtrip;
             prop_theta_matches_reference;
           ] );
+      ( "limit-workloads",
+        [
+          Alcotest.test_case "min ring: tightening derives 5x fewer tuples"
+            `Quick test_min_ring;
+          Alcotest.test_case "max DAG: tightening derives 5x fewer tuples"
+            `Quick test_max_dag;
+          Alcotest.test_case "mixed serve session on the ring" `Quick
+            test_limit_serve;
+          Alcotest.test_case "E1-E8 counts survive the limit workloads"
+            `Quick test_fingerprints_survive;
+        ] );
     ]

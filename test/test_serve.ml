@@ -371,6 +371,89 @@ let test_delta_builds_no_index () =
     (Idb.equal (Serve.snapshot t)
        (Stratified.eval_exn reach (Serve.database t)))
 
+(* A session of 60 single-fact batches over 12 random 8-vertex components:
+   deletes of present edges, their re-inserts and fresh random edges, each
+   followed by three queries.  The universe never grows, so no rule is
+   re-applied in full, and the batches together derive a small fraction of
+   what re-saturating after each would.  The maintained model is
+   recomputation's at every quarter, and the net update applied as one
+   batch to a fresh server lands on the same model.  (Counts, not
+   timings.) *)
+let test_session_work () =
+  let components = 12 and size = 8 and batches = 60 in
+  let n = components * size in
+  let initial =
+    with_vertices
+      (Digraph.to_database
+         (Generate.disjoint_copies components
+            (Generate.random ~seed:83 ~n:size ~p:(1.8 /. float_of_int size))))
+      n
+  in
+  let stats = Evallib.Stats.create () in
+  let t = ok_or_fail (Serve.create ~stats reach initial) in
+  let derived_at_create = stats.Evallib.Stats.tuples_derived in
+  (* In text order: a relation folds in interning order, which depends on
+     what the process interned before. *)
+  let edges db =
+    match Database.relation "e" db with
+    | None -> []
+    | Some rel ->
+      List.sort
+        (fun a b -> String.compare (Tuple.to_string a) (Tuple.to_string b))
+        (Relation.fold List.cons rel [])
+  in
+  let rng = Negdl_util.Prng.create 20260808 in
+  let draw = Negdl_util.Prng.int rng in
+  let deleted = ref [] in
+  for i = 1 to batches do
+    (match !deleted with
+    | tup :: rest when i mod 2 = 1 ->
+      deleted := rest;
+      ignore (ok_or_fail (Serve.insert t [ ("e", tup) ]))
+    | _ -> (
+      match Array.of_list (edges (Serve.database t)) with
+      | present when i mod 4 <> 0 && Array.length present > 0 ->
+        let tup = present.(draw (Array.length present)) in
+        deleted := tup :: !deleted;
+        ignore (ok_or_fail (Serve.delete t [ ("e", tup) ]))
+      | _ ->
+        let u = draw n in
+        ignore (Serve.insert t [ edge u (draw n) ])));
+    let q = goal (Printf.sprintf "r(v%d, Y)" (draw n)) in
+    ignore (Serve.query t q);
+    ignore (Serve.query t q);
+    ignore (ok_or_fail (Serve.query t (goal "unreached(X)")));
+    if i mod (batches / 4) = 0 then
+      check bool
+        (Printf.sprintf "model after batch %d = recomputation's" i)
+        true
+        (Idb.equal (Serve.snapshot t)
+           (Stratified.eval_exn reach (Serve.database t)))
+  done;
+  let extra name =
+    Option.value ~default:0 (List.assoc_opt name stats.Evallib.Stats.extra)
+  in
+  check int "no full applications" 0 (extra "dred full applications");
+  let full = Evallib.Stats.create () in
+  ignore (Stratified.eval ~stats:full reach (Serve.database t));
+  let incremental = stats.Evallib.Stats.tuples_derived - derived_at_create in
+  check bool "under half of re-saturating every batch" true
+    (2 * incremental < batches * full.Evallib.Stats.tuples_derived);
+  let final = Serve.database t in
+  let missing_from db tup = not (Database.mem_fact "e" tup db) in
+  let one_batch = ok_or_fail (Serve.create reach initial) in
+  ignore
+    (ok_or_fail
+       (Serve.update one_batch
+          ~additions:
+            (List.map (fun tup -> ("e", tup))
+               (List.filter (missing_from initial) (edges final)))
+          ~removals:
+            (List.map (fun tup -> ("e", tup))
+               (List.filter (missing_from final) (edges initial)))));
+  check bool "the net update as one batch lands on the same model" true
+    (Idb.equal (Serve.snapshot one_batch) (Serve.snapshot t))
+
 (* --- differential oracle ---------------------------------------------------
    Random op sequences through the incremental path vs from-scratch
    stratified saturation: after every batch the fingerprints must agree. *)
@@ -471,6 +554,8 @@ let () =
           Alcotest.test_case "batch coalescing" `Quick test_batch_coalescing;
           Alcotest.test_case "a delta builds no index" `Quick
             test_delta_builds_no_index;
+          Alcotest.test_case "a session's work is its deltas'" `Quick
+            test_session_work;
         ] );
       ("oracle", List.map QCheck_alcotest.to_alcotest differential_props);
     ]
