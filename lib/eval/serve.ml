@@ -373,24 +373,15 @@ let stats_lines t =
       (extra_counter t "dred delta applications")
       (extra_counter t "dred putback applications")
       (extra_counter t "dred full applications");
+    (* The store's sizes and counters, cumulative like every other
+       counter here. *)
+    (let c = Relalg.Store.contention () in
+     Printf.sprintf
+       "store: tuples=%d symbols=%d locks=%d intern_hits=%d intern_misses=%d"
+       (Relalg.Store.count ()) (Relalg.Symbol.count ())
+       c.Relalg.Store.stripe_locks c.Relalg.Store.cache_hits
+       c.Relalg.Store.cache_misses);
   ]
-  @
-  (* Store contention, cumulative like every other counter here; omitted
-     entirely (untouched store) rather than printed as zeros. *)
-  let c = Relalg.Store.contention () in
-  if
-    c.Relalg.Store.stripe_locks + c.Relalg.Store.cache_hits
-    + c.Relalg.Store.cache_misses + c.Relalg.Store.partition_skew
-    = 0
-  then []
-  else
-    [
-      Printf.sprintf
-        "contention: stripe_locks=%d cache_hits=%d cache_misses=%d \
-         partition_skew=%d"
-        c.Relalg.Store.stripe_locks c.Relalg.Store.cache_hits
-        c.Relalg.Store.cache_misses c.Relalg.Store.partition_skew;
-    ]
 
 let write_reply ~cmd (r : update_report) =
   if cmd = "insert" then

@@ -152,4 +152,6 @@ val handle_batch : t -> string list -> response list
 
 val stats_lines : t -> string list
 (** The [stats] command's report: fact counts, cumulative update/query
-    counters, plan-cache behaviour and the delta-scoped work counters. *)
+    counters, plan-cache behaviour, the delta-scoped work counters, and the
+    sizes of the tuple store and the symbol table with the store's
+    counters. *)

@@ -62,20 +62,15 @@ let pp ppf t =
   Format.fprintf ppf "full scans:        %d@," t.plan.Plan.full_scans;
   Format.fprintf ppf "bucket probes:     %d@," t.plan.Plan.bucket_probes;
   Format.fprintf ppf "enumerations:      %d@," t.plan.Plan.enumerations;
-  (* The store's contention counters are process-cumulative: one-shot CLI
-     runs dominate their process, so the totals effectively are the run's,
-     and the serve loop reports cumulative counters, like its other
-     totals.  The block appears only when something was measured. *)
+  (* The store's counters are process-cumulative: one-shot CLI runs
+     dominate their process, so the totals effectively are the run's, and
+     the serve loop reports cumulative counters, like its other totals.
+     The block appears only when something was measured. *)
   let c = Relalg.Store.contention () in
-  if
-    c.Relalg.Store.stripe_locks + c.cache_hits + c.cache_misses
-    + c.partition_skew
-    > 0
-  then begin
-    Format.fprintf ppf "stripe locks:      %d@," c.stripe_locks;
-    Format.fprintf ppf "intern cache hits: %d@," c.cache_hits;
-    Format.fprintf ppf "intern cache miss: %d@," c.cache_misses;
-    Format.fprintf ppf "partition skew:    %d@," c.partition_skew
+  if c.Relalg.Store.stripe_locks + c.cache_hits + c.cache_misses > 0 then begin
+    Format.fprintf ppf "store locks:       %d@," c.stripe_locks;
+    Format.fprintf ppf "intern hits:       %d@," c.cache_hits;
+    Format.fprintf ppf "intern misses:     %d@," c.cache_misses
   end;
   List.iter
     (fun (name, v) -> Format.fprintf ppf "%-18s %d@," (name ^ ":") v)

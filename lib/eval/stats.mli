@@ -55,6 +55,6 @@ val timed : t option -> string -> (unit -> 'a) -> 'a
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable rendering (the CLI's [--stats] output).
     After the record's counters it prints the packed store's
-    process-cumulative contention counters ({!Relalg.Store.contention}:
-    stripe locks, intern-cache hits/misses, partition skew), when any is
-    non-zero. *)
+    process-cumulative counters ({!Relalg.Store.contention}: lock
+    acquisitions, and intern calls that found their tuple and that did
+    not), when any is non-zero. *)

@@ -745,14 +745,12 @@ let value env = function
 (* Saturating power for the [Neg_exists] witness bound: [u^free] can
    overflow for large universes, and any saturated bound is unreachable by
    a finite relation anyway. *)
-let ipow_sat base e =
-  let base = max base 0 in
-  let rec go acc e =
-    if e = 0 then acc
-    else if base > 1 && acc > max_int / base then max_int
-    else go (acc * base) (e - 1)
-  in
-  go 1 e
+let rec ipow_sat_from acc base e =
+  if e = 0 then acc
+  else if base > 1 && acc > max_int / base then max_int
+  else ipow_sat_from (acc * base) base (e - 1)
+
+let ipow_sat base e = ipow_sat_from 1 (max base 0) e
 
 (* A prepared execution context: the per-run state — resolved sources,
    slot environment, scratch probe tuples.  The compiled plan is
@@ -795,6 +793,10 @@ and buffer = {
   b_key : Symbol.t array;
 }
 
+(* The [p_best] of every context whose plan has no [Tighten_emit] step,
+   which never touches it: such a run allocates no table. *)
+let no_best : (Tuple.t, Symbol.t) Hashtbl.t = Hashtbl.create 1
+
 let prepare ?counters ~resolver ~universe plan =
   let steps = plan.steps in
   let nsteps = Array.length steps in
@@ -803,42 +805,40 @@ let prepare ?counters ~resolver ~universe plan =
   let scratch = Array.make (max nsteps 1) [||] in
   (* Only [Enumerate] and a [Neg_exists] with free columns read the
      universe's size; other plans do not walk the list to count it. *)
-  let reads_usize = ref false in
-  Array.iteri
-    (fun i st ->
-      match st.op with
-      | Index_probe { access; _ } | Scan { access; _ } | Exists { access; _ }
-        ->
-        rels.(i) <-
-          (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
-            .find access.pred access.arity
-      | Const_filter { access; _ } ->
-        rels.(i) <-
-          (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
-            .find access.pred access.arity;
-        scratch.(i) <- Array.make access.arity dummy
-      | Neg_check { access; _ } ->
-        rels.(i) <-
-          (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
-            .find access.pred access.arity;
-        scratch.(i) <- Array.make access.arity dummy
-      | Neg_exists { access; free; _ } ->
-        if free > 0 then reads_usize := true;
-        rels.(i) <-
-          (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
-            .find access.pred access.arity
-      | Aggregate_probe { access; _ } ->
-        (* The distinguished occurrence [-1] never matches a delta
-           redirection, so every resolver maps it to the current
-           valuation of the head relation. *)
-        rels.(i) <-
-          (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
-            .find access.pred access.arity
-      | Enumerate _ -> reads_usize := true
-      | Compare _ | Assign _ | Le_check _ | Plus_bind _ | Plus_check _
-      | Tighten_emit _ ->
-        ())
-    steps;
+  let reads_usize = ref false and tightens = ref false in
+  for i = 0 to nsteps - 1 do
+    match steps.(i).op with
+    | Index_probe { access; _ } | Scan { access; _ } | Exists { access; _ }
+      ->
+      rels.(i) <-
+        (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
+          .find access.pred access.arity
+    | Const_filter { access; _ } ->
+      rels.(i) <-
+        (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
+          .find access.pred access.arity;
+      scratch.(i) <- Array.make access.arity dummy
+    | Neg_check { access; _ } ->
+      rels.(i) <-
+        (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
+          .find access.pred access.arity;
+      scratch.(i) <- Array.make access.arity dummy
+    | Neg_exists { access; free; _ } ->
+      if free > 0 then reads_usize := true;
+      rels.(i) <-
+        (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
+          .find access.pred access.arity
+    | Aggregate_probe { access; _ } ->
+      (* The distinguished occurrence [-1] never matches a delta
+         redirection, so every resolver maps it to the current
+         valuation of the head relation. *)
+      rels.(i) <-
+        (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
+          .find access.pred access.arity
+    | Enumerate _ -> reads_usize := true
+    | Tighten_emit _ -> tightens := true
+    | Compare _ | Assign _ | Le_check _ | Plus_bind _ | Plus_check _ -> ()
+  done;
   {
     p_plan = plan;
     p_counters = counters;
@@ -848,7 +848,7 @@ let prepare ?counters ~resolver ~universe plan =
     p_rels = rels;
     p_scratch = scratch;
     p_rows = Array.make (max nsteps 1) 0;
-    p_best = Hashtbl.create 16;
+    p_best = (if !tightens then Hashtbl.create 16 else no_best);
     p_stop = (match plan.hoist with Some h -> h.h_at | None -> nsteps);
     p_hoist =
       Option.map
@@ -876,7 +876,9 @@ let hoisted plan i =
    ran once into the context's buffer. *)
 let harvest plan prep =
   let fb = plan.fb in
-  Array.iteri (fun i n -> fb.fb_rows.(i) <- fb.fb_rows.(i) + n) prep.p_rows;
+  for i = 0 to Array.length prep.p_rows - 1 do
+    fb.fb_rows.(i) <- fb.fb_rows.(i) + prep.p_rows.(i)
+  done;
   fb.fb_runs <- fb.fb_runs + 1
 
 let bump_scan prep =
@@ -910,37 +912,45 @@ let probe prep i args =
   (* Probed, never retained. *)
   Relation.mem (Tuple.unsafe_make scr) prep.p_rels.(i)
 
-(* Walks an existence step's candidate tuples until [f] answers true.  With
-   a bound argument the candidates are that column's index bucket for the
-   bound value; without one, the whole relation.  The access counters
-   move as for [Index_probe] and [Scan]: the bucket entries visited count
-   as probes. *)
-let exists_in prep i probe f =
+(* Walks an index bucket until [limit] of its tuples have matched [pat],
+   [count] having matched and [n] entries been visited so far; the entries
+   visited count as probes.  A top-level loop with explicit arguments, as
+   [match_from]: a local closure would allocate once per row. *)
+let rec witnesses prep pat limit count n = function
+  | [] ->
+    bump_probes prep n;
+    false
+  | t :: rest ->
+    let count = if match_pat prep.p_env pat t then count + 1 else count in
+    if count >= limit then begin
+      bump_probes prep (n + 1);
+      true
+    end
+    else witnesses prep pat limit count (n + 1) rest
+
+(* Whether at least [limit] tuples of an existence step's relation match
+   the bound prefix.  With a bound argument the candidates are that
+   column's index bucket for the bound value; without one, the whole
+   relation is scanned.  The access counters move as for [Index_probe] and
+   [Scan]. *)
+let exists_at_least prep i probe pat limit =
   let rel = prep.p_rels.(i) in
   match probe with
   | None ->
     bump_scan prep;
-    Relation.exists f rel
+    let count = ref 0 in
+    Relation.exists
+      (fun t ->
+        match_pat prep.p_env pat t
+        && begin
+             incr count;
+             !count >= limit
+           end)
+      rel
   | Some (col, key) ->
     bump_index prep (Relation.has_index rel col);
-    let bucket = Relation.matching col (value prep.p_env key) rel in
-    let rec walk n = function
-      | [] ->
-        bump_probes prep n;
-        false
-      | t :: rest ->
-        if f t then begin
-          bump_probes prep (n + 1);
-          true
-        end
-        else walk (n + 1) rest
-    in
-    walk 0 bucket
-
-(* First-witness check of a positive atom: stop at the first tuple
-   matching the bound prefix instead of materializing the bindings. *)
-let exists_holds prep i probe pat =
-  exists_in prep i probe (fun t -> match_pat prep.p_env pat t)
+    witnesses prep pat limit 0 0
+      (Relation.matching col (value prep.p_env key) rel)
 
 (* Negated atom whose free columns are dead: succeeds iff some
    instantiation of them is absent, i.e. the bound prefix matches fewer
@@ -948,15 +958,7 @@ let exists_holds prep i probe pat =
    saturates the bound, so densely-covered prefixes exit early. *)
 let neg_exists_fails prep i probe pat free =
   let limit = ipow_sat prep.p_usize free in
-  limit = 0
-  ||
-  let count = ref 0 in
-  exists_in prep i probe (fun t ->
-      match_pat prep.p_env pat t
-      && begin
-           incr count;
-           !count >= limit
-         end)
+  limit = 0 || exists_at_least prep i probe pat limit
 
 let agg_better (kind : Ast.limit_kind) a b =
   let c = Symbol.compare_value a b in
@@ -1089,7 +1091,9 @@ let exec prep ~on_row =
           exec (i + 1)
         end
       | Exists { probe; pat; _ } ->
-        if exists_holds prep i probe pat then begin
+        (* First witness: stop at the first tuple matching the bound
+           prefix instead of materializing the bindings. *)
+        if exists_at_least prep i probe pat 1 then begin
           rows.(i) <- rows.(i) + 1;
           exec (i + 1)
         end

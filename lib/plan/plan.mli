@@ -282,8 +282,11 @@ val run :
     relation's memoized column index ({!Relalg.Relation.matching}), built
     once per relation value and maintained incrementally as deltas are
     unioned in.  Matching is return-value based (no exceptions on the hot
-    path) and allocation-free apart from index construction and the
-    caller's [on_row].  Completes by folding the run's observed
+    path).  Apart from index construction and the caller's [on_row], a
+    run allocates nothing per candidate tuple, and its membership probes
+    and existence checks nothing per input row; the one exception is an
+    existence check with no bound argument, whose scan of the whole
+    relation takes a closure.  Completes by folding the run's observed
     cardinalities into the plan's feedback record. *)
 
 val head_tuple : t -> Relalg.Symbol.t array -> Relalg.Tuple.t

@@ -40,10 +40,12 @@ let set_relation name r db =
 
 let relation name db = SMap.find_opt name db.relations
 
+(* [SMap.find] rather than [relation]: every plan run resolves its sources
+   through here, and must not allocate an option per source. *)
 let relation_or_empty ~arity name db =
-  match relation name db with
-  | Some r -> r
-  | None -> Relation.empty arity
+  match SMap.find name db.relations with
+  | r -> r
+  | exception Not_found -> Relation.empty arity
 
 let add_fact name t db =
   if not (tuple_in_universe db t) then

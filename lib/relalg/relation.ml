@@ -50,9 +50,8 @@ let check_arity fname k t =
          (Tuple.arity t) k)
 
 let mem t r =
-  match Store.find t with
-  | None -> false
-  | Some id -> Idset.mem id r.ids
+  let id = Store.lookup t in
+  id >= 0 && Idset.mem id r.ids
 
 (* --- column indexes ----------------------------------------------------- *)
 
@@ -77,9 +76,13 @@ let index r pos =
     r.indexes.(pos) <- Some idx;
     idx
 
+(* [SMap.find] rather than [find_opt]: a probe per row must not allocate
+   an option. *)
 let matching pos c r =
   if pos < 0 || pos >= r.arity then invalid_arg "Relation.matching: bad column";
-  Option.value ~default:[] (SMap.find_opt c (index r pos))
+  match SMap.find c (index r pos) with
+  | bucket -> bucket
+  | exception Not_found -> []
 
 let extend_indexes parent fresh =
   Array.mapi
@@ -92,9 +95,7 @@ let extend_indexes parent fresh =
    against [gone]: the cost is the removed tuples plus the entries of the
    buckets they sit in, never removed tuples times bucket size. *)
 let shrink_indexes parent gone =
-  let stays t =
-    match Store.find t with Some id -> not (Idset.mem id gone) | None -> true
-  in
+  let stays t = not (Idset.mem (Store.lookup t) gone) in
   Array.mapi
     (fun pos o ->
       Option.map
@@ -141,58 +142,20 @@ let add t r =
     }
 
 let remove t r =
-  match Store.find t with
-  | Some id when Idset.mem id r.ids ->
+  let id = Store.lookup t in
+  if id >= 0 && Idset.mem id r.ids then
     shrink r (Idset.remove id r.ids) ~n:1 (Idset.singleton id)
-  | _ -> r
+  else r
 
 let singleton t = add t (empty (Tuple.arity t))
 
 (* Bulk construction: intern everything, then build the Patricia set in one
    sorted pass — O(n log n) at worst in the sort instead of n root-path
-   copies of [Idset.add].  Ids are grouped by store stripe (the id's high
-   bits), each stripe's run sorted and deduplicated independently, and the
-   stripe-ascending concatenation is globally sorted by construction.  When
-   a stripe's ids span most of that stripe — as on a snapshot restore,
-   where the loaded model *is* the bulk of what has ever been interned —
-   the per-stripe pass is a dense mark-and-sweep over the stripe's local
-   ids: O(stripe count) array writes instead of O(n log n) indirect
-   compares, and duplicates collapse for free. *)
-
-(* Append stripe [p]'s ids [src.(lo) .. src.(lo + n - 1)] (unsorted,
-   possibly duplicated, all in stripe [p]) to [dst] at [!u], ascending and
-   deduplicated.  [stripe_count] is the stripe's current tuple count.
-   [dst] may alias [src] when the segment starts at or after [!u]. *)
-let emit_sorted_part ~stripe_count p src lo n dst u =
-  if n > 0 then
-    (* The sweep touches every local id the stripe has ever interned, so
-       it only pays when the run covers a decent fraction of the stripe —
-       a flat constant here would make every small delta build of a warm
-       store O(stripe count), which compounds across semi-naive stages. *)
-    if stripe_count <= 8 * n then begin
-      let seen = Bytes.make stripe_count '\000' in
-      for i = lo to lo + n - 1 do
-        Bytes.unsafe_set seen (Store.id_local src.(i)) '\001'
-      done;
-      for local = 0 to stripe_count - 1 do
-        if Bytes.unsafe_get seen local <> '\000' then begin
-          dst.(!u) <- Store.id_make ~part:p ~local;
-          incr u
-        end
-      done
-    end
-    else begin
-      let run = Array.sub src lo n in
-      Array.sort Int.compare run;
-      dst.(!u) <- run.(0);
-      incr u;
-      for i = 1 to n - 1 do
-        if run.(i) <> run.(i - 1) then begin
-          dst.(!u) <- run.(i);
-          incr u
-        end
-      done
-    end
+   copies of [Idset.add].  When the ids span most of the store — as on a
+   snapshot restore, where the loaded model *is* the bulk of what has ever
+   been interned — the pass is a dense mark-and-sweep over the store's ids:
+   O(store count) array writes instead of O(n log n) indirect compares, and
+   duplicates collapse for free. *)
 
 (* The arity-[k] relation over the interned ids [a] (unsorted, possibly
    duplicated); [a] is reused as scratch. *)
@@ -200,35 +163,30 @@ let of_ids k a =
   let n = Array.length a in
   if n = 0 then empty k
   else begin
-    let pc = Store.partitions () in
-    let scounts = Store.part_counts () in
+    let count = Store.count () in
     let u = ref 0 in
-    if pc = 1 then
-      (* Single stripe: ids are dense globals; sort/sweep in place. *)
-      emit_sorted_part ~stripe_count:scounts.(0) 0 a 0 n a u
+    (* The sweep touches every id the store has ever interned, so it only
+       pays when the run covers a decent fraction of the store — a flat
+       constant here would make every small delta build of a warm store
+       O(store count), which compounds across semi-naive stages. *)
+    if count <= 8 * n then begin
+      let seen = Bytes.make count '\000' in
+      Array.iter (fun id -> Bytes.unsafe_set seen id '\001') a;
+      for id = 0 to count - 1 do
+        if Bytes.unsafe_get seen id <> '\000' then begin
+          a.(!u) <- id;
+          incr u
+        end
+      done
+    end
     else begin
-      (* Scatter into stripe-major order with a counting pass, then
-         finish each stripe's run back into [a]. *)
-      let counts = Array.make pc 0 in
-      for i = 0 to n - 1 do
-        let p = Store.id_part a.(i) in
-        counts.(p) <- counts.(p) + 1
-      done;
-      let starts = Array.make (pc + 1) 0 in
-      for p = 0 to pc - 1 do
-        starts.(p + 1) <- starts.(p) + counts.(p)
-      done;
-      let fill = Array.copy starts in
-      let by_part = Array.make n 0 in
-      for i = 0 to n - 1 do
-        let id = a.(i) in
-        let p = Store.id_part id in
-        by_part.(fill.(p)) <- id;
-        fill.(p) <- fill.(p) + 1
-      done;
-      for p = 0 to pc - 1 do
-        emit_sorted_part ~stripe_count:scounts.(p) p by_part starts.(p)
-          counts.(p) a u
+      Array.sort Int.compare a;
+      u := 1;
+      for i = 1 to n - 1 do
+        if a.(i) <> a.(!u - 1) then begin
+          a.(!u) <- a.(i);
+          incr u
+        end
       done
     end;
     let a = if !u = n then a else Array.sub a 0 !u in
@@ -376,54 +334,20 @@ let choose_opt r = Option.map Store.tuple (Idset.choose_opt r.ids)
 
 (* --- bulk builder ------------------------------------------------------- *)
 
-(* A growable int vector; one per store stripe per builder. *)
-module Ivec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = [||]; n = 0 }
-
-  let ensure v extra =
-    let need = v.n + extra in
-    if need > Array.length v.a then begin
-      let cap = ref (max 16 (2 * Array.length v.a)) in
-      while !cap < need do
-        cap := 2 * !cap
-      done;
-      let bigger = Array.make !cap 0 in
-      Array.blit v.a 0 bigger 0 v.n;
-      v.a <- bigger
-    end
-
-  let push v x =
-    ensure v 1;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
-
-end
-
-(* The builder accumulates interned ids bucketed by store stripe, deduped
-   against an open-addressed id set.  [build] finishes each stripe's run
-   (sort or dense sweep, as in [of_ids]) and assembles the relation with
-   one [Idset.of_sorted_array] over the globally sorted stripe-major
-   concatenation. *)
+(* The builder's ids live in an open-addressed id set, which also dedups
+   them; [build] collects them and finishes as [of_ids] does. *)
 type builder = {
   b_arity : int;
-  mutable b_tab : int array;  (* open-addressed id set; -1 = empty slot *)
+  mutable b_tab : int array;  (* -1 = empty slot; at most half full *)
   mutable b_card : int;
-  b_parts : Ivec.t array;  (* per-stripe ids, insertion order *)
 }
 
 let builder k =
   if k < 0 then invalid_arg "Relation.builder: negative arity";
-  {
-    b_arity = k;
-    b_tab = Array.make 64 (-1);
-    b_card = 0;
-    b_parts = Array.init (Store.partitions ()) (fun _ -> Ivec.create ());
-  }
+  { b_arity = k; b_tab = Array.make 64 (-1); b_card = 0 }
 
-(* Fibonacci mix: ids carry the stripe in their high bits, so low bits
-   alone would collide across stripes' dense locals. *)
+(* Fibonacci mix: ids are dense, so consecutive ids would otherwise fill
+   consecutive slots and lengthen every probe that crosses them. *)
 let bslot_hash id = id * 0x2545F4914F6CDD1D
 
 let btab_insert tab id =
@@ -441,7 +365,6 @@ let btab_insert tab id =
 
 let builder_add b t =
   let id = Store.intern t in
-  (* Keep the load factor at most 1/2: [b_card] is the occupancy. *)
   if 2 * (b.b_card + 1) > Array.length b.b_tab then begin
     let old = b.b_tab in
     b.b_tab <- Array.make (2 * Array.length old) (-1);
@@ -449,7 +372,6 @@ let builder_add b t =
   end;
   if btab_insert b.b_tab id then begin
     b.b_card <- b.b_card + 1;
-    Ivec.push b.b_parts.(Store.id_part id) id;
     true
   end
   else false
@@ -457,21 +379,16 @@ let builder_add b t =
 let builder_cardinal b = b.b_card
 
 let build b =
-  let total =
-    Array.fold_left (fun acc (v : Ivec.t) -> acc + v.Ivec.n) 0 b.b_parts
-  in
-  if total = 0 then empty b.b_arity
-  else begin
-    let scounts = Store.part_counts () in
-    let dst = Array.make total 0 in
-    let u = ref 0 in
-    Array.iteri
-      (fun p (v : Ivec.t) ->
-        emit_sorted_part ~stripe_count:scounts.(p) p v.Ivec.a 0 v.Ivec.n dst u)
-      b.b_parts;
-    let dst = if !u = total then dst else Array.sub dst 0 !u in
-    make_t b.b_arity (Idset.of_sorted_array dst) !u
-  end
+  let a = Array.make b.b_card 0 in
+  let u = ref 0 in
+  Array.iter
+    (fun id ->
+      if id >= 0 then begin
+        a.(!u) <- id;
+        incr u
+      end)
+    b.b_tab;
+  of_ids b.b_arity a
 
 (* --- derived relational algebra ----------------------------------------- *)
 
@@ -491,9 +408,7 @@ let select = filter
 let select_eq i c r =
   (* The bucket's tuples are interned already: look their ids up instead of
      interning them again. *)
-  of_ids r.arity
-    (Array.of_list
-       (List.map (fun t -> Option.get (Store.find t)) (matching i c r)))
+  of_ids r.arity (Array.of_list (List.map Store.lookup (matching i c r)))
 
 let join_positions eqs r1 r2 =
   let rows =

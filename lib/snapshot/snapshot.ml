@@ -7,7 +7,7 @@
      (symbol names, relation directory, tuple rows), so
      [encode] is a pure function of the model and re-snapshotting a
      restored model reproduces the bytes exactly, whatever the process's
-     intern order or partition count.
+     intern order.
 
    - {e Fail-closed decoding with no global effects}: [decode] works
      entirely on local ints and strings — it never interns a symbol or
@@ -164,16 +164,13 @@ let rows_of_relation sym_to_dict kind name r =
   in
   let acc = ref [] in
   (* Stream rows straight out of the packed store arrays — no per-tuple
-     boxing.  Ids decode to (stripe, local); the encoded rows are
-     dictionary-coded and sorted below, so the output bytes are
-     independent of how tuples were striped. *)
+     boxing.  The encoded rows are dictionary-coded and sorted below, so
+     the output bytes are independent of intern order. *)
   let v = Store.view () in
   Idset.iter
     (fun id ->
-      let p = Store.id_part id and l = Store.id_local id in
-      let off = v.Store.v_off.(p).(l) and len = v.Store.v_len.(p).(l) in
-      let data = v.Store.v_data.(p) in
-      acc := Array.init len (fun j -> dict_of_word data.(off + j)) :: !acc)
+      let off = v.Store.v_off.(id) and len = v.Store.v_len.(id) in
+      acc := Array.init len (fun j -> dict_of_word v.Store.v_data.(off + j)) :: !acc)
     (Relation.ids r);
   let rows = Array.of_list !acc in
   Array.sort compare_row rows;

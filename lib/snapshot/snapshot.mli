@@ -36,7 +36,7 @@
     symbol section), never process-local intern ids, and every variable
     part is sorted — so {!encode} is a pure function of the model:
     snapshotting a restored model reproduces the file byte for byte,
-    whatever the intern order or partition count of the process.
+    whatever the intern order of the process.
 
     {2 Fail-closed reading}
 
@@ -138,8 +138,7 @@ val capture :
 (** [capture ~program ~semantics ~db idb] snapshots a materialized model.
     The dictionary is the database universe; a tuple mentioning a constant
     outside it yields [Error] (no such model is produced by evaluation).
-    Hashed relations stream straight out of the packed {!Relalg.Store}
-    arrays. *)
+    Relations stream straight out of the packed {!Relalg.Store} arrays. *)
 
 type restored = {
   r_db : Relalg.Database.t;

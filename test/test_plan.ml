@@ -201,11 +201,32 @@ let test_compile_once () =
   Alcotest.(check bool) "the stages hit the cache" true
     (c.Plan.plan_cache_hits > c.Plan.plan_compiles)
 
-(* [Plan.run] allocates nothing per candidate tuple: a warm second run of
-   the closure's recursive rule at its fixpoint on C_64 (indexes built)
+(* Minor words per emitted row of a warm second run of [plan] (its
+   indexes built by the first), and the row count. *)
+let words_per_row ~resolver ~universe plan =
+  let rows = ref 0 in
+  let on_row _ = incr rows in
+  let run () = Plan.run ~resolver ~universe plan ~on_row in
+  run ();
+  rows := 0;
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  (!rows, words /. float_of_int (max 1 !rows))
+
+(* [Plan.run] allocates nothing per candidate tuple: a warm second run
    allocates only its per-run setup, under one minor word per emitted
-   row. *)
+   row.  The closure's recursive rule at its fixpoint on C_64 joins
+   through an index; over 64 [v] facts and [r] = C_64's edges, the other
+   rules make one existence check, one counted negated existence check and
+   one membership probe per row. *)
 let test_executor_allocation () =
+  let bound src (rows, per_row) =
+    if per_row >= 1.0 then
+      Alcotest.failf "%s: %.2f minor words per emitted row over %d rows \
+                      (bound 1.0)"
+        src per_row rows
+  in
   let db = db_of (Generate.cycle 64) in
   let resolver =
     Evallib.Engine.uniform
@@ -217,17 +238,36 @@ let test_executor_allocation () =
       ~universe_size:(fun () -> List.length universe)
       ~resolver tc_rec_rule
   in
-  let rows = ref 0 in
-  let run () = Plan.run ~resolver ~universe plan ~on_row:(fun _ -> incr rows) in
-  run ();
-  rows := 0;
-  let before = Gc.minor_words () in
-  run ();
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check int) "every closure pair re-derived" (64 * 64) !rows;
-  let per_row = words /. float_of_int !rows in
-  if per_row >= 1.0 then
-    Alcotest.failf "%.2f minor words per emitted row (bound 1.0)" per_row
+  let measured = words_per_row ~resolver ~universe plan in
+  Alcotest.(check int) "every closure pair re-derived" (64 * 64) (fst measured);
+  bound "s(X, Y) :- e(X, Z), s(Z, Y)." measured;
+  let db =
+    Database.parse_exn
+      (String.concat " "
+         (List.init 64 (fun i ->
+              Printf.sprintf "v(n%d). r(n%d, n%d)." i i ((i + 1) mod 64))))
+  in
+  let universe = Database.universe db in
+  List.iter
+    (fun (src, is_step) ->
+      let rule = List.hd (Parser.parse_program_exn src).Ast.rules in
+      let resolver = Evallib.Engine.uniform (Evallib.Engine.database_source db) in
+      let plan =
+        Evallib.Engine.plan_rule
+          ~universe_size:(fun () -> List.length universe)
+          ~resolver rule
+      in
+      Alcotest.(check bool) (src ^ ": the step under test") true
+        (Array.exists (fun (st : Plan.step) -> is_step st.Plan.op) plan.Plan.steps);
+      let measured = words_per_row ~resolver ~universe plan in
+      Alcotest.(check int) (src ^ ": one row per v fact") 64 (fst measured);
+      bound src measured)
+    [
+      ("u(X) :- v(X), r(X, Y).", function Plan.Exists _ -> true | _ -> false);
+      ( "u(X) :- v(X), !r(X, Y).",
+        function Plan.Neg_exists _ -> true | _ -> false );
+      ("u(X) :- v(X), !r(X, X).", function Plan.Neg_check _ -> true | _ -> false);
+    ]
 
 (* --- plan shape on the paper's rules -------------------------------------- *)
 

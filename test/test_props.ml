@@ -99,9 +99,10 @@ let prop_engine_matrix_semantics =
       matches_reference strat_ref (Evallib.Stratified.eval_exn p db)
       && wf_matches strat_ref (Evallib.Wellfounded.eval p db))
 
-(* The partitioned packed store must be observationally identical to the
-   plain-set semantics: the reference's stratified model is compared
-   against the store's. *)
+(* The packed store must be observationally identical to the plain-set
+   semantics: the reference's stratified model is compared against the
+   store's.  The name is kept from when the store was partitioned into
+   stripes, so that the property list's indices do not move. *)
 let prop_partitioned_store_oracle =
   QCheck.Test.make
     ~name:"partitioned hashed store matches the plain-set reference"

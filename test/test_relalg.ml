@@ -266,22 +266,105 @@ let test_store_find_no_intern () =
   check (Alcotest.option int) "find after intern" (Some id) (Store.find probe);
   check bool "mem" true (Store.mem probe)
 
-let test_store_partition_ids () =
-  let id = Store.intern (Tuple.of_strings [ "part_probe"; "p" ]) in
-  let p = Store.id_part id in
-  check bool "stripe in range" true (p >= 0 && p < Store.partitions ());
-  check int "id recomposes" id (Store.id_make ~part:p ~local:(Store.id_local id));
-  check int "stripe counts sum to the total" (Store.count ())
-    (Array.fold_left ( + ) 0 (Store.part_counts ()));
-  (* The contention record is internally consistent: counters only grow
-     and skew is bounded by the largest stripe. *)
-  let c = Store.contention () in
-  check bool "contention counters non-negative" true
-    (c.Store.stripe_locks >= 0 && c.Store.cache_hits >= 0
-   && c.Store.cache_misses >= 0 && c.Store.partition_skew >= 0);
-  check bool "skew bounded by max stripe" true
-    (c.Store.partition_skew
-    <= Array.fold_left max 0 (Store.part_counts ()))
+(* Ids are dense in first-intern order: a fresh tuple gets the store's
+   count before it, and the counters count what their names say. *)
+let test_store_dense_ids () =
+  let t = Tuple.of_strings [ "dense_probe"; "p" ] in
+  let before = Store.count () and c0 = Store.contention () in
+  let id = Store.intern t in
+  check int "a fresh tuple gets id count_before" before id;
+  check int "the store grew by one" (before + 1) (Store.count ());
+  check int "re-interning keeps the id" id
+    (Store.intern (Tuple.of_strings [ "dense_probe"; "p" ]));
+  let c1 = Store.contention () in
+  check int "one lock acquisition, for the append" 1
+    (c1.Store.stripe_locks - c0.Store.stripe_locks);
+  check int "one intern found its tuple" 1
+    (c1.Store.cache_hits - c0.Store.cache_hits);
+  check int "one intern did not" 1
+    (c1.Store.cache_misses - c0.Store.cache_misses)
+
+(* The open-addressed table under families of equal hashes and growth.
+   [Tuple.hash] of a pair is 16337 + 31a + b, so over consecutive symbol
+   ids the pairs (a, b) and (a + 1, b - 31) collide; every pair over [n]
+   fresh symbols packs thousands of such collisions into the table while
+   it doubles several times. *)
+let test_store_open_addressing () =
+  let n = 100 in
+  let syms =
+    Array.init (n + 1) (fun k -> Symbol.intern (Printf.sprintf "oa_%d" k))
+  in
+  let sid k = (syms.(k) :> int) in
+  Array.iteri
+    (fun k _ -> check int "consecutive symbol ids" (sid 0 + k) (sid k))
+    syms;
+  (* [syms.(n)] stays out of the sample, for never-interned neighbours. *)
+  let pair a b = Tuple.make [| syms.(a); syms.(b) |] in
+  let sample = Array.init (n * n) (fun k -> pair (k / n) (k mod n)) in
+  let collisions = ref 0 in
+  for a = 0 to n - 2 do
+    for b = 31 to n - 1 do
+      if Tuple.hash (pair a b) = Tuple.hash (pair (a + 1) (b - 31)) then
+        incr collisions
+    done
+  done;
+  check bool "at least 1,000 equal-hash pairs in the sample" true
+    (!collisions >= 1000);
+  let before = Store.count () in
+  (* The table is kept at most half full and doubles from 512 slots: each
+     power of two from 256 up that the count crosses is one rehash. *)
+  let rec crossings p acc =
+    if p > before + (n * n) then acc
+    else crossings (2 * p) (if p > before then acc + 1 else acc)
+  in
+  check bool "the table rehashes several times" true (crossings 256 0 >= 3);
+  (* A reader spins on tuples published before the growth starts; the
+     growth waits for its first pass. *)
+  let published = Array.sub sample 0 n in
+  let published_ids = Array.map Store.intern published in
+  let running = Atomic.make false and stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let lost = ref 0 in
+        let pass () =
+          Array.iteri
+            (fun k t ->
+              if Store.find t <> Some published_ids.(k) then incr lost)
+            published
+        in
+        pass ();
+        Atomic.set running true;
+        while not (Atomic.get stop) do
+          pass ()
+        done;
+        !lost)
+  in
+  while not (Atomic.get running) do
+    Domain.cpu_relax ()
+  done;
+  let ids = Array.map Store.intern sample in
+  Atomic.set stop true;
+  check int "the reader always found the published tuples" 0
+    (Domain.join reader);
+  Array.iteri
+    (fun k id ->
+      check int "ids are dense from count_before" (before + k) id;
+      check (Alcotest.option int) "find agrees" (Some id)
+        (Store.find sample.(k));
+      check int "a second intern agrees" id (Store.intern sample.(k));
+      check bool "tuple round trip" true
+        (Tuple.equal sample.(k) (Store.tuple id)))
+    ids;
+  check int "the store grew by exactly the distinct tuples" (before + (n * n))
+    (Store.count ());
+  for k = 0 to n - 1 do
+    (* (n, k) shares its hash with (n - 1, k + 31), and (k, n) with
+       (k + 1, n - 31), both interned. *)
+    check bool "never-interned neighbour is not found" true
+      (Store.find (pair n k) = None && Store.find (pair k n) = None)
+  done;
+  check int "probing neighbours did not grow the store" (before + (n * n))
+    (Store.count ())
 
 (* --- Relation store --------------------------------------------------------- *)
 
@@ -411,8 +494,8 @@ let test_symbol_reintern_race () =
   check int "racing re-interns created no symbols" count_before
     (Symbol.count ())
 
-(* Eight domains intern overlapping segment batches into the same
-   stripes; every domain must observe identical ids, the store must grow
+(* Eight domains intern overlapping segment batches into the store;
+   every domain must observe identical ids, the store must grow
    by exactly the distinct rows, and contents must round-trip. *)
 let test_concurrent_intern_seg () =
   let k = 3 and rows = 400 and distinct = 157 in
@@ -448,13 +531,6 @@ let test_concurrent_intern_seg () =
     check int "distinct ids = distinct rows" distinct (List.length ids);
     check int "store grew by exactly the distinct rows"
       (count_before + distinct) (Store.count ());
-    (* Striping sanity: 157 hash-scattered rows cannot all land in one
-       of >= 2 stripes. *)
-    if Store.partitions () > 1 then
-      check bool "rows landed in more than one stripe" true
-        (List.length
-           (List.sort_uniq compare (List.map Store.id_part ids))
-        > 1);
     List.iter
       (fun (r, id) ->
         check bool "segment round trip" true
@@ -821,7 +897,9 @@ let () =
           Alcotest.test_case "intern" `Quick test_store_intern;
           Alcotest.test_case "find without intern" `Quick
             test_store_find_no_intern;
-          Alcotest.test_case "partitioned ids" `Quick test_store_partition_ids;
+          Alcotest.test_case "dense ids" `Quick test_store_dense_ids;
+          Alcotest.test_case "open-addressed table" `Quick
+            test_store_open_addressing;
         ] );
       ( "storage",
         [

@@ -225,17 +225,11 @@ let test_protocol () =
     (match reply t "insert r(v0, v1)." with
     | [ line ] -> contains ~needle:"error:" line
     | _ -> false);
-  (* Five core lines, plus the store-contention line whenever the hashed
-     backend has touched the packed store (cumulative, so by this point in
-     the session it has). *)
+  (* Five core lines, then the store's sizes and counters. *)
   let stats_reply = reply t "stats" in
-  check bool "stats is five or six lines" true
-    (List.length stats_reply = 5 || List.length stats_reply = 6);
-  check bool "contention line present iff sixth" true
-    (match List.rev stats_reply with
-    | last :: _ when List.length stats_reply = 6 ->
-      contains ~needle:"contention:" last
-    | _ -> List.length stats_reply = 5);
+  check int "stats is six lines" 6 (List.length stats_reply);
+  check bool "the store line is last" true
+    (contains ~needle:"store: tuples=" (List.nth stats_reply 5));
   check (Alcotest.list Alcotest.string) "quit" [ "<quit>" ] (reply t "quit");
   check (Alcotest.list Alcotest.string) "shutdown" [ "<shutdown>" ]
     (reply t "shutdown")
