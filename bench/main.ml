@@ -317,26 +317,28 @@ let e10 () =
   section "E10 Data vs expression complexity (grounding blow-up shape)";
   row "  fixed program (pi_SAT), growing data: ground atoms grow \
        polynomially@.";
-  row "  %-10s %-12s %-12s %-10s@." "vars" "|universe|" "atoms" "rules";
+  row "  %-10s %-12s %-12s %-10s %-10s@." "vars" "|universe|" "atoms" "rules"
+    "instances";
   List.iter
     (fun vars ->
       let cnf = Sat_workload.random_3cnf ~seed:51 ~vars ~clauses:(2 * vars) in
       let solver = Sat_db.solver cnf in
       let g = Fixpoints.ground solver in
-      row "  %-10d %-12d %-12d %-10d@." vars (vars + (2 * vars))
-        (Ground.atom_count g) (Ground.rule_count g))
+      row "  %-10d %-12d %-12d %-10d %-10d@." vars (vars + (2 * vars))
+        (Ground.atom_count g) (Ground.rule_count g) (Ground.instance_count g))
     [ 3; 4; 5; 6; 8 ];
   row "  growing program (succinct 3-coloring), fixed data {0,1}: atoms \
        grow with 4^bits per gate@.";
-  row "  %-10s %-12s %-12s %-10s@." "bits" "rules" "atoms" "grules";
+  row "  %-10s %-12s %-12s %-10s %-10s@." "bits" "rules" "atoms" "grules"
+    "instances";
   List.iter
     (fun bits ->
       let compiled = Succinct3col.compile (Succinct.hypercube bits) in
       let solver = Succinct3col.solver compiled in
       let g = Fixpoints.ground solver in
-      row "  %-10d %-12d %-12d %-10d@." bits
+      row "  %-10d %-12d %-12d %-10d %-10d@." bits
         (List.length compiled.Succinct3col.program.Ast.rules)
-        (Ground.atom_count g) (Ground.rule_count g))
+        (Ground.atom_count g) (Ground.rule_count g) (Ground.instance_count g))
     [ 1; 2; 3 ]
 
 (* --- E11: the Section 5 expressiveness hierarchy, empirically ---------------- *)

@@ -1017,7 +1017,7 @@ let ground_cmd =
     let g = Negdl.Ground.ground program db in
     Format.printf "%a@." Negdl.Ground.pp g;
     Format.printf "%% %d atoms, %d instances@." (Negdl.Ground.atom_count g)
-      (Negdl.Ground.rule_count g)
+      (Negdl.Ground.instance_count g)
   in
   let doc = "print the propositional grounding of (program, database)" in
   Cmd.v (Cmd.info "ground" ~doc) Term.(const run $ program_arg $ database_arg)

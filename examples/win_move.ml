@@ -37,10 +37,7 @@ let describe g name =
   (* Well-founded: the game-theoretic answer. *)
   let model = Negdl.Wellfounded.eval win db in
   let tuples rel =
-    Negdl.Relation.fold
-      (fun t acc -> Negdl.Tuple.to_string t :: acc)
-      rel []
-    |> List.rev |> String.concat " "
+    String.concat " " (List.map Negdl.Tuple.to_string (Negdl.Relation.to_list rel))
   in
   Format.printf "  well-founded:  win=%s"
     (tuples (Negdl.Idb.get model.Negdl.Wellfounded.true_facts "win"));

@@ -104,91 +104,6 @@ let simplify ?(aggressive = false) p =
   in
   fix p
 
-(* Connected components of the body's variable-sharing graph.  Two
-   literals are connected when they share a variable; a component is
-   "detached" when none of its variables occurs in the head. *)
-let literal_vars l =
-  List.concat_map
-    (function Ast.Var x -> [ x ] | Ast.Const _ -> [])
-    (Ast.literal_terms l)
-
-let body_components (r : Ast.rule) =
-  let lits = Array.of_list r.Ast.body in
-  let n = Array.length lits in
-  let vars = Array.map (fun l -> SSet.of_list (literal_vars l)) lits in
-  let parent = Array.init n Fun.id in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if not (SSet.is_empty (SSet.inter vars.(i) vars.(j))) then union i j
-    done
-  done;
-  let components = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    let root = find i in
-    Hashtbl.replace components root
-      (i :: Option.value ~default:[] (Hashtbl.find_opt components root))
-  done;
-  Hashtbl.fold
-    (fun _ indices acc -> List.rev indices :: acc)
-    components []
-  |> List.sort compare
-  |> List.map (fun indices -> List.map (fun i -> lits.(i)) indices)
-
-let split_independent ?(prefix = "guard") (p : Ast.program) =
-  let used = ref (Ast.predicates p) in
-  let fresh () =
-    let rec next i =
-      let candidate = Printf.sprintf "%s%d" prefix i in
-      if List.mem candidate !used then next (i + 1)
-      else begin
-        used := candidate :: !used;
-        candidate
-      end
-    in
-    next 1
-  in
-  let guards = ref [] in
-  let head_vars (r : Ast.rule) =
-    SSet.of_list
-      (List.concat_map
-         (function Ast.Var x -> [ x ] | Ast.Const _ -> [])
-         r.Ast.head.Ast.args)
-  in
-  let rewrite (r : Ast.rule) =
-    let hv = head_vars r in
-    let components = body_components r in
-    if List.length components <= 1 then r
-    else begin
-      let body =
-        List.concat_map
-          (fun component ->
-            let cv =
-              List.fold_left
-                (fun acc l -> SSet.union acc (SSet.of_list (literal_vars l)))
-                SSet.empty component
-            in
-            let detached =
-              SSet.is_empty (SSet.inter cv hv) && not (SSet.is_empty cv)
-            in
-            if detached then begin
-              let name = fresh () in
-              guards := Ast.rule (Ast.atom name []) component :: !guards;
-              [ Ast.Pos (Ast.atom name []) ]
-            end
-            else component)
-          components
-      in
-      { r with Ast.body }
-    end
-  in
-  let rules = List.map rewrite p.Ast.rules in
-  Ast.program ~limits:p.Ast.limits (rules @ List.rev !guards)
-
 let count_literals (p : Ast.program) =
   List.fold_left (fun n (r : Ast.rule) -> n + List.length r.Ast.body) 0 p.Ast.rules
 

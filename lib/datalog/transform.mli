@@ -40,30 +40,5 @@ val simplify : ?aggressive:bool -> Ast.program -> Ast.program
 (** All universally-sound passes to a fixed point; with
     [~aggressive:true], also {!drop_underivable}.  Default: [false]. *)
 
-val split_independent : ?prefix:string -> Ast.program -> Ast.program
-(** Factors each rule's body into connected components of the
-    variable-sharing graph: components that share no variable with the head
-    (nor, by construction, with the rest of the body) become fresh 0-ary
-    {e guard} predicates defined by their own rules.  The toggle rule
-    [t(Z) :- !q(U), !t(W)] becomes
-
-    {v
-    g1 :- !q(U).     g2 :- !t(W).     t(Z) :- g1, g2.
-    v}
-
-    shrinking its grounding from |A|{^ 3} instances to 3|A|.  Fixpoints of
-    the transformed program are in bijection with the original's (the guard
-    values are forced by the fixpoint condition), so fixpoint {e existence,
-    enumeration, counting and uniqueness} are preserved on the original
-    predicates; the stratified semantics is preserved too (guards slot into
-    the stratification).  The {e inflationary} semantics is {b not}
-    preserved in general — a guard, once true, stays true ("latches"),
-    while the original rule re-tests its detached component at every stage
-    — and least-fixpoint detection is likewise not claimed (the bijection
-    does not respect pointwise inclusion).  The intended consumer is the
-    SAT-backed fixpoint searcher, where the grounding compression matters
-    most.  [prefix] names the guards (default ["guard"], made
-    collision-free). *)
-
 val statistics : Ast.program -> Ast.program -> string
 (** A one-line before/after summary (rule and literal counts). *)

@@ -7,39 +7,23 @@ let unknown m = Idb.diff m.possible m.true_facts
 
 let is_total m = Idb.is_empty (unknown m)
 
-let holds idb (a : Ground.gatom) =
-  Idb.mem idb a.Ground.pred
-  && Relalg.Relation.mem a.Ground.tuple (Idb.get idb a.Ground.pred)
-
 let eval_ground g =
-  let schema = Idb.schema (Ground.to_idb g []) in
-  let all = Ground.to_idb g (Ground.atoms g) in
-  let step (t, p) =
-    List.fold_left
-      (fun (t', p') (gr : Ground.grule) ->
-        let head = gr.Ground.head in
-        let surely =
-          List.for_all (holds t) gr.Ground.pos
-          && not (List.exists (holds p) gr.Ground.neg)
-        in
-        let possibly =
-          List.for_all (holds p) gr.Ground.pos
-          && not (List.exists (holds t) gr.Ground.neg)
-        in
-        ( (if surely then Idb.add_fact t' head.Ground.pred head.Ground.tuple
-           else t'),
-          if possibly then Idb.add_fact p' head.Ground.pred head.Ground.tuple
-          else p' ))
-      (Idb.empty schema, Idb.empty schema)
-      (Ground.rules g)
-  in
   (* Knowledge-order iteration from (empty, everything): T climbs, P
-     descends; both are bounded, so this terminates. *)
+     descends; both are bounded, so this terminates.  An instance surely
+     fires when its positive subgoals are in T and no negated one is in P,
+     and possibly fires the other way round. *)
   let rec iterate t p =
-    let t', p' = step (t, p) in
-    if Idb.equal t t' && Idb.equal p p' then { true_facts = t; possible = p }
+    let t' = Ground.consequences g ~pos:t ~neg:p in
+    let p' = Ground.consequences g ~pos:p ~neg:t in
+    if Ground.same_atoms g t t' && Ground.same_atoms g p p' then
+      {
+        true_facts = Ground.idb_of_valuation g t;
+        possible = Ground.idb_of_valuation g p;
+      }
     else iterate t' p'
   in
-  iterate (Idb.empty schema) all
+  let everything = Ground.empty_valuation g in
+  Array.fill everything 1 (Ground.atom_count g) true;
+  iterate (Ground.empty_valuation g) everything
 
 let eval ?cache p db = eval_ground (Ground.ground ?cache p db)

@@ -1,64 +1,29 @@
-module GSet = Set.Make (struct
-  type t = Ground.gatom
-
-  let compare = Ground.compare_gatom
-end)
-
-let holds idb (a : Ground.gatom) =
-  Idb.mem idb a.Ground.pred
-  && Relalg.Relation.mem a.Ground.tuple (Idb.get idb a.Ground.pred)
+(* The greatest unfounded set w.r.t. (T, F), over ids: the program atoms
+   without a non-circular line of support. *)
+let unfounded g ~t ~f =
+  let s = Ground.supported g ~t ~f in
+  List.filter (fun a -> not s.(a)) (List.init (Ground.atom_count g) succ)
 
 let greatest_unfounded_set g ~true_facts ~false_facts =
-  (* Complement computation: the supported atoms are the least set S such
-     that some instance derives the atom with negated subgoals disjoint
-     from T, positive subgoals disjoint from F and contained in S. *)
-  let atoms = Ground.atoms g in
-  let rec grow supported =
-    let bigger =
-      List.fold_left
-        (fun acc (gr : Ground.grule) ->
-          if
-            (not (GSet.mem gr.Ground.head acc))
-            && (not (List.exists (holds true_facts) gr.Ground.neg))
-            && List.for_all
-                 (fun a -> (not (holds false_facts a)) && GSet.mem a acc)
-                 gr.Ground.pos
-          then GSet.add gr.Ground.head acc
-          else acc)
-        supported (Ground.rules g)
-    in
-    if GSet.cardinal bigger = GSet.cardinal supported then supported
-    else grow bigger
-  in
-  let supported = grow GSet.empty in
-  List.filter (fun a -> not (GSet.mem a supported)) atoms
+  List.map (Ground.atom g)
+    (unfounded g ~t:(Ground.valuation g true_facts)
+       ~f:(Ground.valuation g false_facts))
 
 let eval_ground g =
-  let schema = Idb.schema (Ground.to_idb g []) in
-  let immediate ~true_facts ~false_facts =
-    List.fold_left
-      (fun acc (gr : Ground.grule) ->
-        if
-          List.for_all (holds true_facts) gr.Ground.pos
-          && List.for_all (holds false_facts) gr.Ground.neg
-        then Idb.add_fact acc gr.Ground.head.Ground.pred gr.Ground.head.Ground.tuple
-        else acc)
-      (Idb.empty schema) (Ground.rules g)
-  in
-  let rec iterate true_facts false_facts =
-    let t' = immediate ~true_facts ~false_facts in
-    let unfounded = greatest_unfounded_set g ~true_facts ~false_facts in
-    let f' =
-      List.fold_left
-        (fun acc a -> Idb.add_fact acc a.Ground.pred a.Ground.tuple)
-        false_facts unfounded
-    in
-    let t' = Idb.union true_facts t' in
-    if Idb.equal t' true_facts && Idb.equal f' false_facts then (t', f')
+  let rec iterate t f =
+    (* Immediate consequences w.r.t. (T, F): negated subgoals must be in
+       F, so they are read in its complement. *)
+    let t' = Ground.consequences g ~pos:t ~neg:(Array.map not f) in
+    Array.iteri (fun a b -> if b then t'.(a) <- true) t;
+    let f' = Array.copy f in
+    List.iter (fun a -> f'.(a) <- true) (unfounded g ~t ~f);
+    if Ground.same_atoms g t t' && Ground.same_atoms g f f' then (t, f)
     else iterate t' f'
   in
-  let true_facts, false_facts = iterate (Idb.empty schema) (Idb.empty schema) in
-  let possible = Idb.diff (Ground.to_idb g (Ground.atoms g)) false_facts in
-  { Wellfounded.true_facts; possible }
+  let t, f = iterate (Ground.empty_valuation g) (Ground.empty_valuation g) in
+  {
+    Wellfounded.true_facts = Ground.idb_of_valuation g t;
+    possible = Ground.idb_of_valuation g (Array.map not f);
+  }
 
 let eval p db = eval_ground (Ground.ground p db)

@@ -1,53 +1,49 @@
 module Ground = Evallib.Ground
 module Idb = Evallib.Idb
 
-let fold_fixpoints f init ?limit g =
-  let atoms = Array.of_list (Ground.atoms g) in
-  let n = Array.length atoms in
+(* The fixpoints as valuations over ids, in subset-enumeration order: bit
+   i of the mask is the atom of id i + 1. *)
+let fixpoints ?limit g =
+  let n = Ground.atom_count g in
   if n > 24 then
     invalid_arg
       (Printf.sprintf
-         "Brute.fold_fixpoints: %d ground atoms is too many for exhaustive \
-          search"
-         n);
-  let acc = ref init in
-  let found = ref 0 in
-  let capped () =
+         "Brute: %d ground atoms is too many for exhaustive search" n);
+  let capped found =
     match limit with
-    | Some l -> !found >= l
+    | Some l -> found >= l
     | None -> false
   in
-  let mask = ref 0 in
-  let total = 1 lsl n in
-  while !mask < total && not (capped ()) do
-    let subset =
-      List.filteri (fun i _ -> (!mask lsr i) land 1 = 1) (Array.to_list atoms)
-    in
-    let s = Ground.to_idb g subset in
-    if Idb.equal (Ground.apply g s) s then begin
-      acc := f !acc s;
-      incr found
-    end;
-    incr mask
-  done;
-  !acc
+  let rec go mask found acc =
+    if mask >= 1 lsl n || capped found then List.rev acc
+    else
+      let v = Ground.empty_valuation g in
+      for i = 0 to n - 1 do
+        v.(i + 1) <- (mask lsr i) land 1 = 1
+      done;
+      if Ground.same_atoms g (Ground.consequences g ~pos:v ~neg:v) v then
+        go (mask + 1) (found + 1) (v :: acc)
+      else go (mask + 1) found acc
+  in
+  go 0 0 []
 
 let all_fixpoints ?limit g =
-  List.rev (fold_fixpoints (fun acc s -> s :: acc) [] ?limit g)
+  List.map (Ground.idb_of_valuation g) (fixpoints ?limit g)
 
-let count g = fold_fixpoints (fun acc _ -> acc + 1) 0 g
+let count g = List.length (fixpoints g)
 
-let exists g = all_fixpoints ~limit:1 g <> []
+let exists g = fixpoints ~limit:1 g <> []
 
-let has_unique g = List.length (all_fixpoints ~limit:2 g) = 1
+let has_unique g = List.length (fixpoints ~limit:2 g) = 1
 
 let least g =
-  match all_fixpoints g with
+  match fixpoints g with
   | [] -> None
   | first :: rest ->
-    let intersection = List.fold_left Idb.inter first rest in
-    if Idb.equal (Ground.apply g intersection) intersection then
-      Some intersection
+    let meet = List.fold_left (Array.map2 ( && )) first rest in
+    if Ground.same_atoms g (Ground.consequences g ~pos:meet ~neg:meet) meet
+    then
+      Some (Ground.idb_of_valuation g meet)
     else None
 
 let minimal_fixpoints g =

@@ -1,94 +1,58 @@
 module Ground = Evallib.Ground
-module Idb = Evallib.Idb
 module Cnf = Satlib.Cnf
-module Symbol = Relalg.Symbol
-module Store = Relalg.Store
-
-(* Ground atoms are keyed by interned integer pairs — the predicate's
-   symbol id and the tuple's packed id in the global {!Relalg.Store} — so
-   building and querying the encoding never re-hashes or re-compares a
-   symbol array. *)
-let key_of_atom (a : Ground.gatom) =
-  (Symbol.to_int (Symbol.intern a.pred), Store.intern a.tuple)
 
 type t = {
   ground : Ground.t;
   cnf : Cnf.t;
-  var_of : (int * int, int) Hashtbl.t;
-  atom_of : Ground.gatom array;  (* indexed by variable - 1 *)
-  atom_var_count : int;
 }
 
+(* An atom's variable is its id: the program atoms, then the aux atoms.
+   Instance variables follow, numbered atom by atom. *)
 let build g =
-  let atoms = Array.of_list (Ground.atoms g) in
-  let n_atoms = Array.length atoms in
-  let var_of = Hashtbl.create (max 16 n_atoms) in
-  Array.iteri (fun i a -> Hashtbl.replace var_of (key_of_atom a) (i + 1)) atoms;
-  let var a = Hashtbl.find var_of (key_of_atom a) in
-  (* Instance variables follow the atom variables. *)
-  let instance_count =
-    List.fold_left (fun acc _ -> acc + 1) 0 (Ground.rules g)
-  in
-  let total_vars = n_atoms + instance_count in
+  let atoms = Ground.atom_count g + Ground.aux_count g in
+  (* An aux atom with an empty definition always holds.  The instances
+     that read it leave it out: the unfactored grounding reads no atom
+     there, and the aux atom's variable would tie them into one component
+     that the census then enumerates whole. *)
+  let holds = Array.make (atoms + 1) false in
+  for a = Ground.atom_count g + 1 to atoms do
+    holds.(a) <-
+      Array.exists (fun i -> Ground.body g i = [||]) (Ground.instances_of g a)
+  done;
   let clauses = ref [] in
   let add c = clauses := c :: !clauses in
-  let next_instance = ref (n_atoms + 1) in
-  List.iter
-    (fun atom ->
-      let p = var atom in
-      let instances = Ground.instances_for g atom in
-      let body_vars =
-        List.map
-          (fun (gr : Ground.grule) ->
-            let b = !next_instance in
-            incr next_instance;
-            let lits =
-              List.map (fun a -> var a) gr.pos
-              @ List.map (fun a -> -var a) gr.neg
-            in
-            (* b <-> conjunction of lits *)
-            List.iter (fun l -> add [ -b; l ]) lits;
-            add (b :: List.map (fun l -> -l) lits);
-            b)
-          instances
-      in
-      (* p <-> disjunction of the instance variables *)
-      add (-p :: body_vars);
-      List.iter (fun b -> add [ p; -b ]) body_vars)
-    (Ground.atoms g);
-  let cnf = Cnf.of_list total_vars (List.rev !clauses) in
-  {
-    ground = g;
-    cnf;
-    var_of;
-    atom_of = atoms;
-    atom_var_count = n_atoms;
-  }
+  let next_instance = ref (atoms + 1) in
+  for p = 1 to atoms do
+    let body_vars =
+      Array.map
+        (fun i ->
+          let b = !next_instance in
+          incr next_instance;
+          let lits =
+            List.filter
+              (fun l -> not holds.(abs l))
+              (Array.to_list (Ground.body g i))
+          in
+          (* b <-> conjunction of lits *)
+          List.iter (fun l -> add [ -b; l ]) lits;
+          add (b :: List.map (fun l -> -l) lits);
+          b)
+        (Ground.instances_of g p)
+      |> Array.to_list
+    in
+    (* p <-> disjunction of the instance variables *)
+    add (-p :: body_vars);
+    List.iter (fun b -> add [ p; -b ]) body_vars
+  done;
+  { ground = g; cnf = Cnf.of_list (!next_instance - 1) (List.rev !clauses) }
 
 let cnf t = t.cnf
 
-let atom_variables t = List.init t.atom_var_count (fun i -> i + 1)
+let atom_variables t = List.init (Ground.atom_count t.ground) (fun i -> i + 1)
 
-let var_of_atom t a =
-  (* Lookup-only: an atom whose tuple was never interned cannot be in the
-     grounding, so probe the store without growing it. *)
-  match Store.find a.Ground.tuple with
-  | None -> raise Not_found
-  | Some tid -> (
-    match
-      Hashtbl.find_opt t.var_of (Symbol.to_int (Symbol.intern a.Ground.pred), tid)
-    with
-    | Some v -> v
-    | None -> raise Not_found)
+let idb_of_model t model = Ground.idb_of_valuation t.ground model
 
 let idb_of_true_vars t vars =
-  Ground.to_idb t.ground
-    (List.filter_map
-       (fun v ->
-         if v >= 1 && v <= t.atom_var_count then Some t.atom_of.(v - 1)
-         else None)
-       vars)
-
-let idb_of_model t model =
-  idb_of_true_vars t
-    (List.filter (fun v -> model.(v)) (atom_variables t))
+  let v = Array.make (Ground.atom_count t.ground + 1) false in
+  List.iter (fun x -> if x >= 1 && x < Array.length v then v.(x) <- true) vars;
+  Ground.idb_of_valuation t.ground v

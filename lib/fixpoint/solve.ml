@@ -188,16 +188,22 @@ let has_unique t =
     ~projection:(Encode.atom_variables t.encoding)
     (Encode.cnf t.encoding)
 
-let intersection t =
+let forced_true t =
   Enumerate.forced_true (Encode.cnf t.encoding)
     (Encode.atom_variables t.encoding)
-  |> Option.map (Encode.idb_of_true_vars t.encoding)
+
+let intersection t =
+  Option.map (Encode.idb_of_true_vars t.encoding) (forced_true t)
 
 let least t =
-  match intersection t with
+  match forced_true t with
   | None -> None
-  | Some inter ->
-    if Idb.equal (Ground.apply t.ground inter) inter then Some inter
+  | Some vars ->
+    let g = t.ground in
+    let v = Ground.empty_valuation g in
+    List.iter (fun x -> v.(x) <- true) vars;
+    if Ground.same_atoms g (Ground.consequences g ~pos:v ~neg:v) v then
+      Some (Encode.idb_of_true_vars t.encoding vars)
     else None
 
 let minimal t =

@@ -1,34 +1,9 @@
 module Ground = Evallib.Ground
 module Idb = Evallib.Idb
 
-let holds idb (a : Ground.gatom) =
-  Idb.mem idb a.Ground.pred
-  && Relalg.Relation.mem a.Ground.tuple (Idb.get idb a.Ground.pred)
-
 let reduct_least_fixpoint g s =
-  (* Keep the instances whose negative subgoals all fail in [s]; their
-     positive parts form a definite program whose least fixpoint we compute
-     by iteration. *)
-  let kept =
-    List.filter
-      (fun (gr : Ground.grule) -> not (List.exists (holds s) gr.Ground.neg))
-      (Ground.rules g)
-  in
-  let schema = Idb.schema (Ground.to_idb g []) in
-  let rec iterate current =
-    let next =
-      List.fold_left
-        (fun acc (gr : Ground.grule) ->
-          if List.for_all (holds current) gr.Ground.pos then
-            Idb.add_fact acc gr.Ground.head.Ground.pred
-              gr.Ground.head.Ground.tuple
-          else acc)
-        (Idb.empty schema) kept
-    in
-    let next = Idb.union current next in
-    if Idb.equal next current then current else iterate next
-  in
-  iterate (Idb.empty schema)
+  Ground.idb_of_valuation g
+    (Ground.supported g ~t:(Ground.valuation g s) ~f:(Ground.empty_valuation g))
 
 let is_stable g s = Idb.equal (reduct_least_fixpoint g s) s
 

@@ -135,6 +135,20 @@ let to_outcome = function
   | { value; exact = true } -> Outcome.Exact value
   | { value; exact = false } -> Outcome.Lower_bound (value, Outcome.Node_budget)
 
+(* The variable a component branches on: the one with the most
+   occurrences in its clauses, the smallest on ties.  A hub decides the
+   most at once — an aux atom of a factored rule, which every instance of
+   the rule reads; where no variable stands out (pi_1's cycles) the order
+   is by variable. *)
+let branch_variable clauses vars =
+  let occurrences = Array.make (ISet.max_elt vars + 1) 0 in
+  List.iter
+    (List.iter (fun l -> occurrences.(abs l) <- occurrences.(abs l) + 1))
+    clauses;
+  ISet.fold
+    (fun v best -> if occurrences.(v) > occurrences.(best) then v else best)
+    vars (ISet.min_elt vars)
+
 (* Budgeted DPLL count.  Exhaustion never discards completed work: a
    subtree the budget cannot afford contributes 0 (a sound lower bound)
    and flips [exact] off, while fully counted siblings — earlier branch
@@ -174,8 +188,7 @@ let count_nonempty ~budget clauses vars =
                 (fun acc (cs, vs) ->
                   if acc.value = 0 then acc
                   else begin
-                    (* Branch on some variable of the component. *)
-                    let v = ISet.min_elt vs in
+                    let v = branch_variable cs vs in
                     let vs' = ISet.remove v vs in
                     let pos =
                       match assign v cs with

@@ -179,6 +179,127 @@ let kripke_kleene p d =
   in
   iterate Facts.empty (herbrand_base p d)
 
+(* --- Fixpoints by brute force ------------------------------------------ *)
+
+(* The reference's own grounding: every assignment of each rule's
+   variables whose database literals and (in)equalities hold, with its
+   IDB atoms kept. *)
+type instance = {
+  ihead : fact;
+  ipos : fact list;
+  ineg : fact list;
+}
+
+let grounding p d =
+  let idb = idb_of p in
+  let is_idb (a : Ast.atom) = List.mem a.pred idb in
+  List.concat_map
+    (fun (r : Ast.rule) ->
+      List.filter_map
+        (fun sigma ->
+          let decided =
+            List.filter
+              (function Ast.Pos a | Ast.Neg a -> not (is_idb a) | _ -> true)
+              r.body
+          in
+          if
+            List.for_all
+              (holds ~idb d ~pos:Facts.empty ~neg:Facts.empty sigma)
+              decided
+          then
+            let atoms f =
+              List.filter_map
+                (fun l -> Option.map (ground sigma) (f l))
+                r.body
+            in
+            Some
+              {
+                ihead = ground sigma r.head;
+                ipos = atoms (function Ast.Pos a when is_idb a -> Some a | _ -> None);
+                ineg = atoms (function Ast.Neg a when is_idb a -> Some a | _ -> None);
+              }
+          else None)
+        (assignments d.universe (Ast.rule_variables r)))
+    p.rules
+
+(* A fixpoint S holds only heads of instances, and Theta(S) reads S only
+   at the IDB atoms that some body mentions: so S = Theta(G) for
+   G = S restricted to those atoms, and S is a fixpoint iff Theta(G)
+   restricted to them is G.  The guesses are the heads that bodies
+   mention. *)
+let guessed instances =
+  let heads = Facts.of_list (List.map (fun i -> i.ihead) instances) in
+  let read =
+    List.fold_left
+      (fun acc i -> Facts.union acc (Facts.of_list (i.ipos @ i.ineg)))
+      Facts.empty instances
+  in
+  Facts.elements (Facts.inter heads read)
+
+let fixpoint_search_size p d =
+  check_supported p;
+  List.length (guessed (grounding p d))
+
+let fixpoints p d =
+  check_supported p;
+  let instances = grounding p d in
+  let guesses = Array.of_list (guessed instances) in
+  let k = Array.length guesses in
+  if k > 20 then unsupported "a fixpoint search over more than 2^20 guesses";
+  let bit f =
+    let rec find i =
+      if i >= k then None
+      else if guesses.(i) = f then Some i
+      else find (i + 1)
+    in
+    find 0
+  in
+  (* Each instance as bit masks over the guesses: a positive atom outside
+     them is false in every guess, a negated one true. *)
+  let masked =
+    List.filter_map
+      (fun i ->
+        let mask atoms =
+          List.fold_left
+            (fun acc f ->
+              match (acc, bit f) with
+              | Some m, Some b -> Some (m lor (1 lsl b))
+              | _ -> None)
+            (Some 0) atoms
+        in
+        let neg =
+          List.fold_left
+            (fun m f -> match bit f with Some b -> m lor (1 lsl b) | None -> m)
+            0 i.ineg
+        in
+        Option.map
+          (fun pos ->
+            let head = match bit i.ihead with Some b -> 1 lsl b | None -> 0 in
+            (pos, neg, head, i.ihead))
+          (mask i.ipos))
+      instances
+  in
+  let fires g (pos, neg, _, _) = pos land lnot g = 0 && neg land g = 0 in
+  let fixpoints = ref [] in
+  for g = (1 lsl k) - 1 downto 0 do
+    let derived =
+      List.fold_left
+        (fun acc ((_, _, b, _) as i) -> if fires g i then acc lor b else acc)
+        0 masked
+    in
+    if derived = g then begin
+      let s =
+        List.fold_left
+          (fun acc ((_, _, _, h) as i) -> if fires g i then Facts.add h acc else acc)
+          Facts.empty masked
+      in
+      (* The definition has the last word. *)
+      if Facts.equal (theta p d s) s then fixpoints := s :: !fixpoints
+      else invalid_arg "Reference.fixpoints: a guess is not a fixpoint of theta"
+    end
+  done;
+  !fixpoints
+
 (* --- The CNF component split ----------------------------------------------- *)
 
 module Vars = Set.Make (Int)

@@ -59,6 +59,18 @@ val kripke_kleene : Datalog.Ast.program -> db -> Facts.t * Facts.t
     some instance has all positive atoms possible and no negated atom
     true. *)
 
+val fixpoints : Datalog.Ast.program -> db -> Facts.t list
+(** Every fixpoint of Theta, by brute force on this module's own
+    grounding (every assignment of each rule's variables, database
+    literals decided).  A fixpoint holds only heads of instances, and
+    Theta reads it only at the IDB atoms some body mentions, so each
+    subset of those heads is tried, and each fixpoint found is confirmed
+    by {!theta}.  Listed in increasing order of the guess.
+    @raise Invalid_argument beyond 2{^ 20} guesses. *)
+
+val fixpoint_search_size : Datalog.Ast.program -> db -> int
+(** The number of atoms {!fixpoints} guesses: it tries 2{^ n} subsets. *)
+
 val components : int list list -> (int list list * int list) list
 (** The connected components of a clause list's variable-sharing graph,
     each with its variables in increasing order: the quadratic split that

@@ -243,6 +243,87 @@ let test_intersection_on_even_cycle () =
   | None -> Alcotest.fail "C4 has fixpoints"
   | Some inter -> check int "empty intersection" 0 (Idb.total_cardinal inter)
 
+(* pi_SAT's census counted exactly.  Multiplied out, the toggle rule's
+   |A|^3 instances put this 3-variable instance past 1,000 counting nodes
+   (and the 5-variable one past minutes); factored, both are small. *)
+let test_exact_census_pi_sat () =
+  let exact cnf =
+    Solve.count_exact ~budget:1_000 (Reductions.Sat_db.solver cnf)
+  in
+  let forced = Satlib.Workload.forced_sat ~seed:1 ~vars:3 ~clauses:8 ~k:3 in
+  check bool "forced_sat 3v 8c: Exact 3" true
+    (exact forced = Satlib.Outcome.Exact 3);
+  let random = Satlib.Workload.random_3cnf ~seed:4 ~vars:5 ~clauses:10 in
+  let models = Satlib.Brute.count_models random in
+  check int "random_3cnf 5v 10c has 5 models" 5 models;
+  check bool "random_3cnf 5v 10c: Exact 5" true
+    (exact random = Satlib.Outcome.Exact models)
+
+(* --- Factoring ------------------------------------------------------------ *)
+
+let test_factoring_toggle_shape () =
+  (* The toggle rule grounds to one aux atom per component, each defined
+     by |A| instances, and |A| instances of its own; q's rule has no
+     component to factor. *)
+  let p = Parser.parse_program_exn "t(Z) :- !q(U), !t(W). q(X) :- e(X, X)." in
+  let db =
+    Relalg.Database.of_facts ~universe:[ "a"; "b"; "c" ] [ ("e", [ "a"; "a" ]) ]
+  in
+  let g = Ground.ground p db in
+  check int "program atoms q(a), t(a), t(b), t(c)" 4 (Ground.atom_count g);
+  check int "two aux atoms" 2 (Ground.aux_count g);
+  check int "encoded instances: 1 + 3 + 3 + 3" 10 (Ground.rule_count g);
+  check int "the program's own: 1 + 27" 28 (Ground.instance_count g);
+  check int "the program's own, listed" 28
+    (List.length (String.split_on_char '\n' (Format.asprintf "%a" Ground.pp g)))
+
+let test_factoring_shrinks_pi_sat () =
+  (* pi_SAT on a small instance: the toggle rule's |A|^3 instances
+     collapse to 3|A|. *)
+  let cnf = Satlib.Workload.random_3cnf ~seed:2 ~vars:6 ~clauses:12 in
+  let g = Solve.ground (Reductions.Sat_db.solver cnf) in
+  check bool "rules shrink by >10x" true
+    (Ground.rule_count g * 10 < Ground.instance_count g)
+
+let test_factoring_keeps_components_apart () =
+  (* [!e(Z, X)] reads no IDB atom, so its aux atoms always hold; q is
+     underivable, so no instance reads the aux atoms of [r(Z, Y)].
+     Neither may tie r's atoms together in the encoding: unfactored, each
+     r(x, y) is a component of its own, and the census multiplies sixteen
+     counts of 2 instead of enumerating 65,536 models. *)
+  let p =
+    Parser.parse_program_exn
+      "r(Y, Y) :- r(Z, Y), q(X), !p(Y).\n\
+       r(X, Y) :- r(X, Y), !e(Z, X).\n\
+       q(Y) :- p(X)."
+  in
+  let db =
+    Relalg.Database.of_facts
+      ~universe:[ "v0"; "v1"; "v2"; "v3" ]
+      [ ("e", [ "v0"; "v1" ]); ("e", [ "v1"; "v0" ]); ("e", [ "v3"; "v2" ]) ]
+  in
+  let s = Solve.prepare p db in
+  let g = Solve.ground s in
+  check int "one aux atom per x, none per y" 4 (Ground.aux_count g);
+  let comps =
+    Satlib.Count.components
+      (Satlib.Cnf.clauses (Encode.cnf (Encode.build g)))
+  in
+  check int "each r atom is a component of its own" 16
+    (List.length
+       (List.filter
+          (fun (_, vs) ->
+            Satlib.Count.ISet.exists (fun v -> v <= Ground.atom_count g) vs)
+          comps));
+  check int "census" 65_536 (Solve.count s)
+
+let test_factoring_census_on_pi_sat () =
+  let cnf = Satlib.Cnf.of_list 3 [ [ 1; 2 ]; [ -2; 3 ] ] in
+  let solve = Reductions.Sat_db.solver cnf in
+  let models = Satlib.Brute.count_models cnf in
+  check int "fixpoints = models" models (Solve.count solve);
+  check bool "uniqueness agrees" (models = 1) (Solve.has_unique solve)
+
 (* --- Toggle rule --------------------------------------------------------- *)
 
 let test_toggle_no_fixpoint () =
@@ -358,6 +439,62 @@ let prop_queries_match_brute =
       && option_equal Idb.equal (Solve.least s) expected_least
       && option_equal Idb.equal (Solve.intersection s) expected_inter)
 
+(* The same queries against an oracle that shares no code with the
+   grounding: the reference's brute-force fixpoints over its own
+   grounding, and its Kripke-Kleene model.  The two-component bodies of
+   [arb_hoist_case] are the toggle shape: their rule [h] factors. *)
+module Reference = Testsupport.Reference
+
+let facts_of_idb s = Reference.facts_of_bindings (Idb.bindings s)
+
+let agrees_with_reference (p, db) =
+  let d = Reference.of_database db in
+  let s = Solve.prepare p db in
+  let fixpoint_queries =
+    Reference.fixpoint_search_size p d > 16
+    ||
+    let fps = Reference.fixpoints p d in
+    let n = List.length fps in
+    let inter =
+      match fps with
+      | [] -> None
+      | f :: rest -> Some (List.fold_left Reference.Facts.inter f rest)
+    in
+    let least =
+      match inter with
+      | Some i when List.exists (Reference.Facts.equal i) fps -> Some i
+      | _ -> None
+    in
+    let as_set l = List.sort_uniq Reference.Facts.compare l in
+    let facts = Option.map facts_of_idb in
+    Solve.exists s = (n > 0)
+    && Solve.count s = n
+    && Solve.count_exact ~budget:500_000 s = Satlib.Outcome.Exact n
+    && List.equal Reference.Facts.equal
+         (as_set (List.map facts_of_idb (Solve.enumerate s)))
+         (as_set fps)
+    && option_equal Reference.Facts.equal (facts (Solve.least s)) least
+    && option_equal Reference.Facts.equal (facts (Solve.intersection s)) inter
+  in
+  let kk = Evallib.Fitting.eval p db in
+  let kk_true, kk_possible = Reference.kripke_kleene p d in
+  let wf = Evallib.Wellfounded.eval p db in
+  let uf = Evallib.Unfounded.eval p db in
+  fixpoint_queries
+  && Reference.Facts.equal (facts_of_idb kk.Evallib.Fitting.true_facts) kk_true
+  && Reference.Facts.equal (facts_of_idb kk.Evallib.Fitting.possible) kk_possible
+  && Idb.equal wf.Evallib.Wellfounded.true_facts uf.Evallib.Wellfounded.true_facts
+  && Idb.equal wf.Evallib.Wellfounded.possible uf.Evallib.Wellfounded.possible
+
+let prop_reference =
+  QCheck.Test.make ~name:"fixpoints, Kripke-Kleene, unfounded = reference"
+    ~count:300 Testsupport.Gen_programs.arb_case agrees_with_reference
+
+let prop_reference_two_components =
+  QCheck.Test.make
+    ~name:"fixpoints, Kripke-Kleene, unfounded = reference (two components)"
+    ~count:100 Testsupport.Gen_programs.arb_hoist_case agrees_with_reference
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ prop_queries_match_brute ]
 
@@ -378,6 +515,18 @@ let () =
             test_exact_census_scales_to_big_gn;
           Alcotest.test_case "exact census overflow" `Quick
             test_exact_census_overflow;
+          Alcotest.test_case "exact census on pi_SAT" `Quick
+            test_exact_census_pi_sat;
+        ] );
+      ( "factoring",
+        [
+          Alcotest.test_case "toggle shape" `Quick test_factoring_toggle_shape;
+          Alcotest.test_case "shrinks grounding" `Quick
+            test_factoring_shrinks_pi_sat;
+          Alcotest.test_case "census on pi_SAT" `Quick
+            test_factoring_census_on_pi_sat;
+          Alcotest.test_case "components stay apart" `Quick
+            test_factoring_keeps_components_apart;
         ] );
       ( "sat-vs-brute",
         [
@@ -414,4 +563,7 @@ let () =
           Alcotest.test_case "brute census" `Quick test_brute_minimal_census;
         ] );
       ("parallel", qcheck_tests);
+      ( "reference",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_reference; prop_reference_two_components ] );
     ]

@@ -374,14 +374,16 @@ let test_distance_hoist () =
         45_840,
         23_714 );
     ];
-  (* The toggle rule's grounding pseudo-rule [$instances(Z, U1, W) :- .]
-     only enumerates: buffering it would save nothing. *)
+  (* The toggle rule grounds through one pseudo-rule per part of its
+     factored body, [$instances(U1) :- .] and [$instances(W) :- .] for its
+     two components and [$instances(Z) :- .] for its own instances; each
+     only enumerates, so buffering would save nothing. *)
   let toggle = Parser.parse_program_exn "t(Z) :- !q(U1), !t(W)." in
   let cache = Cache.create () in
   ignore
     (Evallib.Ground.ground ~cache toggle
        (Database.create_strings [ "a"; "b"; "c" ]));
-  Alcotest.(check int) "the toggle rule grounds through one plan" 1
+  Alcotest.(check int) "the toggle rule grounds through three plans" 3
     (Cache.cardinal cache);
   List.iter
     (fun (plan : Plan.t) ->

@@ -92,65 +92,6 @@ let test_simplify_fagin_output () =
   in
   check int "q body shrunk" 1 (List.length q_rule.Ast.body)
 
-(* --- split_independent -------------------------------------------------------- *)
-
-let restrict_idb original result =
-  (* Compare valuations on the original program's IDB predicates only. *)
-  Idb.restrict (Ast.idb_predicates original) result
-
-let test_split_toggle_shape () =
-  let p = Parser.parse_program_exn "t(Z) :- !q(U), !t(W). q(X) :- e(X, X)." in
-  let p' = Transform.split_independent p in
-  (* The toggle rule splits into two guards; q's rule is untouched. *)
-  check int "four rules" 4 (List.length p'.Ast.rules);
-  let toggle_rule =
-    List.find
-      (fun (r : Ast.rule) ->
-        r.Ast.head.Ast.pred = "t" && List.length r.Ast.body = 2)
-      p'.Ast.rules
-  in
-  check bool "guards are 0-ary" true
-    (List.for_all
-       (function
-         | Ast.Pos a -> a.Ast.args = []
-         | _ -> false)
-       toggle_rule.Ast.body)
-
-let test_split_shrinks_grounding () =
-  (* pi_SAT on a small instance: the toggle rule's |A|^3 instances collapse
-     to O(|A|). *)
-  let cnf = Satlib.Workload.random_3cnf ~seed:2 ~vars:6 ~clauses:12 in
-  let db = Reductions.Sat_db.database_of_cnf cnf in
-  let before = Evallib.Ground.ground Reductions.Sat_db.program db in
-  let after =
-    Evallib.Ground.ground
-      (Transform.split_independent Reductions.Sat_db.program)
-      db
-  in
-  check bool "rules shrink by >10x" true
-    (Evallib.Ground.rule_count after * 10 < Evallib.Ground.rule_count before)
-
-let test_split_preserves_census_on_pi_sat () =
-  let cnf = Satlib.Cnf.of_list 3 [ [ 1; 2 ]; [ -2; 3 ] ] in
-  let db = Reductions.Sat_db.database_of_cnf cnf in
-  let p = Reductions.Sat_db.program in
-  let p' = Transform.split_independent p in
-  let count p = Fixpointlib.Solve.count (Fixpointlib.Solve.prepare p db) in
-  check int "same fixpoint count" (count p) (count p');
-  check bool "uniqueness agrees"
-    (Fixpointlib.Solve.has_unique (Fixpointlib.Solve.prepare p db))
-    (Fixpointlib.Solve.has_unique (Fixpointlib.Solve.prepare p' db))
-
-let test_split_preserves_stratified () =
-  let p = Reductions.Distance.program in
-  let p' = Transform.split_independent p in
-  let g = Generate.random ~seed:23 ~n:4 ~p:0.3 in
-  let db = Digraph.to_database g in
-  check bool "stratified semantics preserved" true
-    (Idb.equal
-       (Evallib.Stratified.eval_exn p db)
-       (restrict_idb p (Evallib.Stratified.eval_exn p' db)))
-
 (* --- semantics preservation -------------------------------------------------- *)
 
 (* Shared generator (test/support), paired with a random graph. *)
@@ -206,16 +147,6 @@ let () =
             test_default_simplify_keeps_guessable_relations;
           Alcotest.test_case "idempotent on generated code" `Quick
             test_simplify_fagin_output;
-        ] );
-      ( "split",
-        [
-          Alcotest.test_case "toggle shape" `Quick test_split_toggle_shape;
-          Alcotest.test_case "shrinks grounding" `Quick
-            test_split_shrinks_grounding;
-          Alcotest.test_case "census on pi_SAT" `Quick
-            test_split_preserves_census_on_pi_sat;
-          Alcotest.test_case "stratified preserved" `Quick
-            test_split_preserves_stratified;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
