@@ -93,9 +93,17 @@ let explain_arg =
           "After the run, print every compiled plan with estimated and \
            actual per-step cardinalities.")
 
-let print_plans cache program =
+(* The predicates that evolve in a saturation of [program] when every IDB
+   predicate does, as under the inflationary semantics: a plan that may
+   keep its keys for such a saturation keeps them in every other one. *)
+let idb_evolving program =
+  match Negdl.Ast.idb_schema program with
+  | Ok schema -> fun pred -> Negdl.Schema.mem pred schema
+  | Error msg -> or_die (Error msg)
+
+let print_plans ?evolving cache program =
   List.iter
-    (fun plan -> Format.printf "%a@." Negdl.Plan.pp plan)
+    (fun plan -> Format.printf "%a@." (Negdl.Plan.pp ?evolving) plan)
     (Negdl.Plan_cache.program_plans cache program)
 
 let stats_arg =
@@ -226,7 +234,7 @@ let eval_cmd =
       | _ -> evaluate_and_save ()
     in
     (match plan_cache with
-    | Some cache -> print_plans cache program
+    | Some cache -> print_plans ~evolving:(idb_evolving program) cache program
     | None -> ());
     (match pred with
     | None -> print_idb result.Negdl.facts
@@ -418,6 +426,7 @@ let explain_cmd =
       | Ok s -> s
       | Error msg -> or_die (Error msg)
     in
+    let evolving pred = Negdl.Schema.mem pred schema in
     let universe_size, sizes =
       match db with
       | None -> (8, fun _ _ -> 16)
@@ -440,14 +449,14 @@ let explain_cmd =
     List.iter
       (fun rule ->
         let full = Negdl.Plan.compile ~limits ~sizes ~universe_size rule in
-        Format.printf "%a@." Negdl.Plan.pp full;
+        Format.printf "%a@." (Negdl.Plan.pp ~evolving) full;
         List.iter
           (fun j ->
             let d =
               Negdl.Plan.compile ~limits ~variant:(Negdl.Plan.Delta j) ~sizes
                 ~universe_size rule
             in
-            Format.printf "%a@." Negdl.Plan.pp d)
+            Format.printf "%a@." (Negdl.Plan.pp ~evolving) d)
           (Negdl.Saturate.delta_positions ~schema rule))
       program.Negdl.Ast.rules
   in

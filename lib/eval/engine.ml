@@ -39,7 +39,7 @@ let plan_rule ?cache ?variant ?label ?(limits = []) ?stats
     Plan.compile ?variant ?label ~limits ~sizes
       ~universe_size:(universe_size ()) rule
 
-let run_plan ?stats ~universe ~resolver plan =
+let run_plan ?stats ?seen ~universe ~resolver plan =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
   let arity = Array.length plan.Plan.head_args in
   (* Head tuples stream into a bulk accumulator; the relation (and its lazy
@@ -47,7 +47,7 @@ let run_plan ?stats ~universe ~resolver plan =
   let acc = Relation.builder arity in
   let emitted = ref 0 in
   let allocated = ref 0 in
-  Plan.run ?counters ~resolver ~universe plan ~on_row:(fun env ->
+  Plan.run ?counters ?seen ~resolver ~universe plan ~on_row:(fun env ->
       incr emitted;
       if Relation.builder_add acc (Plan.head_tuple plan env) then
         incr allocated);

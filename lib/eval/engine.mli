@@ -66,6 +66,7 @@ val plan_rule :
 
 val run_plan :
   ?stats:Stats.t ->
+  ?seen:Planlib.Plan.seen ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
   Planlib.Plan.t ->
@@ -73,7 +74,9 @@ val run_plan :
 (** Executes a plan: head tuples stream into a bulk accumulator
     ({!Relalg.Relation.builder}); the derived relation is built once.
     [stats], when given, accumulates
-    rule-application, derivation, accumulator and plan counters. *)
+    rule-application, derivation, accumulator and plan counters.  [seen]
+    is the saturation's key set for the plan's hoist
+    ({!Planlib.Plan.run}). *)
 
 val eval_rule :
   ?cache:Planlib.Cache.t ->

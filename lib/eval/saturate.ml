@@ -45,8 +45,11 @@ let delta_positions ~schema (rule : Datalog.Ast.rule) =
 (* One iteration's rule applications: each plan is fetched (and, on a
    miss, compiled) first, then every plan runs against the same immutable
    [current]/[delta] valuations, counting into [stats], and the derived
-   relations are unioned per head predicate. *)
-let apply_rules ~cache ~limits ~stats ~schema ~universe spec =
+   relations are unioned per head predicate.  A plan whose hoisted suffix
+   reads no evolving predicate positively runs with the saturation's key
+   set for its signature ([keys]): see the interface for why a key it
+   skips has nothing new to give. *)
+let apply_rules ~cache ~limits ~stats ~schema ~universe ~keys spec =
   let universe_size () = List.length universe in
   let tasks =
     List.map
@@ -57,9 +60,11 @@ let apply_rules ~cache ~limits ~stats ~schema ~universe spec =
           resolver ))
       spec
   in
+  let evolving pred = Schema.mem pred schema in
   List.fold_left
     (fun acc (head, plan, resolver) ->
-      let derived = Engine.run_plan ?stats ~universe ~resolver plan in
+      let seen = Plan.shared_seen keys ~evolving plan in
+      let derived = Engine.run_plan ?stats ?seen ~universe ~resolver plan in
       let old =
         if Idb.mem acc head then Idb.get acc head
         else Relation.empty (Relation.arity derived)
@@ -67,16 +72,16 @@ let apply_rules ~cache ~limits ~stats ~schema ~universe spec =
       Idb.set acc head (Relation.union old derived))
     (Idb.empty schema) tasks
 
-let full_application ~cache ~limits ~stats ~rules ~schema ~universe ~base
-    ~neg ~current =
+let full_application ~cache ~limits ~stats ~rules ~schema ~universe ~keys
+    ~base ~neg ~current =
   let resolver =
     make_resolver ~schema ~base ~neg ~current ~delta_occ:None ~delta:current
   in
-  apply_rules ~cache ~limits ~stats ~schema ~universe
+  apply_rules ~cache ~limits ~stats ~schema ~universe ~keys
     (List.map (fun r -> (r, Plan.Full, resolver)) rules)
 
-let delta_application ~cache ~limits ~stats ~rules ~schema ~universe ~base
-    ~neg ~current ~delta =
+let delta_application ~cache ~limits ~stats ~rules ~schema ~universe ~keys
+    ~base ~neg ~current ~delta =
   let spec =
     List.concat_map
       (fun rule ->
@@ -89,7 +94,7 @@ let delta_application ~cache ~limits ~stats ~rules ~schema ~universe ~base
           (delta_positions ~schema rule))
       rules
   in
-  apply_rules ~cache ~limits ~stats ~schema ~universe spec
+  apply_rules ~cache ~limits ~stats ~schema ~universe ~keys spec
 
 let bump_iteration stats =
   match stats with
@@ -99,13 +104,13 @@ let bump_iteration stats =
 (* The semi-naive delta chase shared by [run] (after its full stage 1) and
    [run_delta] (seeded directly): iterate delta applications until no fresh
    tuple appears.  [init] must already contain [delta]. *)
-let seminaive_chase ~cache ~limits ~stats ~rules ~schema ~universe ~base
-    ~neg ~init ~delta =
+let seminaive_chase ~cache ~limits ~stats ~rules ~schema ~universe ~keys
+    ~base ~neg ~init ~delta =
   let rec loop current delta rev_deltas =
     bump_iteration stats;
     let derived =
-      delta_application ~cache ~limits ~stats ~rules ~schema ~universe ~base
-        ~neg ~current ~delta
+      delta_application ~cache ~limits ~stats ~rules ~schema ~universe ~keys
+        ~base ~neg ~current ~delta
     in
     (* The limit-aware union: candidates for a declared limit relation
        land only when they improve their group's bound, and [fresh] is the
@@ -128,19 +133,21 @@ let run ?cache ?(limits = []) ?stats ?label ~rules ~schema ~universe ~base
   let cache =
     match cache with Some c -> c | None -> Planlib.Cache.create ()
   in
+  (* The key sets live exactly as long as this saturation. *)
+  let keys = Plan.keys () in
   (* Stage 1 applies every rule in full; later stages only chase the
      previous stage's delta through positive evolving literals. *)
   bump_iteration stats;
   let derived =
-    full_application ~cache ~limits ~stats ~rules ~schema ~universe ~base
-      ~neg ~current:init
+    full_application ~cache ~limits ~stats ~rules ~schema ~universe ~keys
+      ~base ~neg ~current:init
   in
   let init1, delta1 = Idb.tighten_union ~limits init derived in
   if Idb.is_empty delta1 then { result = init; deltas = [] }
   else
     let t =
-      seminaive_chase ~cache ~limits ~stats ~rules ~schema ~universe ~base
-        ~neg ~init:init1 ~delta:delta1
+      seminaive_chase ~cache ~limits ~stats ~rules ~schema ~universe ~keys
+        ~base ~neg ~init:init1 ~delta:delta1
     in
     { t with deltas = delta1 :: t.deltas }
 
@@ -153,5 +160,5 @@ let run_delta ?cache ?(limits = []) ?stats ?label ~rules ~schema ~universe
       match cache with Some c -> c | None -> Planlib.Cache.create ()
     in
     (* The delta chase is the whole run: no full stage 1. *)
-    seminaive_chase ~cache ~limits ~stats ~rules ~schema ~universe ~base ~neg
-      ~init ~delta
+    seminaive_chase ~cache ~limits ~stats ~rules ~schema ~universe
+      ~keys:(Plan.keys ()) ~base ~neg ~init ~delta

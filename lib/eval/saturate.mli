@@ -18,7 +18,26 @@
     The [neg] parameter selects where {e negated} occurrences of evolving
     predicates read: the current valuation (inflationary semantics) or a
     fixed valuation (the reduct step of the well-founded alternating
-    fixpoint). *)
+    fixpoint).
+
+    {b Prefix keys kept for the run.}  Each run keeps one set of prefix
+    keys per hoist signature ({!Planlib.Plan.signature}), created when a
+    plan first asks for it and dropped when the run returns, and hands it
+    to every plan whose hoisted suffix reads no evolving predicate
+    positively and whose head is not a limit predicate
+    ({!Planlib.Plan.shares_keys}).  Such a plan skips a key that any
+    application of the run with the same signature already replayed.
+    This is sound because S{_m} is a subset of S{_n} for m <= n: the
+    suffix reads fixed relations, the universe, and evolving relations
+    only under negation (current or frozen), so for a key it emits at
+    stage n a subset of what it emitted at any earlier stage m, which lies
+    in S{_m}, within S{_ n-1}, or, for m = n, in the same stage's union.
+    A skipped key therefore changes no stage delta: the deltas, the
+    number of stages and the intern order are those of a run that skips
+    nothing.  The same holds with [neg = `Frozen _] and in a stratum whose
+    negated predicates are lower strata, read through [base].  A key set
+    must not outlive its run: another run's valuation may owe a skipped
+    key new rows. *)
 
 type trace = {
   result : Idb.t;

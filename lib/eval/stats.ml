@@ -62,6 +62,7 @@ let pp ppf t =
   Format.fprintf ppf "full scans:        %d@," t.plan.Plan.full_scans;
   Format.fprintf ppf "bucket probes:     %d@," t.plan.Plan.bucket_probes;
   Format.fprintf ppf "enumerations:      %d@," t.plan.Plan.enumerations;
+  Format.fprintf ppf "skipped keys:      %d@," t.plan.Plan.keys_skipped;
   (* The store's counters are process-cumulative: one-shot CLI runs
      dominate their process, so the totals effectively are the run's, and
      the serve loop reports cumulative counters, like its other totals.

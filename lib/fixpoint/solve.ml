@@ -128,26 +128,6 @@ let enumerate ?limit t =
     in
     List.map (Encode.idb_of_model t.encoding) combos
 
-(* The same census as [List.length (enumerate ?limit t)], without the
-   cross-product: min(limit, product of the component counts), each count
-   itself capped at [limit], and the running product capped after every
-   step so that it cannot overflow. *)
-let count ?limit t =
-  let cnf = Encode.cnf t.encoding in
-  match Count.components (Cnf.clauses cnf) with
-  | [] | [ _ ] ->
-    Enumerate.count ~projection:(Encode.atom_variables t.encoding) ?limit cnf
-  | comps ->
-    let cap = Option.value limit ~default:max_int in
-    let counts =
-      on_components t comps (fun projection sub ->
-          Enumerate.count ~projection ?limit sub)
-    in
-    let free = Count.pow2 (List.length (free_atoms t comps)) in
-    List.fold_left
-      (fun acc c -> min cap (Count.mul acc c))
-      (min cap free) counts
-
 let count_exact ?(budget = 2_000_000) t =
   let cnf = Encode.cnf t.encoding in
   let nvars = Cnf.num_vars cnf in
@@ -182,6 +162,33 @@ let count_exact ?(budget = 2_000_000) t =
     in
     let value = if exact_zero then 0 else Count.mul value (Count.pow2 free) in
     Count.to_outcome { value; exact }
+
+(* The same census as [List.length (enumerate ?limit t)], without the
+   cross-product.  Without a limit it is the exact count, one model count
+   per component instead of one solver call per model: the encoding's
+   auxiliaries are functions of its atom variables, so its models are the
+   fixpoints.  With one, min(limit, product of the component counts), each
+   count itself enumerated up to [limit], and the running product capped
+   after every step so that it cannot overflow. *)
+let count ?limit t =
+  match limit with
+  | None -> (
+    match count_exact ~budget:max_int t with
+    | Outcome.Exact n | Outcome.Lower_bound (n, _) -> n)
+  | Some cap -> (
+    let cnf = Encode.cnf t.encoding in
+    match Count.components (Cnf.clauses cnf) with
+    | [] | [ _ ] ->
+      Enumerate.count ~projection:(Encode.atom_variables t.encoding) ?limit cnf
+    | comps ->
+      let counts =
+        on_components t comps (fun projection sub ->
+            Enumerate.count ~projection ?limit sub)
+      in
+      let free = Count.pow2 (List.length (free_atoms t comps)) in
+      List.fold_left
+        (fun acc c -> min cap (Count.mul acc c))
+        (min cap free) counts)
 
 let has_unique t =
   Enumerate.is_unique

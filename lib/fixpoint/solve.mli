@@ -64,24 +64,28 @@ val find_outcome :
 
 val enumerate : ?limit:int -> t -> Evallib.Idb.t list
 (** All fixpoints (up to [limit]).  Independent CNF components are
-    enumerated concurrently and cross-product-combined; single-component
-    encodings keep the flat blocking-clause enumeration order. *)
+    enumerated one after another, in component order, and
+    cross-product-combined; single-component encodings keep the flat
+    blocking-clause enumeration order. *)
 
 val count : ?limit:int -> t -> int
 (** The number of fixpoints, capped at [limit]: the length of
-    [enumerate ?limit t], without building it.  Each component's models
-    are counted by SAT enumeration with blocking clauses (one solver call
-    per projected model, at most [limit] of them), and the counts are
-    multiplied, capped at [limit] after every step: min(limit, the
-    product).  Without [limit] the product saturates at [max_int]. *)
+    [enumerate ?limit t], without building it.  With [limit], each
+    component's models are counted by SAT enumeration with blocking
+    clauses (one solver call per projected model, at most [limit] of
+    them), and the counts are multiplied, capped at [limit] after every
+    step: min(limit, the product).  Without it, the census is
+    {!count_exact}'s with no node budget, saturating at [max_int]: its
+    time follows the components' structure, not the number of
+    fixpoints. *)
 
 val count_exact : ?budget:int -> t -> Satlib.Outcome.count
 (** Census by exact model counting (#SAT with component decomposition) —
     sound because the encoding's auxiliary variables are functionally
     determined by the atom variables.  On the Section 2 example G{_n}
     (k disjoint cycles) this counts the 2{^ k} fixpoints without
-    enumerating them.  Components are counted concurrently on the domain
-    pool, each with an equal share of the budget.  When the [budget] of
+    enumerating them.  Components are counted one after another, each
+    with an equal share of the budget.  When the [budget] of
     counting nodes (default two million) runs out, the completed work is
     kept and reported as [Lower_bound] — this function never raises.  A
     census that reaches [max_int] is

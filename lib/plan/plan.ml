@@ -33,8 +33,7 @@ type pat =
   | Bind of int
 
 type access = {
-  occ : int;
-  pred : string;
+  occurrence : occurrence;
   arity : int;
 }
 
@@ -69,9 +68,9 @@ type op =
     }
       (* Reads the head relation's current bound for the candidate row's
          group (O(1) through the memoized column index) and kills the row
-         unless the candidate strictly improves it.  [access.occ] is the
-         distinguished occurrence [-1]: every resolver maps it to the
-         current valuation, never a delta. *)
+         unless the candidate strictly improves it.  [access]'s occurrence
+         is the distinguished body position [-1]: every resolver maps it
+         to the current valuation, never a delta. *)
   | Tighten_emit of {
       pred : string;
       kind : Ast.limit_kind;
@@ -97,17 +96,36 @@ type feedback = {
   fb_rows : int array;
 }
 
+(* What a hoisted suffix emits for a prefix key, independent of the rule
+   it came from: the head predicate, the key's width, and the head
+   arguments and suffix steps with their slots renamed by position (the
+   key's slots first, then the suffix's in the order its steps name them)
+   and the body positions erased.  Two plans with one signature emit the
+   same head rows for equal keys whenever they read the same relations. *)
+type signature = {
+  g_head : string;
+  g_key : int;
+  g_args : term array;
+  g_steps : op array;
+}
+
 (* The invariant suffix of a plan: steps [h_at, h_end) read no slot bound
    before [h_at], so they yield the same rows for every prefix row.  They
    run once per execution context into a buffer of [h_keep] slots, which
-   every prefix row then replays.  [h_key] is [Some live] when a slot bound
-   before the boundary is read by nothing after it: prefix rows equal on
-   the [live] slots would replay identical rows, so only the first goes. *)
+   every prefix row then replays.  [h_key] holds the live slots bound
+   before the boundary; when [h_dedup], some other slot bound there is read
+   by nothing after it, so prefix rows equal on [h_key] would replay
+   identical rows and only the first goes.  [h_signature] is [None] when
+   limit steps follow the suffix; [h_reads] lists the predicates the
+   suffix reads positively. *)
 type hoist = {
   h_at : int;
   h_end : int;
   h_keep : int array;
-  h_key : int array option;
+  h_key : int array;
+  h_dedup : bool;
+  h_signature : signature option;
+  h_reads : string list;
 }
 
 type t = {
@@ -134,6 +152,7 @@ type counters = {
   mutable full_scans : int;
   mutable bucket_probes : int;
   mutable enumerations : int;
+  mutable keys_skipped : int;
 }
 
 let counters () =
@@ -146,6 +165,7 @@ let counters () =
     full_scans = 0;
     bucket_probes = 0;
     enumerations = 0;
+    keys_skipped = 0;
   }
 
 (* --- compilation -------------------------------------------------------- *)
@@ -222,13 +242,101 @@ let reads_relation = function
   | Plus_check _ | Aggregate_probe _ | Tighten_emit _ ->
     false
 
+(* --- hoist signatures ----------------------------------------------------- *)
+
+let rename_term f = function Slot s -> Slot (f s) | Const _ as t -> t
+
+let rename_pat f = function
+  | Bind s -> Bind (f s)
+  | Check_slot s -> Check_slot (f s)
+  | Check_const _ as p -> p
+
+(* The resolver sends an occurrence that is negated, or reads a relation
+   that does not evolve, to the same place whatever its body position. *)
+let anonymous a = { a with occurrence = { a.occurrence with index = 0 } }
+
+(* [f] names slots on first sight, so the fields are renamed in an
+   explicit order: the slots a step reads before those it binds. *)
+let rename_op f op =
+  let term = rename_term f in
+  let pats = Array.map (rename_pat f) in
+  let probe = Option.map (fun (col, key) -> (col, term key)) in
+  match op with
+  | Index_probe { access; col; key; pat } ->
+    let key = term key in
+    Index_probe { access = anonymous access; col; key; pat = pats pat }
+  | Scan { access; pat } -> Scan { access = anonymous access; pat = pats pat }
+  | Const_filter { access; args } ->
+    Const_filter { access = anonymous access; args = Array.map term args }
+  | Neg_check { access; args } ->
+    Neg_check { access = anonymous access; args = Array.map term args }
+  | Exists { access; probe = pr; pat } ->
+    let pr = probe pr in
+    Exists { access = anonymous access; probe = pr; pat = pats pat }
+  | Neg_exists { access; probe = pr; pat; free } ->
+    let pr = probe pr in
+    Neg_exists { access = anonymous access; probe = pr; pat = pats pat; free }
+  | Compare { negated; left; right } ->
+    let left = term left in
+    Compare { negated; left; right = term right }
+  | Assign { slot; value } ->
+    let value = term value in
+    Assign { slot = f slot; value }
+  | Enumerate { slot } -> Enumerate { slot = f slot }
+  | Le_check { left; right } ->
+    let left = term left in
+    Le_check { left; right = term right }
+  | Plus_bind { a; b; slot } ->
+    let a = term a in
+    let b = term b in
+    Plus_bind { a; b; slot = f slot }
+  | Plus_check { a; b; result } ->
+    let a = term a in
+    let b = term b in
+    Plus_check { a; b; result = term result }
+  | (Aggregate_probe _ | Tighten_emit _) as op ->
+    (* Never hoisted: a suffix ends before the limit steps. *)
+    op
+
+let signature ~nslots ~head_pred ~head_args ~key ops ~h_at ~h_end =
+  let names = Array.make (max nslots 1) (-1) and next = ref 0 in
+  let name s =
+    if names.(s) < 0 then begin
+      names.(s) <- !next;
+      incr next
+    end;
+    names.(s)
+  in
+  Array.iter (fun s -> ignore (name s)) key;
+  (* [Array.init] and [Array.map] apply their function in index order. *)
+  let g_steps =
+    Array.init (h_end - h_at) (fun j -> rename_op name ops.(h_at + j))
+  in
+  {
+    g_head = head_pred;
+    g_key = Array.length key;
+    g_args = Array.map (rename_term name) head_args;
+    g_steps;
+  }
+
+let positive_read = function
+  | Index_probe { access; _ }
+  | Scan { access; _ }
+  | Const_filter { access; _ }
+  | Exists { access; _ } ->
+    Some access.occurrence.pred
+  | Neg_check _ | Neg_exists _ | Compare _ | Assign _ | Enumerate _
+  | Le_check _ | Plus_bind _ | Plus_check _ | Aggregate_probe _
+  | Tighten_emit _ ->
+    None
+
 (* The earliest boundary [k] such that the steps from [k] up to the limit
    steps read no slot bound before [k], some step before [k] loops, and
    some step from [k] reads a relation.  A suffix of pure enumerations has
    nothing to save and keeps streaming.  The steps stay in the order the
    cost model chose: an independent component it interleaves with the
    driving one is not moved, only a trailing one is hoisted. *)
-let find_hoist ~nslots ~head_args (ops : op array) =
+let find_hoist ~nslots ~head_pred ~head_args (ops : op array) =
   let n = Array.length ops in
   let h_end =
     let rec go i =
@@ -273,15 +381,22 @@ let find_hoist ~nslots ~head_args (ops : op array) =
       mark suffix_bound (binds ops.(j))
     done;
     let slots p = Array.of_list (List.filter p (List.init nslots Fun.id)) in
-    let dead = slots (fun s -> bound_before.(s) && not live.(s)) in
+    let key = slots (fun s -> bound_before.(s) && live.(s)) in
     Some
       {
         h_at;
         h_end;
         h_keep = slots (fun s -> suffix_bound.(s) && live.(s));
-        h_key =
-          (if dead = [||] then None
-           else Some (slots (fun s -> bound_before.(s) && live.(s))));
+        h_key = key;
+        h_dedup = slots (fun s -> bound_before.(s) && not live.(s)) <> [||];
+        h_signature =
+          (if h_end < n then None
+           else
+             Some
+               (signature ~nslots ~head_pred ~head_args ~key ops ~h_at ~h_end));
+        h_reads =
+          List.filter_map positive_read
+            (Array.to_list (Array.sub ops h_at (h_end - h_at)));
       }
 
 let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
@@ -385,11 +500,14 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
       (fun n t -> if is_bound t then n + 1 else n)
       0 args
   in
+  let access polarity index pred arity =
+    { occurrence = { polarity; index; pred }; arity }
+  in
   let emit_filter polarity occ pred args =
     let arity = Array.length args in
     let card = size polarity occ pred arity in
     let p = membership_prob card arity in
-    let access = { occ; pred; arity } in
+    let access = access polarity occ pred arity in
     match polarity with
     | `Pos -> scale p (Const_filter { access; args })
     | `Neg -> scale (1.0 -. p) (Neg_check { access; args })
@@ -452,7 +570,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     let arity = Array.length args in
     let card = size polarity occ pred arity in
     let checks = check_positions args in
-    let access = { occ; pred; arity } in
+    let access = access polarity occ pred arity in
     let probe = first_bound args in
     let pat, free = exists_pattern args in
     match polarity with
@@ -475,7 +593,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     let arity = Array.length args in
     let card = size `Pos occ pred arity in
     let checks = check_positions args in
-    let access = { occ; pred; arity } in
+    let access = access `Pos occ pred arity in
     let factor = float_of_int card /. (u ** float_of_int checks) in
     (* Not [!rows *. factor]: the product keeps its association, so the
        estimates print as they always have. *)
@@ -675,7 +793,7 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
     scale 0.5
       (Aggregate_probe
          {
-           access = { occ = -1; pred = r.head.pred; arity };
+           access = access `Pos (-1) r.head.pred arity;
            kind;
            col;
            group;
@@ -687,7 +805,8 @@ let compile ?(variant = Full) ?label ?(limits = []) ~sizes ~universe_size
   let steps, factors = List.split (List.rev !steps) in
   let steps = Array.of_list steps and factors = Array.of_list factors in
   let hoist =
-    find_hoist ~nslots ~head_args (Array.map (fun st -> st.op) steps)
+    find_hoist ~nslots ~head_pred:r.head.pred ~head_args
+      (Array.map (fun st -> st.op) steps)
   in
   (* A hoisted step runs once per application: its estimate starts from
      one row at the boundary instead of the prefix's rows. *)
@@ -752,6 +871,9 @@ let rec ipow_sat_from acc base e =
 
 let ipow_sat base e = ipow_sat_from 1 (max base 0) e
 
+(* Prefix keys met at a hoist's boundary. *)
+type seen = (Symbol.t array, unit) Hashtbl.t
+
 (* A prepared execution context: the per-run state — resolved sources,
    slot environment, scratch probe tuples.  The compiled plan is
    immutable: per-step row counts accumulate in the context's [p_rows]
@@ -770,6 +892,7 @@ type prepared = {
       (* [Tighten_emit]'s best candidate per group.  Contexts are per run,
          so the table never outlives the stage whose current valuation
          the probes read. *)
+  p_on_row : Symbol.t array -> unit;
   mutable p_stop : int;
       (* Where [exec] leaves the steps: the step count, or for a plan
          with a hoist its boundary, which {!replay} moves while it fills
@@ -783,13 +906,16 @@ type prepared = {
 
 (* One context's run of a plan's invariant suffix: [b_len] rows of
    [h_keep] slots each, flat in [b_rows] in the order the suffix produced
-   them.  [b_filling] is set while the suffix runs into the buffer. *)
+   them.  [b_filling] is set while the suffix runs into the buffer.
+   [b_seen] holds the prefix keys already replayed: the context's own when
+   the hoist dedups, the saturation's when the caller shares one, [None]
+   when every prefix row replays. *)
 and buffer = {
   mutable b_filled : bool;
   mutable b_filling : bool;
   mutable b_rows : Symbol.t array;
   mutable b_len : int;
-  b_seen : (Symbol.t array, unit) Hashtbl.t;
+  b_seen : seen option;
   b_key : Symbol.t array;
 }
 
@@ -797,7 +923,7 @@ and buffer = {
    which never touches it: such a run allocates no table. *)
 let no_best : (Tuple.t, Symbol.t) Hashtbl.t = Hashtbl.create 1
 
-let prepare ?counters ~resolver ~universe plan =
+let prepare ?counters ?seen ~resolver ~universe ~on_row plan =
   let steps = plan.steps in
   let nsteps = Array.length steps in
   let env = Array.make (max plan.nslots 1) dummy in
@@ -806,35 +932,25 @@ let prepare ?counters ~resolver ~universe plan =
   (* Only [Enumerate] and a [Neg_exists] with free columns read the
      universe's size; other plans do not walk the list to count it. *)
   let reads_usize = ref false and tightens = ref false in
+  let resolve i { occurrence; arity } =
+    rels.(i) <- (resolver occurrence).find occurrence.pred arity
+  in
   for i = 0 to nsteps - 1 do
     match steps.(i).op with
     | Index_probe { access; _ } | Scan { access; _ } | Exists { access; _ }
       ->
-      rels.(i) <-
-        (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
-          .find access.pred access.arity
-    | Const_filter { access; _ } ->
-      rels.(i) <-
-        (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
-          .find access.pred access.arity;
-      scratch.(i) <- Array.make access.arity dummy
-    | Neg_check { access; _ } ->
-      rels.(i) <-
-        (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
-          .find access.pred access.arity;
+      resolve i access
+    | Const_filter { access; _ } | Neg_check { access; _ } ->
+      resolve i access;
       scratch.(i) <- Array.make access.arity dummy
     | Neg_exists { access; free; _ } ->
       if free > 0 then reads_usize := true;
-      rels.(i) <-
-        (resolver { polarity = `Neg; index = access.occ; pred = access.pred })
-          .find access.pred access.arity
+      resolve i access
     | Aggregate_probe { access; _ } ->
       (* The distinguished occurrence [-1] never matches a delta
          redirection, so every resolver maps it to the current
          valuation of the head relation. *)
-      rels.(i) <-
-        (resolver { polarity = `Pos; index = access.occ; pred = access.pred })
-          .find access.pred access.arity
+      resolve i access
     | Enumerate _ -> reads_usize := true
     | Tighten_emit _ -> tightens := true
     | Compare _ | Assign _ | Le_check _ | Plus_bind _ | Plus_check _ -> ()
@@ -849,21 +965,24 @@ let prepare ?counters ~resolver ~universe plan =
     p_scratch = scratch;
     p_rows = Array.make (max nsteps 1) 0;
     p_best = (if !tightens then Hashtbl.create 16 else no_best);
+    p_on_row = on_row;
     p_stop = (match plan.hoist with Some h -> h.h_at | None -> nsteps);
     p_hoist =
       Option.map
         (fun h ->
+          let seen =
+            match seen with
+            | Some _ when h.h_signature <> None -> seen
+            | _ -> if h.h_dedup then Some (Hashtbl.create 64) else None
+          in
           ( h,
             {
               b_filled = false;
               b_filling = false;
               b_rows = [||];
               b_len = 0;
-              b_seen = Hashtbl.create (if h.h_key = None then 1 else 64);
-              b_key =
-                Array.make
-                  (match h.h_key with Some k -> Array.length k | None -> 0)
-                  dummy;
+              b_seen = seen;
+              b_key = Array.make (Array.length h.h_key) dummy;
             } ))
         plan.hoist;
   }
@@ -901,6 +1020,11 @@ let bump_index prep hit =
 let bump_enum prep =
   match prep.p_counters with
   | Some c -> c.enumerations <- c.enumerations + 1
+  | None -> ()
+
+let bump_skipped prep =
+  match prep.p_counters with
+  | Some c -> c.keys_skipped <- c.keys_skipped + 1
   | None -> ()
 
 let probe prep i args =
@@ -990,13 +1114,7 @@ let current_group_bound prep i col group =
     |> Option.map (fun t -> Tuple.get t col)
   end
 
-(* The hoist's side of execution, reached only where [exec] meets
-   [p_stop].  [buffer_row] keeps the hoisted slots of one suffix row;
-   [replay] handles a prefix row at the boundary: unless its live slots
-   were met before, it fills the buffer on first use (running the
-   hoisted steps with [p_stop] at their end), then runs the steps after
-   them, and the projection, once per buffered row in build order (with
-   [p_stop] at the step count). *)
+(* [buffer_row] keeps the hoisted slots of one suffix row. *)
 let buffer_row h b env =
   let w = Array.length h.h_keep in
   let need = (b.b_len + 1) * w in
@@ -1010,168 +1128,204 @@ let buffer_row h b env =
   done;
   b.b_len <- b.b_len + 1
 
-let replay prep h b ~exec =
-  let env = prep.p_env in
-  let fresh =
-    match h.h_key with
-    | None -> true
-    | Some key ->
-      for j = 0 to Array.length key - 1 do
-        b.b_key.(j) <- env.(key.(j))
-      done;
-      (not (Hashtbl.mem b.b_seen b.b_key))
-      && begin
-           Hashtbl.add b.b_seen (Array.copy b.b_key) ();
-           true
-         end
-  in
-  if fresh then begin
-    if not b.b_filled then begin
-      (* The first prefix row to arrive runs the suffix; its own slots
-         are left alone, as the suffix reads none of them. *)
-      b.b_filling <- true;
-      prep.p_stop <- h.h_end;
-      exec h.h_at;
-      b.b_filling <- false;
-      b.b_filled <- true
-    end;
-    prep.p_stop <- Array.length prep.p_plan.steps;
-    let w = Array.length h.h_keep in
-    for r = 0 to b.b_len - 1 do
-      for j = 0 to w - 1 do
-        env.(h.h_keep.(j)) <- b.b_rows.((r * w) + j)
-      done;
-      exec h.h_end
+(* Whether a prefix row at the boundary replays the buffer: always without
+   a key set, otherwise only if its key is not in the set yet, which it
+   then joins. *)
+let fresh_key prep h b =
+  match b.b_seen with
+  | None -> true
+  | Some seen ->
+    let env = prep.p_env in
+    for j = 0 to Array.length h.h_key - 1 do
+      b.b_key.(j) <- env.(h.h_key.(j))
     done;
-    prep.p_stop <- h.h_at
-  end
+    if Hashtbl.mem seen b.b_key then begin
+      bump_skipped prep;
+      false
+    end
+    else begin
+      Hashtbl.add seen (Array.copy b.b_key) ();
+      true
+    end
 
-(* The execution core.  [exec] leaves the steps at [p_stop]: the step
-   count, where it projects, or a hoist's boundary (see {!replay}). *)
-let exec prep ~on_row =
-  let plan = prep.p_plan in
-  let steps = plan.steps in
-  let rows = prep.p_rows in
-  let env = prep.p_env in
-  let universe = prep.p_universe in
-  let rec exec i =
-    if i = prep.p_stop then
-      match prep.p_hoist with
-      | Some (h, b) when b.b_filling -> buffer_row h b env
-      | Some (h, b) when i = h.h_at -> replay prep h b ~exec
-      | Some _ | None -> on_row env
-    else
-      let st = Array.unsafe_get steps i in
-      match st.op with
-      | Compare { negated; left; right } ->
-        if Symbol.equal (value env left) (value env right) <> negated then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Assign { slot; value = v } ->
-        env.(slot) <- value env v;
+(* The execution core, a top-level function of the context, as are the
+   loops it runs per driving row: a local closure would allocate once per
+   row.  [exec prep i] leaves the steps at [p_stop]: the step count, where
+   it projects, or a hoist's boundary (see {!replay}). *)
+let rec exec prep i =
+  if i = prep.p_stop then
+    match prep.p_hoist with
+    | Some (h, b) when b.b_filling -> buffer_row h b prep.p_env
+    | Some (h, b) when i = h.h_at ->
+      if fresh_key prep h b then replay prep h b
+    | Some _ | None -> prep.p_on_row prep.p_env
+  else
+    let env = prep.p_env and rows = prep.p_rows in
+    match (Array.unsafe_get prep.p_plan.steps i).op with
+    | Compare { negated; left; right } ->
+      if Symbol.equal (value env left) (value env right) <> negated then begin
         rows.(i) <- rows.(i) + 1;
-        exec (i + 1)
-      | Enumerate { slot } ->
-        bump_enum prep;
-        List.iter
-          (fun c ->
-            env.(slot) <- c;
-            rows.(i) <- rows.(i) + 1;
-            exec (i + 1))
-          universe
-      | Const_filter { args; _ } ->
-        if probe prep i args then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Neg_check { args; _ } ->
-        if not (probe prep i args) then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Exists { probe; pat; _ } ->
-        (* First witness: stop at the first tuple matching the bound
-           prefix instead of materializing the bindings. *)
-        if exists_at_least prep i probe pat 1 then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Neg_exists { probe; pat; free; _ } ->
-        if not (neg_exists_fails prep i probe pat free) then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Le_check { left; right } ->
-        if Symbol.compare_value (value env left) (value env right) <= 0
-        then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Plus_bind { a; b; slot } -> (
-        match (Symbol.as_int (value env a), Symbol.as_int (value env b)) with
-        | Some x, Some y ->
-          env.(slot) <- Symbol.of_int (x + y);
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        | _ -> ())
-      | Plus_check { a; b; result } -> (
-        match
-          ( Symbol.as_int (value env a),
-            Symbol.as_int (value env b),
-            Symbol.as_int (value env result) )
-        with
-        | Some x, Some y, Some z when z = x + y ->
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        | _ -> ())
-      | Aggregate_probe { kind; col; group; bound; _ } ->
-        let cand = value env bound in
-        let keep =
-          match current_group_bound prep i col group with
-          | Some b -> agg_better kind cand b
-          | None -> true
-        in
-        if keep then begin
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1)
-        end
-      | Tighten_emit { kind; group; bound; _ } -> (
-        let cand = value env bound in
-        let g = Tuple.unsafe_make (Array.map (value env) group) in
-        match Hashtbl.find_opt prep.p_best g with
-        | Some b when not (agg_better kind cand b) -> ()
-        | _ ->
-          Hashtbl.replace prep.p_best g cand;
-          rows.(i) <- rows.(i) + 1;
-          exec (i + 1))
-      | Scan { pat; _ } ->
-        bump_scan prep;
-        Relation.iter
-          (fun t ->
-            if match_pat env pat t then begin
-              rows.(i) <- rows.(i) + 1;
-              exec (i + 1)
-            end)
-          prep.p_rels.(i)
-      | Index_probe { col; key; pat; _ } ->
-        bump_index prep (Relation.has_index prep.p_rels.(i) col);
-        let bucket = Relation.matching col (value env key) prep.p_rels.(i) in
-        bump_probes prep (List.length bucket);
-        List.iter
-          (fun t ->
-            if match_pat env pat t then begin
-              rows.(i) <- rows.(i) + 1;
-              exec (i + 1)
-            end)
-          bucket
-  in
-  exec 0
+        exec prep (i + 1)
+      end
+    | Assign { slot; value = v } ->
+      env.(slot) <- value env v;
+      rows.(i) <- rows.(i) + 1;
+      exec prep (i + 1)
+    | Enumerate { slot } ->
+      bump_enum prep;
+      enumerate prep i slot prep.p_universe
+    | Const_filter { args; _ } ->
+      if probe prep i args then begin
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      end
+    | Neg_check { args; _ } ->
+      if not (probe prep i args) then begin
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      end
+    | Exists { probe; pat; _ } ->
+      (* First witness: stop at the first tuple matching the bound
+         prefix instead of materializing the bindings. *)
+      if exists_at_least prep i probe pat 1 then begin
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      end
+    | Neg_exists { probe; pat; free; _ } ->
+      if not (neg_exists_fails prep i probe pat free) then begin
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      end
+    | Le_check { left; right } ->
+      if Symbol.compare_value (value env left) (value env right) <= 0 then begin
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      end
+    | Plus_bind { a; b; slot } -> (
+      match (Symbol.as_int (value env a), Symbol.as_int (value env b)) with
+      | Some x, Some y ->
+        env.(slot) <- Symbol.of_int (x + y);
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      | _ -> ())
+    | Plus_check { a; b; result } -> (
+      match
+        ( Symbol.as_int (value env a),
+          Symbol.as_int (value env b),
+          Symbol.as_int (value env result) )
+      with
+      | Some x, Some y, Some z when z = x + y ->
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      | _ -> ())
+    | Aggregate_probe { kind; col; group; bound; _ } ->
+      let cand = value env bound in
+      let keep =
+        match current_group_bound prep i col group with
+        | Some b -> agg_better kind cand b
+        | None -> true
+      in
+      if keep then begin
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1)
+      end
+    | Tighten_emit { kind; group; bound; _ } -> (
+      let cand = value env bound in
+      let g = Tuple.unsafe_make (Array.map (value env) group) in
+      match Hashtbl.find_opt prep.p_best g with
+      | Some b when not (agg_better kind cand b) -> ()
+      | _ ->
+        Hashtbl.replace prep.p_best g cand;
+        rows.(i) <- rows.(i) + 1;
+        exec prep (i + 1))
+    | Scan _ ->
+      bump_scan prep;
+      Relalg.Idset.iter_with scan_row prep i (Relation.ids prep.p_rels.(i))
+    | Index_probe { col; key; pat; _ } ->
+      bump_index prep (Relation.has_index prep.p_rels.(i) col);
+      let bucket = Relation.matching col (value env key) prep.p_rels.(i) in
+      bump_probes prep (List.length bucket);
+      probe_rows prep i pat bucket
 
-let run ?counters ~resolver ~universe plan ~on_row =
-  let prep = prepare ?counters ~resolver ~universe plan in
-  exec prep ~on_row;
+and enumerate prep i slot = function
+  | [] -> ()
+  | c :: rest ->
+    prep.p_env.(slot) <- c;
+    prep.p_rows.(i) <- prep.p_rows.(i) + 1;
+    exec prep (i + 1);
+    enumerate prep i slot rest
+
+(* One tuple of a [Scan] step's relation, by its store id. *)
+and scan_row prep i id =
+  match (Array.unsafe_get prep.p_plan.steps i).op with
+  | Scan { pat; _ } ->
+    if match_pat prep.p_env pat (Relalg.Store.tuple id) then begin
+      prep.p_rows.(i) <- prep.p_rows.(i) + 1;
+      exec prep (i + 1)
+    end
+  | _ -> ()
+
+and probe_rows prep i pat = function
+  | [] -> ()
+  | t :: rest ->
+    if match_pat prep.p_env pat t then begin
+      prep.p_rows.(i) <- prep.p_rows.(i) + 1;
+      exec prep (i + 1)
+    end;
+    probe_rows prep i pat rest
+
+(* A fresh prefix row at the boundary: the first to arrive fills the
+   buffer (running the hoisted steps with [p_stop] at their end; its own
+   slots are left alone, as the suffix reads none of them), then the steps
+   after the hoist, and the projection, run once per buffered row in build
+   order (with [p_stop] at the step count). *)
+and replay prep h b =
+  if not b.b_filled then begin
+    b.b_filling <- true;
+    prep.p_stop <- h.h_end;
+    exec prep h.h_at;
+    b.b_filling <- false;
+    b.b_filled <- true
+  end;
+  prep.p_stop <- Array.length prep.p_plan.steps;
+  let env = prep.p_env in
+  let w = Array.length h.h_keep in
+  for r = 0 to b.b_len - 1 do
+    for j = 0 to w - 1 do
+      env.(h.h_keep.(j)) <- b.b_rows.((r * w) + j)
+    done;
+    exec prep h.h_end
+  done;
+  prep.p_stop <- h.h_at
+
+let run ?counters ?seen ~resolver ~universe plan ~on_row =
+  let prep = prepare ?counters ?seen ~resolver ~universe ~on_row plan in
+  exec prep 0;
   harvest plan prep
+
+(* --- prefix keys shared across a saturation ------------------------------ *)
+
+let shares_keys ~evolving plan =
+  match plan.hoist with
+  | Some { h_signature = Some _; h_reads; _ } ->
+    not (List.exists evolving h_reads)
+  | Some { h_signature = None; _ } | None -> false
+
+type keys = { mutable tables : (signature * seen) list }
+
+let keys () = { tables = [] }
+
+let shared_seen keys ~evolving plan =
+  match plan.hoist with
+  | Some { h_signature = Some g; _ } when shares_keys ~evolving plan ->
+    Some
+      (match List.assoc_opt g keys.tables with
+      | Some seen -> seen
+      | None ->
+        let seen = Hashtbl.create 64 in
+        keys.tables <- (g, seen) :: keys.tables;
+        seen)
+  | _ -> None
 
 let head_tuple plan env =
   let args = plan.head_args in
@@ -1210,19 +1364,19 @@ let pp_probe names ppf = function
 
 let pp_op names ppf = function
   | Index_probe { access; col; key; pat } ->
-    Format.fprintf ppf "probe %s%a via column %d = %a" access.pred
+    Format.fprintf ppf "probe %s%a via column %d = %a" access.occurrence.pred
       (pp_pat names) pat col (pp_term names) key
   | Scan { access; pat } ->
-    Format.fprintf ppf "scan %s%a" access.pred (pp_pat names) pat
+    Format.fprintf ppf "scan %s%a" access.occurrence.pred (pp_pat names) pat
   | Const_filter { access; args } ->
-    Format.fprintf ppf "filter %s%a" access.pred (pp_args names) args
+    Format.fprintf ppf "filter %s%a" access.occurrence.pred (pp_args names) args
   | Neg_check { access; args } ->
-    Format.fprintf ppf "check !%s%a" access.pred (pp_args names) args
+    Format.fprintf ppf "check !%s%a" access.occurrence.pred (pp_args names) args
   | Exists { access; probe; pat } ->
-    Format.fprintf ppf "exists %s%a%a" access.pred (pp_pat names) pat
+    Format.fprintf ppf "exists %s%a%a" access.occurrence.pred (pp_pat names) pat
       (pp_probe names) probe
   | Neg_exists { access; probe; pat; free } ->
-    Format.fprintf ppf "exists-missing %s%a%a (%d free)" access.pred
+    Format.fprintf ppf "exists-missing %s%a%a (%d free)" access.occurrence.pred
       (pp_pat names) pat (pp_probe names) probe free
   | Compare { negated; left; right } ->
     Format.fprintf ppf "compare %a %s %a" (pp_term names) left
@@ -1243,7 +1397,7 @@ let pp_op names ppf = function
       (pp_term names) a (pp_term names) b
   | Aggregate_probe { access; kind; col; group; bound } ->
     Format.fprintf ppf "aggregate-probe %s%a bound %a (%s at column %d)"
-      access.pred (pp_args names) group (pp_term names) bound
+      access.occurrence.pred (pp_args names) group (pp_term names) bound
       (Datalog.Ast.limit_kind_to_string kind)
       col
   | Tighten_emit { pred; kind; col; group; bound } ->
@@ -1257,27 +1411,35 @@ let pp_step names ~per_application ppf st =
     (if per_application then " per application" else "")
 
 (* The line that marks a hoist's boundary: the hoisted steps, the slots a
-   buffered row holds, and the key prefix rows are deduplicated on. *)
-let pp_hoist names ppf h =
+   buffered row holds, and the key prefix rows are deduplicated on, for
+   the application or, when [shared], for the whole saturation. *)
+let pp_hoist names ~shared ppf h =
   let slots ppf a = pp_args names ppf (Array.map (fun s -> Slot s) a) in
-  Format.fprintf ppf "hoist: %s once per application, buffering %a; %a"
+  Format.fprintf ppf "hoist: %s once per application, buffering %a; "
     (if h.h_end = h.h_at + 1 then Printf.sprintf "step %d" (h.h_at + 1)
      else Printf.sprintf "steps %d-%d" (h.h_at + 1) h.h_end)
-    slots h.h_keep
-    (fun ppf -> function
-      | Some [||] -> Format.pp_print_string ppf "replayed once"
-      | Some key -> Format.fprintf ppf "replayed per distinct %a" slots key
-      | None -> Format.pp_print_string ppf "replayed per row")
-    h.h_key
+    slots h.h_keep;
+  if not (shared || h.h_dedup) then
+    Format.pp_print_string ppf "replayed per row"
+  else begin
+    if h.h_key = [||] then Format.pp_print_string ppf "replayed once"
+    else Format.fprintf ppf "replayed per distinct %a" slots h.h_key;
+    if shared then Format.pp_print_string ppf ", keys kept for the saturation"
+  end
 
-let pp ppf plan =
+let pp ?evolving ppf plan =
+  let shared =
+    match evolving with
+    | Some evolving -> shares_keys ~evolving plan
+    | None -> false
+  in
   Format.fprintf ppf "@[<v2>%s  {%s}" plan.label
     (variant_to_string plan.variant);
   Array.iteri
     (fun i st ->
       (match plan.hoist with
       | Some h when i = h.h_at ->
-        Format.fprintf ppf "@,%a" (pp_hoist plan.slot_names) h
+        Format.fprintf ppf "@,%a" (pp_hoist plan.slot_names ~shared) h
       | _ -> ());
       Format.fprintf ppf "@,%d. %a" (i + 1)
         (pp_step plan.slot_names ~per_application:(hoisted plan i))
@@ -1292,4 +1454,4 @@ let pp ppf plan =
     plan.head_args plan.est_out;
   Format.fprintf ppf "@]"
 
-let to_string plan = Format.asprintf "%a" pp plan
+let to_string plan = Format.asprintf "%a" (pp ?evolving:None) plan

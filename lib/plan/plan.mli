@@ -54,6 +54,19 @@
     The steps keep the cost model's order; a suffix of enumerations alone
     has nothing to save and keeps streaming.
 
+    {b Keys kept for a saturation.}  Each hoist has a {!signature}: the
+    head predicate, and the head arguments, key slots and suffix steps
+    renamed by position, with body positions erased.  A suffix that reads
+    no evolving predicate positively emits, for a key, a subset of what
+    it emitted for that key at any earlier stage of a saturation, since
+    the relations it reads positively stay fixed and those it negates
+    only grow (Θ̂ is inflationary).  So a saturation may keep one key set
+    per signature across all its applications ({!keys},
+    {!shared_seen}): both [s3] rules and rule 2's delta variant share
+    one, and rule 2 skips the [(X, Y)] that rule 1 or an earlier stage
+    already replayed.  The sets live in the saturation, never in the
+    cached plan or a global.
+
     {b Observed rows.} Plans are immutable apart from a per-plan
     {!feedback} record of observed cardinalities: per-step rows produced.
     Per-run counts accumulate in the run's execution context and are
@@ -103,8 +116,9 @@ type pat =
   | Bind of int
 
 type access = {
-  occ : int;  (** Occurrence index (body position). *)
-  pred : string;
+  occurrence : occurrence;
+      (** What the step asks the resolver for: built once, at compile
+          time, so that a run allocates none. *)
   arity : int;
 }
 
@@ -186,6 +200,21 @@ type feedback = {
     run.  Reset by recompilation — a fresh plan starts observing from
     scratch. *)
 
+type signature = {
+  g_head : string;  (** The head predicate. *)
+  g_key : int;  (** The width of the prefix key. *)
+  g_args : term array;
+  g_steps : op array;
+      (** The head arguments and the hoisted steps, with slots renamed by
+          position: the key's slots are [0] to [g_key - 1] in key order,
+          the suffix's follow in the order its steps name them.  Each
+          access's body position is erased, so the same suffix at another
+          position in another rule has the same signature. *)
+}
+(** What a hoisted suffix emits for a prefix key, whichever rule it came
+    from: two plans with equal signatures emit the same head rows for
+    equal keys when their suffixes read the same relations. *)
+
 type hoist = {
   h_at : int;  (** The boundary: index of the first hoisted step. *)
   h_end : int;
@@ -194,11 +223,20 @@ type hoist = {
   h_keep : int array;
       (** The slots a buffered row holds: those the hoisted steps bind and
           the head or a limit step reads, in slot order. *)
-  h_key : int array option;
-      (** [Some live] when some slot bound before the boundary is read by
-          nothing after it (a dead join variable): prefix rows are then
-          deduplicated on the [live] slots, in slot order.  [None] when
-          every prefix slot is live, so prefix rows are already distinct. *)
+  h_key : int array;
+      (** The prefix key: the slots bound before the boundary that the
+          head or a limit step reads, in slot order. *)
+  h_dedup : bool;
+      (** Some slot bound before the boundary is read by nothing after it
+          (a dead join variable): prefix rows equal on [h_key] would
+          replay identical rows, so each application replays only the
+          first.  [false] when every prefix slot is live, so the prefix
+          rows of one application are already distinct. *)
+  h_signature : signature option;
+      (** [None] when limit steps follow the suffix: they read the head
+          relation, which changes between applications. *)
+  h_reads : string list;
+      (** The predicates the hoisted steps read positively. *)
 }
 (** The invariant suffix of a plan.  Steps [h_at] to [h_end - 1] read no
     slot bound before [h_at], at least one step before [h_at] loops
@@ -237,6 +275,9 @@ type counters = {
   mutable full_scans : int;
   mutable bucket_probes : int;
   mutable enumerations : int;
+  mutable keys_skipped : int;
+      (** Prefix rows that reached a hoist's boundary with a key already
+          replayed, in the application or in the saturation ({!run}). *)
 }
 (** The plan/probe counter block {!Evallib.Stats} embeds. *)
 
@@ -261,8 +302,12 @@ val compile :
     program's limits; callers that want raw candidate derivation (DRed
     overdeletion) must not. *)
 
+type seen
+(** A set of prefix keys already replayed at a hoist's boundary. *)
+
 val run :
   ?counters:counters ->
+  ?seen:seen ->
   resolver:resolver ->
   universe:Relalg.Symbol.t list ->
   t ->
@@ -270,33 +315,63 @@ val run :
   unit
 (** Executes the plan: [on_row] is called once per complete binding with
     the slot environment (valid only for the duration of the call — copy
-    what you keep, or use {!head_tuple}).  With a {!hoist} whose [h_key]
-    is [Some live], a binding that agrees with an earlier one on the
-    [live] slots is skipped, and the slots nothing after the boundary
+    what you keep, or use {!head_tuple}).  With a {!hoist} whose
+    [h_dedup] is set, a binding that agrees with an earlier one on the
+    [h_key] slots is skipped, and the slots nothing after the boundary
     reads hold the earlier binding's values: read only the head's slots
     (every slot is one when the head lists every variable, as grounding's
-    pseudo-rules do).  The hoisted steps run once per call, so their
-    observed rows and their counters (enumerations, scans, index probes)
-    count once per application, not once per prefix row.  An
-    [Index_probe] reads the
-    relation's memoized column index ({!Relalg.Relation.matching}), built
-    once per relation value and maintained incrementally as deltas are
-    unioned in.  Matching is return-value based (no exceptions on the hot
-    path).  Apart from index construction and the caller's [on_row], a
-    run allocates nothing per candidate tuple, and its membership probes
-    and existence checks nothing per input row; the one exception is an
-    existence check with no bound argument, whose scan of the whole
+    pseudo-rules do).  [seen], for a hoist with a signature, replaces the
+    run's own key set: a prefix row whose [h_key] values it already holds
+    is skipped, whichever run put them there, and every replayed key
+    joins it.  Only a caller that knows the skipped rows were already
+    emitted may pass one ({!shared_seen}).  The hoisted steps run at most
+    once per call (not at all when every prefix row's key is known), so
+    their observed rows and their counters (enumerations, scans, index
+    probes) count at most once per application, not once per prefix row.
+    An [Index_probe] reads the relation's memoized column index
+    ({!Relalg.Relation.matching}), built once per relation value and
+    maintained incrementally as deltas are unioned in.  Matching is
+    return-value based (no exceptions on the hot path).  Apart from index
+    construction and the caller's [on_row], a run allocates a fixed setup
+    and nothing per driving row or candidate tuple: bucket walks, scans
+    and enumerations are closure-free loops, and membership probes and
+    existence checks allocate nothing per input row; the one exception is
+    an existence check with no bound argument, whose scan of the whole
     relation takes a closure.  Completes by folding the run's observed
     cardinalities into the plan's feedback record. *)
 
 val head_tuple : t -> Relalg.Symbol.t array -> Relalg.Tuple.t
 (** The head tuple under the given environment (freshly allocated). *)
 
-val pp : Format.formatter -> t -> unit
+val shares_keys : evolving:(string -> bool) -> t -> bool
+(** Whether a saturation in which exactly the [evolving] predicates change
+    may share the plan's prefix keys across its applications: the plan
+    has a hoist with a signature (no limit steps follow it, so the head
+    is not a limit predicate) and the hoisted steps read no evolving
+    predicate positively.  Such a suffix reads relations that stay fixed
+    and the complements of relations that only grow, so for a given key
+    it emits at any stage a subset of what it emitted at any earlier
+    one. *)
+
+type keys
+(** The key sets of one saturation, one per {!signature}.  Make one per
+    saturation and drop it with the saturation: a key set says which rows
+    that saturation's valuation already holds. *)
+
+val keys : unit -> keys
+(** No key set yet: each is created when a plan first asks for it. *)
+
+val shared_seen : keys -> evolving:(string -> bool) -> t -> seen option
+(** The key set for the plan's signature when {!shares_keys} holds,
+    created on first use; [None] otherwise. *)
+
+val pp : ?evolving:(string -> bool) -> Format.formatter -> t -> unit
 (** Renders the plan with estimated and (when the plan has run) observed
     per-step cardinalities — the [negdl explain] output.  A {!hoist} adds
     a line before its first step naming the hoisted steps, the buffered
     slots and the dedup key; its steps print their estimates and observed
-    rows per application. *)
+    rows per application.  Given the predicates a saturation [evolving],
+    the line says whether the keys are kept for the whole saturation
+    ({!shares_keys}); without, it describes a run on its own. *)
 
 val to_string : t -> string

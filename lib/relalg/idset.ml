@@ -211,6 +211,13 @@ let rec iter f = function
     iter f l;
     iter f r
 
+let rec iter_with f a i = function
+  | Empty -> ()
+  | Leaf k -> f a i k
+  | Branch (_, _, l, r) ->
+    iter_with f a i l;
+    iter_with f a i r
+
 let rec fold f t acc =
   match t with
   | Empty -> acc

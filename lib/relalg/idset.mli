@@ -52,6 +52,11 @@ val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
 (** In increasing order. *)
 
+val iter_with : ('a -> int -> int -> unit) -> 'a -> int -> t -> unit
+(** [iter_with f a i s] calls [f a i k] on every member [k], in increasing
+    order.  With [f] a top-level function, a walk allocates nothing, where
+    {!iter} needs a closure over [a] and [i] per call. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** In increasing order. *)
 

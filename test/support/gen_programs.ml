@@ -76,15 +76,20 @@ let arb_case =
 
 (* --- random two-component bodies ----------------------------------------- *)
 
-(* A test rule whose body splits into two variable-disjoint components: a
-   driving chain over X, Z, Y, where Z is dead (absent from the head), and
-   a component over A, B that reads the transitive closure r, positive or
-   negated.  r grows at every inflationary stage, so a buffer of that
-   component's rows is right for one rule application only; the head keeps
-   both X and Y, so prefix rows deduplicated on fewer slots lose tuples.
-   Sometimes the component also reads !w(B), where w reads !h: the program
-   is then unstratifiable. *)
-let gen_hoist_case =
+(* Two test rules whose bodies end in the same component over A, B,
+   which shares no variable with the prefix before it.  The first rule's
+   prefix is a driving chain over X, Z, Y, where Z is dead (absent from the
+   head); the second's is another join over X and Y.  The component reads
+   the transitive closure r, positive or negated.  r grows at every
+   inflationary stage, so a buffer of the component's rows is right for
+   one rule application only, and a positive r in it makes a key met at
+   one stage owe new rows at a later one.  Each head keeps both X and Y,
+   so prefix rows deduplicated on fewer slots lose tuples; the two heads
+   may arrange their arguments differently, so the rules may share keys
+   only when they emit the same rows for them.  Sometimes the component
+   also reads !w(B), where w reads !h: the program is then
+   unstratifiable. *)
+let gen_hoist_program =
   QCheck.Gen.(
     let* p1 = oneofl [ "e"; "r" ] in
     let* p2 = oneofl [ "e"; "r" ] in
@@ -99,20 +104,36 @@ let gen_hoist_case =
           "!r(A, B), !r(B, A)";
         ]
     in
-    let* head = oneofl [ "h(X, Y, A, B)"; "h(Y, B, X, A)"; "h(X, B, Y, B)" ] in
+    let heads = [ "h(X, Y, A, B)"; "h(Y, B, X, A)"; "h(X, B, Y, B)" ] in
+    let* head = oneofl heads in
+    let* head2 = oneofl heads in
+    let* prefix2 = oneofl [ "e(X, Y)"; "r(Y, X)"; "e(X, Y), !r(Y, X)" ] in
     let* toggle = bool in
+    let hoisted = if toggle then hoisted ^ ", !w(B)" else hoisted in
     let text =
       Printf.sprintf
         "r(X, Y) :- e(X, Y).\n\
          r(X, Y) :- e(X, Z), r(Z, Y).\n\
-         %s :- %s(X, Z), %s(Z, Y)%s, %s%s."
-        head p1 p2 guard hoisted
-        (if toggle then ", !w(B).\nw(X) :- u(X), !h(X, X, X, X)" else "")
+         %s :- %s(X, Z), %s(Z, Y)%s, %s.\n\
+         %s :- %s, %s.%s"
+        head p1 p2 guard hoisted head2 prefix2 hoisted
+        (if toggle then "\nw(X) :- u(X), !h(X, X, X, X)." else "")
     in
-    let* db = gen_marked_graph 3 6 in
-    return (Datalog.Parser.parse_program_exn text, db))
+    return (Datalog.Parser.parse_program_exn text))
+
+let gen_hoist_case =
+  QCheck.Gen.pair gen_hoist_program (gen_marked_graph 3 6)
 
 let arb_hoist_case = QCheck.make gen_hoist_case ~print:print_case
+
+let print_cases (p, dbs) =
+  String.concat "\n" (List.map (fun db -> print_case (p, db)) dbs)
+
+let arb_hoist_cases =
+  QCheck.make
+    (QCheck.Gen.pair gen_hoist_program
+       (QCheck.Gen.list_repeat 3 (gen_marked_graph 3 6)))
+    ~print:print_cases
 
 (* --- random limit programs ---------------------------------------------- *)
 

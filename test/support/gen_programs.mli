@@ -14,15 +14,21 @@ val arb_case : (Datalog.Ast.program * Relalg.Database.t) QCheck.arbitrary
 
 val arb_hoist_case :
   (Datalog.Ast.program * Relalg.Database.t) QCheck.arbitrary
-(** A program whose test rule [h] has a body of two variable-disjoint
-    components, the shape whose second component a plan runs once per
-    application: a driving chain [e|r(X, Z), e|r(Z, Y)] with the dead
-    variable [Z], and a component over [A, B] that reads the transitive
-    closure [r] of [e], positive or negated, which grows at every
-    inflationary stage.  The head keeps [X] and [Y].  Sometimes the
-    second component also reads [!w(B)], where [w] reads [!h]: the program
-    is then unstratifiable.  Databases are random digraphs on 3 to 6
+(** A program whose two test rules for [h] end in the same component over
+    [A, B], the shape whose component a plan runs once per application:
+    it reads the transitive closure [r] of [e], positive or negated, which
+    grows at every inflationary stage.  The first rule's prefix is a
+    driving chain [e|r(X, Z), e|r(Z, Y)] with the dead variable [Z]; the
+    second's is another join over [X] and [Y].  Each head keeps [X] and
+    [Y], in one of three arrangements drawn per rule.  Sometimes the
+    component also reads [!w(B)], where [w] reads [!h]: the program is
+    then unstratifiable.  Databases are random digraphs on 3 to 6
     vertices with random [u] marks. *)
+
+val arb_hoist_cases :
+  (Datalog.Ast.program * Relalg.Database.t list) QCheck.arbitrary
+(** One program of {!arb_hoist_case} with three databases, to run through
+    one plan cache. *)
 
 val arb_limit_case :
   (Datalog.Ast.program * Datalog.Ast.program * Relalg.Database.t)

@@ -103,7 +103,7 @@ let test_exact_census_matches_enumeration () =
       match Solve.count_exact solver with
       | Satlib.Outcome.Lower_bound _ -> Alcotest.fail "budget should suffice"
       | Satlib.Outcome.Exact n ->
-        check int "exact = enumerated" (Solve.count solver) n)
+        check int "exact = enumerated" (List.length (Solve.enumerate solver)) n)
     [
       Generate.path 5;
       Generate.cycle 4;
@@ -111,6 +111,27 @@ let test_exact_census_matches_enumeration () =
       Generate.disjoint_copies 3 (Generate.cycle 4);
       Generate.star 4;
     ]
+
+(* One component with 2^15 + 1 fixpoints: either u(c0) holds and each
+   t(X) is free, or it fails and forces every t(X) false.  Without a
+   limit, [Solve.count] counts them exactly, where enumeration would take
+   one solver call per model; with one, enumeration stops at the cap. *)
+let test_census_without_limit () =
+  let p =
+    Parser.parse_program_exn
+      "t(X) :- t(X), u(X0), k(X0). u(X) :- u(X), k(X)."
+  in
+  let db =
+    Relalg.Database.parse_exn
+      (String.concat " "
+         ("k(c0)." :: List.init 14 (fun i -> Printf.sprintf "d(c%d)." (i + 1))))
+  in
+  let s = Solve.prepare p db in
+  let cnf = Encode.cnf (Encode.build (Solve.ground s)) in
+  check int "one component" 1
+    (List.length (Satlib.Count.components (Satlib.Cnf.clauses cnf)));
+  check int "2^15 + 1 fixpoints" 32_769 (Solve.count s);
+  check int "capped" 100 (Solve.count ~limit:100 s)
 
 let test_exact_census_scales_to_big_gn () =
   (* 10 disjoint C_4's: 2^10 fixpoints counted without enumerating them
@@ -517,6 +538,8 @@ let () =
             test_exact_census_overflow;
           Alcotest.test_case "exact census on pi_SAT" `Quick
             test_exact_census_pi_sat;
+          Alcotest.test_case "census without a limit" `Quick
+            test_census_without_limit;
         ] );
       ( "factoring",
         [

@@ -63,41 +63,52 @@ let prop_kripke_kleene_reference =
 
 let facts_of_idb s = Reference.facts_of_bindings (Idb.bindings s)
 
-(* Bodies of two variable-disjoint components, the second reading the
-   growing closure r: the inflationary model, and the stratified and
-   well-founded models when the program is stratifiable, must be the
-   reference's.  A buffer kept past its rule application replays rows of
-   an older r; a boundary key missing a live slot drops prefix rows whose
-   heads differ.  Either gives a wrong model here.  Unstratifiable programs
-   still pin the well-founded model between the reference Kripke-Kleene
-   bounds, which it refines. *)
+(* Two rules ending in one component that shares no variable with the
+   prefix before it, reading the growing closure r: the inflationary
+   model, and the stratified and well-founded models when the program is
+   stratifiable, must be the reference's, on three databases through one
+   plan cache.  A buffer kept past its rule application replays rows of an
+   older r; a boundary key missing a live slot drops prefix rows whose
+   heads differ.  A key set kept past its saturation, shared between
+   rules whose heads arrange the key differently, or shared by a
+   component that reads r positively skips keys that still owe rows.  Each
+   gives a wrong model here.  Unstratifiable programs still pin the
+   well-founded model between the reference Kripke-Kleene bounds, which it
+   refines. *)
 let prop_hoist_reference =
   QCheck.Test.make
-    ~name:"two-component bodies = reference (every semantics and engine)"
-    ~count:120 Testsupport.Gen_programs.arb_hoist_case (fun (p, db) ->
-      let rdb = Reference.of_database db in
-      let agrees reference idb =
-        Reference.Facts.equal reference (facts_of_idb idb)
-      in
-      let wellfounded check =
-        let m = Evallib.Wellfounded.eval p db in
-        check
-          (facts_of_idb m.Evallib.Wellfounded.true_facts)
-          (facts_of_idb m.Evallib.Wellfounded.possible)
-      in
-      agrees (Reference.inflationary p rdb) (Evallib.Inflationary.eval p db)
-      &&
-      match Reference.stratified p rdb with
-      | Some model ->
-        agrees model (Evallib.Stratified.eval_exn p db)
-        && wellfounded (fun t u ->
-               Reference.Facts.equal model t && Reference.Facts.equal model u)
-      | None ->
-        let kk_true, kk_possible = Reference.kripke_kleene p rdb in
-        wellfounded (fun t u ->
-            Reference.Facts.subset kk_true t
-            && Reference.Facts.subset t u
-            && Reference.Facts.subset u kk_possible))
+    ~name:
+      "two-component bodies = reference (every semantics, three databases, \
+       one plan cache)"
+    ~count:60 Testsupport.Gen_programs.arb_hoist_cases (fun (p, dbs) ->
+      let cache = Cache.create () in
+      List.for_all
+        (fun db ->
+          let rdb = Reference.of_database db in
+          let agrees reference idb =
+            Reference.Facts.equal reference (facts_of_idb idb)
+          in
+          let wellfounded check =
+            let m = Evallib.Wellfounded.eval ~cache p db in
+            check
+              (facts_of_idb m.Evallib.Wellfounded.true_facts)
+              (facts_of_idb m.Evallib.Wellfounded.possible)
+          in
+          agrees (Reference.inflationary p rdb)
+            (Evallib.Inflationary.eval ~cache p db)
+          &&
+          match Reference.stratified p rdb with
+          | Some model ->
+            agrees model (Evallib.Stratified.eval_exn ~cache p db)
+            && wellfounded (fun t u ->
+                   Reference.Facts.equal model t && Reference.Facts.equal model u)
+          | None ->
+            let kk_true, kk_possible = Reference.kripke_kleene p rdb in
+            wellfounded (fun t u ->
+                Reference.Facts.subset kk_true t
+                && Reference.Facts.subset t u
+                && Reference.Facts.subset u kk_possible))
+        dbs)
 
 (* --- delta-specialized plans = full plans on the experiment workloads ----- *)
 
@@ -201,9 +212,9 @@ let test_compile_once () =
   Alcotest.(check bool) "the stages hit the cache" true
     (c.Plan.plan_cache_hits > c.Plan.plan_compiles)
 
-(* Minor words per emitted row of a warm second run of [plan] (its
-   indexes built by the first), and the row count. *)
-let words_per_row ~resolver ~universe plan =
+(* The rows and the minor words of a warm second run of [plan] (its
+   indexes built by the first). *)
+let warm_run ~resolver ~universe plan =
   let rows = ref 0 in
   let on_row _ = incr rows in
   let run () = Plan.run ~resolver ~universe plan ~on_row in
@@ -211,15 +222,22 @@ let words_per_row ~resolver ~universe plan =
   rows := 0;
   let before = Gc.minor_words () in
   run ();
-  let words = Gc.minor_words () -. before in
-  (!rows, words /. float_of_int (max 1 !rows))
+  (!rows, Gc.minor_words () -. before)
+
+(* Minor words per emitted row of a warm second run, and the row count. *)
+let words_per_row ~resolver ~universe plan =
+  let rows, words = warm_run ~resolver ~universe plan in
+  (rows, words /. float_of_int (max 1 rows))
 
 (* [Plan.run] allocates nothing per candidate tuple: a warm second run
    allocates only its per-run setup, under one minor word per emitted
    row.  The closure's recursive rule at its fixpoint on C_64 joins
    through an index; over 64 [v] facts and [r] = C_64's edges, the other
    rules make one existence check, one counted negated existence check and
-   one membership probe per row. *)
+   one membership probe per row.  Nor does the setup grow with the driving
+   rows: a rule whose inner loop probes an index bucket, scans a relation
+   or enumerates the universe once per driving row allocates as much over
+   C_128 as over C_64. *)
 let test_executor_allocation () =
   let bound src (rows, per_row) =
     if per_row >= 1.0 then
@@ -267,6 +285,48 @@ let test_executor_allocation () =
       ( "u(X) :- v(X), !r(X, Y).",
         function Plan.Neg_exists _ -> true | _ -> false );
       ("u(X) :- v(X), !r(X, X).", function Plan.Neg_check _ -> true | _ -> false);
+    ];
+  (* The step under test runs once per row of the scan of [e] before it. *)
+  let inner is_op (plan : Plan.t) =
+    Array.length plan.Plan.steps >= 2
+    && is_op plan.Plan.steps.(1).Plan.op
+    && plan.Plan.hoist = None
+  in
+  List.iter
+    (fun (rule, is_op) ->
+      let warm n =
+        let db = db_of (Generate.cycle n) in
+        let resolver =
+          Evallib.Engine.uniform
+            (Evallib.Engine.layered db (Evallib.Inflationary.eval tc_program db))
+        in
+        let universe = Database.universe db in
+        let plan =
+          Evallib.Engine.plan_rule
+            ~universe_size:(fun () -> List.length universe)
+            ~resolver rule
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: the step under test on C_%d"
+             (Datalog.Pretty.rule_to_string rule) n)
+          true (inner is_op plan);
+        warm_run ~resolver ~universe plan
+      in
+      let rows64, words64 = warm 64 and rows128, words128 = warm 128 in
+      if rows128 <= rows64 || words128 > words64 then
+        Alcotest.failf
+          "%s: %.0f minor words over %d rows on C_64, %.0f over %d on C_128"
+          (Datalog.Pretty.rule_to_string rule)
+          words64 rows64 words128 rows128)
+    [
+      (tc_rec_rule, function Plan.Index_probe _ -> true | _ -> false);
+      ( List.hd
+          (Parser.parse_program_exn "p(X, Y) :- e(X, Z), e(Y, W), W != Z.")
+            .Ast.rules,
+        function Plan.Scan _ -> true | _ -> false );
+      ( List.hd (Parser.parse_program_exn "p(X, Y) :- e(X, Z), !e(Z, Y).")
+          .Ast.rules,
+        function Plan.Enumerate _ -> true | _ -> false );
     ]
 
 (* --- plan shape on the paper's rules -------------------------------------- *)
@@ -316,11 +376,14 @@ let test_plan_shapes () =
 
 (* Both s3 rules end in a component that shares no variable with the
    join before it: enumerate Xs, enumerate Ys, check !s2(Xs, Ys).  It runs
-   once per rule application, and each distinct (X, Y) replays its rows,
-   where every (X, Z, Y) binding used to enumerate the universe twice.  The
-   benchmark's graph pins the counters: enumerations fall from 16,044 per
-   evaluation to at most 200, duplicate derivations of the dead Z go, and
-   the tuples kept and the model stay as they were. *)
+   once per rule application, where every (X, Z, Y) binding used to
+   enumerate the universe twice, and a saturation replays it once per
+   distinct (X, Y): the three s3 plans share one key set, since their
+   suffixes read s2 only under negation.  The benchmark's graph pins the
+   counters: enumerations fall from 16,044 per evaluation, and
+   derivations to 90,609 for the 89,765-tuple inflationary model and to
+   21,364 stratified, from 161,240 and 45,840 before the hoist and 140,406
+   and 23,916 before the shared key sets; the model stays as it was. *)
 let test_distance_hoist () =
   let module Distance = Reductions.Distance in
   let g = Generate.random ~seed:1 ~n:20 ~p:0.1 in
@@ -330,19 +393,19 @@ let test_distance_hoist () =
     | _ -> None
   in
   List.iter
-    (fun (name, eval, reference, derived_before, allocated) ->
+    (fun (name, eval, reference, enumerations, derived, allocated) ->
       let cache = Cache.create () in
       let stats = Evallib.Stats.create () in
       let carrier = Idb.get (eval ~cache ~stats) "s3" in
       let c = stats.Evallib.Stats.plan in
       Alcotest.(check bool)
-        (name ^ ": enumerations at most 200 (16,044 before)")
+        (Printf.sprintf "%s: enumerations at most %d" name enumerations)
         true
-        (c.Plan.enumerations <= 200);
+        (c.Plan.enumerations <= enumerations);
       Alcotest.(check bool)
-        (Printf.sprintf "%s: tuples derived below %d" name derived_before)
+        (Printf.sprintf "%s: tuples derived at most %d" name derived)
         true
-        (stats.Evallib.Stats.tuples_derived < derived_before);
+        (stats.Evallib.Stats.tuples_derived <= derived);
       Alcotest.(check int) (name ^ ": tuples allocated") allocated
         stats.Evallib.Stats.tuples_allocated;
       Alcotest.(check bool) (name ^ ": the model") true
@@ -355,7 +418,11 @@ let test_distance_hoist () =
             Alcotest.(check (option string))
               (label ^ ": boundary at enumerate Xs")
               (Some "Xs")
-              (slot_name plan plan.Plan.steps.(h.Plan.h_at).Plan.op)
+              (slot_name plan plan.Plan.steps.(h.Plan.h_at).Plan.op);
+            Alcotest.(check bool)
+              (label ^ ": keys kept for the saturation")
+              true
+              (Plan.shares_keys ~evolving:(fun p -> p <> "e") plan)
           | "s3", None -> Alcotest.failf "%s: no hoist" label
           | _, Some _ -> Alcotest.failf "%s: a tc rule hoists" label
           | _, None -> ())
@@ -365,14 +432,26 @@ let test_distance_hoist () =
         (fun ~cache ~stats ->
           Evallib.Inflationary.eval ~cache ~stats Distance.program db),
         Distance.reference,
-        161_240,
-        140_204 );
+        200,
+        91_000,
+        90_407 );
       ( "stratified",
         (fun ~cache ~stats ->
           Evallib.Stratified.eval_exn ~cache ~stats Distance.program db),
         Distance.reference_stratified,
-        45_840,
-        23_714 );
+        50,
+        21_500,
+        21_162 );
+      (* The program is stratified, so its well-founded model is total:
+         the true facts are the stratified model. *)
+      ( "well-founded",
+        (fun ~cache ~stats ->
+          (Evallib.Wellfounded.eval ~cache ~stats Distance.program db)
+            .Evallib.Wellfounded.true_facts),
+        Distance.reference_stratified,
+        900,
+        230_000,
+        222_774 );
     ];
   (* The toggle rule grounds through one pseudo-rule per part of its
      factored body, [$instances(U1) :- .] and [$instances(W) :- .] for its
@@ -415,8 +494,9 @@ let test_hoist_before_limit_steps () =
       (match plan.Plan.steps.(h.Plan.h_end).Plan.op with
       | Plan.Aggregate_probe _ -> true
       | _ -> false);
-    Alcotest.(check (option (array string))) "dedup key" (Some [| "X" |])
-      (Option.map (Array.map (fun s -> plan.Plan.slot_names.(s))) h.Plan.h_key)
+    Alcotest.(check (array string)) "dedup key" [| "X" |]
+      (Array.map (fun s -> plan.Plan.slot_names.(s)) h.Plan.h_key);
+    Alcotest.(check bool) "a dead prefix slot" true h.Plan.h_dedup
   | None -> Alcotest.fail "no hoist");
   let db =
     Database.merge
