@@ -48,17 +48,14 @@ let or_die = function
     exit 1
 
 (* A program runs only on a database that agrees with it on the arity of
-   every EDB predicate it reads; [source] names where the database came
-   from. *)
-let check_database ~source program db =
+   every EDB predicate it reads. *)
+let load_database_for program path =
+  let db = or_die (load_database path) in
   match Negdl.Check.validate_database program db with
   | Ok () -> db
   | Error e ->
     or_die
-      (Error (Printf.sprintf "%s: %s" source (Negdl.Check.error_to_string e)))
-
-let load_database_for program path =
-  check_database ~source:path program (or_die (load_database path))
+      (Error (Printf.sprintf "%s: %s" path (Negdl.Check.error_to_string e)))
 
 let print_idb ?(header = "") idb =
   if header <> "" then Format.printf "%s@." header;
@@ -299,53 +296,12 @@ let fixpoints_cmd =
              when the budget runs out or the count does not fit in an \
              integer.")
   in
-  let snapshot_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "snapshot" ] ~docv:"FILE"
-          ~doc:
-            "Binary EDB cache: load the database from $(docv) instead of \
-             parsing $(i,DATABASE) when the file exists and was written for \
-             this program; otherwise parse and (over)write it.  The cached \
-             EDB is trusted (checksummed, but not compared against the \
-             text file) — delete $(docv) after editing $(i,DATABASE).")
-  in
   let run program_path db_path explain limit enumerate sat_budget
-      count_budget stats snapshot_file =
+      count_budget stats =
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
     or_die (Negdl.Check.refuse_limits "fixpoint analysis" program);
-    let load_and_save () =
-      let db = load_database_for program db_path in
-      (match snapshot_file with
-      | None -> ()
-      | Some file ->
-        let image =
-          snap_die
-            (Negdl.Snapshot.capture ~program ~semantics:"edb" ~db [])
-        in
-        let bytes = snap_die (Negdl.Snapshot.write_file file image) in
-        Format.eprintf "negdl: EDB snapshot written to %s (%d bytes)@." file
-          bytes);
-      db
-    in
-    let db =
-      match snapshot_file with
-      | Some file when Sys.file_exists file -> (
-        let image = snap_die (Negdl.Snapshot.read_file file) in
-        match
-          Negdl.Snapshot.check_program image ~program ~semantics:"edb"
-        with
-        | Error e ->
-          Format.eprintf "negdl: %s; re-reading the database@."
-            (Negdl.Snapshot.error_to_string e);
-          load_and_save ()
-        | Ok () ->
-          check_database ~source:file program
-            (snap_die (Negdl.Snapshot.restore image)).Negdl.Snapshot.r_db)
-      | _ -> load_and_save ()
-    in
+    let db = load_database_for program db_path in
     let plan_cache =
       if explain then Some (Negdl.Plan_cache.create ()) else None
     in
@@ -403,7 +359,7 @@ let fixpoints_cmd =
     Term.(
       const run $ program_arg $ database_arg $ explain_arg $ limit_arg
       $ enumerate_arg $ sat_budget_arg $ count_budget_arg
-      $ stats_arg $ snapshot_arg)
+      $ stats_arg)
 
 (* --- explain ----------------------------------------------------------------- *)
 

@@ -8,91 +8,97 @@ type result =
   | Not_stratifiable of { offending : string * string }
   | Not_limit_stratifiable of { pred : string; rule : Ast.rule }
 
-let stratify (p : Ast.program) =
+type split = {
+  layers : stratification;
+  tainted : string -> bool;
+}
+
+(* One pass over the components of the dependency graph.  Tarjan's
+   numbering is reverse topological (an edge cu -> cv between distinct
+   components has cv < cu), so visiting the components in increasing order
+   sees every dependency first.  A component's layer is the max over its
+   out-edges of the target's layer, plus one across a negative or aggregate
+   edge; edges inside a component are ignored.  EDB-only components sit at
+   layer 0, and IDB components start there as well.  A component is tainted
+   when a negative edge lies inside it or one of its out-edges reaches a
+   tainted component.  Returns the split with the first negative and the
+   first aggregate edge that lies inside a component, if any: either one
+   defeats stratification. *)
+let analyse (p : Ast.program) =
   let dep = Depgraph.build p in
   let digraph, names = Depgraph.graph dep in
   let { Graphlib.Scc.count; component } = Graphlib.Scc.compute digraph in
-  let index_of name =
-    let found = ref (-1) in
-    Array.iteri (fun i n -> if String.equal n name then found := i) names;
-    !found
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let comp name = component.(Hashtbl.find index name) in
+  let negative = Depgraph.negative_edges dep in
+  let aggregate = Depgraph.aggregate_edges dep in
+  let strict = Hashtbl.create 16 in
+  let tainted = Array.make count false in
+  List.iter
+    (fun (u, v) ->
+      let cu = comp u and cv = comp v in
+      if cu = cv then tainted.(cu) <- true
+      else Hashtbl.replace strict (cu, cv) ())
+    negative;
+  List.iter
+    (fun (u, v, _) -> Hashtbl.replace strict (comp u, comp v) ())
+    aggregate;
+  let out = Array.make count [] in
+  List.iter
+    (fun (u, v) ->
+      let cu = component.(u) and cv = component.(v) in
+      if cu <> cv then out.(cu) <- cv :: out.(cu))
+    (Graphlib.Digraph.edges digraph);
+  let layer = Array.make count 0 in
+  for c = 0 to count - 1 do
+    List.iter
+      (fun cv ->
+        let step = if Hashtbl.mem strict (c, cv) then 1 else 0 in
+        layer.(c) <- max layer.(c) (layer.(cv) + step);
+        if tainted.(cv) then tainted.(c) <- true)
+      out.(c)
+  done;
+  let idb = Ast.idb_predicates p in
+  let idb_layer = Hashtbl.create 16 in
+  List.iter (fun name -> Hashtbl.replace idb_layer name layer.(comp name)) idb;
+  let top =
+    List.fold_left (fun acc name -> max acc (Hashtbl.find idb_layer name)) 0 idb
   in
-  (* A negative edge inside a strongly connected component defeats
-     stratification. *)
-  let bad =
-    List.find_opt
-      (fun (u, v) -> component.(index_of u) = component.(index_of v))
-      (Depgraph.negative_edges dep)
+  let strata = Array.make (top + 1) [] in
+  List.iter
+    (fun name ->
+      let s = Hashtbl.find idb_layer name in
+      strata.(s) <- name :: strata.(s))
+    (List.rev idb);
+  let split =
+    {
+      layers =
+        {
+          strata = Array.to_list strata;
+          stratum_of = Hashtbl.find_opt idb_layer;
+        };
+      tainted =
+        (fun name -> Hashtbl.mem idb_layer name && tainted.(comp name));
+    }
   in
+  ( split,
+    List.find_opt (fun (u, v) -> comp u = comp v) negative,
+    List.find_opt (fun (u, v, _) -> comp u = comp v) aggregate )
+
+let split p =
+  let split, _, _ = analyse p in
+  split
+
+let stratify p =
   (* The limit-stratification side condition: a malign (non-monotone) use
      of a limit predicate's bound inside the component computing that bound
      defeats stratification just like negation would — the offending rule
      is reported by name. *)
-  let bad_agg =
-    List.find_opt
-      (fun (u, v, _r) -> component.(index_of u) = component.(index_of v))
-      (Depgraph.aggregate_edges dep)
-  in
-  match (bad, bad_agg) with
-  | Some offending, _ -> Not_stratifiable { offending }
-  | None, Some (_, pred, rule) -> Not_limit_stratifiable { pred; rule }
-  | None, None ->
-    let idb = Ast.idb_predicates p in
-    let is_idb name = List.mem name idb in
-    (* Component-level edges with polarity; stratum of a component is the
-       max over its out-edges of the target stratum (+1 when negative or
-       aggregate-negative).  EDB-only components sit at stratum 0 and IDB
-       components start at 0 as well. *)
-    let strict_pairs =
-      List.map
-        (fun (u, v) -> (component.(index_of u), component.(index_of v)))
-        (Depgraph.negative_edges dep)
-      @ List.map
-          (fun (u, v, _) -> (component.(index_of u), component.(index_of v)))
-          (Depgraph.aggregate_edges dep)
-    in
-    let comp_edges =
-      List.filter_map
-        (fun (u, v) ->
-          let cu = component.(u) and cv = component.(v) in
-          if cu = cv then None
-          else Some (cu, cv, List.mem (cu, cv) strict_pairs))
-        (Graphlib.Digraph.edges digraph)
-    in
-    let stratum = Array.make count 0 in
-    (* Tarjan's component numbering is reverse topological: component 0 has
-       no out-edges to later components... more precisely, for an edge
-       cu -> cv between distinct components, cv < cu.  Processing components
-       in increasing order therefore sees dependencies first. *)
-    for c = 0 to count - 1 do
-      let s =
-        List.fold_left
-          (fun acc (cu, cv, strict) ->
-            if cu = c then max acc (stratum.(cv) + if strict then 1 else 0)
-            else acc)
-          0 comp_edges
-      in
-      stratum.(c) <- s
-    done;
-    let stratum_of name =
-      if is_idb name then
-        let i = index_of name in
-        if i >= 0 then Some stratum.(component.(i)) else None
-      else None
-    in
-    let max_stratum =
-      List.fold_left
-        (fun acc name ->
-          match stratum_of name with
-          | Some s -> max acc s
-          | None -> acc)
-        0 idb
-    in
-    let strata =
-      List.init (max_stratum + 1) (fun s ->
-          List.filter (fun name -> stratum_of name = Some s) idb)
-    in
-    Stratified { strata; stratum_of }
+  match analyse p with
+  | _, Some offending, _ -> Not_stratifiable { offending }
+  | _, None, Some (_, pred, rule) -> Not_limit_stratifiable { pred; rule }
+  | split, None, None -> Stratified split.layers
 
 let limit_error_to_string ~pred ~(rule : Ast.rule) =
   Printf.sprintf

@@ -29,6 +29,19 @@ type result =
 
 val stratify : Ast.program -> result
 
+type split = {
+  layers : stratification;
+      (** Every IDB predicate, layered as {!stratify} layers a stratifiable
+          program, ignoring the edges inside a component. *)
+  tainted : string -> bool;
+      (** In a component with a negative edge inside it, or reaching one.
+          The other IDB predicates form a splitting set that [layers]
+          stratifies. *)
+}
+
+val split : Ast.program -> split
+(** Any program's split, from the same pass as {!stratify}. *)
+
 val limit_error_to_string : pred:string -> rule:Ast.rule -> string
 (** The canonical rendering of a {!Not_limit_stratifiable} failure, naming
     the offending rule. *)

@@ -2,10 +2,10 @@
 
     For a program without negation or inequality the operator Theta is
     monotone, so a least fixpoint exists (Tarski) and is reached by
-    iterating Theta from the empty valuation (Section 2).  This module is
-    the textbook bottom-up evaluation; the inflationary semantics of
-    Section 4 coincides with it on positive programs, which the test suite
-    checks extensively. *)
+    iterating Theta from the empty valuation (Section 2).  On such a program
+    the inflationary iteration of Section 4 is that iteration, so this
+    module is {!Inflationary.eval} behind a positivity check; the test suite
+    holds both to the definition-level reference. *)
 
 val least_fixpoint :
   ?cache:Planlib.Cache.t ->
@@ -13,14 +13,6 @@ val least_fixpoint :
   Datalog.Ast.program ->
   Relalg.Database.t ->
   Idb.t
-(** Semi-naive iteration from the empty valuation ({!Saturate.run}).
+(** {!Inflationary.eval}, whose [stats] stage is labelled [inflationary].
     @raise Invalid_argument if the program uses negation or inequality, or
     has inconsistent arities. *)
-
-val least_fixpoint_trace :
-  ?cache:Planlib.Cache.t ->
-  ?stats:Stats.t ->
-  Datalog.Ast.program ->
-  Relalg.Database.t ->
-  Saturate.trace
-(** Same, keeping the per-stage deltas. *)

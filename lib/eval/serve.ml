@@ -136,12 +136,9 @@ let restore_from t path =
       Ok ())
 
 let create_restored ?stats program image =
-  match Datalog.Stratify.stratify program with
-  | Datalog.Stratify.Not_stratifiable { offending } ->
-    Error (Stratified.error_to_string (Not_stratifiable { offending }))
-  | Datalog.Stratify.Not_limit_stratifiable { pred; rule } ->
-    Error (Stratified.error_to_string (Not_limit_stratifiable { pred; rule }))
-  | Datalog.Stratify.Stratified _ -> (
+  match Stratified.check program with
+  | Error e -> Error (Stratified.error_to_string e)
+  | Ok _ -> (
     match model_of_image program image with
     | Error e -> Error e
     | Ok (db, idb) ->
@@ -377,10 +374,9 @@ let stats_lines t =
        counter here. *)
     (let c = Relalg.Store.contention () in
      Printf.sprintf
-       "store: tuples=%d symbols=%d locks=%d intern_hits=%d intern_misses=%d"
+       "store: tuples=%d symbols=%d intern_hits=%d intern_misses=%d"
        (Relalg.Store.count ()) (Relalg.Symbol.count ())
-       c.Relalg.Store.stripe_locks c.Relalg.Store.cache_hits
-       c.Relalg.Store.cache_misses);
+       c.Relalg.Store.cache_hits c.Relalg.Store.cache_misses);
   ]
 
 let write_reply ~cmd (r : update_report) =

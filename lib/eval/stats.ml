@@ -68,8 +68,7 @@ let pp ppf t =
      the serve loop reports cumulative counters, like its other totals.
      The block appears only when something was measured. *)
   let c = Relalg.Store.contention () in
-  if c.Relalg.Store.stripe_locks + c.cache_hits + c.cache_misses > 0 then begin
-    Format.fprintf ppf "store locks:       %d@," c.stripe_locks;
+  if c.Relalg.Store.cache_hits + c.cache_misses > 0 then begin
     Format.fprintf ppf "intern hits:       %d@," c.cache_hits;
     Format.fprintf ppf "intern misses:     %d@," c.cache_misses
   end;

@@ -14,13 +14,32 @@ type error =
 
 val error_to_string : error -> string
 
+val check :
+  Datalog.Ast.program -> (Datalog.Stratify.stratification, error) result
+(** The program's stratification, or why {!eval} refuses it. *)
+
+val walk :
+  cache:Planlib.Cache.t ->
+  stats:Stats.t option ->
+  keep:(string -> bool) ->
+  Datalog.Ast.program ->
+  Datalog.Stratify.stratification ->
+  Relalg.Database.t ->
+  Idb.t
+(** Saturates the kept predicates stratum by stratum under the program's
+    limit declarations, each over the lower strata frozen, with one
+    [stratum N] stage per stratum that has a kept predicate; the others
+    stay empty.  [keep] must hold on whatever a kept predicate depends
+    on. *)
+
 val eval :
   ?cache:Planlib.Cache.t ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
   (Idb.t, error) result
-(** [stats], when given, records one wall-time stage per stratum. *)
+(** [stats], when given, records one wall-time stage per stratum that
+    holds a predicate. *)
 
 val eval_exn :
   ?cache:Planlib.Cache.t ->

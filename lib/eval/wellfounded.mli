@@ -12,7 +12,15 @@
     The alternating fixpoint computes A(S) = the least fixpoint of the
     program with all negated IDB literals frozen to the valuation S, then
     iterates U := A(O), O := A(U) from U = empty; U climbs, O descends, and
-    the limits are the true and the possible facts respectively. *)
+    the limits are the true and the possible facts respectively.
+
+    {!eval} alternates only where it must.  The predicates that do not
+    depend on negation through a cycle ({!Datalog.Stratify.split}) form a
+    splitting set whose model is total: {!Stratified.walk} saturates them
+    once, stratum by stratum.  The rules of the other, tainted predicates
+    then alternate as one block that reads the walked facts as fixed
+    relations.  On a stratifiable program nothing alternates and the walk
+    is the stratified evaluation.  Limit declarations are ignored. *)
 
 type model = {
   true_facts : Idb.t;   (** Facts true in the well-founded model. *)
@@ -31,6 +39,8 @@ val eval :
   Datalog.Ast.program ->
   Relalg.Database.t ->
   model
+(** [stats], when given, records a [stratum N] stage per stratum walked and
+    one [well-founded] stage for the alternation, when there is one. *)
 
 val reduct_fixpoint :
   ?cache:Planlib.Cache.t ->
@@ -39,6 +49,7 @@ val reduct_fixpoint :
   Relalg.Database.t ->
   Idb.t ->
   Idb.t
-(** One application of the operator A: the least fixpoint with negated IDB
-    atoms read from the given fixed valuation.  Exposed for tests (A is
-    anti-monotone, so A o A is monotone — properties the suite checks). *)
+(** One application of the operator A to the whole program: the least
+    fixpoint with negated IDB atoms read from the given fixed valuation.
+    Exposed for tests (A is anti-monotone, so A o A is monotone — properties
+    the suite checks). *)

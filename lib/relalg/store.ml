@@ -55,8 +55,6 @@ let lock = Mutex.create ()
 
 (* Statistics only: plain ints, so a count may be lost when several domains
    intern at once. *)
-let locks = ref 0
-
 let hits = ref 0
 
 let misses = ref 0
@@ -106,7 +104,6 @@ let grow_ints a =
    [Tuple.hash t]. *)
 let intern_locked h (t : Tuple.t) =
   Mutex.protect lock @@ fun () ->
-  incr locks;
   let st = Atomic.get state in
   let a = (t :> Symbol.t array) in
   let n = Array.length a in
@@ -224,8 +221,10 @@ let count () = (Atomic.get state).count
 
 type contention = { stripe_locks : int; cache_hits : int; cache_misses : int }
 
+(* The lock is taken exactly on a miss, so [stripe_locks] is the miss
+   count. *)
 let contention () =
-  { stripe_locks = !locks; cache_hits = !hits; cache_misses = !misses }
+  { stripe_locks = !misses; cache_hits = !hits; cache_misses = !misses }
 
 (* --- packed view -------------------------------------------------------- *)
 

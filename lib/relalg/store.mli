@@ -55,7 +55,9 @@ val count : unit -> int
     this id. *)
 
 type contention = {
-  stripe_locks : int;  (** Lock acquisitions: appends and their re-probes. *)
+  stripe_locks : int;
+      (** Equal to [cache_misses]: the lock is taken exactly on a miss.  The
+          field stays because the frozen [bench/e2e] harness reads it. *)
   cache_hits : int;  (** {!intern}/{!intern_seg} calls that found their tuple. *)
   cache_misses : int;  (** {!intern}/{!intern_seg} calls that did not. *)
 }

@@ -135,6 +135,64 @@ let arb_hoist_cases =
        (QCheck.Gen.list_repeat 3 (gen_marked_graph 3 6)))
     ~print:print_cases
 
+(* --- strata around a negative cycle ------------------------------------- *)
+
+(* A component [w] with negation inside a cycle, between stratified
+   predicates.  Below it lie [b], the transitive closure of [e], and [c],
+   which negates [b] or [u]; [w] reads [e] or [b] positively and may read
+   [c] or negate [c] or [b].  Above it, [a] reads [w] positively, [n]
+   negates [w] or [a], and [t] reads [n] positively or under negation.
+   When [w] reads only [e], [u], [b] positively and its own negation, it
+   sits at layer 0 with the untainted [b], and [n] at layer 1, with [c]
+   when [c] negates [b].  The graphs are small enough that [e] often has
+   an odd cycle, whose [w] facts are unknown. *)
+let gen_split_program =
+  QCheck.Gen.(
+    let* c_rule =
+      oneofl [ "c(X) :- u(X), !b(X, X)."; "c(X) :- e(X, Y), !u(Y)." ]
+    in
+    let* w_drive = oneofl [ "e(X, Y)"; "b(X, Y)"; "e(Y, X)" ] in
+    let* w_extra = oneofl [ ""; ", !c(Y)"; ", c(X)"; ", !b(Y, X)"; ", u(Y)" ] in
+    let* w_second =
+      oneofl [ ""; "w(X) :- e(X, Y), u(Y), !w(Y).\n"; "w(X) :- c(X), !w(X).\n" ]
+    in
+    let* a_guard = oneofl [ ""; ", u(X)"; ", !c(X)"; ", b(X, X)" ] in
+    let* a_rec = oneofl [ ""; "a(X) :- e(X, Y), a(Y).\n" ] in
+    let* n_rule =
+      oneofl
+        [
+          "n(X) :- u(X), !w(X).";
+          "n(X) :- e(X, Y), !w(Y).";
+          "n(X) :- b(X, Y), !a(Y).";
+          "n(X) :- c(X), !a(X), !w(X).";
+        ]
+    in
+    let* t_rule =
+      oneofl
+        [
+          "t(X, Y) :- b(X, Y), n(X), !c(Y).";
+          "t(X, Y) :- n(X), n(Y), !b(X, Y).";
+          "t(X, Y) :- e(X, Y), !n(Y), !w(X).";
+        ]
+    in
+    let text =
+      Printf.sprintf
+        "b(X, Y) :- e(X, Y).\n\
+         b(X, Y) :- e(X, Z), b(Z, Y).\n\
+         %s\n\
+         w(X) :- %s, !w(Y)%s.\n\
+         %sa(X) :- w(X)%s.\n\
+         %s%s\n\
+         %s"
+        c_rule w_drive w_extra w_second a_guard a_rec n_rule t_rule
+    in
+    return (Datalog.Parser.parse_program_exn text))
+
+let arb_split_case =
+  QCheck.make
+    (QCheck.Gen.pair gen_split_program (gen_marked_graph 3 6))
+    ~print:print_case
+
 (* --- random limit programs ---------------------------------------------- *)
 
 (* A weighted-graph cost workload whose shape guarantees termination of

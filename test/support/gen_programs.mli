@@ -30,6 +30,17 @@ val arb_hoist_cases :
 (** One program of {!arb_hoist_case} with three databases, to run through
     one plan cache. *)
 
+val arb_split_case :
+  (Datalog.Ast.program * Relalg.Database.t) QCheck.arbitrary
+(** A program whose component [w] has negation inside a cycle, with
+    stratified predicates below it (the closure [b] of [e], and [c], which
+    negates [b] or [u]) and above it ([a] reads [w], [n] negates [w] or
+    [a], and [t] reads [n] positively or under negation), read positively
+    and under negation; in many draws an untainted predicate shares a
+    layer with a tainted one.  Databases are random digraphs on 3 to 6
+    vertices with random [u] marks; odd cycles leave facts of [w]
+    unknown. *)
+
 val arb_limit_case :
   (Datalog.Ast.program * Datalog.Ast.program * Relalg.Database.t)
   QCheck.arbitrary

@@ -222,6 +222,33 @@ let grounding p d =
         (assignments d.universe (Ast.rule_variables r)))
     p.rules
 
+let well_founded p d =
+  check_supported p;
+  let instances = grounding p d in
+  (* Van Gelder's A(S): the least fixpoint of the instances with every
+     negated atom read in S.  A is antimonotone, so from U = {} the
+     alternation U := A(O), O := A(U) climbs in U and descends in O. *)
+  let a s =
+    limit
+      (fun x ->
+        List.fold_left
+          (fun acc i ->
+            if
+              List.for_all (fun f -> Facts.mem f x) i.ipos
+              && not (List.exists (fun f -> Facts.mem f s) i.ineg)
+            then Facts.add i.ihead acc
+            else acc)
+          Facts.empty instances)
+      Facts.empty
+  in
+  let rec alternate under over =
+    let under' = a over in
+    let over' = a under' in
+    if Facts.equal under under' && Facts.equal over over' then (under, over)
+    else alternate under' over'
+  in
+  alternate Facts.empty (a Facts.empty)
+
 (* A fixpoint S holds only heads of instances, and Theta(S) reads S only
    at the IDB atoms that some body mentions: so S = Theta(G) for
    G = S restricted to those atoms, and S is a fixpoint iff Theta(G)

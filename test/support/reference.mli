@@ -59,6 +59,13 @@ val kripke_kleene : Datalog.Ast.program -> db -> Facts.t * Facts.t
     some instance has all positive atoms possible and no negated atom
     true. *)
 
+val well_founded : Datalog.Ast.program -> db -> Facts.t * Facts.t
+(** The well-founded model as its (true, possible) pair, by Van Gelder's
+    alternating fixpoint over the whole program on this module's own
+    grounding: A(S) is the least fixpoint of the ground instances with
+    every negated IDB atom read in S, and from U = {}, O = A(U) the
+    iteration U := A(O), O := A(U) runs until neither moves. *)
+
 val fixpoints : Datalog.Ast.program -> db -> Facts.t list
 (** Every fixpoint of Theta, by brute force on this module's own
     grounding (every assignment of each rule's variables, database

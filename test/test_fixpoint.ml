@@ -468,6 +468,24 @@ module Reference = Testsupport.Reference
 
 let facts_of_idb s = Reference.facts_of_bindings (Idb.bindings s)
 
+(* The well-founded model three ways: the evaluator's stratum walk and
+   alternation, the unfounded-set iteration over the ground program, and
+   the reference's alternating fixpoint over the whole program. *)
+let well_founded_agrees (p, db) =
+  let wf = Evallib.Wellfounded.eval p db in
+  let uf = Evallib.Unfounded.eval p db in
+  let ref_true, ref_possible =
+    Reference.well_founded p (Reference.of_database db)
+  in
+  Idb.equal wf.Evallib.Wellfounded.true_facts uf.Evallib.Wellfounded.true_facts
+  && Idb.equal wf.Evallib.Wellfounded.possible uf.Evallib.Wellfounded.possible
+  && Reference.Facts.equal
+       (facts_of_idb wf.Evallib.Wellfounded.true_facts)
+       ref_true
+  && Reference.Facts.equal
+       (facts_of_idb wf.Evallib.Wellfounded.possible)
+       ref_possible
+
 let agrees_with_reference (p, db) =
   let d = Reference.of_database db in
   let s = Solve.prepare p db in
@@ -499,13 +517,10 @@ let agrees_with_reference (p, db) =
   in
   let kk = Evallib.Fitting.eval p db in
   let kk_true, kk_possible = Reference.kripke_kleene p d in
-  let wf = Evallib.Wellfounded.eval p db in
-  let uf = Evallib.Unfounded.eval p db in
   fixpoint_queries
   && Reference.Facts.equal (facts_of_idb kk.Evallib.Fitting.true_facts) kk_true
   && Reference.Facts.equal (facts_of_idb kk.Evallib.Fitting.possible) kk_possible
-  && Idb.equal wf.Evallib.Wellfounded.true_facts uf.Evallib.Wellfounded.true_facts
-  && Idb.equal wf.Evallib.Wellfounded.possible uf.Evallib.Wellfounded.possible
+  && well_founded_agrees (p, db)
 
 let prop_reference =
   QCheck.Test.make ~name:"fixpoints, Kripke-Kleene, unfounded = reference"
@@ -515,6 +530,15 @@ let prop_reference_two_components =
   QCheck.Test.make
     ~name:"fixpoints, Kripke-Kleene, unfounded = reference (two components)"
     ~count:100 Testsupport.Gen_programs.arb_hoist_case agrees_with_reference
+
+(* Stratified predicates below and above a component with negation inside
+   a cycle.  Those above it alternate with the component: a walk that read
+   the component's true facts for both polarities, then its possible
+   facts, would make [n] true wherever [w] is unknown. *)
+let prop_split =
+  QCheck.Test.make
+    ~name:"well-founded = unfounded = reference (strata around a negative cycle)"
+    ~count:200 Testsupport.Gen_programs.arb_split_case well_founded_agrees
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest [ prop_queries_match_brute ]
@@ -588,5 +612,5 @@ let () =
       ("parallel", qcheck_tests);
       ( "reference",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_reference; prop_reference_two_components ] );
+          [ prop_reference; prop_reference_two_components; prop_split ] );
     ]

@@ -442,16 +442,17 @@ let test_distance_hoist () =
         50,
         21_500,
         21_162 );
-      (* The program is stratified, so its well-founded model is total:
-         the true facts are the stratified model. *)
+      (* The program is stratified, so nothing in it depends on negation
+         through a cycle: the well-founded evaluation walks its strata and
+         never alternates, doing the stratified evaluation's work. *)
       ( "well-founded",
         (fun ~cache ~stats ->
           (Evallib.Wellfounded.eval ~cache ~stats Distance.program db)
             .Evallib.Wellfounded.true_facts),
         Distance.reference_stratified,
-        900,
-        230_000,
-        222_774 );
+        50,
+        21_500,
+        21_162 );
     ];
   (* The toggle rule grounds through one pseudo-rule per part of its
      factored body, [$instances(U1) :- .] and [$instances(W) :- .] for its
